@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 
 from . import bch, formats
-from .algebra import span_subalgebra
+from .algebra import MAX_DIM, span_subalgebra
 from .catalog import BUILTIN_NAMES, builtin
 from .contraction import contract, eps_bracket, iw_family
 from .errors import LieContractError, PoleError, SpecFormatError, UnknownAlgebra
@@ -26,6 +26,8 @@ from .verify import run_verify
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
+
+MAX_TRIALS = 1000
 
 
 @dataclass
@@ -422,8 +424,14 @@ def main(argv=None):
     if cfg.order < 0:
         print("error: order must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
+    if cfg.command in ("contract", "expand") and cfg.order > MAX_DIM:
+        print(f"error: order must be at most {MAX_DIM}", file=sys.stderr)
+        return EXIT_USAGE
     if cfg.trials < 1:
         print("error: trials must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if cfg.trials > MAX_TRIALS:
+        print(f"error: trials must be at most {MAX_TRIALS}", file=sys.stderr)
         return EXIT_USAGE
     try:
         return HANDLERS[args.command](args, cfg)

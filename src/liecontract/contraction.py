@@ -1,17 +1,20 @@
 """Rescaling families, the rescaled bracket, and contraction limits.
 
 A ContractionFamily is a matrix polynomial in the formal parameter.  Applying
-its pointwise inverse is done exactly over the field of rational functions:
-each component is a quotient of determinants (Cramer via fraction-free
-elimination), whose valuation at 0 is read off exactly.  A negative valuation
-certifies that the limit does not exist and surfaces as PoleError.
+its pointwise inverse is done exactly over the field of rational functions.
+Each family computes its determinant and adjugate once, by fraction-free
+elimination, and caches both; every later solve is one polynomial
+matrix-vector product (adjugate times right-hand side) over the determinant.
+The back substitution that builds the adjugate divides exactly, and an
+inexact division raises InternalInvariantViolation, so the cached adjugate
+checks itself.  The valuation at 0 of each component is read off exactly; a
+negative valuation certifies that the limit does not exist and surfaces as
+PoleError.  A determinant that is the zero polynomial raises SingularFamily.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import LieAlgebra, SubalgebraSplit
 from .errors import (
@@ -45,11 +48,6 @@ class ContractionFamily:
         if len(phis) - 1 > MAX_FAMILY_DEGREE:
             raise DimensionMismatch(f"family degree capped at {MAX_FAMILY_DEGREE}")
         object.__setattr__(self, "phis", phis)
-        for point in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
-            if linalg.det(self.matrix_at(point)) == 0:
-                warnings.warn(
-                    f"family determinant vanishes at parameter {point}",
-                    stacklevel=2)
 
     @property
     def dim(self):
@@ -91,6 +89,15 @@ class ContractionFamily:
             object.__setattr__(self, "_det_poly", cached)
         return cached
 
+    @property
+    def adjugate(self):
+        """Adjugate of the family matrix, computed once; needs det_poly != 0."""
+        cached = self.__dict__.get("_adjugate")
+        if cached is None:
+            _, cached = linalg.poly_adjugate(self.entry_polys())
+            object.__setattr__(self, "_adjugate", cached)
+        return cached
+
 
 def iw_family(split: SubalgebraSplit) -> ContractionFamily:
     """Family fixing the subalgebra and rescaling the complement linearly."""
@@ -112,18 +119,15 @@ def invert_family_apply(fam: ContractionFamily, r: Jet, order: int) -> Jet:
     den = fam.det_poly
     if not den:
         raise SingularFamily("family determinant is the zero polynomial")
-    entries = fam.entry_polys()
     rhs = r.component_polys()
     den_val = linalg.poly_valuation(den)
     numerators = []
     worst = None  # (valuation, component)
-    for i in range(fam.dim):
-        col_saved = [entries[row][i] for row in range(fam.dim)]
-        for row in range(fam.dim):
-            entries[row][i] = rhs[row]
-        num = linalg.poly_det(entries)
-        for row in range(fam.dim):
-            entries[row][i] = col_saved[row]
+    for i, adj_row in enumerate(fam.adjugate):
+        num = ()
+        for a, b in zip(adj_row, rhs):
+            if a and b:
+                num = linalg.poly_add(num, linalg.poly_mul(a, b))
         numerators.append(num)
         if num:
             val = linalg.poly_valuation(num) - den_val

@@ -168,15 +168,6 @@ def independent_subset(vectors, dim):
     return [v for v in vectors if eb.add(v)]
 
 
-def matrix_rank(m):
-    if not m:
-        return 0
-    eb = EchelonBasis(len(m[0]))
-    for row in m:
-        eb.add(row)
-    return eb.rank
-
-
 def invert(m):
     """Exact inverse of a square rational matrix; ValueError if singular."""
     n = len(m)
@@ -196,26 +187,9 @@ def invert(m):
 
 
 def det(m):
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return ONE
-    work = [list(row) for row in m]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if work[r][k] != 0), None)
-        if piv is None:
-            return ZERO
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[k][k] * work[i][j] - work[i][k] * work[k][j]) / prev
-            work[i][k] = ZERO
-        prev = work[k][k]
-    return sign * work[n - 1][n - 1]
+    """Exact determinant of a square rational matrix (constant-polynomial ``poly_det``)."""
+    d = poly_det([[(x,) for x in row] for row in m])
+    return d[0] if d else ZERO
 
 
 def solve_in_basis(columns, rhs):
@@ -371,30 +345,83 @@ def poly_series_div(num, den, order):
     return tuple(out)
 
 
+def _bareiss(work, n):
+    """Fraction-free (Bareiss) forward elimination of columns 0..n-1, in place.
+
+    ``work`` holds n rows of trimmed polynomials, each at least n wide; the
+    columns past n are carried along.  Returns the sign of the row permutation,
+    or 0 when a column has no pivot, i.e. the leading n x n block has zero
+    determinant.  On success the block is upper triangular and its last
+    diagonal entry is the determinant of the row-permuted block.  Every
+    division is exact (Bareiss 1968); poly_divexact fails loudly otherwise.
+    """
+    sign = 1
+    prev = (ONE,)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if work[r][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            work[k], work[piv] = work[piv], work[k]
+            sign = -sign
+        row_k = work[k]
+        pk = row_k[k]
+        for i in range(k + 1, n):
+            row_i = work[i]
+            f = row_i[k]
+            for j in range(k + 1, len(row_i)):
+                num = poly_sub(poly_mul(pk, row_i[j]), poly_mul(f, row_k[j]))
+                row_i[j] = poly_divexact(num, prev)
+            row_i[k] = ()
+        prev = pk
+    return sign
+
+
 def poly_det(rows):
     """Determinant of a square matrix of polynomials (fraction-free Bareiss)."""
     n = len(rows)
     if n == 0:
         return (ONE,)
     work = [[poly_trim(p) for p in row] for row in rows]
-    sign = 1
-    prev = (ONE,)
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if work[r][k]), None)
-        if piv is None:
-            return ()
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = poly_sub(poly_mul(work[k][k], work[i][j]),
-                               poly_mul(work[i][k], work[k][j]))
-                work[i][j] = poly_divexact(num, prev)
-            work[i][k] = ()
-        prev = work[k][k]
+    sign = _bareiss(work, n)
+    if not sign:
+        return ()
     d = work[n - 1][n - 1]
     return poly_neg(d) if sign < 0 else d
+
+
+def poly_adjugate(rows):
+    """Determinant and adjugate of a square polynomial matrix, in one elimination.
+
+    Eliminates [rows | I], then back-substitutes U Y = d B, where U and B are
+    the two halves after elimination and d is the determinant of the permuted
+    matrix.  Y is (up to the permutation sign) the adjugate, a polynomial
+    matrix, so each division by a diagonal entry of U is exact and
+    poly_divexact raises InternalInvariantViolation if one is not.  Returns
+    (det, adj) with adj * rows == rows * adj == det * I; adj is None when det
+    is the zero polynomial.
+    """
+    n = len(rows)
+    work = [[poly_trim(p) for p in row] + [(ONE,) if j == i else () for j in range(n)]
+            for i, row in enumerate(rows)]
+    sign = _bareiss(work, n)
+    if not sign:
+        return (), None
+    d = work[n - 1][n - 1]
+    y = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = work[i]
+        out = []
+        for c in range(n):
+            acc = poly_mul(d, row[n + c])
+            for j in range(i + 1, n):
+                if row[j] and y[j][c]:
+                    acc = poly_sub(acc, poly_mul(row[j], y[j][c]))
+            out.append(poly_divexact(acc, row[i]))
+        y[i] = out
+    if sign < 0:
+        return poly_neg(d), tuple(tuple(poly_neg(p) for p in r) for r in y)
+    return d, tuple(tuple(r) for r in y)
 
 
 # ---------------------------------------------------------------------------

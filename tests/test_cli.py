@@ -1,10 +1,11 @@
 import json
+import time
 
 import pytest
 
 from liecontract import formats
 from liecontract.catalog import builtin
-from liecontract.cli import main
+from liecontract.cli import MAX_TRIALS, main
 
 SO3 = {"dim": 3, "basis": ["X1", "X2", "X3"],
        "brackets": [[1, 2, 3, "1"], [2, 3, 1, "1"], [3, 1, 2, "1"]]}
@@ -196,3 +197,21 @@ def test_unknown_algebra_is_usage_error(capsys):
 
 def test_usage_error_exit_code():
     assert run(["contract"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["contract", "so3", "--subalgebra", "x3.sub", "--order", "3000000"],
+    ["contract", "so3", "--subalgebra", "x3.sub", "--order", "33"],
+    ["expand", "so3", "--subalgebra", "x3.sub", "--order", "3000000"],
+    ["oracle", "so3", "--order", "2", "--trials", "10000000"],
+    ["verify", "--trials", str(MAX_TRIALS + 1)],
+])
+def test_oversized_order_and_trials_are_usage_errors(workdir, capsys, args):
+    args = [workdir / a if a.endswith(".sub") else a for a in args]
+    start = time.perf_counter()
+    assert run(args) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

@@ -4,9 +4,10 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liecontract import linalg
-from liecontract.algebra import span_subalgebra, split_with_complement
+from liecontract.algebra import LieAlgebra, span_subalgebra, split_with_complement
 from liecontract.catalog import builtin, subalgebra_catalog
 from liecontract.contraction import (
     ContractionFamily,
@@ -19,6 +20,7 @@ from liecontract.contraction import (
 )
 from liecontract.errors import DimensionMismatch, PoleError, SingularFamily
 from liecontract.jets import Jet
+from liecontract.linalg import ZERO
 
 F = Fraction
 
@@ -99,17 +101,19 @@ def test_invert_family_requires_room():
 
 
 def test_singular_family_rejected():
-    zero3 = linalg.zero_matrix(3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fam = ContractionFamily(so3, (zero3,))
-        with pytest.raises(SingularFamily):
-            invert_family_apply(fam, Jet.constant(so3.basis_vector(0), 3), 1)
+    fam = ContractionFamily(so3, (linalg.zero_matrix(3),))
+    with pytest.raises(SingularFamily):
+        invert_family_apply(fam, Jet.constant(so3.basis_vector(0), 3), 1)
 
 
 def test_family_determinant_sampling_warns():
-    with pytest.warns(UserWarning):
-        ContractionFamily(so3, (linalg.zero_matrix(3),))
+    # singularity is decided exactly from the determinant, when the family is
+    # used: building the zero family is silent, contracting it raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fam = ContractionFamily(so3, (linalg.zero_matrix(3),))
+    with pytest.raises(SingularFamily):
+        contract(fam)
 
 
 def test_family_degree_cap():
@@ -258,3 +262,105 @@ def test_complement_independence_via_transport():
                     linalg.mat_vec(tau, alg.basis_vector(a)),
                     linalg.mat_vec(tau, alg.basis_vector(b)))
                 assert lhs == rhs
+
+
+def cramer_invert_family_apply(fam, r, order):
+    """Reference for invert_family_apply: one determinant per component.
+
+    Component i of the solution is det(family with column i replaced by r)
+    over det(family), both computed by poly_det.
+    """
+    entries = fam.entry_polys()
+    den = linalg.poly_det(entries)
+    if not den:
+        raise SingularFamily("family determinant is the zero polynomial")
+    rhs = r.component_polys()
+    den_val = linalg.poly_valuation(den)
+    numerators = []
+    worst = None
+    for i in range(fam.dim):
+        swapped = [row[:i] + [rhs[k]] + row[i + 1:] for k, row in enumerate(entries)]
+        num = linalg.poly_det(swapped)
+        numerators.append(num)
+        if num:
+            val = linalg.poly_valuation(num) - den_val
+            if val < 0 and (worst is None or val < worst[0]):
+                worst = (val, i)
+    if worst is not None:
+        raise PoleError("pole", valuation=worst[0], component=worst[1])
+    series = [
+        linalg.poly_series_div(num, den, order) if num else (ZERO,) * (order + 1)
+        for num in numerators
+    ]
+    coeffs = tuple(tuple(series[i][m] for i in range(fam.dim)) for m in range(order + 1))
+    return Jet(fam.dim, order + 1, coeffs)
+
+
+def solve_outcome(solver, fam, r, order):
+    try:
+        return ("jet", solver(fam, r, order))
+    except PoleError as err:
+        return ("pole", err.valuation, err.component)
+    except SingularFamily:
+        return ("singular",)
+
+
+small_st = st.sampled_from((0, 0, 0, 1, -1, 2, F(1, 2), F(-3, 2)))
+
+
+@st.composite
+def family_and_jet(draw):
+    """A family of degree <= 2 and dimension 2..5, and a jet to solve for.
+
+    ``kind`` forces a family singular at 0 (a zero row in the constant
+    matrix) or singular identically (last row a multiple of the first in
+    every coefficient); generic draws are often singular at 0 as well.
+    """
+    n = draw(st.integers(2, 5))
+    degree = draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(("generic", "at0", "identically")))
+    mats = [[[draw(small_st) for _ in range(n)] for _ in range(n)]
+            for _ in range(degree + 1)]
+    if kind == "at0":
+        mats[0][draw(st.integers(0, n - 1))] = [0] * n
+    elif kind == "identically":
+        c = draw(small_st)
+        for m in mats:
+            m[n - 1] = [c * x for x in m[0]]
+    fam = ContractionFamily(builtin(f"abelian({n})")[0], tuple(mats))
+    trunc = draw(st.integers(1, 4))
+    coeffs = [[draw(small_st) for _ in range(n)] for _ in range(trunc)]
+    order = draw(st.integers(0, trunc - 1))
+    return fam, Jet.make(n, trunc, coeffs), order
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_and_jet())
+def test_invert_family_apply_matches_cramer(case):
+    fam, r, order = case
+    assert solve_outcome(invert_family_apply, fam, r, order) == \
+        solve_outcome(cramer_invert_family_apply, fam, r, order)
+
+
+def so_n(n):
+    """so(n) on the matrices E_ij - E_ji (i < j), and the basis of so(n-1) in it."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    mats = [tuple(tuple(F((r, c) == (i, j)) - F((r, c) == (j, i)) for c in range(n))
+                  for r in range(n)) for i, j in pairs]
+
+    def coords(m):  # an antisymmetric matrix in the E_ij - E_ji basis
+        return tuple(m[i][j] for i, j in pairs)
+
+    tensor = tuple(
+        tuple(coords(linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a)))
+              for b in mats)
+        for a in mats)
+    alg = LieAlgebra(len(pairs), tuple(f"L{i + 1}{j + 1}" for i, j in pairs), tensor)
+    return alg, [alg.basis_vector(a) for a, (_, j) in enumerate(pairs) if j < n - 1]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_contract_so_n_matches_closed_form(n):
+    alg, sub = so_n(n)
+    split = span_subalgebra(alg, sub)
+    assert contract(iw_family(split)).structure == iw_contract_closed_form(split).structure

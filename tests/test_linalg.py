@@ -150,3 +150,46 @@ def test_poly_det_matches_scalar_det_at_points():
                 tuple(linalg.poly_eval(entries[i][j], point) for j in range(n))
                 for i in range(n))
             assert linalg.poly_eval(dp, point) == linalg.det(scalar)
+
+
+def poly_mat_mul(a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ()
+            for k in range(n):
+                acc = linalg.poly_add(acc, linalg.poly_mul(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+poly_st = st.lists(st.sampled_from((0, 0, 1, -1, 2, F(1, 2), F(-2, 3))), max_size=3).map(
+    lambda cs: linalg.poly_trim(F(c) for c in cs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(poly_st, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_poly_adjugate_is_adjugate(rows):
+    n = len(rows)
+    d, adj = linalg.poly_adjugate(rows)
+    assert d == linalg.poly_det(rows)
+    if not d:
+        assert adj is None
+        return
+    scalar = tuple(tuple(d if i == j else () for j in range(n)) for i in range(n))
+    assert poly_mat_mul(adj, rows) == scalar
+    assert poly_mat_mul(rows, adj) == scalar
+
+
+def test_poly_adjugate_needs_row_swaps():
+    # zero leading entry forces a pivot swap, so the permutation sign matters
+    t = (F(0), F(1))
+    rows = [[(), (F(1),), ()], [t, (), ()], [(), (), (F(2),)]]
+    d, adj = linalg.poly_adjugate(rows)
+    assert d == (F(0), F(-2))
+    assert poly_mat_mul(adj, rows) == tuple(
+        tuple(d if i == j else () for j in range(3)) for i in range(3))
