@@ -5,10 +5,8 @@ from .algebra import (
     SubalgebraSplit,
     ValidationReport,
     Violation,
-    coset_reduce,
     span_subalgebra,
     split_with_complement,
-    validate_algebra,
 )
 from .bch import DEFAULT_ORDER_CAP, local_mult, word_coefficients
 from .catalog import builtin, canonical_split_vectors, subalgebra_catalog
@@ -50,7 +48,7 @@ from .jets import (
     jet_in_filtration,
     jet_through_subalgebra,
 )
-from .oracle import Representation, check_representation, oracle_local_mult
+from .oracle import Representation
 
 __version__ = "0.1.0"
 
@@ -86,9 +84,7 @@ __all__ = [
     "bracket_poly",
     "builtin",
     "canonical_split_vectors",
-    "check_representation",
     "contract",
-    "coset_reduce",
     "eps_bracket",
     "invert_family_apply",
     "iw_contract_closed_form",
@@ -96,12 +92,10 @@ __all__ = [
     "jet_in_filtration",
     "jet_through_subalgebra",
     "local_mult",
-    "oracle_local_mult",
     "so3_example",
     "span_subalgebra",
     "split_with_complement",
     "subalgebra_catalog",
     "transport_map",
-    "validate_algebra",
     "word_coefficients",
 ]

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .errors import DimensionMismatch, NotASubalgebra
 from . import linalg
-from .linalg import ZERO, EchelonBasis, as_vector, rat
+from .linalg import ZERO, as_vector, rat
 
 MAX_DIM = 32
 
@@ -183,10 +183,6 @@ class LieAlgebra:
         return report
 
 
-def validate_algebra(alg):
-    return alg.validate()
-
-
 @dataclass(frozen=True)
 class SubalgebraSplit:
     """A subalgebra with a chosen vector space complement and exact projectors."""
@@ -233,17 +229,14 @@ def _projectors(alg, h_basis, n_basis):
 
 
 def _closure_check(alg, h_basis):
-    eb = EchelonBasis(alg.dim)
-    for v in h_basis:
-        eb.add(v)
-    for i, u in enumerate(h_basis):
-        for v in h_basis[i:]:
-            w = alg.bracket(u, v)
-            if not eb.contains(w):
-                raise NotASubalgebra(
-                    f"bracket [{alg.format_vector(u)}, {alg.format_vector(v)}] = "
-                    f"{alg.format_vector(w)} leaves the span",
-                    witness=(u, v, w))
+    pairs = [(u, v, alg.bracket(u, v)) for i, u in enumerate(h_basis) for v in h_basis[i:]]
+    sols = linalg.solve_in_basis(h_basis, [w for _, _, w in pairs])
+    for (u, v, w), sol in zip(pairs, sols):
+        if sol is None:
+            raise NotASubalgebra(
+                f"bracket [{alg.format_vector(u)}, {alg.format_vector(v)}] = "
+                f"{alg.format_vector(w)} leaves the span",
+                witness=(u, v, w))
 
 
 def span_subalgebra(alg, vectors):
@@ -254,36 +247,25 @@ def span_subalgebra(alg, vectors):
     index order, so it always consists of standard basis vectors.
     """
     vectors = [alg.vector(v) for v in vectors]
-    h_basis = linalg.independent_subset(vectors, alg.dim)
+    cols = vectors + [alg.basis_vector(i) for i in range(alg.dim)]
+    pivots = linalg.pivot_columns(cols, alg.dim)
+    h_basis = [cols[j] for j in pivots if j < len(vectors)]
+    n_basis = [cols[j] for j in pivots if j >= len(vectors)]
     _closure_check(alg, h_basis)
-    eb = EchelonBasis(alg.dim)
-    for v in h_basis:
-        eb.add(v)
-    n_basis = []
-    for i in range(alg.dim):
-        e = alg.basis_vector(i)
-        if eb.add(e):
-            n_basis.append(e)
     proj_h, proj_n = _projectors(alg, h_basis, n_basis)
     return SubalgebraSplit(alg, tuple(h_basis), tuple(n_basis), proj_h, proj_n)
 
 
 def split_with_complement(alg, h_vectors, n_vectors):
     """Like span_subalgebra but with an explicitly chosen complement."""
-    h_basis = linalg.independent_subset([alg.vector(v) for v in h_vectors], alg.dim)
-    _closure_check(alg, h_basis)
+    h_vectors = [alg.vector(v) for v in h_vectors]
     n_basis = [alg.vector(v) for v in n_vectors]
-    eb = EchelonBasis(alg.dim)
-    for v in h_basis:
-        eb.add(v)
-    for v in n_basis:
-        if not eb.add(v):
-            raise DimensionMismatch("complement vectors are not independent of the subalgebra")
-    if eb.rank != alg.dim:
+    pivots = linalg.pivot_columns(h_vectors + n_basis, alg.dim)
+    h_basis = [h_vectors[j] for j in pivots if j < len(h_vectors)]
+    _closure_check(alg, h_basis)
+    if len(pivots) - len(h_basis) != len(n_basis):
+        raise DimensionMismatch("complement vectors are not independent of the subalgebra")
+    if len(pivots) != alg.dim:
         raise DimensionMismatch("subalgebra and complement do not span the algebra")
     proj_h, proj_n = _projectors(alg, h_basis, n_basis)
     return SubalgebraSplit(alg, tuple(h_basis), tuple(n_basis), proj_h, proj_n)
-
-
-def coset_reduce(split, x):
-    return split.coset_reduce(x)

@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import bch, formats
-from .algebra import MAX_DIM, span_subalgebra
+from .algebra import MAX_DIM
 from .catalog import BUILTIN_NAMES, builtin
 from .contraction import contract, eps_bracket, iw_family
 from .errors import LieContractError, PoleError, SpecFormatError, UnknownAlgebra
@@ -28,16 +27,6 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 MAX_TRIALS = 1000
-
-
-@dataclass
-class RunConfig:
-    command: str
-    fmt: str = "text"
-    order: int = 0
-    seed: int = 0
-    trials: int = 25
-    order_cap: int = bch.DEFAULT_ORDER_CAP
 
 
 def _emit(payload, fmt, stream=None):
@@ -57,10 +46,6 @@ def _resolve_algebra(token):
     raise UnknownAlgebra(
         f"{token!r} is neither a catalogued algebra ({', '.join(BUILTIN_NAMES)}) "
         f"nor an existing file")
-
-
-def _load_split(alg, path):
-    return span_subalgebra(alg, formats.load_subalgebra(path))
 
 
 def _format_jet(alg, jet):
@@ -90,10 +75,10 @@ def _nil_payload(nil):
     }
 
 
-def cmd_validate(args, cfg):
+def cmd_validate(args):
     alg = formats.load_algebra(args.algebra)
     report = alg.validate()
-    if cfg.fmt == "machine":
+    if args.format == "machine":
         _emit({
             "command": "validate",
             "algebra": formats.algebra_to_dict(alg),
@@ -105,16 +90,16 @@ def cmd_validate(args, cfg):
                     for v in report.violations
                 ],
             },
-        }, cfg.fmt)
+        }, args.format)
     else:
         print(report.summary())
     return EXIT_OK if report.ok else EXIT_DOMAIN
 
 
-def cmd_contract(args, cfg):
+def cmd_contract(args):
     alg, _ = _resolve_algebra(args.algebra)
     if args.subalgebra:
-        fam = iw_family(_load_split(alg, args.subalgebra))
+        fam = iw_family(formats.load_split(args.subalgebra, alg))
     else:
         fam = formats.load_family(args.family, alg)
     limit = contract(fam)
@@ -125,7 +110,7 @@ def cmd_contract(args, cfg):
                 jet = eps_bracket(fam, alg.basis_vector(a), alg.basis_vector(b),
                                   order=args.order)
                 eps_block[f"[{alg.basis_names[a]},{alg.basis_names[b]}]"] = jet
-    if cfg.fmt == "machine":
+    if args.format == "machine":
         payload = {
             "command": "contract",
             "algebra": formats.algebra_to_dict(limit),
@@ -135,7 +120,7 @@ def cmd_contract(args, cfg):
             payload["report"]["eps_brackets"] = {
                 key: _jet_payload(jet) for key, jet in eps_block.items()
             }
-        _emit(payload, cfg.fmt)
+        _emit(payload, args.format)
     else:
         print("contraction limit:")
         shown = False
@@ -153,9 +138,9 @@ def cmd_contract(args, cfg):
     return EXIT_OK
 
 
-def cmd_expand(args, cfg):
+def cmd_expand(args):
     alg, _ = _resolve_algebra(args.algebra)
-    ea = IWExpansion(_load_split(alg, args.subalgebra), args.order)
+    ea = IWExpansion(formats.load_split(args.subalgebra, alg), args.order)
     expanded = ea.structure_algebra()
     if args.emit_constants:
         payload = formats.algebra_to_dict(expanded)
@@ -167,7 +152,7 @@ def cmd_expand(args, cfg):
             sys.stdout.write(text)
         return EXIT_OK
     report = ea.jacobi_report(mode="exhaustive")
-    if cfg.fmt == "machine":
+    if args.format == "machine":
         _emit({
             "command": "expand",
             "report": {
@@ -176,7 +161,7 @@ def cmd_expand(args, cfg):
                 "basis": list(expanded.basis_names),
                 "jacobi_ok": report.ok,
             },
-        }, cfg.fmt)
+        }, args.format)
     else:
         print(f"expansion of order {args.order}: dimension {ea.dimension}")
         print("  basis: " + ", ".join(expanded.basis_names))
@@ -193,13 +178,13 @@ def _parse_nil(grp, text):
     return grp.nil(vectors[:-1], vectors[-1])
 
 
-def cmd_star(args, cfg):
+def cmd_star(args):
     alg, _ = _resolve_algebra(args.algebra)
-    grp = ExpansionGroup(_load_split(alg, args.subalgebra), args.order,
-                         order_cap=cfg.order_cap)
+    grp = ExpansionGroup(formats.load_split(args.subalgebra, alg), args.order,
+                         order_cap=args.order_cap)
     result = grp.star(_parse_nil(grp, args.a), _parse_nil(grp, args.b))
-    if cfg.fmt == "machine":
-        _emit({"command": "star", "report": {"result": _nil_payload(result)}}, cfg.fmt)
+    if args.format == "machine":
+        _emit({"command": "star", "report": {"result": _nil_payload(result)}}, args.format)
     else:
         for i, m in enumerate(result.mids, start=1):
             print(f"coefficient {i}: {alg.format_vector(m)}")
@@ -207,22 +192,22 @@ def cmd_star(args, cfg):
     return EXIT_OK
 
 
-def cmd_group_mult(args, cfg):
+def cmd_group_mult(args):
     alg, _ = _resolve_algebra(args.algebra)
-    grp = ExpansionGroup(_load_split(alg, args.subalgebra), args.order,
-                         order_cap=cfg.order_cap)
+    grp = ExpansionGroup(formats.load_split(args.subalgebra, alg), args.order,
+                         order_cap=args.order_cap)
     h1 = grp.h_element(formats.parse_matrix_literal(args.h1, alg.dim))
     h2 = grp.h_element(formats.parse_matrix_literal(args.h2, alg.dim))
     g = grp.mult(grp.element(h1, _parse_nil(grp, args.a)),
                  grp.element(h2, _parse_nil(grp, args.b)))
-    if cfg.fmt == "machine":
+    if args.format == "machine":
         _emit({
             "command": "group-mult",
             "report": {
                 "h": [formats.vector_to_strings(row) for row in g.h.ad],
                 "nil": _nil_payload(g.nil),
             },
-        }, cfg.fmt)
+        }, args.format)
     else:
         print("subgroup part (adjoint matrix):")
         for row in g.h.ad:
@@ -233,7 +218,7 @@ def cmd_group_mult(args, cfg):
     return EXIT_OK
 
 
-def cmd_oracle(args, cfg):
+def cmd_oracle(args):
     import random
 
     alg, rep = _resolve_algebra(args.algebra)
@@ -261,12 +246,12 @@ def cmd_oracle(args, cfg):
     mismatches = 0
     last = None
     for p, q in pairs:
-        direct = bch.local_mult(alg, p, q, args.order, cap=cfg.order_cap)
+        direct = bch.local_mult(alg, p, q, args.order, cap=args.order_cap)
         via_matrices = rep.local_mult(p, q, args.order)
         last = direct
         if direct != via_matrices:
             mismatches += 1
-    if cfg.fmt == "machine":
+    if args.format == "machine":
         payload = {
             "command": "oracle",
             "report": {
@@ -278,7 +263,7 @@ def cmd_oracle(args, cfg):
         }
         if args.p is not None:
             payload["report"]["product"] = _jet_payload(last)
-        _emit(payload, cfg.fmt)
+        _emit(payload, args.format)
     else:
         if args.p is not None:
             print(f"product: {_format_jet(alg, last)}")
@@ -287,12 +272,12 @@ def cmd_oracle(args, cfg):
     return EXIT_OK if mismatches == 0 else EXIT_DOMAIN
 
 
-def cmd_example(args, cfg):
+def cmd_example(args):
     if args.name != "so3":
         raise UnknownAlgebra("the worked example is available for so3")
     report = so3_example(args.order, seed=args.seed)
-    if cfg.fmt == "machine":
-        _emit({"command": "example", "report": report.as_dict()}, cfg.fmt)
+    if args.format == "machine":
+        _emit({"command": "example", "report": report.as_dict()}, args.format)
     else:
         for chk in report.checks:
             print(("PASS " if chk.passed else "FAIL ") + chk.description)
@@ -304,9 +289,9 @@ def cmd_example(args, cfg):
     return EXIT_OK if report.passed else EXIT_DOMAIN
 
 
-def cmd_verify(args, cfg):
+def cmd_verify(args):
     results = run_verify(seed=args.seed, trials=args.trials)
-    if cfg.fmt == "machine":
+    if args.format == "machine":
         _emit({
             "command": "verify",
             "report": {
@@ -318,7 +303,7 @@ def cmd_verify(args, cfg):
                 ],
                 "ok": all(r.passed for r in results),
             },
-        }, cfg.fmt)
+        }, args.format)
     else:
         for r in results:
             line = ("PASS " if r.passed else "FAIL ") + r.name
@@ -412,39 +397,34 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
-    cap = args.order_cap if args.order_cap is not None else bch.configured_order_cap()
-    cfg = RunConfig(
-        command=args.command,
-        fmt=args.format,
-        order=getattr(args, "order", 0) or 0,
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 25),
-        order_cap=cap,
-    )
-    if cfg.order < 0:
+    if args.order_cap is None:
+        args.order_cap = bch.configured_order_cap()
+    order = getattr(args, "order", 0)
+    trials = getattr(args, "trials", 1)
+    if order < 0:
         print("error: order must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.command in ("contract", "expand") and cfg.order > MAX_DIM:
+    if args.command in ("contract", "expand") and order > MAX_DIM:
         print(f"error: order must be at most {MAX_DIM}", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.trials < 1:
+    if trials < 1:
         print("error: trials must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.trials > MAX_TRIALS:
+    if trials > MAX_TRIALS:
         print(f"error: trials must be at most {MAX_TRIALS}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return HANDLERS[args.command](args, cfg)
+        return HANDLERS[args.command](args)
     except (SpecFormatError, UnknownAlgebra, FileNotFoundError) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_USAGE
     except LieContractError as err:
-        if cfg.fmt == "machine":
+        if args.format == "machine":
             block = {"name": type(err).__name__, "message": str(err)}
             if isinstance(err, PoleError):
                 block["valuation"] = err.valuation
                 block["component"] = err.component
-            _emit({"command": args.command, "error": block}, cfg.fmt)
+            _emit({"command": args.command, "error": block}, args.format)
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_DOMAIN
 

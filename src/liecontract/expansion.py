@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LieAlgebra, SubalgebraSplit, ValidationReport
-from .contraction import ContractionFamily, bracket_poly, contract, invert_family_apply
+from .contraction import ContractionFamily, contract, invert_family_apply
 from .errors import DimensionMismatch, InternalInvariantViolation, PoleError
 from . import linalg
-from .jets import Jet
+from .jets import Jet, bracket_poly
 from .linalg import ZERO
 
 
@@ -175,26 +175,24 @@ class IWExpansion:
             flat.extend(s)
         return tuple(flat)
 
-    def coords(self, el):
-        columns = self.__dict__.get("_basis_columns")
-        if columns is None:
-            columns = [self._flatten(e) for _, e in self.basis_elements()]
-            self._basis_columns = columns
-        sol = linalg.solve_in_basis(columns, self._flatten(el))
-        if sol is None:
+    def coords(self, els):
+        """Coordinates of each element in the level-tagged basis, in one solve."""
+        columns = [self._flatten(e) for _, e in self.basis_elements()]
+        sols = linalg.solve_in_basis(columns, [self._flatten(el) for el in els])
+        if any(sol is None for sol in sols):
             raise InternalInvariantViolation("element outside the expansion basis span")
-        return sol
+        return sols
 
     def structure_algebra(self) -> LieAlgebra:
         """The expansion as a plain algebra on the level-tagged basis."""
         named = self.basis_elements()
         m = len(named)
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        sols = self.coords([self.bracket(named[i][1], named[j][1]) for i, j in pairs])
         f = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                coords = self.coords(self.bracket(named[i][1], named[j][1]))
-                f[i][j] = list(coords)
-                f[j][i] = [-c for c in coords]
+        for (i, j), coords in zip(pairs, sols):
+            f[i][j] = list(coords)
+            f[j][i] = [-c for c in coords]
         tensor = tuple(tuple(tuple(row) for row in plane) for plane in f)
         return LieAlgebra(m, tuple(name for name, _ in named), tensor)
 

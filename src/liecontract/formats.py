@@ -5,6 +5,7 @@ entries ``[a, b, c, "p/q"]`` (one-based indices, only a < b required; the
 antisymmetric completion is applied on load).  Subalgebra files are JSON
 lists of rational coefficient vectors, family files carry ``{"phis":
 [matrix, ...]}``, representation files map basis names to square matrices.
+A file whose shapes do not fit the algebra is a SpecFormatError.
 Machine-readable output always serializes rationals as "p/q" strings and is
 byte-stable for fixed inputs.
 """
@@ -14,9 +15,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, span_subalgebra
 from .contraction import ContractionFamily
-from .errors import SpecFormatError
+from .errors import DimensionMismatch, SpecFormatError
 from .oracle import Representation
 
 
@@ -64,6 +65,8 @@ def algebra_from_dict(data):
         raise SpecFormatError("field 'basis' must list one name per dimension")
     if len(set(basis)) != dim:
         raise SpecFormatError("basis names must be unique")
+    if not isinstance(brackets, list):
+        raise SpecFormatError("field 'brackets' must be a list of [a, b, c, coeff] entries")
     entries = []
     for idx, entry in enumerate(brackets):
         if not isinstance(entry, list) or len(entry) != 4:
@@ -116,6 +119,15 @@ def load_subalgebra(path):
     return _vector_list(_load_json(path), "subalgebra spec")
 
 
+def load_split(path, alg):
+    """Split ``alg`` along the span of the vectors in a subalgebra file."""
+    vectors = load_subalgebra(path)
+    try:
+        return span_subalgebra(alg, vectors)
+    except DimensionMismatch as err:
+        raise SpecFormatError(f"subalgebra spec: {err}") from None
+
+
 def _matrix_from(data, what):
     rows = _vector_list(data, what)
     if rows and any(len(r) != len(rows[0]) for r in rows):
@@ -127,8 +139,13 @@ def load_family(path, alg):
     data = _load_json(path)
     if not isinstance(data, dict) or "phis" not in data:
         raise SpecFormatError("family spec must be an object with field 'phis'")
+    if not isinstance(data["phis"], list):
+        raise SpecFormatError("field 'phis' must be a list of matrices")
     phis = [_matrix_from(m, f"phis[{i}]") for i, m in enumerate(data["phis"])]
-    return ContractionFamily(alg, tuple(phis))
+    try:
+        return ContractionFamily(alg, tuple(phis))
+    except DimensionMismatch as err:
+        raise SpecFormatError(f"family spec: {err}") from None
 
 
 def load_representation(path, alg):
@@ -140,7 +157,10 @@ def load_representation(path, alg):
         if name not in data:
             raise SpecFormatError(f"representation spec missing basis name {name!r}")
         mats.append(_matrix_from(data[name], f"matrix for {name}"))
-    return Representation(alg, tuple(mats))
+    try:
+        return Representation(alg, tuple(mats))
+    except DimensionMismatch as err:
+        raise SpecFormatError(f"representation spec: {err}") from None
 
 
 def parse_vector_literal(text, dim=None):

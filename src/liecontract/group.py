@@ -25,6 +25,11 @@ from .jets import Jet
 FLOAT_TOL = 1e-12
 
 
+def _scalar(value):
+    """Exact coercion, except that floats pass through for the numeric mode."""
+    return value if isinstance(value, float) else linalg.rat(value)
+
+
 def _is_exact(value):
     return not isinstance(value, float)
 
@@ -82,14 +87,14 @@ class ExpansionGroup:
 
     def nil(self, mids, top=None) -> NilTuple:
         n = self.algebra.dim
-        mids = tuple(tuple(linalg.rat(x) for x in m) for m in mids)
+        mids = tuple(tuple(_scalar(x) for x in m) for m in mids)
         if len(mids) != self.order:
             raise DimensionMismatch(f"expected {self.order} middle slots, got {len(mids)}")
         if any(len(m) != n for m in mids):
             raise DimensionMismatch("middle slot length differs from algebra dimension")
         if top is None:
             top = linalg.zero_vector(n)
-        top = tuple(linalg.rat(x) for x in top)
+        top = tuple(_scalar(x) for x in top)
         if len(top) != n:
             raise DimensionMismatch("top slot length differs from algebra dimension")
         return NilTuple(mids, self.split.coset_reduce(top))
@@ -127,7 +132,7 @@ class ExpansionGroup:
         """
         alg = self.algebra
         n = alg.dim
-        ad = tuple(tuple(linalg.rat(x) for x in row) for row in ad)
+        ad = tuple(tuple(_scalar(x) for x in row) for row in ad)
         if len(ad) != n or any(len(row) != n for row in ad):
             raise DimensionMismatch("adjoint matrix must be square of the algebra dimension")
         exact = _matrix_exact(ad)
@@ -147,7 +152,7 @@ class ExpansionGroup:
                           linalg.zero_vector(n), check_tol):
                 raise DimensionMismatch("matrix does not preserve the subalgebra")
         if defining is not None:
-            defining = tuple(tuple(linalg.rat(x) for x in row) for row in defining)
+            defining = tuple(tuple(_scalar(x) for x in row) for row in defining)
         return HElement(ad, defining)
 
     def identity_h(self) -> HElement:

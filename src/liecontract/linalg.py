@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals, plus polynomial helpers.
 
-Vectors are tuples of Fractions, matrices are tuples of row tuples.  Floats
-are tolerated alongside Fractions so the numeric mode of the group layer can
-reuse the same operations; everything that matters for verification stays in
-exact arithmetic.  Polynomials in the formal parameter are coefficient tuples
+Vectors are tuples of Fractions, matrices are tuples of row tuples.  ``rat``
+rejects floats, so exact constructors never silently compute in floating
+point; the arithmetic helpers still accept float entries, which the numeric
+mode of the group layer passes in on purpose.  Polynomials in the formal parameter are coefficient tuples
 (lowest degree first) with trailing zeros trimmed; the empty tuple is zero.
 """
 
@@ -18,7 +18,7 @@ ONE = Fraction(1)
 
 
 def rat(value):
-    """Coerce ints, strings and Fractions to Fraction; floats pass through."""
+    """Coerce ints, strings and Fractions to Fraction; floats are rejected."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -27,8 +27,6 @@ def rat(value):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
-    if isinstance(value, float):
-        return value
     raise TypeError(f"cannot interpret {value!r} as a scalar")
 
 
@@ -117,93 +115,21 @@ def transpose(m):
     return tuple(zip(*m)) if m else ()
 
 
-class EchelonBasis:
-    """Incremental reduced row echelon form over the rationals.
+def _gauss_jordan(aug, ncols):
+    """Gauss-Jordan elimination of columns 0..ncols-1 of ``aug``, in place.
 
-    Supports adding vectors one by one and exact span-membership queries;
-    used for pruning spanning sets and picking complements by greedy pivoting.
+    ``aug`` is a list of row lists; the columns past ncols are carried along.
+    Each column's pivot is its first nonzero entry at or below the current
+    row; the pivot row is scaled to a leading 1 and the column is cleared in
+    every other row.  Returns the pivot columns in order: row i then leads
+    with a 1 in column pivots[i], and the rows past len(pivots) are zero in
+    the first ncols columns.  The field loop of this module: ``pivot_columns``,
+    ``solve_in_basis`` and ``invert`` are all built on it.
     """
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.rows = []  # (pivot column, reduced row) pairs, pivot normalized to 1
-
-    def _reduce(self, v):
-        v = list(v)
-        for piv, row in self.rows:
-            c = v[piv]
-            if c:
-                for j in range(self.dim):
-                    v[j] -= c * row[j]
-        return v
-
-    def add(self, v):
-        """Add v to the span; returns True if it was independent."""
-        if len(v) != self.dim:
-            raise DimensionMismatch("vector length differs from ambient dimension")
-        red = self._reduce(v)
-        piv = next((j for j, x in enumerate(red) if x != 0), None)
-        if piv is None:
-            return False
-        inv = red[piv]
-        red = [x / inv for x in red]
-        for other_piv, row in self.rows:
-            c = row[piv]
-            if c:
-                for j in range(self.dim):
-                    row[j] -= c * red[j]
-        self.rows.append((piv, red))
-        return True
-
-    def contains(self, v):
-        return all(x == 0 for x in self._reduce(v))
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-
-def independent_subset(vectors, dim):
-    eb = EchelonBasis(dim)
-    return [v for v in vectors if eb.add(v)]
-
-
-def invert(m):
-    """Exact inverse of a square rational matrix; ValueError if singular."""
-    n = len(m)
-    aug = [list(m[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def det(m):
-    """Exact determinant of a square rational matrix (constant-polynomial ``poly_det``)."""
-    d = poly_det([[(x,) for x in row] for row in m])
-    return d[0] if d else ZERO
-
-
-def solve_in_basis(columns, rhs):
-    """Solve sum_j x_j columns[j] = rhs exactly.
-
-    Returns the coefficient tuple, or None if the system is inconsistent.
-    Intended for independent columns, where the solution is unique.
-    """
-    m = len(rhs)
-    n = len(columns)
-    aug = [[columns[j][i] for j in range(n)] + [rhs[i]] for i in range(m)]
+    m = len(aug)
     pivots = []
-    r = 0
-    for c in range(n):
+    for c in range(ncols):
+        r = len(pivots)
         piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
         if piv is None:
             continue
@@ -215,14 +141,60 @@ def solve_in_basis(columns, rhs):
                 f = aug[i][c]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
         pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [ZERO] * n
-    for idx, c in enumerate(pivots):
-        x[c] = aug[idx][n]
-    return tuple(x)
+    return pivots
+
+
+def pivot_columns(vectors, dim):
+    """Indices of the first-come linearly independent subset of ``vectors``.
+
+    Index j is returned exactly when vectors[j] is not in the span of
+    vectors[0..j-1].
+    """
+    if any(len(v) != dim for v in vectors):
+        raise DimensionMismatch("vector length differs from ambient dimension")
+    return _gauss_jordan([[v[i] for v in vectors] for i in range(dim)], len(vectors))
+
+
+def invert(m):
+    """Exact inverse of a square rational matrix; ValueError if singular."""
+    n = len(m)
+    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m)]
+    if len(_gauss_jordan(aug, n)) < n:
+        raise ValueError("singular matrix")
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def det(m):
+    """Exact determinant of a square rational matrix (constant-polynomial ``poly_det``)."""
+    d = poly_det([[(x,) for x in row] for row in m])
+    return d[0] if d else ZERO
+
+
+def solve_in_basis(columns, rhss):
+    """Solve sum_j x_j columns[j] = rhs exactly, for every rhs in ``rhss``.
+
+    One elimination serves all right-hand sides.  Returns a list with one
+    coefficient tuple per right-hand side, or None where that system is
+    inconsistent.  Intended for independent columns, where each solution is
+    unique.
+    """
+    rhss = list(rhss)
+    if not rhss:
+        return []
+    n = len(columns)
+    aug = [[col[i] for col in columns] + [b[i] for b in rhss] for i in range(len(rhss[0]))]
+    pivots = _gauss_jordan(aug, n)
+    rest = aug[len(pivots):]
+    out = []
+    for k in range(n, n + len(rhss)):
+        if any(row[k] != 0 for row in rest):
+            out.append(None)
+            continue
+        x = [ZERO] * n
+        for i, c in enumerate(pivots):
+            x[c] = aug[i][k]
+        out.append(tuple(x))
+    return out
 
 
 # ---------------------------------------------------------------------------

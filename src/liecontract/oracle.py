@@ -76,10 +76,10 @@ class Representation:
                     report.record(
                         "homomorphism", (alg.basis_names[a], alg.basis_names[b]),
                         "commutator differs from the bracket image")
-        eb = linalg.EchelonBasis(self.size ** 2)
-        for a, col in enumerate(self._columns()):
+        pivots = set(linalg.pivot_columns(self._columns(), self.size ** 2))
+        for a in range(alg.dim):
             report.checks += 1
-            if not eb.add(col):
+            if a not in pivots:
                 report.record("independence", (alg.basis_names[a],),
                               "matrix depends linearly on the previous ones")
         return report
@@ -92,7 +92,7 @@ class Representation:
     def decompose(self, matrix):
         """Exact coefficients of a matrix in the span of the basis matrices."""
         flat = tuple(x for row in matrix for x in row)
-        sol = linalg.solve_in_basis(self._columns(), flat)
+        [sol] = linalg.solve_in_basis(self._columns(), [flat])
         if sol is None:
             raise DecompositionFailed("matrix lies outside the representation span")
         return sol
@@ -142,16 +142,6 @@ class Representation:
         return Jet(self.algebra.dim, order + 1, coeffs)
 
 
-def check_representation(alg, rep: Representation) -> ValidationReport:
-    if rep.algebra is not alg and rep.algebra != alg:
-        raise DimensionMismatch("representation belongs to a different algebra")
-    return rep.check()
-
-
-def oracle_local_mult(rep: Representation, p: Jet, q: Jet, order: int) -> Jet:
-    return rep.local_mult(p, q, order)
-
-
 def numeric_exp(matrix, tol=1e-17, max_terms=80):
     """Plain Taylor partial sums at a small numeric argument (sampling only)."""
     size = len(matrix)
@@ -174,7 +164,7 @@ def numeric_product_gap(rep: Representation, p: Jet, q: Jet, z: Jet, point):
     Sampling aid for plots and sanity sweeps; never part of exact checks.
     """
     def float_matrix(jet):
-        value = jet.eval_at(point)
+        value = jet.eval_at(Fraction(point))
         return [[float(x) for x in row] for row in rep.matrix_of(value)]
 
     prod = linalg.mat_mul(numeric_exp(float_matrix(p)), numeric_exp(float_matrix(q)))

@@ -49,6 +49,11 @@ def test_bracket_dimension_mismatch(so3):
         so3.bracket((F(1),), so3.basis_vector(0))
 
 
+def test_exact_vectors_reject_floats(so3):
+    with pytest.raises(TypeError):
+        so3.vector([0.1, 0, 0])
+
+
 def test_validate_catalogued_algebras():
     for name in ("so3", "sl2", "heis3", "iso2", "abelian(5)"):
         alg, _ = builtin(name)

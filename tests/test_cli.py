@@ -215,3 +215,25 @@ def test_oversized_order_and_trials_are_usage_errors(workdir, capsys, args):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+RAGGED_REP = {"X1": [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
+              "X2": [["0", "1"], ["-1", "0"]],
+              "X3": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]]}
+
+
+@pytest.mark.parametrize("name, spec, args", [
+    ("bad.alg", {"dim": 3, "basis": ["X1", "X2", "X3"], "brackets": 5}, ["validate"]),
+    ("long.sub", [["0", "0", "0", "1"]], ["contract", "so3", "--subalgebra"]),
+    ("small.fam", {"phis": [[["1", "0"], ["0", "1"]]]}, ["contract", "so3", "--family"]),
+    ("scalar.fam", {"phis": 5}, ["contract", "so3", "--family"]),
+    ("empty.fam", {"phis": []}, ["contract", "so3", "--family"]),
+    ("ragged.rep", RAGGED_REP, ["oracle", "so3", "--order", "2", "--rep"]),
+])
+def test_malformed_spec_files_are_usage_errors(tmp_path, capsys, name, spec, args):
+    path = tmp_path / name
+    path.write_text(json.dumps(spec))
+    assert run(args + [path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("SpecFormatError: ")
+    assert "Traceback" not in captured.err

@@ -188,11 +188,8 @@ def bracket_closed_basis_subsets(alg):
     for r in range(alg.dim + 1):
         for idxs in itertools.combinations(range(alg.dim), r):
             vectors = [alg.basis_vector(i) for i in idxs]
-            eb = linalg.EchelonBasis(alg.dim)
-            for v in vectors:
-                eb.add(v)
-            if all(eb.contains(alg.bracket(u, v))
-                   for u in vectors for v in vectors):
+            brackets = [alg.bracket(u, v) for u in vectors for v in vectors]
+            if all(sol is not None for sol in linalg.solve_in_basis(vectors, brackets)):
                 out.append(vectors)
     return out
 

@@ -1,5 +1,8 @@
 """Whole-pipeline runs on algebras beyond the built-in catalogue."""
 
+import importlib
+import importlib.util
+import pathlib
 import random
 from fractions import Fraction
 
@@ -121,3 +124,18 @@ def test_degenerate_splits_full_and_zero():
             grp = ExpansionGroup(split, k)
             a, b, c = (random_nil(grp, rng) for _ in range(3))
             assert grp.star(grp.star(a, b), c) == grp.star(a, grp.star(b, c))
+
+
+def test_benchmark_trace_targets_resolve():
+    # a traced benchmark run wraps each (module, attr) of bench/spans.py by name
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module_name, attr, _ in spans.TARGETS:
+        module = importlib.import_module(f"liecontract.{module_name}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(module, cls_name)), f"{module_name}.{attr}"
+        else:
+            assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"

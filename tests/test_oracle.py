@@ -12,12 +12,7 @@ from liecontract.errors import (
     NonzeroConstantTerm,
 )
 from liecontract.jets import Jet, MatrixJet
-from liecontract.oracle import (
-    Representation,
-    check_representation,
-    numeric_product_gap,
-    oracle_local_mult,
-)
+from liecontract.oracle import Representation, numeric_product_gap
 
 F = Fraction
 
@@ -34,7 +29,7 @@ def through_zero(rng, alg, depth, trunc):
 def test_check_catalogued_representations():
     for name in ("so3", "sl2", "heis3", "iso2", "abelian(3)"):
         alg, rep = builtin(name)
-        report = check_representation(alg, rep)
+        report = rep.check()
         assert report.ok, f"{name}: {report.summary()}"
 
 
@@ -124,7 +119,7 @@ def test_oracle_equals_direct_bch():
             for _ in range(10):
                 p = through_zero(rng, alg, order, order + 1)
                 q = through_zero(rng, alg, order, order + 1)
-                assert oracle_local_mult(rep, p, q, order) == \
+                assert rep.local_mult(p, q, order) == \
                     local_mult(alg, p, q, order)
 
 
@@ -165,3 +160,11 @@ def test_numeric_sampling_gap_is_small():
         z = local_mult(so3, p, q, 4)
         gap = numeric_product_gap(so3_rep, p, q, z, F(1, 100))
         assert gap <= 1e-8
+
+
+def test_numeric_sampling_accepts_a_float_point():
+    rng = random.Random(6)
+    p = through_zero(rng, so3, 4, 5)
+    q = through_zero(rng, so3, 4, 5)
+    z = local_mult(so3, p, q, 4)
+    assert numeric_product_gap(so3_rep, p, q, z, 0.01) <= 1e-8
