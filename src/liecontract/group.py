@@ -126,9 +126,9 @@ class ExpansionGroup:
     def h_element(self, ad, defining=None, tol=FLOAT_TOL) -> HElement:
         """Validate and wrap an adjoint matrix.
 
-        The matrix must be a bracket automorphism and must preserve the
-        subalgebra; both checks are exact for rational entries and use
-        ``tol`` componentwise for float entries.
+        The matrix must be a bracket automorphism, must preserve the
+        subalgebra and must be invertible; the first two checks are exact for
+        rational entries and use ``tol`` componentwise for float entries.
         """
         alg = self.algebra
         n = alg.dim
@@ -151,6 +151,8 @@ class ExpansionGroup:
             if not _close(self.split.project_n(image),
                           linalg.zero_vector(n), check_tol):
                 raise DimensionMismatch("matrix does not preserve the subalgebra")
+        if len(linalg.pivot_columns(cols, n)) < n:
+            raise DimensionMismatch("adjoint matrix is singular")
         if defining is not None:
             defining = tuple(tuple(_scalar(x) for x in row) for row in defining)
         return HElement(ad, defining)

@@ -89,7 +89,8 @@ def vec_neg(v):
 def mat_vec(m, v):
     if m and len(m[0]) != len(v):
         raise DimensionMismatch("matrix and vector shapes differ")
-    return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in m)
+    support = [(j, b) for j, b in enumerate(v) if b]
+    return tuple(sum((row[j] * b for j, b in support), ZERO) for row in m)
 
 
 def mat_mul(a, b):

@@ -36,7 +36,9 @@ class Representation:
         mats = tuple(as_matrix(m) for m in self.mats)
         if len(mats) != self.algebra.dim:
             raise DimensionMismatch("need one matrix per basis vector")
-        size = len(mats[0]) if mats else 0
+        size = len(mats[0])
+        if size == 0:
+            raise DimensionMismatch("representation matrices must not be empty")
         for m in mats:
             if len(m) != size or any(len(row) != size for row in m):
                 raise DimensionMismatch("representation matrices must share a square shape")

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liecontract import linalg
-from liecontract.algebra import LieAlgebra, span_subalgebra, split_with_complement
+from liecontract.algebra import (
+    LieAlgebra, ValidationReport, span_subalgebra, split_with_complement)
 from liecontract.catalog import builtin, subalgebra_catalog
 from liecontract.errors import DimensionMismatch, NotASubalgebra, UnknownAlgebra
 
@@ -132,6 +134,118 @@ def test_validator_agrees_with_brute_force_jacobi():
     got = {v.location for v in report.violations if v.kind == "jacobi"}
     assert got == expected
     assert (1, 2, 3) in got
+
+
+def reference_validate(alg):
+    """The bracket-based validator: Jacobi residuals through ``bracket``."""
+    report = ValidationReport()
+    f = alg.structure
+    n = alg.dim
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(n):
+                report.checks += 1
+                if f[a][b][c] + f[b][a][c] != 0:
+                    report.record(
+                        "antisymmetry", (a + 1, b + 1, c + 1),
+                        f"f[{a + 1}][{b + 1}][{c + 1}]={f[a][b][c]} but "
+                        f"f[{b + 1}][{a + 1}][{c + 1}]={f[b][a][c]}")
+    for a in range(n):
+        ea = alg.basis_vector(a)
+        for b in range(a + 1, n):
+            eb = alg.basis_vector(b)
+            ab = alg.bracket(ea, eb)
+            for c in range(b + 1, n):
+                ec = alg.basis_vector(c)
+                residual = linalg.vec_add(
+                    linalg.vec_add(alg.bracket(ab, ec),
+                                   alg.bracket(alg.bracket(eb, ec), ea)),
+                    alg.bracket(alg.bracket(ec, ea), eb))
+                report.checks += 1
+                if not linalg.is_zero_vector(residual):
+                    report.record(
+                        "jacobi", (a + 1, b + 1, c + 1),
+                        f"residual {alg.format_vector(residual)}")
+    return report
+
+
+coeff_st = st.sampled_from((1, -1, 2, F(1, 2), F(-3, 2)))
+
+
+def direct_sum(parts):
+    """Block-diagonal structure tensor of catalogued algebras."""
+    algs = [builtin(name)[0] for name in parts]
+    n = sum(alg.dim for alg in algs)
+    f = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    off = 0
+    for alg in algs:
+        for a in range(alg.dim):
+            for b in range(alg.dim):
+                for c in range(alg.dim):
+                    f[off + a][off + b][off + c] = alg.structure[a][b][c]
+        off += alg.dim
+    return n, f
+
+
+def rebase(f, p):
+    """Structure tensor in the basis given by the columns of p."""
+    n = len(p)
+    pinv = linalg.invert(p)
+    cols = linalg.transpose(p)
+    alg = LieAlgebra(n, tuple(f"X{i + 1}" for i in range(n)),
+                     tuple(tuple(tuple(r) for r in plane) for plane in f))
+    return [[list(linalg.mat_vec(pinv, alg.bracket(cols[a], cols[b])))
+             for b in range(n)] for a in range(n)]
+
+
+@st.composite
+def structure_tensors(draw):
+    """Lie algebras in random bases, perturbed ones, and raw random tensors."""
+    kind = draw(st.sampled_from(("lie", "sparse", "dense", "mirrors")))
+    if kind == "lie":
+        parts = draw(st.lists(st.sampled_from(("so3", "sl2", "heis3", "iso2", "abelian(1)")),
+                              min_size=1, max_size=2))
+        n, f = direct_sum(parts)
+        # unit lower-triangular change of basis: always invertible
+        p = [[F(i == j) if j >= i else draw(st.sampled_from((0, 0, 1, -1, F(1, 2))))
+              for j in range(n)] for i in range(n)]
+        f = rebase(f, tuple(tuple(F(x) for x in r) for r in p))
+        if n > 1 and draw(st.booleans()):  # break the Jacobi identity, keep antisymmetry
+            a, b = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                        unique=True)))
+            c, x = draw(st.integers(0, n - 1)), draw(coeff_st)
+            f[a][b][c] += x
+            f[b][a][c] -= x
+    else:
+        n = draw(st.integers(1, 7))
+        f = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+        if kind == "dense":
+            for a in range(n):
+                for b in range(a + 1, n):
+                    for c in range(n):
+                        x = F(draw(st.sampled_from((0, 1, -1, 2, F(1, 3)))))
+                        f[a][b][c], f[b][a][c] = x, -x
+        else:
+            index = st.integers(0, n - 1)
+            for _ in range(draw(st.integers(0, 2 * n))):
+                a, b, c = draw(index), draw(index), draw(index)
+                x = F(draw(coeff_st))
+                if kind == "sparse" and a != b:
+                    f[a][b][c], f[b][a][c] = x, -x
+                elif kind == "mirrors":  # any entry, diagonal and lower triangle too
+                    f[a][b][c] = x
+    return LieAlgebra(n, tuple(f"X{i + 1}" for i in range(n)),
+                      tuple(tuple(tuple(r) for r in plane) for plane in f))
+
+
+def report_key(report):
+    return report.checks, [(v.kind, v.location, v.detail) for v in report.violations]
+
+
+@settings(max_examples=200, deadline=None)
+@given(structure_tensors())
+def test_validate_matches_bracket_reference(alg):
+    assert report_key(alg.validate()) == report_key(reference_validate(alg))
 
 
 def test_dimension_cap():

@@ -140,6 +140,15 @@ def test_group_mult_command(workdir, capsys):
     assert payload["report"]["nil"]["top"] == ["0/1", "1/1", "0/1"]
 
 
+def test_group_mult_singular_matrix_is_rejected(workdir, capsys):
+    assert run(["group-mult", "so3", "--subalgebra", workdir / "x3.sub", "--order", "0",
+                "--h1", "0,0,0; 0,0,0; 0,0,0", "--a", "0,0,0",
+                "--h2", "1,0,0; 0,1,0; 0,0,1", "--b", "1,0,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "DimensionMismatch: adjoint matrix is singular\n"
+
+
 def test_oracle_command(workdir, capsys):
     assert run(["oracle", "so3", "--order", "3", "--trials", "5",
                 "--seed", "1"]) == 0
@@ -229,6 +238,7 @@ RAGGED_REP = {"X1": [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
     ("scalar.fam", {"phis": 5}, ["contract", "so3", "--family"]),
     ("empty.fam", {"phis": []}, ["contract", "so3", "--family"]),
     ("ragged.rep", RAGGED_REP, ["oracle", "so3", "--order", "2", "--rep"]),
+    ("empty.rep", {"X1": [], "X2": [], "X3": []}, ["oracle", "so3", "--order", "2", "--rep"]),
 ])
 def test_malformed_spec_files_are_usage_errors(tmp_path, capsys, name, spec, args):
     path = tmp_path / name

@@ -356,7 +356,7 @@ def so_n(n):
     return alg, [alg.basis_vector(a) for a, (_, j) in enumerate(pairs) if j < n - 1]
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_contract_so_n_matches_closed_form(n):
     alg, sub = so_n(n)
     split = span_subalgebra(alg, sub)

@@ -122,6 +122,10 @@ def test_h_element_validation():
         grp.h_element(((F(1), F(0), F(0)),
                        (F(0), F(0), F(-1)),
                        (F(0), F(1), F(0))))
+    # the zero matrix is a bracket endomorphism that maps span{X3} into itself
+    for zero in (((F(0),) * 3,) * 3, ((0.0,) * 3,) * 3):
+        with pytest.raises(DimensionMismatch, match="singular"):
+            grp.h_element(zero)
 
 
 def test_ad_action_is_homomorphism_on_slots():

@@ -317,3 +317,31 @@ def test_poly_adjugate_needs_row_swaps():
     assert d == (F(0), F(-2))
     assert poly_mat_mul(adj, rows) == tuple(
         tuple(d if i == j else () for j in range(3)) for i in range(3))
+
+
+def dense_mat_vec(m, v):
+    return tuple(sum((a * b for a, b in zip(row, v)), F(0)) for row in m)
+
+
+@st.composite
+def matrix_vector_pairs(draw):
+    """Exact or float matrix and vector, with forced zero coefficients in v."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        scalar = fractions_st
+        zero = st.just(F(0))
+    else:
+        scalar = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        zero = st.sampled_from((0.0, -0.0))
+    m = tuple(tuple(draw(scalar) for _ in range(cols)) for _ in range(rows))
+    v = tuple(draw(st.one_of(zero, scalar)) for _ in range(cols))
+    return m, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_vector_pairs())
+def test_mat_vec_matches_dense_sum(case):
+    m, v = case
+    got = linalg.mat_vec(m, v)
+    assert len(got) == len(m)
+    assert got == dense_mat_vec(m, v)
