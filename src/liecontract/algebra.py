@@ -41,11 +41,6 @@ class ValidationReport:
     def record(self, kind, location, detail):
         self.violations.append(Violation(kind, location, detail))
 
-    def merge(self, other):
-        self.checks += other.checks
-        self.violations.extend(other.violations)
-        return self
-
     def summary(self):
         if self.ok:
             return f"valid ({self.checks} checks)"

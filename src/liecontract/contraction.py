@@ -67,12 +67,9 @@ class ContractionFamily:
             acc = linalg.mat_add(linalg.mat_scale(point, acc), m)
         return acc
 
-    def as_matrix_jet(self, trunc):
-        return MatrixJet(self.dim, trunc, self.phis)
-
     def apply(self, p):
         """Pointwise application to a jet: polynomial product, truncated."""
-        return self.as_matrix_jet(p.trunc).apply(p)
+        return MatrixJet(self.dim, p.trunc, self.phis).apply(p)
 
     def entry_polys(self):
         n = self.dim

@@ -16,7 +16,7 @@ from .algebra import LieAlgebra, SubalgebraSplit, ValidationReport
 from .contraction import ContractionFamily, contract, invert_family_apply
 from .errors import DimensionMismatch, InternalInvariantViolation, PoleError
 from . import linalg
-from .jets import Jet, bracket_poly
+from .jets import Jet, _cauchy, bracket_poly
 from .linalg import ZERO
 
 
@@ -78,12 +78,6 @@ class IWExpansion:
             tuple(linalg.vec_add(u, v) for u, v in zip(a.mids, b.mids)),
             linalg.vec_add(a.top, b.top))
 
-    def neg(self, a):
-        return ExpandedElement(
-            linalg.vec_neg(a.a0),
-            tuple(linalg.vec_neg(u) for u in a.mids),
-            linalg.vec_neg(a.top))
-
     def is_zero(self, a):
         return all(linalg.is_zero_vector(s) for s in a.slots)
 
@@ -91,15 +85,8 @@ class IWExpansion:
         """Convolution bracket with the top slot reduced modulo the subalgebra."""
         alg = self.algebra
         k = self.order
-        sa, sb = a.slots, b.slots
-        out = [linalg.zero_vector(alg.dim) for _ in range(k + 2)]
-        for i, u in enumerate(sa):
-            if linalg.is_zero_vector(u):
-                continue
-            for j in range(k + 2 - i):
-                v = sb[j]
-                if not linalg.is_zero_vector(v):
-                    out[i + j] = linalg.vec_add(out[i + j], alg.bracket(u, v))
+        out = _cauchy(a.slots, b.slots, k + 2, alg.bracket, linalg.vec_add,
+                      linalg.zero_vector(alg.dim))
         if not self.split.contains(out[0]):
             raise InternalInvariantViolation("leading bracket slot escaped the subalgebra")
         return ExpandedElement(

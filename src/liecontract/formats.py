@@ -47,6 +47,8 @@ def _load_json(path):
         raise FileNotFoundError(f"cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:
         raise SpecFormatError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}") from None
+    except UnicodeDecodeError as err:
+        raise SpecFormatError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
 
 
 def algebra_from_dict(data):

@@ -30,12 +30,8 @@ def _scalar(value):
     return value if isinstance(value, float) else linalg.rat(value)
 
 
-def _is_exact(value):
-    return not isinstance(value, float)
-
-
 def _matrix_exact(m):
-    return all(_is_exact(x) for row in m for x in row)
+    return not any(isinstance(x, float) for row in m for x in row)
 
 
 def _close(u, v, tol):
@@ -60,10 +56,6 @@ class HElement:
 
     ad: tuple
     defining: tuple = None
-
-    @property
-    def exact(self):
-        return _matrix_exact(self.ad)
 
 
 @dataclass(frozen=True)

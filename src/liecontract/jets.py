@@ -4,6 +4,11 @@ A Jet stores algebra-valued coefficients, index = power of the parameter,
 discarded silently from degree ``trunc`` on; a MatrixJet does the same with
 square matrix coefficients.  Truncation mismatches between operands are
 errors, because the truncation order is part of the value.
+
+One truncated Cauchy product, ``_cauchy``, serves vector jets (the bracket),
+matrix jets (the matrix product and the action on a vector jet) and the slot
+tuples of an expansion: it works on plain coefficient sequences and skips
+zero coefficients.
 """
 
 from __future__ import annotations
@@ -13,6 +18,30 @@ from dataclasses import dataclass
 from .errors import DimensionMismatch
 from . import linalg
 from .linalg import as_vector, rat
+
+
+def _is_zero(c):
+    """Whether a vector or a matrix coefficient vanishes."""
+    return not any(map(any, c) if c and isinstance(c[0], tuple) else c)
+
+
+def _cauchy(p, q, trunc, mul, add, zero):
+    """The first ``trunc`` coefficients of the product of two coefficient sequences.
+
+    Coefficient m sums ``mul(p[i], q[m - i])`` over increasing i, starting
+    from ``zero``; pairs with a zero factor are skipped, so a degree that no
+    pair reaches holds ``zero`` itself.
+    """
+    out = [zero] * trunc
+    q = [(j, b) for j, b in enumerate(q[:trunc]) if not _is_zero(b)]
+    for i, a in enumerate(p[:trunc]):
+        if _is_zero(a):
+            continue
+        for j, b in q:
+            if i + j >= trunc:
+                break
+            out[i + j] = add(out[i + j], mul(a, b))
+    return out
 
 
 def _trim(coeffs, is_zero):
@@ -113,14 +142,8 @@ def bracket_poly(alg, p, q):
     p._check_compatible(q)
     if alg.dim != p.dim:
         raise DimensionMismatch("jet dimension differs from algebra dimension")
-    top = min(p.trunc - 1, p.degree + q.degree)
-    coeffs = []
-    for m in range(top + 1):
-        acc = linalg.zero_vector(alg.dim)
-        for i in range(max(0, m - q.degree), min(m, p.degree) + 1):
-            acc = linalg.vec_add(acc, alg.bracket(p.coeffs[i], q.coeffs[m - i]))
-        coeffs.append(acc)
-    return Jet(alg.dim, p.trunc, tuple(coeffs))
+    return Jet(alg.dim, p.trunc, _cauchy(p.coeffs, q.coeffs, p.trunc, alg.bracket,
+                                         linalg.vec_add, linalg.zero_vector(alg.dim)))
 
 
 def jet_through_subalgebra(split, p):
@@ -193,31 +216,16 @@ class MatrixJet:
 
     def matmul(self, other):
         self._check_compatible(other)
-        top = min(self.trunc - 1, self.degree + other.degree)
-        if self.degree < 0 or other.degree < 0:
-            return MatrixJet.zero(self.size, self.trunc)
-        coeffs = []
-        for m in range(top + 1):
-            acc = linalg.zero_matrix(self.size)
-            for i in range(max(0, m - other.degree), min(m, self.degree) + 1):
-                acc = linalg.mat_add(acc, linalg.mat_mul(self.coeffs[i], other.coeffs[m - i]))
-            coeffs.append(acc)
-        return MatrixJet(self.size, self.trunc, tuple(coeffs))
+        return MatrixJet(self.size, self.trunc,
+                         _cauchy(self.coeffs, other.coeffs, self.trunc, linalg.mat_mul,
+                                 linalg.mat_add, linalg.zero_matrix(self.size)))
 
     def apply(self, p):
         """Convolution action on a vector jet of matching dimension."""
         if p.dim != self.size:
             raise DimensionMismatch("jet dimension differs from matrix size")
-        top = min(p.trunc - 1, self.degree + p.degree)
-        if self.degree < 0 or p.degree < 0:
-            return Jet.zero(p.dim, p.trunc)
-        coeffs = []
-        for m in range(top + 1):
-            acc = linalg.zero_vector(p.dim)
-            for i in range(max(0, m - p.degree), min(m, self.degree) + 1):
-                acc = linalg.vec_add(acc, linalg.mat_vec(self.coeffs[i], p.coeffs[m - i]))
-            coeffs.append(acc)
-        return Jet(p.dim, p.trunc, tuple(coeffs))
+        return Jet(p.dim, p.trunc, _cauchy(self.coeffs, p.coeffs, p.trunc, linalg.mat_vec,
+                                           linalg.vec_add, linalg.zero_vector(p.dim)))
 
     def eval_at(self, point):
         point = rat(point)

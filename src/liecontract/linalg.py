@@ -210,10 +210,6 @@ def poly_trim(p):
     return p[:end]
 
 
-def poly_is_zero(p):
-    return not poly_trim(p)
-
-
 def poly_add(p, q):
     if len(p) < len(q):
         p, q = q, p
@@ -242,12 +238,6 @@ def poly_mul(p, q):
                 if b:
                     out[i + j] += a * b
     return poly_trim(out)
-
-
-def poly_scale(c, p):
-    if c == 0:
-        return ()
-    return poly_trim(tuple(c * x for x in p))
 
 
 def poly_eval(p, x):

@@ -116,16 +116,6 @@ def test_order_cap():
         local_mult(so3, zero, zero, 0)
 
 
-def test_order_cap_env_override(monkeypatch):
-    from liecontract.bch import ORDER_CAP_ENV, configured_order_cap
-
-    monkeypatch.setenv(ORDER_CAP_ENV, "3")
-    assert configured_order_cap() == 3
-    monkeypatch.setenv(ORDER_CAP_ENV, "junk")
-    with pytest.raises(OrderCapExceeded):
-        configured_order_cap()
-
-
 def test_matrix_oracle_agreement_high_order():
     # one deep sample per algebra at the default cap
     rng = random.Random(12)

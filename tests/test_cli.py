@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from liecontract import formats
+from liecontract import bch, formats
 from liecontract.catalog import builtin
 from liecontract.cli import MAX_TRIALS, main
 
@@ -214,6 +214,8 @@ def test_usage_error_exit_code():
     ["expand", "so3", "--subalgebra", "x3.sub", "--order", "3000000"],
     ["oracle", "so3", "--order", "2", "--trials", "10000000"],
     ["verify", "--trials", str(MAX_TRIALS + 1)],
+    ["--order-cap", "0", "oracle", "so3", "--order", "1", "--trials", "1"],
+    ["--order-cap", str(bch.MAX_ORDER_CAP + 1), "oracle", "so3", "--order", "1", "--trials", "1"],
 ])
 def test_oversized_order_and_trials_are_usage_errors(workdir, capsys, args):
     args = [workdir / a if a.endswith(".sub") else a for a in args]
@@ -239,10 +241,11 @@ RAGGED_REP = {"X1": [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
     ("empty.fam", {"phis": []}, ["contract", "so3", "--family"]),
     ("ragged.rep", RAGGED_REP, ["oracle", "so3", "--order", "2", "--rep"]),
     ("empty.rep", {"X1": [], "X2": [], "X3": []}, ["oracle", "so3", "--order", "2", "--rep"]),
+    pytest.param("bad.json", b"\xff\xfe", ["validate"], id="bad.json-spec7-args7"),
 ])
 def test_malformed_spec_files_are_usage_errors(tmp_path, capsys, name, spec, args):
     path = tmp_path / name
-    path.write_text(json.dumps(spec))
+    path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
     assert run(args + [path]) == 2
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and captured.err.startswith("SpecFormatError: ")

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecontract import linalg
-from liecontract.algebra import span_subalgebra
-from liecontract.catalog import builtin
-from liecontract.errors import DimensionMismatch
+from liecontract.algebra import LieAlgebra, span_subalgebra
+from liecontract.catalog import builtin, subalgebra_catalog
+from liecontract.errors import DimensionMismatch, InternalInvariantViolation
+from liecontract.expansion import ExpandedElement, IWExpansion
 from liecontract.jets import (
     Jet,
     MatrixJet,
@@ -180,3 +181,148 @@ def test_matrix_jet_product_truncates():
     assert sq.coeff(0) == linalg.identity(2)
     assert sq.coeff(1) == linalg.mat_scale(F(2), linalg.identity(2))
     assert sq.degree == 1  # the quadratic term is beyond the truncation
+
+
+# ----- the product loops as they were written before the shared Cauchy product
+
+
+def reference_bracket_poly(alg, p, q):
+    p._check_compatible(q)
+    if alg.dim != p.dim:
+        raise DimensionMismatch("jet dimension differs from algebra dimension")
+    top = min(p.trunc - 1, p.degree + q.degree)
+    coeffs = []
+    for m in range(top + 1):
+        acc = linalg.zero_vector(alg.dim)
+        for i in range(max(0, m - q.degree), min(m, p.degree) + 1):
+            acc = linalg.vec_add(acc, alg.bracket(p.coeffs[i], q.coeffs[m - i]))
+        coeffs.append(acc)
+    return Jet(alg.dim, p.trunc, tuple(coeffs))
+
+
+def reference_matmul(x, y):
+    x._check_compatible(y)
+    top = min(x.trunc - 1, x.degree + y.degree)
+    if x.degree < 0 or y.degree < 0:
+        return MatrixJet.zero(x.size, x.trunc)
+    coeffs = []
+    for m in range(top + 1):
+        acc = linalg.zero_matrix(x.size)
+        for i in range(max(0, m - y.degree), min(m, x.degree) + 1):
+            acc = linalg.mat_add(acc, linalg.mat_mul(x.coeffs[i], y.coeffs[m - i]))
+        coeffs.append(acc)
+    return MatrixJet(x.size, x.trunc, tuple(coeffs))
+
+
+def reference_apply(x, p):
+    if p.dim != x.size:
+        raise DimensionMismatch("jet dimension differs from matrix size")
+    top = min(p.trunc - 1, x.degree + p.degree)
+    if x.degree < 0 or p.degree < 0:
+        return Jet.zero(p.dim, p.trunc)
+    coeffs = []
+    for m in range(top + 1):
+        acc = linalg.zero_vector(p.dim)
+        for i in range(max(0, m - p.degree), min(m, x.degree) + 1):
+            acc = linalg.vec_add(acc, linalg.mat_vec(x.coeffs[i], p.coeffs[m - i]))
+        coeffs.append(acc)
+    return Jet(p.dim, p.trunc, tuple(coeffs))
+
+
+def reference_iw_bracket(ea, a, b):
+    alg = ea.algebra
+    k = ea.order
+    sa, sb = a.slots, b.slots
+    out = [linalg.zero_vector(alg.dim) for _ in range(k + 2)]
+    for i, u in enumerate(sa):
+        if linalg.is_zero_vector(u):
+            continue
+        for j in range(k + 2 - i):
+            v = sb[j]
+            if not linalg.is_zero_vector(v):
+                out[i + j] = linalg.vec_add(out[i + j], alg.bracket(u, v))
+    if not ea.split.contains(out[0]):
+        raise InternalInvariantViolation("leading bracket slot escaped the subalgebra")
+    return ExpandedElement(
+        out[0], tuple(out[1: k + 1]), ea.split.coset_reduce(out[k + 1]))
+
+
+entry_st = st.sampled_from((0, 0, 0, 1, -1, 2, F(1, 2), F(-3, 4)))
+float_entry_st = st.sampled_from((0.0, -0.0, 0.0, 1.0, -1.5, 0.1, 3.25, -1e-3))
+ONE_IN_THREE = st.sampled_from((True, False, False))
+ONE_IN_EIGHT = st.sampled_from((True,) + (False,) * 7)
+
+
+def vectors(n):
+    return st.tuples(*[entry_st.map(F)] * n)
+
+
+def matrices(n, entries):
+    return st.tuples(*[st.tuples(*[entries] * n)] * n)
+
+
+def slot(draw, n):
+    """A vector coefficient, the zero vector one time in three."""
+    zero = linalg.zero_vector(n)
+    return zero if draw(ONE_IN_THREE) else draw(vectors(n))
+
+
+def sequence(draw, items, zero, most):
+    """Up to ``most`` coefficients with interior zeros; empty one time in eight."""
+    if draw(ONE_IN_EIGHT):
+        return []
+    body = [zero if draw(ONE_IN_THREE) else draw(items)
+            for _ in range(draw(st.integers(0, most - 1)))]
+    return body + [draw(items.filter(lambda c: c != zero))]
+
+
+@st.composite
+def algebras_with_splits(draw):
+    """so3 and heis3 with a catalogued split, or a random tensor with a trivial one."""
+    name = draw(st.sampled_from(("so3", "heis3", "random")))
+    if name != "random":
+        alg = builtin(name)[0]
+        span = draw(st.sampled_from(list(subalgebra_catalog(name).values())))
+        return alg, span_subalgebra(alg, span)
+    n = draw(st.integers(1, 4))
+    entries = [(a, b, c, x) for a in range(n) for b in range(a + 1, n) for c in range(n)
+               for x in [draw(entry_st)] if x]
+    alg = LieAlgebra.from_brackets(n, tuple(f"X{i + 1}" for i in range(n)), entries)
+    whole = draw(st.booleans())
+    return alg, span_subalgebra(alg, [alg.basis_vector(a) for a in range(n)] if whole else [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebras_with_splits(), st.data())
+def test_cauchy_product_matches_reference_loops(alg_split, data):
+    alg, split = alg_split
+    n = alg.dim
+    draw = data.draw
+
+    # vector jets, often truncated below their degree sum
+    trunc = draw(st.integers(1, 6))
+    zero = linalg.zero_vector(n)
+    p = Jet(n, trunc, sequence(draw, vectors(n), zero, trunc + 1))
+    q = Jet(n, trunc, sequence(draw, vectors(n), zero, trunc + 1))
+    assert bracket_poly(alg, p, q) == reference_bracket_poly(alg, p, q)
+
+    # matrix jets: product, and action on a vector jet of another truncation
+    zero = linalg.zero_matrix(n)
+    x = MatrixJet(n, trunc, sequence(draw, matrices(n, entry_st), zero, trunc + 1))
+    y = MatrixJet(n, trunc, sequence(draw, matrices(n, entry_st), zero, trunc + 1))
+    assert x.matmul(y) == reference_matmul(x, y)
+    entries = draw(st.sampled_from((entry_st, float_entry_st)))
+    x = MatrixJet(n, draw(st.integers(1, 6)), sequence(draw, matrices(n, entries), zero, 4))
+    assert x.apply(p) == reference_apply(x, p)
+
+    # expansion slots, with a leading slot that may leave the subalgebra
+    ea = IWExpansion(split, draw(st.integers(0, 3)))
+    a, b = (ExpandedElement(slot(draw, n), tuple(slot(draw, n) for _ in range(ea.order)),
+                            slot(draw, n)) for _ in range(2))
+    try:
+        expected = reference_iw_bracket(ea, a, b)
+    except InternalInvariantViolation as err:
+        with pytest.raises(InternalInvariantViolation, match=str(err)):
+            ea.bracket(a, b)
+    else:
+        assert ea.bracket(a, b) == expected
