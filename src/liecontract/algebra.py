@@ -4,6 +4,12 @@ A LieAlgebra stores the dense tensor f[a][b][c] defined by
 [X_a, X_b] = sum_c f[a][b][c] X_c.  Antisymmetry and the Jacobi identity are
 not enforced at construction time: ``validate`` produces an exact report, so
 deliberately broken tensors can be represented and diagnosed.
+
+Brackets run on integers.  Each algebra caches one table: the nonzero rows
+f[a][b] with a < b as integer numerators over one common denominator D.
+``bracket`` scales its arguments to integer numerators, runs the pair loop on
+ints and builds one Fraction per output component; the jet convolution and
+the Jacobi sweep of ``validate`` read the same table.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import DimensionMismatch, NotASubalgebra
 from . import linalg
@@ -108,15 +115,19 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, basis_names={self.basis_names!r})"
 
     @cached_property
-    def _sparse(self):
-        """Nonzero rows f[a][b] for a < b, as (a, b, ((c, coeff), ...))."""
-        out = []
-        for a in range(self.dim):
-            for b in range(a + 1, self.dim):
-                row = [(c, f) for c, f in enumerate(self.structure[a][b]) if f != 0]
-                if row:
-                    out.append((a, b, tuple(row)))
-        return tuple(out)
+    def _table(self):
+        """The nonzero rows f[a][b], a < b, as integers over one denominator.
+
+        Returns (den, rows) with rows = ((a, b, ((c, n), ...)), ...) and
+        f[a][b][c] = n / den, den being the least common denominator of the
+        upper triangle.  The lower triangle is never read.
+        """
+        upper = [(a, b, [(c, f) for c, f in enumerate(self.structure[a][b]) if f != 0])
+                 for a in range(self.dim) for b in range(a + 1, self.dim)]
+        den = lcm(*(f.denominator for _, _, row in upper for _, f in row))
+        rows = tuple((a, b, tuple((c, f.numerator * (den // f.denominator)) for c, f in row))
+                     for a, b, row in upper if row)
+        return den, rows
 
     def zero_vector(self):
         return linalg.zero_vector(self.dim)
@@ -131,16 +142,26 @@ class LieAlgebra:
         return v
 
     def bracket(self, x, y):
-        """Exact bracket of two coefficient vectors."""
+        """Exact bracket of two coefficient vectors.
+
+        Float vectors (the numeric mode of the group layer) run through the
+        same loop and come back as floats.
+        """
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vector length differs from algebra dimension")
-        acc = [ZERO] * self.dim
-        for a, b, row in self._sparse:
+        [x], dx = linalg.numerators([x])
+        [y], dy = linalg.numerators([y])
+        return linalg.from_numerators(self._numerator_bracket(x, y), dx * dy * self._table[0])
+
+    def _numerator_bracket(self, x, y):
+        """D [x, y] as a list, for numerator vectors x and y and D = ``_table[0]``."""
+        acc = [0] * self.dim
+        for a, b, row in self._table[1]:
             t = x[a] * y[b] - x[b] * y[a]
             if t:
                 for c, f in row:
                     acc[c] += t * f
-        return tuple(acc)
+        return acc
 
     def format_vector(self, v):
         return _format_vector(self.basis_names, v)
@@ -150,7 +171,9 @@ class LieAlgebra:
 
         The Jacobi residuals are summed over the nonzero structure constants
         only, so a sparse tensor is checked in time proportional to its
-        nonzero products rather than through dense ``bracket`` calls.
+        nonzero products rather than through dense ``bracket`` calls.  The
+        sums run on the integer table; a residual becomes Fractions only when
+        it is reported.
         """
         report = ValidationReport()
         f = self.structure
@@ -164,10 +187,12 @@ class LieAlgebra:
                             "antisymmetry", (a + 1, b + 1, c + 1),
                             f"f[{a + 1}][{b + 1}][{c + 1}]={f[a][b][c]} but "
                             f"f[{b + 1}][{a + 1}][{c + 1}]={f[b][a][c]}")
-        # rows[p][q]: nonzero (c, coeff) of [X_p, X_q] as ``bracket`` sees it,
-        # i.e. read off the upper triangle f[min][max] with the sign of the order
+        # rows[p][q]: nonzero (c, numerator) of [X_p, X_q] as ``bracket`` sees
+        # it, i.e. read off the upper triangle f[min][max] with the sign of the
+        # order; a residual is a sum of products of two of them, over den**2
+        den, table = self._table
         rows = [[()] * n for _ in range(n)]
-        for a, b, row in self._sparse:
+        for a, b, row in table:
             rows[a][b] = row
             rows[b][a] = tuple((c, -x) for c, x in row)
         for a in range(n):
@@ -177,10 +202,10 @@ class LieAlgebra:
                     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
                         for d, u in rows[x][y]:
                             for e, v in rows[d][z]:
-                                residual[e] = residual.get(e, ZERO) + u * v
+                                residual[e] = residual.get(e, 0) + u * v
                     report.checks += 1
                     if any(residual.values()):
-                        vec = tuple(residual.get(e, ZERO) for e in range(n))
+                        vec = tuple(Fraction(residual.get(e, 0), den * den) for e in range(n))
                         report.record(
                             "jacobi", (a + 1, b + 1, c + 1),
                             f"residual {self.format_vector(vec)}")

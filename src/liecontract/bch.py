@@ -57,13 +57,18 @@ def word_coefficients(order):
     return tuple(sorted(kept.items(), key=lambda item: (len(item[0]), item[0])))
 
 
-def local_mult(alg, p: Jet, q: Jet, order: int, cap=None) -> Jet:
-    """Truncated BCH product of two jets through zero."""
+def check_order(order, cap=None):
+    """Raise OrderCapExceeded unless 1 <= order <= cap (None: ``DEFAULT_ORDER_CAP``)."""
     cap = DEFAULT_ORDER_CAP if cap is None else cap
     if order > cap:
         raise OrderCapExceeded(f"order {order} exceeds cap {cap}")
     if order < 1:
         raise OrderCapExceeded("order must be at least 1")
+
+
+def local_mult(alg, p: Jet, q: Jet, order: int, cap=None) -> Jet:
+    """Truncated BCH product of two jets through zero."""
+    check_order(order, cap)
     if not linalg.is_zero_vector(p.coeff(0)) or not linalg.is_zero_vector(q.coeff(0)):
         raise NonzeroConstantTerm("local multiplication needs curves through zero")
     trunc = order + 1

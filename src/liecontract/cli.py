@@ -229,6 +229,7 @@ def cmd_oracle(args):
     rep.require_faithful()
     if (args.p is None) != (args.q is None):
         raise SpecFormatError("pass both --p and --q, or neither")
+    bch.check_order(args.order, args.order_cap)
     if args.p is not None:
         trunc = args.order + 1
         pairs = [(Jet(alg.dim, trunc, formats.parse_jet_literal(args.p, alg.dim)),

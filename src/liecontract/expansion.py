@@ -16,7 +16,7 @@ from .algebra import LieAlgebra, SubalgebraSplit, ValidationReport
 from .contraction import ContractionFamily, contract, invert_family_apply
 from .errors import DimensionMismatch, InternalInvariantViolation, PoleError
 from . import linalg
-from .jets import Jet, _cauchy, bracket_poly
+from .jets import Jet, bracket_poly, bracket_series
 from .linalg import ZERO
 
 
@@ -83,10 +83,8 @@ class IWExpansion:
 
     def bracket(self, a: ExpandedElement, b: ExpandedElement) -> ExpandedElement:
         """Convolution bracket with the top slot reduced modulo the subalgebra."""
-        alg = self.algebra
         k = self.order
-        out = _cauchy(a.slots, b.slots, k + 2, alg.bracket, linalg.vec_add,
-                      linalg.zero_vector(alg.dim))
+        out = bracket_series(self.algebra, a.slots, b.slots, k + 2)
         if not self.split.contains(out[0]):
             raise InternalInvariantViolation("leading bracket slot escaped the subalgebra")
         return ExpandedElement(

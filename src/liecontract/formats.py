@@ -7,12 +7,16 @@ lists of rational coefficient vectors, family files carry ``{"phis":
 [matrix, ...]}``, representation files map basis names to square matrices.
 A file whose shapes do not fit the algebra is a SpecFormatError.
 Machine-readable output always serializes rationals as "p/q" strings and is
-byte-stable for fixed inputs.
+byte-stable for fixed inputs.  A rational literal, in a file or on the
+command line, is at most ``MAX_LITERAL_LENGTH`` characters long and its
+decimal exponent is at most ``MAX_EXPONENT`` in absolute value, because
+parsing "1e10000000" alone takes seconds.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .algebra import LieAlgebra, span_subalgebra
@@ -21,14 +25,27 @@ from .errors import DimensionMismatch, SpecFormatError
 from .oracle import Representation
 
 
+MAX_LITERAL_LENGTH = 1000
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+
+
 def parse_rational(value):
     if isinstance(value, bool):
         raise SpecFormatError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if len(value) > MAX_LITERAL_LENGTH:
+            raise SpecFormatError(
+                f"rational literal of {len(value)} characters is longer than {MAX_LITERAL_LENGTH}")
+        text = value.strip()
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+            raise SpecFormatError(f"bad rational literal {value!r}: "
+                                  f"exponent outside -{MAX_EXPONENT}..{MAX_EXPONENT}")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as err:
             raise SpecFormatError(f"bad rational literal {value!r}: {err}") from None
     raise SpecFormatError(f"not a rational: {value!r} (floats are not accepted)")
@@ -49,6 +66,8 @@ def _load_json(path):
         raise SpecFormatError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}") from None
     except UnicodeDecodeError as err:
         raise SpecFormatError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from None
+    except ValueError as err:  # an integer too long to convert
+        raise SpecFormatError(f"{path}: {err}") from None
 
 
 def algebra_from_dict(data):
@@ -166,10 +185,7 @@ def load_representation(path, alg):
 
 
 def parse_vector_literal(text, dim=None):
-    try:
-        vec = tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as err:
-        raise SpecFormatError(f"bad vector literal {text!r}: {err}") from None
+    vec = tuple(parse_rational(part) for part in text.split(","))
     if dim is not None and len(vec) != dim:
         raise SpecFormatError(f"vector literal {text!r} has {len(vec)} entries, need {dim}")
     return vec

@@ -8,7 +8,10 @@ errors, because the truncation order is part of the value.
 One truncated Cauchy product, ``_cauchy``, serves vector jets (the bracket),
 matrix jets (the matrix product and the action on a vector jet) and the slot
 tuples of an expansion: it works on plain coefficient sequences and skips
-zero coefficients.
+zero coefficients.  The bracket convolution, ``bracket_series``, runs it on
+integers: each coefficient sequence is scaled to integer numerators over one
+denominator, the algebra's integer bracket table does the products, and each
+output coefficient is divided once.
 """
 
 from __future__ import annotations
@@ -42,6 +45,15 @@ def _cauchy(p, q, trunc, mul, add, zero):
                 break
             out[i + j] = add(out[i + j], mul(a, b))
     return out
+
+
+def bracket_series(alg, p, q, trunc):
+    """The first ``trunc`` coefficients of the bracket of two vector coefficient sequences."""
+    p, dp = linalg.numerators(p)
+    q, dq = linalg.numerators(q)
+    out = _cauchy(p, q, trunc, alg._numerator_bracket, linalg.vec_add, (0,) * alg.dim)
+    den = dp * dq * alg._table[0]
+    return [linalg.from_numerators(v, den) for v in out]
 
 
 def _trim(coeffs, is_zero):
@@ -142,8 +154,7 @@ def bracket_poly(alg, p, q):
     p._check_compatible(q)
     if alg.dim != p.dim:
         raise DimensionMismatch("jet dimension differs from algebra dimension")
-    return Jet(alg.dim, p.trunc, _cauchy(p.coeffs, q.coeffs, p.trunc, alg.bracket,
-                                         linalg.vec_add, linalg.zero_vector(alg.dim)))
+    return Jet(alg.dim, p.trunc, bracket_series(alg, p.coeffs, q.coeffs, p.trunc))
 
 
 def jet_through_subalgebra(split, p):

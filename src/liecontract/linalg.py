@@ -10,6 +10,7 @@ mode of the group layer passes in on purpose.  Polynomials in the formal paramet
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatch, InternalInvariantViolation
 
@@ -94,10 +95,31 @@ def mat_vec(m, v):
 
 
 def mat_mul(a, b):
+    """Matrix product; each row of the result sums over the support of a's row only."""
     if a and b and len(a[0]) != len(b):
         raise DimensionMismatch("matrix shapes differ")
     bt = tuple(zip(*b)) if b else ()
-    return tuple(tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt) for row in a)
+    return tuple(mat_vec(bt, row) for row in a)
+
+
+def numerators(vectors):
+    """Integer numerators of a sequence of vectors over one common denominator.
+
+    Returns (rows, den), rows a list of integer lists, with
+    vectors[i][j] == rows[i][j] / den and den the least common denominator.
+    A sequence holding a float comes back as it is over 1, so the numeric mode
+    runs through the same integer loops in floating point.
+    """
+    try:
+        den = lcm(*{x.denominator for v in vectors for x in v})
+    except AttributeError:
+        return list(vectors), 1
+    return [[x.numerator * (den // x.denominator) for x in v] for v in vectors], den
+
+
+def from_numerators(v, den):
+    """The vector v / den: Fractions for integer entries, plain division for floats."""
+    return tuple((Fraction(n, den) if n else ZERO) if type(n) is int else n / den for n in v)
 
 
 def mat_add(a, b):

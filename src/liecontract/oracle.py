@@ -87,7 +87,11 @@ class Representation:
         return report
 
     def require_faithful(self):
-        report = self.check()
+        """Raise DecompositionFailed unless ``check`` passes; checked once per instance."""
+        report = self.__dict__.get("_faithful_report")
+        if report is None:
+            report = self.check()
+            object.__setattr__(self, "_faithful_report", report)
         if not report.ok:
             raise DecompositionFailed("representation rejected: " + report.summary())
 

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from liecontract import bch, formats
+from liecontract import bch, formats, linalg
 from liecontract.catalog import builtin
 from liecontract.cli import MAX_TRIALS, main
 
@@ -188,6 +188,26 @@ def test_order_cap_flag(tmp_path, capsys):
     assert run(["--order-cap", "8"] + base) == 0
 
 
+def test_oracle_order_above_cap_fails_before_drawing(monkeypatch, capsys):
+    drawn = []
+    draw = linalg.random_vector
+
+    def random_vector(*args):
+        drawn.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(linalg, "random_vector", random_vector)
+    start = time.perf_counter()
+    assert run(["oracle", "so3", "--order", "20000", "--trials", "25"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "OrderCapExceeded: order 20000 exceeds cap 6\n"
+    assert drawn == []
+    assert run(["oracle", "so3", "--order", "2", "--trials", "1"]) == 0
+    assert len(drawn) == 4
+
+
 def test_example_command(capsys):
     assert run(["example", "so3", "--order", "1"]) == 0
     assert "example passed" in capsys.readouterr().out
@@ -228,6 +248,28 @@ def test_oversized_order_and_trials_are_usage_errors(workdir, capsys, args):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("args", [
+    ["star", "so3", "--subalgebra", "x3.sub", "--order", "0",
+     "--a", "1e10000000,0,0", "--b", "0,0,0"],
+    ["star", "so3", "--subalgebra", "x3.sub", "--order", "0",
+     "--a", "1" * (formats.MAX_LITERAL_LENGTH + 1) + ",0,0", "--b", "0,0,0"],
+    ["group-mult", "so3", "--subalgebra", "x3.sub", "--order", "0",
+     "--h1", "1e-1_000_000,0,0; 0,1,0; 0,0,1", "--a", "0,0,0",
+     "--h2", "1,0,0; 0,1,0; 0,0,1", "--b", "0,0,0"],
+    ["validate", "huge.alg"],
+])
+def test_oversized_rational_literals_are_usage_errors(workdir, capsys, args):
+    huge = dict(SO3, brackets=[[1, 2, 3, "1E+10000000"]] + SO3["brackets"][1:])
+    (workdir / "huge.alg").write_text(json.dumps(huge))
+    args = [workdir / a if a.endswith((".sub", ".alg")) else a for a in args]
+    start = time.perf_counter()
+    assert run(args) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("SpecFormatError: ")
+
+
 RAGGED_REP = {"X1": [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
               "X2": [["0", "1"], ["-1", "0"]],
               "X3": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]]}
@@ -242,6 +284,8 @@ RAGGED_REP = {"X1": [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]],
     ("ragged.rep", RAGGED_REP, ["oracle", "so3", "--order", "2", "--rep"]),
     ("empty.rep", {"X1": [], "X2": [], "X3": []}, ["oracle", "so3", "--order", "2", "--rep"]),
     pytest.param("bad.json", b"\xff\xfe", ["validate"], id="bad.json-spec7-args7"),
+    pytest.param("huge.alg", b'{"dim": 1, "basis": ["A"], "brackets": [[1, 1, 1, ' + b"1" * 5000
+                 + b"]]}", ["validate"], id="huge.alg"),
 ])
 def test_malformed_spec_files_are_usage_errors(tmp_path, capsys, name, spec, args):
     path = tmp_path / name

@@ -1,0 +1,203 @@
+"""The integer bracket kernel against the Fraction loops it replaced.
+
+``bracket``, ``bracket_poly``, ``IWExpansion.bracket`` and the Jacobi sweep of
+``validate`` run on integer numerators over one common denominator.  The
+references below are the same loops on the Fraction tensor, as they read
+before the integer table; they must give the same values, component types
+included, and on integer tensors the same floats bit for bit.
+"""
+
+from fractions import Fraction
+from functools import partial
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from liecontract import linalg
+from liecontract.algebra import LieAlgebra, ValidationReport, span_subalgebra
+from liecontract.catalog import builtin, subalgebra_catalog
+from liecontract.errors import DimensionMismatch, InternalInvariantViolation
+from liecontract.expansion import ExpandedElement, IWExpansion
+from liecontract.jets import Jet, _cauchy, bracket_poly
+
+F = Fraction
+ZERO = F(0)
+
+
+def fraction_rows(alg):
+    """Nonzero rows f[a][b], a < b, of the Fraction tensor: (a, b, ((c, coeff), ...))."""
+    out = []
+    for a in range(alg.dim):
+        for b in range(a + 1, alg.dim):
+            row = [(c, f) for c, f in enumerate(alg.structure[a][b]) if f != 0]
+            if row:
+                out.append((a, b, tuple(row)))
+    return out
+
+
+def reference_bracket(alg, x, y):
+    if len(x) != alg.dim or len(y) != alg.dim:
+        raise DimensionMismatch("vector length differs from algebra dimension")
+    acc = [ZERO] * alg.dim
+    for a, b, row in fraction_rows(alg):
+        t = x[a] * y[b] - x[b] * y[a]
+        if t:
+            for c, f in row:
+                acc[c] += t * f
+    return tuple(acc)
+
+
+def reference_bracket_poly(alg, p, q):
+    p._check_compatible(q)
+    if alg.dim != p.dim:
+        raise DimensionMismatch("jet dimension differs from algebra dimension")
+    return Jet(alg.dim, p.trunc, _cauchy(p.coeffs, q.coeffs, p.trunc,
+                                         partial(reference_bracket, alg),
+                                         linalg.vec_add, linalg.zero_vector(alg.dim)))
+
+
+def reference_iw_bracket(ea, a, b):
+    alg = ea.algebra
+    k = ea.order
+    out = _cauchy(a.slots, b.slots, k + 2, partial(reference_bracket, alg), linalg.vec_add,
+                  linalg.zero_vector(alg.dim))
+    if not ea.split.contains(out[0]):
+        raise InternalInvariantViolation("leading bracket slot escaped the subalgebra")
+    return ExpandedElement(
+        out[0], tuple(out[1: k + 1]), ea.split.coset_reduce(out[k + 1]))
+
+
+def reference_validate(alg):
+    report = ValidationReport()
+    f = alg.structure
+    n = alg.dim
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(n):
+                report.checks += 1
+                if (f[a][b][c] or f[b][a][c]) and f[a][b][c] + f[b][a][c] != 0:
+                    report.record(
+                        "antisymmetry", (a + 1, b + 1, c + 1),
+                        f"f[{a + 1}][{b + 1}][{c + 1}]={f[a][b][c]} but "
+                        f"f[{b + 1}][{a + 1}][{c + 1}]={f[b][a][c]}")
+    rows = [[()] * n for _ in range(n)]
+    for a, b, row in fraction_rows(alg):
+        rows[a][b] = row
+        rows[b][a] = tuple((c, -x) for c, x in row)
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                residual = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for d, u in rows[x][y]:
+                        for e, v in rows[d][z]:
+                            residual[e] = residual.get(e, ZERO) + u * v
+                report.checks += 1
+                if any(residual.values()):
+                    vec = tuple(residual.get(e, ZERO) for e in range(n))
+                    report.record(
+                        "jacobi", (a + 1, b + 1, c + 1),
+                        f"residual {alg.format_vector(vec)}")
+    return report
+
+
+def exact_key(v):
+    """Type and repr of every component: equal keys mean equal bits for floats."""
+    return [(type(x), repr(x)) for x in v]
+
+
+def jet_key(p):
+    return p.dim, p.trunc, [exact_key(c) for c in p.coeffs]
+
+
+def element_key(el):
+    return [exact_key(s) for s in el.slots]
+
+
+def report_key(report):
+    return report.checks, [(v.kind, v.location, v.detail) for v in report.violations]
+
+
+# non-integer constants with mixed and large denominators
+CONSTANTS = (0, 0, 0, 1, -1, 2, F(1, 2), F(-2, 3), F(5, 6), F(7, 10 ** 9 + 7),
+             F(-10 ** 20, 3 ** 13))
+INTEGERS = (0, 0, 1, -1, 2, -3)
+SCALES = (F(1), F(1, 2), F(-3, 7), F(10 ** 9 + 7, 2 ** 40))
+# zero as a Fraction and as an int, ints, and large denominators
+ENTRIES = (ZERO, 0, 3, -1, F(1, 2), F(-5, 7), F(2 ** 64 + 1, 3 ** 41), F(1, 10 ** 18 + 9))
+FLOATS = (0.0, -0.0, 1.0, -1.5, 0.1, 3.25, -1e-3, 2.5e-8, 123456.789)
+
+
+@st.composite
+def algebras(draw):
+    """(algebra, candidate subalgebra spans, whether the tensor is integral)."""
+    kind = draw(st.sampled_from(("lie", "antisymmetric", "raw", "integer")))
+    if kind == "lie":  # a catalogued algebra with its bracket scaled by a rational
+        name = draw(st.sampled_from(("so3", "sl2", "heis3")))
+        base = builtin(name)[0]
+        s = draw(st.sampled_from(SCALES))
+        tensor = tuple(tuple(tuple(s * x for x in row) for row in plane)
+                       for plane in base.structure)
+        alg = LieAlgebra(3, base.basis_names, tensor)
+        return alg, list(subalgebra_catalog(name).values()), s.denominator == 1
+    n = draw(st.integers(1, 5))
+    values = st.sampled_from(INTEGERS if kind == "integer" else CONSTANTS).map(F)
+    f = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(n):
+                f[a][b][c] = draw(values)
+                f[b][a][c] = -f[a][b][c]
+    if kind == "raw":  # broken antisymmetry: diagonal and lower triangle drawn freely
+        for a in range(n):
+            for b in range(a + 1):
+                for c in range(n):
+                    f[a][b][c] = draw(values)
+    alg = LieAlgebra(n, tuple(f"X{i + 1}" for i in range(n)),
+                     tuple(tuple(tuple(r) for r in plane) for plane in f))
+    return alg, [[], [alg.basis_vector(a) for a in range(n)]], kind == "integer"
+
+
+def vectors(n, entries=ENTRIES):
+    return st.tuples(*[st.sampled_from(entries)] * n)
+
+
+def slot(draw, n, entries=ENTRIES):
+    """A vector, one time in three a zero one (of ints or of Fractions)."""
+    if draw(st.sampled_from((True, False, False))):
+        return draw(st.sampled_from(((0,) * n, linalg.zero_vector(n))))
+    return draw(vectors(n, entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebras(), st.data())
+def test_integer_kernel_matches_fraction_reference(case, data):
+    alg, spans, integral = case
+    n = alg.dim
+    draw = data.draw
+
+    x, y = draw(vectors(n)), draw(vectors(n))
+    assert exact_key(alg.bracket(x, y)) == exact_key(reference_bracket(alg, x, y))
+    if integral:  # the numeric mode: floats through the integer table, bit for bit
+        u, v = draw(vectors(n, FLOATS)), draw(vectors(n, FLOATS))
+        assert exact_key(alg.bracket(u, v)) == exact_key(reference_bracket(alg, u, v))
+
+    trunc = draw(st.integers(1, 5))
+    entries = FLOATS if integral and draw(st.booleans()) else ENTRIES
+    p, q = (Jet(n, trunc, [slot(draw, n, entries) for _ in range(draw(st.integers(0, 6)))])
+            for _ in range(2))
+    assert jet_key(bracket_poly(alg, p, q)) == jet_key(reference_bracket_poly(alg, p, q))
+
+    ea = IWExpansion(span_subalgebra(alg, draw(st.sampled_from(spans))), draw(st.integers(0, 3)))
+    a, b = (ExpandedElement(slot(draw, n), tuple(slot(draw, n) for _ in range(ea.order)),
+                            slot(draw, n))
+            for _ in range(2))
+    try:
+        expected = reference_iw_bracket(ea, a, b)
+    except InternalInvariantViolation as err:
+        with pytest.raises(InternalInvariantViolation, match=str(err)):
+            ea.bracket(a, b)
+    else:
+        assert element_key(ea.bracket(a, b)) == element_key(expected)
+
+    assert report_key(alg.validate()) == report_key(reference_validate(alg))

@@ -345,3 +345,33 @@ def test_mat_vec_matches_dense_sum(case):
     got = linalg.mat_vec(m, v)
     assert len(got) == len(m)
     assert got == dense_mat_vec(m, v)
+
+
+def dense_mat_mul(a, b):
+    """The product loop before the zero skip: every term of every dot product."""
+    bt = tuple(zip(*b)) if b else ()
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), F(0)) for col in bt) for row in a)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Exact or float factors; the left one has forced zeros (±0.0 for floats)."""
+    rows, inner, cols = draw(st.integers(0, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        scalar = fractions_st
+        zero = st.just(F(0))
+    else:
+        scalar = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        zero = st.sampled_from((0.0, -0.0))
+    a = tuple(tuple(draw(st.one_of(zero, scalar)) for _ in range(inner)) for _ in range(rows))
+    b = tuple(tuple(draw(st.one_of(zero, scalar)) for _ in range(cols)) for _ in range(inner))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pairs())
+def test_mat_mul_matches_dense_sum(case):
+    a, b = case
+    got = linalg.mat_mul(a, b)
+    assert len(got) == len(a) and all(len(row) == len(b[0]) for row in got)
+    assert got == dense_mat_mul(a, b)

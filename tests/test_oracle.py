@@ -152,6 +152,23 @@ def test_non_faithful_rep_rejected_up_front():
         rep.require_faithful()
 
 
+def test_faithfulness_is_checked_once_per_representation(monkeypatch):
+    checked = []
+    check = Representation.check
+    monkeypatch.setattr(Representation, "check", lambda rep: checked.append(rep) or check(rep))
+    rng = random.Random(7)
+    rep = Representation(so3, so3_rep.mats)
+    for _ in range(3):
+        p, q = through_zero(rng, so3, 3, 4), through_zero(rng, so3, 3, 4)
+        assert rep.local_mult(p, q, 3) == local_mult(so3, p, q, 3)
+    assert checked == [rep]
+    broken = Representation(heis3, (heis3_rep.mats[0],) * 3)
+    for _ in range(2):
+        with pytest.raises(DecompositionFailed):
+            broken.require_faithful()
+    assert checked == [rep, broken]
+
+
 def test_numeric_sampling_gap_is_small():
     rng = random.Random(5)
     for _ in range(5):
