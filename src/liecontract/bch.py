@@ -72,19 +72,25 @@ def local_mult(alg, p: Jet, q: Jet, order: int, cap=None) -> Jet:
     if not linalg.is_zero_vector(p.coeff(0)) or not linalg.is_zero_vector(q.coeff(0)):
         raise NonzeroConstantTerm("local multiplication needs curves through zero")
     trunc = order + 1
-    letters = {"x": p.truncated(trunc), "y": q.truncated(trunc)}
-    prefix_values = dict(letters)
-
-    def value(word):
-        cached = prefix_values.get(word)
-        if cached is None:
-            cached = bracket_poly(alg, value(word[:-1]), letters[word[-1]])
-            prefix_values[word] = cached
-        return cached
-
+    values = {"x": p.truncated(trunc), "y": q.truncated(trunc)}
     acc = Jet.zero(alg.dim, trunc)
     for word, coeff in word_coefficients(order):
-        term = value(word)
+        term = _word_value(alg, word, values)
         if term.degree >= 0:
             acc = acc + term.scale(coeff)
     return acc
+
+
+def _word_value(alg, word, values):
+    """Left-nested bracket of ``word``'s letters, memoised by prefix in ``values``.
+
+    ``values`` maps the letters "x" and "y" to their jets and collects every
+    evaluated prefix.  A module-level function, not a closure, so the cache
+    is freed as soon as the caller drops it instead of waiting for the cyclic
+    collector.
+    """
+    cached = values.get(word)
+    if cached is None:
+        cached = bracket_poly(alg, _word_value(alg, word[:-1], values), values[word[-1]])
+        values[word] = cached
+    return cached

@@ -68,9 +68,7 @@ def _iso2():
 
 
 def _abelian(n):
-    zero = tuple(tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-                 for _ in range(n))
-    alg = LieAlgebra(n, tuple(f"A{i + 1}" for i in range(n)), zero)
+    alg = LieAlgebra.from_brackets(n, tuple(f"A{i + 1}" for i in range(n)), [])
     mats = tuple(
         tuple(tuple(Fraction(int(i == j == a)) for j in range(n)) for i in range(n))
         for a in range(n))

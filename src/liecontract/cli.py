@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 for domain failures (a pole, a rejected
-subalgebra, a failed validation), 2 for usage and input errors.  Machine
-mode emits deterministic JSON with rationals as "p/q" strings.
+subalgebra, a failed validation), 2 for usage and input errors (including a
+file that cannot be read or written), 3 for any other exception, which
+signals a bug.  Machine mode emits deterministic JSON with rationals as
+"p/q" strings.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .verify import run_verify
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 MAX_TRIALS = 1000
 
@@ -151,7 +154,7 @@ def cmd_expand(args):
         else:
             sys.stdout.write(text)
         return EXIT_OK
-    report = ea.jacobi_report(mode="exhaustive")
+    report = expanded.validate()
     if args.format == "machine":
         _emit({
             "command": "expand",
@@ -417,7 +420,7 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         return HANDLERS[args.command](args)
-    except (SpecFormatError, UnknownAlgebra, FileNotFoundError) as err:
+    except (SpecFormatError, UnknownAlgebra, OSError) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_USAGE
     except LieContractError as err:
@@ -429,6 +432,9 @@ def main(argv=None):
             _emit({"command": args.command, "error": block}, args.format)
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_DOMAIN
+    except Exception as err:
+        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint():

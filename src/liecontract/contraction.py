@@ -15,6 +15,7 @@ PoleError.  A determinant that is the zero polynomial raises SingularFamily.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import LieAlgebra, SubalgebraSplit
 from .errors import (
@@ -61,12 +62,6 @@ class ContractionFamily:
     def identity(cls, algebra):
         return cls(algebra, (linalg.identity(algebra.dim),))
 
-    def matrix_at(self, point):
-        acc = linalg.zero_matrix(self.dim)
-        for m in reversed(self.phis):
-            acc = linalg.mat_add(linalg.mat_scale(point, acc), m)
-        return acc
-
     def apply(self, p):
         """Pointwise application to a jet: polynomial product, truncated."""
         return MatrixJet(self.dim, p.trunc, self.phis).apply(p)
@@ -78,22 +73,14 @@ class ContractionFamily:
             for i in range(n)
         ]
 
-    @property
+    @cached_property
     def det_poly(self):
-        cached = self.__dict__.get("_det_poly")
-        if cached is None:
-            cached = linalg.poly_det(self.entry_polys())
-            object.__setattr__(self, "_det_poly", cached)
-        return cached
+        return linalg.poly_det(self.entry_polys())
 
-    @property
+    @cached_property
     def adjugate(self):
         """Adjugate of the family matrix, computed once; needs det_poly != 0."""
-        cached = self.__dict__.get("_adjugate")
-        if cached is None:
-            _, cached = linalg.poly_adjugate(self.entry_polys())
-            object.__setattr__(self, "_adjugate", cached)
-        return cached
+        return linalg.poly_adjugate(self.entry_polys())[1]
 
 
 def iw_family(split: SubalgebraSplit) -> ContractionFamily:
@@ -162,7 +149,7 @@ def contract(fam: ContractionFamily) -> LieAlgebra:
     """
     alg = fam.algebra
     n = alg.dim
-    f = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    entries = []
     for a in range(n):
         for b in range(a + 1, n):
             try:
@@ -172,11 +159,8 @@ def contract(fam: ContractionFamily) -> LieAlgebra:
                     f"bracket of {alg.basis_names[a]}, {alg.basis_names[b]}: {err}",
                     valuation=err.valuation, component=err.component,
                     pair=(a, b)) from None
-            c0 = limit.coeff(0)
-            f[a][b] = list(c0)
-            f[b][a] = [-v for v in c0]
-    tensor = tuple(tuple(tuple(row) for row in plane) for plane in f)
-    out = LieAlgebra(n, alg.basis_names, tensor)
+            entries += [(a, b, c, v) for c, v in enumerate(limit.coeff(0)) if v]
+    out = LieAlgebra.from_brackets(n, alg.basis_names, entries)
     report = out.validate()
     if not report.ok:
         raise InternalInvariantViolation(
@@ -192,17 +176,15 @@ def iw_contract_closed_form(split: SubalgebraSplit) -> LieAlgebra:
     """
     alg = split.algebra
     n = alg.dim
-    f = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    entries = []
     hs = [split.project_h(alg.basis_vector(a)) for a in range(n)]
     ns = [split.project_n(alg.basis_vector(a)) for a in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
             cross = linalg.vec_add(alg.bracket(hs[a], ns[b]), alg.bracket(ns[a], hs[b]))
             limit = linalg.vec_add(alg.bracket(hs[a], hs[b]), split.project_n(cross))
-            f[a][b] = list(limit)
-            f[b][a] = [-v for v in limit]
-    tensor = tuple(tuple(tuple(row) for row in plane) for plane in f)
-    return LieAlgebra(n, alg.basis_names, tensor)
+            entries += [(a, b, c, v) for c, v in enumerate(limit) if v]
+    return LieAlgebra.from_brackets(n, alg.basis_names, entries)
 
 
 def transport_map(split_a: SubalgebraSplit, split_b: SubalgebraSplit):

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, SubalgebraSplit, ValidationReport
+from .algebra import LieAlgebra, SubalgebraSplit
 from .contraction import ContractionFamily, contract, invert_family_apply
 from .errors import DimensionMismatch, InternalInvariantViolation, PoleError
 from . import linalg
 from .jets import Jet, bracket_poly, bracket_series
-from .linalg import ZERO
 
 
 @dataclass(frozen=True)
@@ -59,25 +58,6 @@ class IWExpansion:
         top = linalg.zero_vector(n) if top is None else self.algebra.vector(top)
         return ExpandedElement(a0, mids, self.split.coset_reduce(top))
 
-    def from_slots(self, slots) -> ExpandedElement:
-        slots = tuple(slots)
-        if len(slots) != self.order + 2:
-            raise DimensionMismatch("wrong number of slots")
-        return self.element(slots[0], slots[1:-1], slots[-1])
-
-    def zero(self) -> ExpandedElement:
-        n = self.algebra.dim
-        return ExpandedElement(
-            linalg.zero_vector(n),
-            tuple(linalg.zero_vector(n) for _ in range(self.order)),
-            linalg.zero_vector(n))
-
-    def add(self, a, b):
-        return ExpandedElement(
-            linalg.vec_add(a.a0, b.a0),
-            tuple(linalg.vec_add(u, v) for u, v in zip(a.mids, b.mids)),
-            linalg.vec_add(a.top, b.top))
-
     def is_zero(self, a):
         return all(linalg.is_zero_vector(s) for s in a.slots)
 
@@ -118,13 +98,6 @@ class IWExpansion:
         mids = tuple(
             linalg.vec_add(ph(xs[m]), pn(xs[m - 1])) for m in range(1, k + 1))
         return ExpandedElement(a0, mids, pn(xs[k]))
-
-    def element_to_tuple(self, el: ExpandedElement):
-        k = self.order
-        slots = el.slots
-        ph, pn = self.split.project_h, self.split.project_n
-        return tuple(
-            linalg.vec_add(ph(slots[m]), pn(slots[m + 1])) for m in range(k + 1))
 
     # ----- basis, coordinates, emitted structure constants --------------
 
@@ -174,12 +147,9 @@ class IWExpansion:
         m = len(named)
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
         sols = self.coords([self.bracket(named[i][1], named[j][1]) for i, j in pairs])
-        f = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
-        for (i, j), coords in zip(pairs, sols):
-            f[i][j] = list(coords)
-            f[j][i] = [-c for c in coords]
-        tensor = tuple(tuple(tuple(row) for row in plane) for plane in f)
-        return LieAlgebra(m, tuple(name for name, _ in named), tensor)
+        entries = [(i, j, c, x) for (i, j), coords in zip(pairs, sols)
+                   for c, x in enumerate(coords) if x]
+        return LieAlgebra.from_brackets(m, tuple(name for name, _ in named), entries)
 
     def random_element(self, rng) -> ExpandedElement:
         alg = self.algebra
@@ -188,29 +158,6 @@ class IWExpansion:
             a0 = linalg.vec_add(a0, linalg.vec_scale(linalg.random_fraction(rng), v))
         mids = tuple(linalg.random_vector(rng, alg.dim) for _ in range(self.order))
         return self.element(a0, mids, linalg.random_vector(rng, alg.dim))
-
-    def jacobi_report(self, mode="exhaustive", seed=0, trials=50) -> ValidationReport:
-        """Exact Jacobi residuals, over basis triples or random elements."""
-        if mode == "exhaustive":
-            return self.structure_algebra().validate()
-        if mode != "random":
-            raise DimensionMismatch(f"unknown mode {mode!r}")
-        import random as _random
-
-        rng = _random.Random(seed)
-        report = ValidationReport()
-        for t in range(trials):
-            a = self.random_element(rng)
-            b = self.random_element(rng)
-            c = self.random_element(rng)
-            residual = self.add(
-                self.add(self.bracket(self.bracket(a, b), c),
-                         self.bracket(self.bracket(b, c), a)),
-                self.bracket(self.bracket(c, a), b))
-            report.checks += 1
-            if not self.is_zero(residual):
-                report.record("jacobi", (t,), "random-element Jacobi residual nonzero")
-        return report
 
 
 class GeneralExpansion:

@@ -119,12 +119,6 @@ def load_algebra(path):
     return algebra_from_dict(_load_json(path))
 
 
-def save_algebra(alg, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(machine_dumps(algebra_to_dict(alg)))
-        fh.write("\n")
-
-
 def _vector_list(data, what):
     if not isinstance(data, list):
         raise SpecFormatError(f"{what} must be a JSON list of coefficient vectors")

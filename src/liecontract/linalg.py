@@ -134,10 +134,6 @@ def mat_scale(c, m):
     return tuple(vec_scale(c, row) for row in m)
 
 
-def transpose(m):
-    return tuple(zip(*m)) if m else ()
-
-
 def _gauss_jordan(aug, ncols):
     """Gauss-Jordan elimination of columns 0..ncols-1 of ``aug``, in place.
 
@@ -185,12 +181,6 @@ def invert(m):
     if len(_gauss_jordan(aug, n)) < n:
         raise ValueError("singular matrix")
     return tuple(tuple(row[n:]) for row in aug)
-
-
-def det(m):
-    """Exact determinant of a square rational matrix (constant-polynomial ``poly_det``)."""
-    d = poly_det([[(x,) for x in row] for row in m])
-    return d[0] if d else ZERO
 
 
 def solve_in_basis(columns, rhss):
@@ -260,13 +250,6 @@ def poly_mul(p, q):
                 if b:
                     out[i + j] += a * b
     return poly_trim(out)
-
-
-def poly_eval(p, x):
-    acc = ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def poly_valuation(p):

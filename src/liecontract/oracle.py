@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import LieAlgebra, ValidationReport
 from .errors import (
@@ -56,12 +57,9 @@ class Representation:
                 acc = linalg.mat_add(acc, linalg.mat_scale(c, m))
         return acc
 
+    @cached_property
     def _columns(self):
-        cached = self.__dict__.get("_vec_columns")
-        if cached is None:
-            cached = [tuple(x for row in m for x in row) for m in self.mats]
-            object.__setattr__(self, "_vec_columns", cached)
-        return cached
+        return [tuple(x for row in m for x in row) for m in self.mats]
 
     def check(self) -> ValidationReport:
         """Exact homomorphism and linear-independence report."""
@@ -78,7 +76,7 @@ class Representation:
                     report.record(
                         "homomorphism", (alg.basis_names[a], alg.basis_names[b]),
                         "commutator differs from the bracket image")
-        pivots = set(linalg.pivot_columns(self._columns(), self.size ** 2))
+        pivots = set(linalg.pivot_columns(self._columns, self.size ** 2))
         for a in range(alg.dim):
             report.checks += 1
             if a not in pivots:
@@ -86,19 +84,20 @@ class Representation:
                               "matrix depends linearly on the previous ones")
         return report
 
+    @cached_property
+    def _faithful_report(self):
+        return self.check()
+
     def require_faithful(self):
         """Raise DecompositionFailed unless ``check`` passes; checked once per instance."""
-        report = self.__dict__.get("_faithful_report")
-        if report is None:
-            report = self.check()
-            object.__setattr__(self, "_faithful_report", report)
+        report = self._faithful_report
         if not report.ok:
             raise DecompositionFailed("representation rejected: " + report.summary())
 
     def decompose(self, matrix):
         """Exact coefficients of a matrix in the span of the basis matrices."""
         flat = tuple(x for row in matrix for x in row)
-        [sol] = linalg.solve_in_basis(self._columns(), [flat])
+        [sol] = linalg.solve_in_basis(self._columns, [flat])
         if sol is None:
             raise DecompositionFailed("matrix lies outside the representation span")
         return sol

@@ -191,7 +191,7 @@ def rebase(f, p):
     """Structure tensor in the basis given by the columns of p."""
     n = len(p)
     pinv = linalg.invert(p)
-    cols = linalg.transpose(p)
+    cols = tuple(zip(*p))
     alg = LieAlgebra(n, tuple(f"X{i + 1}" for i in range(n)),
                      tuple(tuple(tuple(r) for r in plane) for plane in f))
     return [[list(linalg.mat_vec(pinv, alg.bracket(cols[a], cols[b])))

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -99,6 +100,20 @@ def test_degree_filtration():
     linear = p + q
     for m in range(5):
         assert z.coeff(m) == linear.coeff(m)
+
+
+def test_local_mult_leaves_no_cyclic_garbage():
+    rng = random.Random(12)
+    p = through_zero(rng, so3, 5, 6)
+    q = through_zero(rng, so3, 5, 6)
+    want = local_mult(so3, p, q, 5)  # warms the word table
+    gc.collect()
+    gc.disable()
+    try:
+        assert local_mult(so3, p, q, 5) == want
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_nonzero_constant_term_rejected():

@@ -3,9 +3,11 @@ import time
 
 import pytest
 
-from liecontract import bch, formats, linalg
+from liecontract import bch, cli, formats, linalg
 from liecontract.catalog import builtin
 from liecontract.cli import MAX_TRIALS, main
+from liecontract.errors import InternalInvariantViolation
+from liecontract.expansion import IWExpansion
 
 SO3 = {"dim": 3, "basis": ["X1", "X2", "X3"],
        "brackets": [[1, 2, 3, "1"], [2, 3, 1, "1"], [3, 1, 2, "1"]]}
@@ -108,6 +110,28 @@ def test_expand_emit_constants_round_trip(workdir, capsys):
     assert run(["validate", out_path]) == 0
     loaded = formats.load_algebra(out_path)
     assert loaded.dim == 9
+
+
+def test_expand_out_write_failure_is_usage_error(workdir, capsys):
+    assert run(["expand", "so3", "--subalgebra", workdir / "x3.sub", "--order", "1",
+                "--emit-constants", "--out", workdir]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("IsADirectoryError: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_expand_builds_structure_algebra_once(workdir, monkeypatch, capsys):
+    calls = []
+    build = IWExpansion.structure_algebra
+
+    def structure_algebra(self):
+        calls.append(self.order)
+        return build(self)
+
+    monkeypatch.setattr(IWExpansion, "structure_algebra", structure_algebra)
+    assert run(["expand", "so3", "--subalgebra", workdir / "x3.sub", "--order", "2"]) == 0
+    assert calls == [2]
 
 
 def test_expand_summary(workdir, capsys):
@@ -226,6 +250,18 @@ def test_unknown_algebra_is_usage_error(capsys):
 
 def test_usage_error_exit_code():
     assert run(["contract"]) == 2
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    def broken(args):
+        raise InternalInvariantViolation("identity failed")
+
+    monkeypatch.setitem(cli.HANDLERS, "verify", broken)
+    for fmt in ("text", "machine"):
+        assert run(["--format", fmt, "verify"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "InternalInvariantViolation: identity failed\n"
 
 
 @pytest.mark.parametrize("args", [
