@@ -7,13 +7,22 @@ requested order via the Dynkin series: enumerate exponent blocks
 x^p1 y^q1 ... as a nested left bracket [[..[w1, w2], w3]..].  Since both
 arguments vanish at 0, a word of length L only contributes from parameter
 degree L on, so only words up to the requested order matter.
+
+The sum runs on integers: each word's value comes as integer numerators over
+one denominator (``Jet.numerators``), every term is brought to the least
+common denominator of all words, and each output component becomes a
+Fraction once.  Float jets (the numeric mode) come over 1 and go through the
+same loop, so a float result is the sum of (integer multiple) * value,
+divided once by the common denominator.  At order 1 every coefficient is 1
+and that is exactly x + y; at higher orders it may differ in the last bit
+from summing float(coefficient) * value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .errors import NonzeroConstantTerm, OrderCapExceeded
 from . import linalg
@@ -21,8 +30,9 @@ from .jets import Jet, bracket_poly
 
 DEFAULT_ORDER_CAP = 6
 # the largest cap the CLI accepts: the word table costs about 3x more per order
-# (1.5 s at order 10), and `star so3 --order 9 --order-cap 10` takes about 2 s
-# (Python 3.11, one Xeon core)
+# (0.7-1.5 s at order 10, as the host's speed drifts), and
+# `star so3 --order 9 --order-cap 10` takes 0.8-1.5 s, nearly all of it that
+# table (Python 3.11, one Xeon core)
 MAX_ORDER_CAP = 10
 
 
@@ -73,12 +83,19 @@ def local_mult(alg, p: Jet, q: Jet, order: int, cap=None) -> Jet:
         raise NonzeroConstantTerm("local multiplication needs curves through zero")
     trunc = order + 1
     values = {"x": p.truncated(trunc), "y": q.truncated(trunc)}
-    acc = Jet.zero(alg.dim, trunc)
+    terms = []  # (numerator rows, coefficient numerator, denominator of both)
     for word, coeff in word_coefficients(order):
         term = _word_value(alg, word, values)
         if term.degree >= 0:
-            acc = acc + term.scale(coeff)
-    return acc
+            rows, den = term.numerators
+            terms.append((rows, coeff.numerator, coeff.denominator * den))
+    common = lcm(*(d for _, _, d in terms))
+    acc = [[0] * alg.dim for _ in range(trunc)]
+    for rows, num, d in terms:
+        s = num * (common // d)
+        for k, row in enumerate(rows):
+            acc[k] = [a + s * x for a, x in zip(acc[k], row)]
+    return Jet(alg.dim, trunc, tuple(linalg.from_numerators(v, common) for v in acc))
 
 
 def _word_value(alg, word, values):

@@ -144,6 +144,10 @@ def cmd_contract(args):
 def cmd_expand(args):
     alg, _ = _resolve_algebra(args.algebra)
     ea = IWExpansion(formats.load_split(args.subalgebra, alg), args.order)
+    if ea.dimension > MAX_DIM:
+        print(f"error: expansion dimension {ea.dimension} (order + 1 times {alg.dim}) "
+              f"must be at most {MAX_DIM}", file=sys.stderr)
+        return EXIT_USAGE
     expanded = ea.structure_algebra()
     if args.emit_constants:
         payload = formats.algebra_to_dict(expanded)

@@ -64,7 +64,8 @@ class IWExpansion:
     def bracket(self, a: ExpandedElement, b: ExpandedElement) -> ExpandedElement:
         """Convolution bracket with the top slot reduced modulo the subalgebra."""
         k = self.order
-        out = bracket_series(self.algebra, a.slots, b.slots, k + 2)
+        out = bracket_series(self.algebra, linalg.numerators(a.slots),
+                             linalg.numerators(b.slots), k + 2)
         if not self.split.contains(out[0]):
             raise InternalInvariantViolation("leading bracket slot escaped the subalgebra")
         return ExpandedElement(

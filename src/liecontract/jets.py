@@ -9,14 +9,16 @@ One truncated Cauchy product, ``_cauchy``, serves vector jets (the bracket),
 matrix jets (the matrix product and the action on a vector jet) and the slot
 tuples of an expansion: it works on plain coefficient sequences and skips
 zero coefficients.  The bracket convolution, ``bracket_series``, runs it on
-integers: each coefficient sequence is scaled to integer numerators over one
+integers: it takes each coefficient sequence as integer numerators over one
 denominator, the algebra's integer bracket table does the products, and each
-output coefficient is divided once.
+output coefficient is divided once.  A Jet scales its coefficients to
+numerators once, in ``Jet.numerators``, however many brackets read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionMismatch
 from . import linalg
@@ -48,9 +50,11 @@ def _cauchy(p, q, trunc, mul, add, zero):
 
 
 def bracket_series(alg, p, q, trunc):
-    """The first ``trunc`` coefficients of the bracket of two vector coefficient sequences."""
-    p, dp = linalg.numerators(p)
-    q, dq = linalg.numerators(q)
+    """The first ``trunc`` coefficients of the bracket of two vector coefficient sequences.
+
+    ``p`` and ``q`` come as ``linalg.numerators`` pairs (rows, den).
+    """
+    (p, dp), (q, dq) = p, q
     out = _cauchy(p, q, trunc, alg._numerator_bracket, linalg.vec_add, (0,) * alg.dim)
     den = dp * dq * alg._table[0]
     return [linalg.from_numerators(v, den) for v in out]
@@ -95,6 +99,11 @@ class Jet:
     def degree(self):
         """Largest stored nonzero degree, or -1 for the zero jet."""
         return len(self.coeffs) - 1
+
+    @cached_property
+    def numerators(self):
+        """``linalg.numerators(coeffs)``: the coefficients as (rows, den), computed once."""
+        return linalg.numerators(self.coeffs)
 
     def coeff(self, k):
         if k < len(self.coeffs):
@@ -154,7 +163,7 @@ def bracket_poly(alg, p, q):
     p._check_compatible(q)
     if alg.dim != p.dim:
         raise DimensionMismatch("jet dimension differs from algebra dimension")
-    return Jet(alg.dim, p.trunc, bracket_series(alg, p.coeffs, q.coeffs, p.trunc))
+    return Jet(alg.dim, p.trunc, bracket_series(alg, p.numerators, q.numerators, p.trunc))
 
 
 def jet_through_subalgebra(split, p):

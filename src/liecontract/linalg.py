@@ -105,7 +105,7 @@ def mat_mul(a, b):
 def numerators(vectors):
     """Integer numerators of a sequence of vectors over one common denominator.
 
-    Returns (rows, den), rows a list of integer lists, with
+    Returns (rows, den), rows a tuple of integer tuples, with
     vectors[i][j] == rows[i][j] / den and den the least common denominator.
     A sequence holding a float comes back as it is over 1, so the numeric mode
     runs through the same integer loops in floating point.
@@ -113,8 +113,9 @@ def numerators(vectors):
     try:
         den = lcm(*{x.denominator for v in vectors for x in v})
     except AttributeError:
-        return list(vectors), 1
-    return [[x.numerator * (den // x.denominator) for x in v] for v in vectors], den
+        return tuple(vectors), 1
+    return tuple([tuple([x.numerator * (den // x.denominator) for x in v])
+                  for v in vectors]), den
 
 
 def from_numerators(v, den):

@@ -1,19 +1,45 @@
 import gc
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liecontract import linalg
+from liecontract import bch, linalg
+from liecontract.algebra import LieAlgebra
 from liecontract.bch import DEFAULT_ORDER_CAP, local_mult, word_coefficients
 from liecontract.catalog import builtin
 from liecontract.errors import NonzeroConstantTerm, OrderCapExceeded
-from liecontract.jets import Jet
+from liecontract.jets import Jet, bracket_poly
 
 F = Fraction
 
 so3, so3_rep = builtin("so3")
 heis3, heis3_rep = builtin("heis3")
+
+
+def reference_terms(alg, p, q, order):
+    """(coefficient, value) of every Dynkin word through ``order``, prefixes memoised."""
+    trunc = order + 1
+    values = {"x": p.truncated(trunc), "y": q.truncated(trunc)}
+
+    def value(word):
+        if word not in values:
+            values[word] = bracket_poly(alg, value(word[:-1]), values[word[-1]])
+        return values[word]
+
+    return [(coeff, value(word)) for word, coeff in word_coefficients(order)]
+
+
+def reference_local_mult(alg, p, q, order):
+    """The Dynkin sum accumulated on Fraction jets, as ``local_mult`` did before
+    it summed on integer numerators."""
+    acc = Jet.zero(alg.dim, order + 1)
+    for coeff, term in reference_terms(alg, p, q, order):
+        if term.degree >= 0:
+            acc = acc + term.scale(coeff)
+    return acc
 
 
 def through_zero(rng, alg, depth, trunc):
@@ -139,3 +165,99 @@ def test_matrix_oracle_agreement_high_order():
         p = through_zero(rng, alg, 6, 7)
         q = through_zero(rng, alg, 6, 7)
         assert local_mult(alg, p, q, 6) == rep.local_mult(p, q, 6)
+
+
+def test_each_jet_is_scaled_to_numerators_once(monkeypatch):
+    calls = {"numerators": 0, "bracket_poly": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "numerators", counted("numerators", linalg.numerators))
+    monkeypatch.setattr(bch, "bracket_poly", counted("bracket_poly", bch.bracket_poly))
+    rng = random.Random(13)
+    p = through_zero(rng, so3, 6, 7)
+    q = through_zero(rng, so3, 6, 7)
+    local_mult(so3, p, q, 6)
+    assert calls["bracket_poly"] > 2
+    assert calls["numerators"] <= calls["bracket_poly"] + 2
+
+
+# rational scales of the catalogued brackets, and tensor entries with mixed
+# and large denominators
+SCALES = (F(1), F(1, 2), F(-3, 7))
+CONSTANTS = (0, 0, 1, -1, F(1, 2), F(-2, 3), F(5, 6), F(7, 10 ** 9 + 7), F(-10 ** 20, 3 ** 13))
+INTEGERS = (0, 0, 1, -1, 2, -3)
+ENTRIES = (0, 0, 3, -1, F(1, 2), F(-5, 7), F(2 ** 64 + 1, 3 ** 41), F(1, 10 ** 18 + 9))
+FLOATS = (0.0, -0.0, 1.0, -1.5, 0.1, 3.25, -1e-3, 2.5e-8, 123456.789)
+
+
+@st.composite
+def bch_algebras(draw):
+    """(algebra, whether its tensor is integral)."""
+    kind = draw(st.sampled_from(("lie", "antisymmetric", "integer")))
+    if kind == "lie":
+        base = builtin(draw(st.sampled_from(("so3", "sl2", "heis3"))))[0]
+        s = draw(st.sampled_from(SCALES))
+        tensor = tuple(tuple(tuple(s * x for x in row) for row in plane)
+                       for plane in base.structure)
+        return LieAlgebra(3, base.basis_names, tensor), s.denominator == 1
+    n = draw(st.integers(1, 5))
+    values = st.sampled_from(INTEGERS if kind == "integer" else CONSTANTS).map(F)
+    f = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(n):
+                f[a][b][c] = draw(values)
+                f[b][a][c] = -f[a][b][c]
+    alg = LieAlgebra(n, tuple(f"X{i + 1}" for i in range(n)),
+                     tuple(tuple(tuple(r) for r in plane) for plane in f))
+    return alg, kind == "integer"
+
+
+def bch_jet(draw, n, trunc, entries):
+    """A jet through zero: random length, one coefficient in three a zero vector."""
+    coeffs = [(0,) * n]
+    for _ in range(draw(st.integers(0, trunc - 1))):
+        zero = draw(st.sampled_from((True, False, False)))
+        coeffs.append((0,) * n if zero else draw(st.tuples(*[st.sampled_from(entries)] * n)))
+    return Jet(n, trunc, coeffs)
+
+
+def component_key(p):
+    return [[type(x) for x in c] for c in p.coeffs]
+
+
+@settings(max_examples=120, deadline=None)
+@given(bch_algebras(), st.integers(1, 6), st.data())
+def test_integer_sum_matches_fraction_reference(case, order, data):
+    alg, integral = case
+    n = alg.dim
+    trunc = order + 1
+    p, q = (bch_jet(data.draw, n, trunc, ENTRIES) for _ in range(2))
+    got = local_mult(alg, p, q, order)
+    want = reference_local_mult(alg, p, q, order)
+    assert got == want
+    assert component_key(got) == component_key(want)
+    if not integral:
+        return
+    # the numeric mode: floats over 1 through the same integer sum
+    u, v = (bch_jet(data.draw, n, trunc, FLOATS) for _ in range(2))
+    got = local_mult(alg, u, v, order)
+    want = reference_local_mult(alg, u, v, order)
+    assert component_key(got) == component_key(want)
+    if order == 1:  # every coefficient is 1: the same sums, bit for bit
+        assert repr(got) == repr(want)
+        return
+    # the integer sum rounds where the Fraction sum rounded c * x: compare
+    # within 1e-12 of the summed term sizes
+    size = [[0.0] * n for _ in range(trunc)]
+    for coeff, term in reference_terms(alg, u, v, order):
+        for k, c in enumerate(term.coeffs):
+            size[k] = [s + abs(coeff * x) for s, x in zip(size[k], c)]
+    for k in range(trunc):
+        for a, b, s in zip(got.coeff(k), want.coeff(k), size[k]):
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12 * s)

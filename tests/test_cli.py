@@ -268,13 +268,15 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
     ["contract", "so3", "--subalgebra", "x3.sub", "--order", "3000000"],
     ["contract", "so3", "--subalgebra", "x3.sub", "--order", "33"],
     ["expand", "so3", "--subalgebra", "x3.sub", "--order", "3000000"],
+    ["expand", "so3", "--subalgebra", "x3.sub", "--order", "32"],
+    ["expand", "so3.alg", "--subalgebra", "x3.sub", "--order", "10", "--emit-constants"],
     ["oracle", "so3", "--order", "2", "--trials", "10000000"],
     ["verify", "--trials", str(MAX_TRIALS + 1)],
     ["--order-cap", "0", "oracle", "so3", "--order", "1", "--trials", "1"],
     ["--order-cap", str(bch.MAX_ORDER_CAP + 1), "oracle", "so3", "--order", "1", "--trials", "1"],
 ])
 def test_oversized_order_and_trials_are_usage_errors(workdir, capsys, args):
-    args = [workdir / a if a.endswith(".sub") else a for a in args]
+    args = [workdir / a if a.endswith((".sub", ".alg")) else a for a in args]
     start = time.perf_counter()
     assert run(args) == 2
     assert time.perf_counter() - start < 1.0

@@ -77,6 +77,21 @@ def test_shift_composes(u, v, j, k):
     assert p.shift(j).shift(k) == p.shift(j + k)
 
 
+def test_numerators_reproduce_coefficients():
+    p = jet3([(0, F(1, 2), -3), (F(-2, 3), 0, F(5, 4)), (0, 0, F(7, 10 ** 12))])
+    rows, den = p.numerators
+    assert den == 3 * 10 ** 12
+    assert all(type(x) is int for row in rows for x in row)
+    assert tuple(tuple(F(x, den) for x in row) for row in rows) == p.coeffs
+    assert p.numerators is p.numerators  # computed once
+    floats = Jet(3, 4, ((0.0, 0.5, -1.25), (0.1, 0.0, 3.0)))
+    rows, den = floats.numerators
+    assert den == 1
+    assert tuple(tuple(x / den for x in row) for row in rows) == floats.coeffs
+    assert all(type(x) is float for row in rows for x in row)
+    assert Jet.zero(3, 6).numerators == ((), 1)
+
+
 def test_bracket_poly_so3_rescaled_generators():
     p = jet3([(0, 0, 0), (1, 0, 0)])  # eps*X1
     q = jet3([(0, 0, 0), (0, 1, 0)])  # eps*X2
