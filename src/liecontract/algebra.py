@@ -7,9 +7,10 @@ deliberately broken tensors can be represented and diagnosed.
 
 Brackets run on integers.  Each algebra caches one table: the nonzero rows
 f[a][b] with a < b as integer numerators over one common denominator D.
-``bracket`` scales its arguments to integer numerators, runs the pair loop on
-ints and builds one Fraction per output component; the jet convolution and
-the Jacobi sweep of ``validate`` read the same table.
+``bracket`` scales its two arguments to integer numerators over one
+denominator, runs the pair loop on ints and builds one Fraction per output
+component; the jet convolution and the Jacobi sweep of ``validate`` read the
+same table.
 """
 
 from __future__ import annotations
@@ -144,14 +145,17 @@ class LieAlgebra:
     def bracket(self, x, y):
         """Exact bracket of two coefficient vectors.
 
-        Float vectors (the numeric mode of the group layer) run through the
-        same loop and come back as floats.
+        Both vectors are scaled to numerators together.  When either holds a
+        float (the numeric mode of the group layer) both run through the same
+        loop as they are, so an exact entry meets a float as a Fraction does,
+        and come back as floats.
         """
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vector length differs from algebra dimension")
-        [x], dx = linalg.numerators([x])
-        [y], dy = linalg.numerators([y])
-        return linalg.from_numerators(self._numerator_bracket(x, y), dx * dy * self._table[0])
+        [x, y], den = linalg.numerators([x, y])
+        if type(den) is float:  # the numeric mode, over 1
+            den = 1
+        return linalg.from_numerators(self._numerator_bracket(x, y), den * den * self._table[0])
 
     def _numerator_bracket(self, x, y):
         """D [x, y] as a list, for numerator vectors x and y and D = ``_table[0]``."""

@@ -15,7 +15,9 @@ Fraction once.  Float jets (the numeric mode) come over 1 and go through the
 same loop, so a float result is the sum of (integer multiple) * value,
 divided once by the common denominator.  At order 1 every coefficient is 1
 and that is exactly x + y; at higher orders it may differ in the last bit
-from summing float(coefficient) * value.
+from summing float(coefficient) * value.  When one jet is exact and the other
+holds a float, the exact values are rounded to floats before they meet
+(``linalg.floats_if_mixed``), so the whole sum runs in floats.
 """
 
 from __future__ import annotations
@@ -83,12 +85,15 @@ def local_mult(alg, p: Jet, q: Jet, order: int, cap=None) -> Jet:
         raise NonzeroConstantTerm("local multiplication needs curves through zero")
     trunc = order + 1
     values = {"x": p.truncated(trunc), "y": q.truncated(trunc)}
-    terms = []  # (numerator rows, coefficient numerator, denominator of both)
+    words = []  # (coefficient, numerators of the word's value) for nonzero values
     for word, coeff in word_coefficients(order):
         term = _word_value(alg, word, values)
         if term.degree >= 0:
-            rows, den = term.numerators
-            terms.append((rows, coeff.numerator, coeff.denominator * den))
+            words.append((coeff, term.numerators))
+    pairs = linalg.floats_if_mixed([pair for _, pair in words])
+    # (numerator rows, coefficient numerator, denominator of both)
+    terms = [(rows, coeff.numerator, coeff.denominator * den)
+             for (coeff, _), (rows, den) in zip(words, pairs)]
     common = lcm(*(d for _, _, d in terms))
     acc = [[0] * alg.dim for _ in range(trunc)]
     for rows, num, d in terms:

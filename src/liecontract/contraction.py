@@ -2,14 +2,21 @@
 
 A ContractionFamily is a matrix polynomial in the formal parameter.  Applying
 its pointwise inverse is done exactly over the field of rational functions.
-Each family computes its determinant and adjugate once, by fraction-free
-elimination, and caches both; every later solve is one polynomial
-matrix-vector product (adjugate times right-hand side) over the determinant.
-The back substitution that builds the adjugate divides exactly, and an
-inexact division raises InternalInvariantViolation, so the cached adjugate
-checks itself.  The valuation at 0 of each component is read off exactly; a
-negative valuation certifies that the limit does not exist and surfaces as
-PoleError.  A determinant that is the zero polynomial raises SingularFamily.
+Each family scales its coefficient matrices once to integer numerators over
+one common denominator D, and runs on those integer polynomials from then
+on: it computes the determinant and adjugate of the numerator family once,
+by fraction-free elimination over Z[eps], and caches both.  Every later
+solve is one integer polynomial matrix-vector product (adjugate times the
+right-hand side's numerators) and one fraction-free series division by the
+determinant; each output coefficient becomes a Fraction once, scaled by D
+over the right-hand side's denominator.  The elimination and the back
+substitution that builds the adjugate divide exactly and check the
+remainder; an inexact division raises InternalInvariantViolation, so the
+cached adjugate checks itself.  The valuation at 0 of each component is read
+off exactly; a negative valuation certifies that the limit does not exist
+and surfaces as PoleError.  A determinant that is the zero polynomial raises
+SingularFamily.  The rescaled bracket lifts its two vectors through the
+integer coefficient matrices and brackets them on numerators.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from .errors import (
     SingularFamily,
 )
 from . import linalg
-from .jets import Jet, MatrixJet, bracket_poly
-from .linalg import ZERO, as_matrix
+from .jets import Jet, MatrixJet, bracket_series
+from .linalg import as_matrix
 
 MAX_FAMILY_DEGREE = 8
 
@@ -67,20 +74,36 @@ class ContractionFamily:
         return MatrixJet(self.dim, p.trunc, self.phis).apply(p)
 
     def entry_polys(self):
+        return _entry_polys(self.phis, self.dim)
+
+    @cached_property
+    def _numerators(self):
+        """(mats, entries, D): the family scaled to integers, once.
+
+        mats are the coefficient matrices as integer numerators over their
+        common denominator D, and entries[i][j] is D times entry (i, j) of
+        the family, an integer polynomial.
+        """
         n = self.dim
-        return [
-            [linalg.poly_trim(tuple(m[i][j] for m in self.phis)) for j in range(n)]
-            for i in range(n)
-        ]
+        rows, den = linalg.numerators([row for m in self.phis for row in m])
+        mats = [rows[k:k + n] for k in range(0, len(rows), n)]
+        return mats, _entry_polys(mats, n), den
 
     @cached_property
-    def det_poly(self):
-        return linalg.poly_det(self.entry_polys())
+    def _det(self):
+        """Determinant of the numerator family, an integer polynomial."""
+        return linalg.poly_det(self._numerators[1])
 
     @cached_property
-    def adjugate(self):
-        """Adjugate of the family matrix, computed once; needs det_poly != 0."""
-        return linalg.poly_adjugate(self.entry_polys())[1]
+    def _adjugate(self):
+        """Adjugate of the numerator family, computed once; needs _det != 0."""
+        return linalg.poly_adjugate(self._numerators[1])[1]
+
+
+def _entry_polys(mats, n):
+    """The n x n matrix of entry polynomials of a sequence of coefficient matrices."""
+    return [[linalg.poly_trim(tuple(m[i][j] for m in mats)) for j in range(n)]
+            for i in range(n)]
 
 
 def iw_family(split: SubalgebraSplit) -> ContractionFamily:
@@ -100,21 +123,22 @@ def invert_family_apply(fam: ContractionFamily, r: Jet, order: int) -> Jet:
         raise DimensionMismatch("jet dimension differs from family dimension")
     if order >= r.trunc:
         raise DimensionMismatch("requested order must stay below the jet truncation")
-    den = fam.det_poly
-    if not den:
+    det = fam._det
+    if not det:
         raise SingularFamily("family determinant is the zero polynomial")
-    rhs = r.component_polys()
-    den_val = linalg.poly_valuation(den)
+    rows, r_den = r.numerators
+    rhs = [linalg.poly_trim(c[j] for c in rows) for j in range(fam.dim)]
+    det_val = linalg.poly_valuation(det)
     numerators = []
     worst = None  # (valuation, component)
-    for i, adj_row in enumerate(fam.adjugate):
+    for i, adj_row in enumerate(fam._adjugate):
         num = ()
         for a, b in zip(adj_row, rhs):
             if a and b:
                 num = linalg.poly_add(num, linalg.poly_mul(a, b))
         numerators.append(num)
         if num:
-            val = linalg.poly_valuation(num) - den_val
+            val = linalg.poly_valuation(num) - det_val
             if val < 0 and (worst is None or val < worst[0]):
                 worst = (val, i)
     if worst is not None:
@@ -122,22 +146,29 @@ def invert_family_apply(fam: ContractionFamily, r: Jet, order: int) -> Jet:
         raise PoleError(
             f"component {fam.algebra.basis_names[comp]} has valuation {val} at 0",
             valuation=val, component=comp)
-    series = [
-        linalg.poly_series_div(num, den, order) if num else (ZERO,) * (order + 1)
-        for num in numerators
-    ]
-    coeffs = tuple(tuple(series[i][m] for i in range(fam.dim)) for m in range(order + 1))
-    return Jet(fam.dim, order + 1, coeffs)
+    # w = D adj R / (r_den det), with R and adj R integer numerators
+    den = linalg.vec_scale(r_den, det)
+    scale = fam._numerators[2]
+    series = [linalg.poly_series_div(linalg.vec_scale(scale, num), den, order)
+              for num in numerators]
+    return Jet(fam.dim, order + 1, tuple(zip(*series)))
 
 
 def eps_bracket(fam: ContractionFamily, x, y, order: int = 1) -> Jet:
-    """Jet of the rescaled bracket of two algebra vectors."""
+    """Jet of the rescaled bracket of two algebra vectors.
+
+    x and y are lifted through the family's integer coefficient matrices and
+    bracketed as numerators, without building a matrix jet.
+    """
     if order < 1:
         raise DimensionMismatch("order must be at least 1")
     trunc = max(2 * fam.degree, order) + 1
-    jx = Jet.constant(fam.algebra.vector(x), trunc)
-    jy = Jet.constant(fam.algebra.vector(y), trunc)
-    r = bracket_poly(fam.algebra, fam.apply(jx), fam.apply(jy))
+    mats, _, den = fam._numerators
+    lifts = []  # (rows, den): the coefficients of the family applied to x and to y
+    for v in (x, y):
+        [v], v_den = linalg.numerators([fam.algebra.vector(v)])
+        lifts.append((tuple(linalg.mat_vec(m, v) for m in mats), den * v_den))
+    r = Jet(fam.dim, trunc, bracket_series(fam.algebra, *lifts, trunc))
     return invert_family_apply(fam, r, order)
 
 

@@ -129,7 +129,7 @@ class ExpansionGroup:
             raise DimensionMismatch("adjoint matrix must be square of the algebra dimension")
         exact = _matrix_exact(ad)
         check_tol = 0 if exact else tol
-        cols = [linalg.mat_vec(ad, alg.basis_vector(a)) for a in range(n)]
+        cols = list(zip(*ad))
         for a in range(n):
             for b in range(a + 1, n):
                 lhs = linalg.mat_vec(ad, alg.bracket(alg.basis_vector(a), alg.basis_vector(b)))

@@ -52,9 +52,10 @@ def _cauchy(p, q, trunc, mul, add, zero):
 def bracket_series(alg, p, q, trunc):
     """The first ``trunc`` coefficients of the bracket of two vector coefficient sequences.
 
-    ``p`` and ``q`` come as ``linalg.numerators`` pairs (rows, den).
+    ``p`` and ``q`` come as ``linalg.numerators`` pairs (rows, den); when
+    one of them holds a float, both run in floats (``linalg.floats_if_mixed``).
     """
-    (p, dp), (q, dq) = p, q
+    (p, dp), (q, dq) = linalg.floats_if_mixed([p, q])
     out = _cauchy(p, q, trunc, alg._numerator_bracket, linalg.vec_add, (0,) * alg.dim)
     den = dp * dq * alg._table[0]
     return [linalg.from_numerators(v, den) for v in out]

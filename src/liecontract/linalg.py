@@ -3,8 +3,17 @@
 Vectors are tuples of Fractions, matrices are tuples of row tuples.  ``rat``
 rejects floats, so exact constructors never silently compute in floating
 point; the arithmetic helpers still accept float entries, which the numeric
-mode of the group layer passes in on purpose.  Polynomials in the formal parameter are coefficient tuples
-(lowest degree first) with trailing zeros trimmed; the empty tuple is zero.
+mode of the group layer passes in on purpose.  Polynomials in the formal
+parameter are coefficient tuples (lowest degree first) with trailing zeros
+trimmed; the empty tuple is zero.
+
+``mat_vec`` and the polynomial helpers also run on integer numerators (see
+``numerators``), and then stay integral: sums of ints start from int 0,
+``poly_divexact`` divides integer coefficients exactly and checks the
+remainder, and ``poly_series_div`` is fraction-free and makes one Fraction
+per output coefficient.  The contraction family runs its determinant,
+adjugate and solves this way, on integer polynomials.  On Fraction input the
+results stay Fractions, with every zero a Fraction zero.
 """
 
 from __future__ import annotations
@@ -88,10 +97,16 @@ def vec_neg(v):
 
 
 def mat_vec(m, v):
+    """The product m v, summed over the support of v only.
+
+    An integer matrix times an integer vector (numerators) sums from int 0 and
+    stays integral; any other product sums from ZERO.
+    """
     if m and len(m[0]) != len(v):
         raise DimensionMismatch("matrix and vector shapes differ")
     support = [(j, b) for j, b in enumerate(v) if b]
-    return tuple(sum((row[j] * b for j, b in support), ZERO) for row in m)
+    zero = 0 if m and v and type(m[0][0]) is int and type(v[0]) is int else ZERO
+    return tuple(sum((row[j] * b for j, b in support), zero) for row in m)
 
 
 def mat_mul(a, b):
@@ -107,15 +122,33 @@ def numerators(vectors):
 
     Returns (rows, den), rows a tuple of integer tuples, with
     vectors[i][j] == rows[i][j] / den and den the least common denominator.
-    A sequence holding a float comes back as it is over 1, so the numeric mode
-    runs through the same integer loops in floating point.
+    A sequence holding a float comes back as it is over the float 1.0, so the
+    numeric mode runs through the same integer loops in floating point; the
+    float denominator marks it for ``floats_if_mixed``.
     """
     try:
         den = lcm(*{x.denominator for v in vectors for x in v})
     except AttributeError:
-        return tuple(vectors), 1
+        return tuple(vectors), 1.0
     return tuple([tuple([x.numerator * (den // x.denominator) for x in v])
                   for v in vectors]), den
+
+
+def floats_if_mixed(pairs):
+    """``numerators`` pairs (rows, den) made ready to meet in one product or sum.
+
+    Every pair comes back over an int denominator.  When some of the pairs
+    hold a float (den 1.0) and the others are exact, each exact pair is
+    rounded to floats over 1, entry by entry (n / den, rounded once, as
+    float(Fraction) rounds; a zero stays the int 0): the arithmetic then runs
+    in floats, as a loop on Fractions runs it, and a large exact numerator
+    never meets a float.
+    """
+    floats = [type(den) is float for _, den in pairs]
+    if True not in floats:
+        return pairs
+    return [(rows, 1) if f else (tuple(tuple(x / den if x else 0 for x in row) for row in rows), 1)
+            for (rows, den), f in zip(pairs, floats)]
 
 
 def from_numerators(v, den):
@@ -244,7 +277,8 @@ def poly_mul(p, q):
     p, q = poly_trim(p), poly_trim(q)
     if not p or not q:
         return ()
-    out = [ZERO] * (len(p) + len(q) - 1)
+    zero = 0 if type(p[-1]) is int and type(q[-1]) is int else ZERO
+    out = [zero] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -262,7 +296,14 @@ def poly_valuation(p):
 
 
 def poly_divexact(num, den):
-    """Exact quotient num / den in the polynomial ring; fails loudly otherwise."""
+    """Exact quotient num / den in the polynomial ring; fails loudly otherwise.
+
+    Over the integers (an int coefficient over an int leading coefficient)
+    each quotient coefficient is a floor division; a step that does not
+    divide leaves its remainder in place, so the one remainder check at the
+    end rejects any quotient outside Z[eps] as well as any polynomial
+    remainder, with InternalInvariantViolation.
+    """
     den = poly_trim(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
@@ -273,11 +314,12 @@ def poly_divexact(num, den):
     lead = den[-1]
     if len(num) - 1 < dd:
         raise InternalInvariantViolation("inexact polynomial division")
-    q = [ZERO] * (len(num) - dd)
+    integral = type(lead) is int
+    q = [0 if integral and type(num[-1]) is int else ZERO] * (len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
         if c:
-            f = c / lead
+            f = c // lead if integral and type(c) is int else c / lead
             q[i - dd] = f
             for j, dj in enumerate(den):
                 num[i - dd + j] -= f * dj
@@ -290,6 +332,11 @@ def poly_series_div(num, den, order):
     """Taylor coefficients 0..order of num/den, which must be regular at 0.
 
     The caller guarantees valuation(num) >= valuation(den) (or num == 0).
+    The recurrence is fraction-free: with d0 the lowest coefficient of den,
+    c_m = d0**(m+1) times coefficient m satisfies
+    c_m = d0**m num_m - sum_{j<m} c_j d0**(m-1-j) den_(m-j), so integer input
+    stays integral and each coefficient is divided once, at the end, by
+    ``from_numerators`` (a Fraction for integers).
     """
     den = poly_trim(den)
     v = poly_valuation(den)
@@ -302,16 +349,18 @@ def poly_series_div(num, den, order):
         raise ValueError("quotient is not regular at 0")
     ns = num[v:]
     ds = den[v:]
-    d0 = ds[0]
-    out = []
+    powers = [1]  # powers of d0
+    for _ in range(order + 1):
+        powers.append(powers[-1] * ds[0])
+    c = []
     for m in range(order + 1):
-        acc = ns[m] if m < len(ns) else ZERO
+        acc = ns[m] * powers[m] if m < len(ns) else 0
         for j in range(m):
             step = m - j
-            if step < len(ds) and ds[step]:
-                acc -= out[j] * ds[step]
-        out.append(acc / d0)
-    return tuple(out)
+            if step < len(ds) and ds[step] and c[j]:
+                acc -= c[j] * powers[step - 1] * ds[step]
+        c.append(acc)
+    return from_numerators([x * powers[order - m] for m, x in enumerate(c)], powers[order + 1])
 
 
 def _bareiss(work, n):
@@ -323,9 +372,10 @@ def _bareiss(work, n):
     determinant.  On success the block is upper triangular and its last
     diagonal entry is the determinant of the row-permuted block.  Every
     division is exact (Bareiss 1968); poly_divexact fails loudly otherwise.
+    Integer polynomials stay integer polynomials throughout.
     """
     sign = 1
-    prev = (ONE,)
+    prev = None  # the previous pivot; the first step's divisor is 1
     for k in range(n):
         piv = next((r for r in range(k, n) if work[r][k]), None)
         if piv is None:
@@ -340,7 +390,7 @@ def _bareiss(work, n):
             f = row_i[k]
             for j in range(k + 1, len(row_i)):
                 num = poly_sub(poly_mul(pk, row_i[j]), poly_mul(f, row_k[j]))
-                row_i[j] = poly_divexact(num, prev)
+                row_i[j] = num if prev is None else poly_divexact(num, prev)
             row_i[k] = ()
         prev = pk
     return sign
@@ -371,7 +421,7 @@ def poly_adjugate(rows):
     is the zero polynomial.
     """
     n = len(rows)
-    work = [[poly_trim(p) for p in row] + [(ONE,) if j == i else () for j in range(n)]
+    work = [[poly_trim(p) for p in row] + [(1,) if j == i else () for j in range(n)]
             for i, row in enumerate(rows)]
     sign = _bareiss(work, n)
     if not sign:

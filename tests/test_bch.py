@@ -186,6 +186,23 @@ def test_each_jet_is_scaled_to_numerators_once(monkeypatch):
     assert calls["numerators"] <= calls["bracket_poly"] + 2
 
 
+def test_exact_meets_float_in_floats():
+    """An exact jet with a huge denominator and a float jet sum in floats, without overflow."""
+    abelian = builtin("abelian(3)")[0]
+    p = Jet(3, 4, [(0, 0, 0), (F(1, 3 ** 700), 0, 0)])
+    q = Jet(3, 4, [(0, 0, 0), (0.5, 0, 0)])
+    for a, b in ((p, q), (q, p)):
+        for order in (1, 3):
+            assert local_mult(abelian, a, b, order).coeff(1) == (0.5, 0, 0)
+    p = Jet(3, 4, [(0, 0, 0), (F(1, 3 ** 700), F(1, 3), 2), (0, F(-2, 7), 0)])
+    q = Jet(3, 4, [(0, 0, 0), (0.5, -1.25, 3.0), (0.0, 0.75, 0.0)])
+    got = local_mult(so3, p, q, 3)
+    want = reference_local_mult(so3, p, q, 3)
+    for k in range(4):
+        for a, b in zip(got.coeff(k), want.coeff(k)):
+            assert type(a) is type(b) and math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+
+
 # rational scales of the catalogued brackets, and tensor entries with mixed
 # and large denominators
 SCALES = (F(1), F(1, 2), F(-3, 7))

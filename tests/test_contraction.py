@@ -1,6 +1,7 @@
 import itertools
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from liecontract.contraction import (
     transport_map,
 )
 from liecontract.errors import DimensionMismatch, PoleError, SingularFamily
-from liecontract.jets import Jet
+from liecontract.jets import Jet, bracket_poly
 from liecontract.linalg import ZERO
 
 F = Fraction
@@ -361,3 +362,161 @@ def test_contract_so_n_matches_closed_form(n):
     alg, sub = so_n(n)
     split = span_subalgebra(alg, sub)
     assert contract(iw_family(split)).structure == iw_contract_closed_form(split).structure
+
+
+def reference_series_div(num, den, order):
+    """Taylor coefficients of num/den by the Fraction recurrence, one division per step."""
+    den, num = linalg.poly_trim(den), linalg.poly_trim(num)
+    if not num:
+        return (ZERO,) * (order + 1)
+    v = linalg.poly_valuation(den)
+    ns, ds = num[v:], den[v:]
+    out = []
+    for m in range(order + 1):
+        acc = ns[m] if m < len(ns) else ZERO
+        for j in range(m):
+            step = m - j
+            if step < len(ds) and ds[step]:
+                acc -= out[j] * ds[step]
+        out.append(acc / ds[0])
+    return tuple(out)
+
+
+def reference_invert_family_apply(fam, r, order):
+    """invert_family_apply on Fractions, as it ran before the family scaled to integers.
+
+    The adjugate of the Fraction entry polynomials, the right-hand side's
+    Fraction component polynomials and a Fraction series division.
+    """
+    den, adj = linalg.poly_adjugate(fam.entry_polys())
+    if not den:
+        raise SingularFamily("family determinant is the zero polynomial")
+    rhs = r.component_polys()
+    den_val = linalg.poly_valuation(den)
+    numerators = []
+    worst = None
+    for i, adj_row in enumerate(adj):
+        num = ()
+        for a, b in zip(adj_row, rhs):
+            if a and b:
+                num = linalg.poly_add(num, linalg.poly_mul(a, b))
+        numerators.append(num)
+        if num:
+            val = linalg.poly_valuation(num) - den_val
+            if val < 0 and (worst is None or val < worst[0]):
+                worst = (val, i)
+    if worst is not None:
+        raise PoleError("pole", valuation=worst[0], component=worst[1])
+    series = [reference_series_div(num, den, order) for num in numerators]
+    coeffs = tuple(tuple(series[i][m] for i in range(fam.dim)) for m in range(order + 1))
+    return Jet(fam.dim, order + 1, coeffs)
+
+
+def reference_eps_bracket(fam, x, y, order):
+    """eps_bracket through the Fraction matrix jet of the family and bracket_poly."""
+    trunc = max(2 * fam.degree, order) + 1
+    jx = Jet.constant(fam.algebra.vector(x), trunc)
+    jy = Jet.constant(fam.algebra.vector(y), trunc)
+    r = bracket_poly(fam.algebra, fam.apply(jx), fam.apply(jy))
+    return reference_invert_family_apply(fam, r, order)
+
+
+def exact_outcome(solve, *args):
+    """A jet as the type and repr of every component, or the error it raised."""
+    try:
+        jet = solve(*args)
+    except PoleError as err:
+        return ("pole", err.valuation, err.component)
+    except SingularFamily:
+        return ("singular",)
+    return ("jet", jet.dim, jet.trunc, [[(type(x), repr(x)) for x in c] for c in jet.coeffs])
+
+
+# mixed and large denominators
+FAMILY_ENTRIES = (0, 0, 0, 1, -1, 2, F(1, 2), F(-3, 2), F(5, 6), F(7, 10 ** 9 + 7),
+                  F(-10 ** 20, 3 ** 13))
+
+
+@st.composite
+def families(draw):
+    """A family on a random algebra of dimension 1..5, two vectors and a jet.
+
+    ``kind`` draws a generic family of degree <= 2, one singular at 0 (a
+    zero row in the constant matrix), one singular identically (last row a
+    multiple of the first in every coefficient), or one with a pole: it
+    fixes X1 and X2, rescales the other coordinates, and [X1, X2] has a
+    component along the last one.
+    """
+    kind = draw(st.sampled_from(("generic", "at0", "identically", "pole")))
+    n = draw(st.integers(3 if kind == "pole" else 1, 5))
+    value = st.sampled_from(FAMILY_ENTRIES)
+    f = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(n):
+                f[a][b][c] = F(draw(value))
+                f[b][a][c] = -f[a][b][c]
+    if kind == "pole":
+        f[0][1][n - 1] = F(draw(st.sampled_from((1, -2, F(3, 7), F(10 ** 9 + 7, 2 ** 40)))))
+        f[1][0][n - 1] = -f[0][1][n - 1]
+        s0, s1 = (draw(st.sampled_from((1, -1, F(1, 3), F(-5, 2), F(2 ** 40, 10 ** 9 + 7))))
+                  for _ in range(2))
+        mats = [[[s0 if r == c < 2 else 0 for c in range(n)] for r in range(n)],
+                [[s1 if r == c >= 2 else 0 for c in range(n)] for r in range(n)]]
+    else:
+        mats = [[[draw(value) for _ in range(n)] for _ in range(n)]
+                for _ in range(draw(st.integers(0, 2)) + 1)]
+        if kind == "at0":
+            mats[0][draw(st.integers(0, n - 1))] = [0] * n
+        elif kind == "identically":
+            c = draw(value)
+            for m in mats:
+                m[n - 1] = [c * x for x in m[0]]
+    alg = LieAlgebra(n, tuple(f"X{i + 1}" for i in range(n)),
+                     tuple(tuple(tuple(row) for row in plane) for plane in f))
+    fam = ContractionFamily(alg, tuple(mats))
+    vector = st.one_of(st.sampled_from([alg.basis_vector(a) for a in range(n)]),
+                       st.tuples(*[value] * n))
+    trunc = draw(st.integers(1, 4))
+    r = Jet.make(n, trunc, [draw(st.tuples(*[value] * n)) for _ in range(trunc)])
+    return fam, draw(vector), draw(vector), r, draw(st.integers(0, trunc - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(families(), st.integers(1, 3))
+def test_integer_family_path_matches_fraction_reference(case, order):
+    fam, x, y, r, r_order = case
+    assert exact_outcome(invert_family_apply, fam, r, r_order) == \
+        exact_outcome(reference_invert_family_apply, fam, r, r_order)
+    assert exact_outcome(eps_bracket, fam, x, y, order) == \
+        exact_outcome(reference_eps_bracket, fam, x, y, order)
+
+
+def test_contract_scales_and_eliminates_once_per_family(monkeypatch):
+    alg, sub = so_n(5)
+    fams = [iw_family(span_subalgebra(alg, sub)) for _ in range(2)]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    numerators = linalg.numerators
+
+    def counted_numerators(vectors):
+        # the family's own coefficient rows, as opposed to vectors and jets
+        calls["scaling"] += any(vectors and vectors[0] is fam.phis[0][0] for fam in fams)
+        return numerators(vectors)
+
+    monkeypatch.setattr(linalg, "numerators", counted_numerators)
+    monkeypatch.setattr(linalg, "poly_adjugate", counted("adjugate", linalg.poly_adjugate))
+    monkeypatch.setattr(linalg, "poly_det", counted("det", linalg.poly_det))
+    contract(fams[0])
+    assert calls == {"scaling": 1, "adjugate": 1, "det": 1}
+    for a in range(alg.dim):
+        eps_bracket(fams[0], alg.basis_vector(a), alg.basis_vector(alg.dim - 1 - a), order=2)
+    assert calls == {"scaling": 1, "adjugate": 1, "det": 1}
+    contract(fams[1])
+    assert calls == {"scaling": 2, "adjugate": 2, "det": 2}

@@ -201,3 +201,18 @@ def test_integer_kernel_matches_fraction_reference(case, data):
         assert element_key(ea.bracket(a, b)) == element_key(expected)
 
     assert report_key(alg.validate()) == report_key(reference_validate(alg))
+
+
+def test_exact_meets_float_in_floats():
+    """An exact operand with a huge denominator meets a float operand in floats.
+
+    It is rounded to floats first, as the Fraction loop rounds each product,
+    instead of reaching the float as a numerator near 3**700 and overflowing.
+    """
+    so3 = builtin("so3")[0]
+    x, y = (F(1, 3 ** 700), 1, 2), (0.5, 1.5, -2.0)
+    for u, v in ((x, y), (y, x)):
+        assert exact_key(so3.bracket(u, v)) == exact_key(reference_bracket(so3, u, v))
+    p, q = Jet(3, 3, [x, (F(2, 3), F(1, 3 ** 700), 0)]), Jet(3, 3, [y, (0.0, 1.0, 0.25)])
+    for a, b in ((p, q), (q, p)):
+        assert jet_key(bracket_poly(so3, a, b)) == jet_key(reference_bracket_poly(so3, a, b))

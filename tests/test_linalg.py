@@ -318,6 +318,48 @@ def test_poly_adjugate_is_adjugate(rows):
     assert poly_mat_mul(rows, adj) == scalar
 
 
+int_poly_st = st.lists(st.integers(-4, 4), max_size=3).map(linalg.poly_trim)
+
+
+def coefficient_types(polys):
+    return {type(c) for p in polys for c in p}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(int_poly_st, min_size=n, max_size=n), min_size=n, max_size=n)),
+    int_poly_st, st.integers(0, 4))
+def test_integer_polynomials_stay_integral(rows, num, order):
+    """Over Z[eps] the poly helpers give the Fraction results, with int coefficients."""
+    frac_rows = [[tuple(F(c) for c in p) for p in row] for row in rows]
+    d, adj = linalg.poly_adjugate(rows)
+    fd, fadj = linalg.poly_adjugate(frac_rows)
+    assert d == fd == linalg.poly_det(rows) == linalg.poly_det(frac_rows)
+    assert coefficient_types([d, linalg.poly_det(rows)]) <= {int}
+    assert coefficient_types([fd]) <= {Fraction}
+    if not d:
+        assert adj is None and fadj is None
+        return
+    assert adj == fadj
+    assert coefficient_types(p for row in adj for p in row) <= {int}
+    assert coefficient_types(p for row in fadj for p in row) <= {Fraction}
+    for p in (num, linalg.poly_mul(num, d)):
+        quotient = linalg.poly_divexact(linalg.poly_mul(p, d), d)
+        assert quotient == p and coefficient_types([quotient]) <= {int}
+    if linalg.poly_valuation(num) is not None and \
+            linalg.poly_valuation(num) >= linalg.poly_valuation(d):
+        series = linalg.poly_series_div(num, d, order)
+        assert series == linalg.poly_series_div(tuple(map(F, num)), fd, order)
+        assert coefficient_types([series]) == {Fraction}
+
+
+@pytest.mark.parametrize("num, den", [((1, 1), (0, 1)), ((2, 1), (2,)), ((3,), (2,)),
+                                      ((1, 3, 3), (1, 2))])
+def test_poly_divexact_rejects_quotients_outside_the_integers(num, den):
+    with pytest.raises(InternalInvariantViolation):
+        linalg.poly_divexact(num, den)
+
+
 def test_poly_adjugate_needs_row_swaps():
     # zero leading entry forces a pivot swap, so the permutation sign matters
     t = (F(0), F(1))
