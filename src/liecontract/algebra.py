@@ -250,13 +250,13 @@ class SubalgebraSplit:
 
 
 def _projectors(alg, h_basis, n_basis):
+    """P_h = (h columns of B)(first dh rows of B^-1), B the base change; P_n = 1 - P_h."""
     n = alg.dim
-    cols = list(h_basis) + list(n_basis)
-    base_change = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    inv = linalg.invert(base_change)
-    dh = len(h_basis)
-    sel_h = tuple(tuple(Fraction(int(i == j and i < dh)) for j in range(n)) for i in range(n))
-    proj_h = linalg.mat_mul(linalg.mat_mul(base_change, sel_h), inv)
+    inv = linalg.invert(tuple(zip(*h_basis, *n_basis)))
+    if h_basis:
+        proj_h = linalg.mat_mul(tuple(zip(*h_basis)), inv[:len(h_basis)])
+    else:
+        proj_h = linalg.zero_matrix(n)
     proj_n = linalg.mat_sub(linalg.identity(n), proj_h)
     return proj_h, proj_n
 

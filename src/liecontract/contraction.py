@@ -15,8 +15,10 @@ remainder; an inexact division raises InternalInvariantViolation, so the
 cached adjugate checks itself.  The valuation at 0 of each component is read
 off exactly; a negative valuation certifies that the limit does not exist
 and surfaces as PoleError.  A determinant that is the zero polynomial raises
-SingularFamily.  The rescaled bracket lifts its two vectors through the
-integer coefficient matrices and brackets them on numerators.
+SingularFamily.  The rescaled bracket lifts its two arguments, vectors (the
+contraction) or polynomials (the general expansion), through the integer
+coefficient matrices by the jets module's truncated Cauchy product, and
+brackets them on numerators.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     SingularFamily,
 )
 from . import linalg
-from .jets import Jet, MatrixJet, bracket_series
+from .jets import Jet, _cauchy, bracket_series
 from .linalg import as_matrix
 
 MAX_FAMILY_DEGREE = 8
@@ -69,13 +71,6 @@ class ContractionFamily:
     def identity(cls, algebra):
         return cls(algebra, (linalg.identity(algebra.dim),))
 
-    def apply(self, p):
-        """Pointwise application to a jet: polynomial product, truncated."""
-        return MatrixJet(self.dim, p.trunc, self.phis).apply(p)
-
-    def entry_polys(self):
-        return _entry_polys(self.phis, self.dim)
-
     @cached_property
     def _numerators(self):
         """(mats, entries, D): the family scaled to integers, once.
@@ -87,7 +82,9 @@ class ContractionFamily:
         n = self.dim
         rows, den = linalg.numerators([row for m in self.phis for row in m])
         mats = [rows[k:k + n] for k in range(0, len(rows), n)]
-        return mats, _entry_polys(mats, n), den
+        entries = [[linalg.poly_trim(tuple(m[i][j] for m in mats)) for j in range(n)]
+                   for i in range(n)]
+        return mats, entries, den
 
     @cached_property
     def _det(self):
@@ -98,12 +95,6 @@ class ContractionFamily:
     def _adjugate(self):
         """Adjugate of the numerator family, computed once; needs _det != 0."""
         return linalg.poly_adjugate(self._numerators[1])[1]
-
-
-def _entry_polys(mats, n):
-    """The n x n matrix of entry polynomials of a sequence of coefficient matrices."""
-    return [[linalg.poly_trim(tuple(m[i][j] for m in mats)) for j in range(n)]
-            for i in range(n)]
 
 
 def iw_family(split: SubalgebraSplit) -> ContractionFamily:
@@ -154,22 +145,30 @@ def invert_family_apply(fam: ContractionFamily, r: Jet, order: int) -> Jet:
     return Jet(fam.dim, order + 1, tuple(zip(*series)))
 
 
-def eps_bracket(fam: ContractionFamily, x, y, order: int = 1) -> Jet:
-    """Jet of the rescaled bracket of two algebra vectors.
+def _rescaled_bracket(fam: ContractionFamily, xs, ys, order: int) -> Jet:
+    """Jet of the family's inverse applied to the bracket of two lifted polynomials.
 
-    x and y are lifted through the family's integer coefficient matrices and
-    bracketed as numerators, without building a matrix jet.
+    xs and ys are the coefficient tuples of polynomials in the parameter.
+    Each is lifted through the family's integer coefficient matrices on
+    numerators, the two lifts are bracketed on numerators, and the result is
+    solved back exactly.
     """
-    if order < 1:
-        raise DimensionMismatch("order must be at least 1")
-    trunc = max(2 * fam.degree, order) + 1
+    trunc = max(2 * (len(xs) - 1 + fam.degree), order) + 1
     mats, _, den = fam._numerators
-    lifts = []  # (rows, den): the coefficients of the family applied to x and to y
-    for v in (x, y):
-        [v], v_den = linalg.numerators([fam.algebra.vector(v)])
-        lifts.append((tuple(linalg.mat_vec(m, v) for m in mats), den * v_den))
+    lifts = []  # (rows, den): the coefficients of the family applied to xs and to ys
+    for vs in (xs, ys):
+        rows, v_den = linalg.numerators([fam.algebra.vector(v) for v in vs])
+        lift = _cauchy(mats, rows, trunc, linalg.mat_vec, linalg.vec_add, (0,) * fam.dim)
+        lifts.append((lift, den * v_den))
     r = Jet(fam.dim, trunc, bracket_series(fam.algebra, *lifts, trunc))
     return invert_family_apply(fam, r, order)
+
+
+def eps_bracket(fam: ContractionFamily, x, y, order: int = 1) -> Jet:
+    """Jet of the rescaled bracket of two algebra vectors."""
+    if order < 1:
+        raise DimensionMismatch("order must be at least 1")
+    return _rescaled_bracket(fam, (x,), (y,), order)
 
 
 def contract(fam: ContractionFamily) -> LieAlgebra:

@@ -3,9 +3,10 @@
 The subalgebra-split case stores elements in the coordinates used by the
 group layer: a value in the subalgebra, k free middle coefficients, and a
 canonical coset representative on top.  The general-family case works in
-plain coefficient tuples, lifted through the family and solved back exactly;
-an exact transport identifies the two pictures when the family comes from a
-split.
+plain coefficient tuples: its bracket is the contraction's rescaled bracket
+on polynomials, one integer lift through the family's coefficient matrices,
+a bracket on numerators and an exact solve back.  An exact transport
+identifies the two pictures when the family comes from a split.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LieAlgebra, SubalgebraSplit
-from .contraction import ContractionFamily, contract, invert_family_apply
+from .contraction import ContractionFamily, _rescaled_bracket, contract
 from .errors import DimensionMismatch, InternalInvariantViolation, PoleError
 from . import linalg
-from .jets import Jet, bracket_poly, bracket_series
+from .jets import bracket_series
 
 
 @dataclass(frozen=True)
@@ -181,20 +182,15 @@ class GeneralExpansion:
     def dimension(self):
         return (self.order + 1) * self.algebra.dim
 
-    def lift(self, xs) -> Jet:
-        """The family applied to the polynomial with coefficients xs."""
-        k = self.order
-        xs = tuple(self.algebra.vector(x) for x in xs)
-        if len(xs) != k + 1:
-            raise DimensionMismatch(f"expected {k + 1} coefficients, got {len(xs)}")
-        trunc = 2 * (k + self.family.degree) + 1
-        return self.family.apply(Jet(self.algebra.dim, trunc, xs))
-
     def bracket_tuples(self, xs, ys):
-        r = bracket_poly(self.algebra, self.lift(xs), self.lift(ys))
+        k = self.order
+        xs, ys = tuple(xs), tuple(ys)
+        for vs in (xs, ys):
+            if len(vs) != k + 1:
+                raise DimensionMismatch(f"expected {k + 1} coefficients, got {len(vs)}")
         try:
-            w = invert_family_apply(self.family, r, self.order)
+            w = _rescaled_bracket(self.family, xs, ys, k)
         except PoleError as err:
             raise InternalInvariantViolation(
                 f"existing contraction produced a pole: {err}") from err
-        return tuple(w.coeff(m) for m in range(self.order + 1))
+        return tuple(w.coeff(m) for m in range(k + 1))

@@ -208,6 +208,8 @@ def parse_matrix_literal(text, dim=None):
     rows = parse_tuple_literal(text, dim)
     if any(len(r) != len(rows[0]) for r in rows):
         raise SpecFormatError("matrix literal is ragged")
+    if dim is not None and len(rows) != dim:
+        raise SpecFormatError(f"matrix literal {text!r} has {len(rows)} rows, need {dim}")
     return rows
 
 

@@ -6,13 +6,15 @@ square matrix coefficients.  Truncation mismatches between operands are
 errors, because the truncation order is part of the value.
 
 One truncated Cauchy product, ``_cauchy``, serves vector jets (the bracket),
-matrix jets (the matrix product and the action on a vector jet) and the slot
-tuples of an expansion: it works on plain coefficient sequences and skips
-zero coefficients.  The bracket convolution, ``bracket_series``, runs it on
-integers: it takes each coefficient sequence as integer numerators over one
-denominator, the algebra's integer bracket table does the products, and each
-output coefficient is divided once.  A Jet scales its coefficients to
-numerators once, in ``Jet.numerators``, however many brackets read them.
+matrix jets (the matrix product of the oracle), the slot tuples of an
+expansion and the contraction family's lift of a polynomial (integer
+coefficient matrices acting on integer numerators): it works on plain
+coefficient sequences and skips zero coefficients.  The bracket
+convolution, ``bracket_series``, runs it on integers: it takes each
+coefficient sequence as integer numerators over one denominator, the
+algebra's integer bracket table does the products, and each output
+coefficient is divided once.  A Jet scales its coefficients to numerators
+once, in ``Jet.numerators``, however many brackets read them.
 """
 
 from __future__ import annotations
@@ -152,12 +154,6 @@ class Jet:
             acc = linalg.vec_add(linalg.vec_scale(point, acc), c)
         return acc
 
-    def component_polys(self):
-        """Per-coordinate coefficient tuples, trailing zeros trimmed."""
-        return tuple(
-            linalg.poly_trim(tuple(c[i] for c in self.coeffs)) for i in range(self.dim)
-        )
-
 
 def bracket_poly(alg, p, q):
     """Coefficient-wise bracket of jets: the Cauchy convolution."""
@@ -240,17 +236,3 @@ class MatrixJet:
         return MatrixJet(self.size, self.trunc,
                          _cauchy(self.coeffs, other.coeffs, self.trunc, linalg.mat_mul,
                                  linalg.mat_add, linalg.zero_matrix(self.size)))
-
-    def apply(self, p):
-        """Convolution action on a vector jet of matching dimension."""
-        if p.dim != self.size:
-            raise DimensionMismatch("jet dimension differs from matrix size")
-        return Jet(p.dim, p.trunc, _cauchy(self.coeffs, p.coeffs, p.trunc, linalg.mat_vec,
-                                           linalg.vec_add, linalg.zero_vector(p.dim)))
-
-    def eval_at(self, point):
-        point = rat(point)
-        acc = linalg.zero_matrix(self.size)
-        for c in reversed(self.coeffs):
-            acc = linalg.mat_add(linalg.mat_scale(point, acc), c)
-        return acc

@@ -285,12 +285,28 @@ def test_span_subalgebra_prunes_dependent_input(so3):
     assert split.dim_h == 1
 
 
+def reference_projectors(split):
+    """P_h = B S B^-1 with S selecting the subalgebra coordinates, B the base change."""
+    n = split.algebra.dim
+    cols = split.h_basis + split.n_basis
+    base_change = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    dh = split.dim_h
+    sel_h = tuple(tuple(F(int(i == j and i < dh)) for j in range(n)) for i in range(n))
+    proj_h = linalg.mat_mul(linalg.mat_mul(base_change, sel_h), linalg.invert(base_change))
+    return proj_h, linalg.mat_sub(linalg.identity(n), proj_h)
+
+
 def test_projector_identities():
     rng = random.Random(4)
     for name in ("so3", "sl2", "heis3"):
         alg, _ = builtin(name)
-        for vectors in subalgebra_catalog(name).values():
-            split = span_subalgebra(alg, vectors)
+        whole = [alg.basis_vector(a) for a in range(alg.dim)]
+        dense = [(F(1), F(-2, 3), F(0)), (F(0), F(1), F(5, 7)), (F(3), F(0), F(1, 2))]
+        splits = [span_subalgebra(alg, vectors)
+                  for vectors in [[], whole, *subalgebra_catalog(name).values()]]
+        splits += [split_with_complement(alg, [], dense), split_with_complement(alg, dense, [])]
+        for split in splits:
+            assert repr((split.proj_h, split.proj_n)) == repr(reference_projectors(split))
             assert linalg.mat_add(split.proj_h, split.proj_n) == linalg.identity(alg.dim)
             assert linalg.mat_mul(split.proj_h, split.proj_h) == split.proj_h
             assert linalg.mat_mul(split.proj_n, split.proj_n) == split.proj_n

@@ -295,6 +295,9 @@ def test_oversized_order_and_trials_are_usage_errors(workdir, capsys, args):
      "--h1", "1e-1_000_000,0,0; 0,1,0; 0,0,1", "--a", "0,0,0",
      "--h2", "1,0,0; 0,1,0; 0,0,1", "--b", "0,0,0"],
     ["validate", "huge.alg"],
+    *[[*fmt, "group-mult", "so3", "--subalgebra", "x3.sub", "--order", "0",
+       "--h1", "1,0,0; 0,1,0", "--a", "0,0,0", "--h2", "1,0,0; 0,1,0; 0,0,1", "--b", "0,0,0"]
+      for fmt in ([], ["--format", "machine"])],
 ])
 def test_oversized_rational_literals_are_usage_errors(workdir, capsys, args):
     huge = dict(SO3, brackets=[[1, 2, 3, "1E+10000000"]] + SO3["brackets"][1:])

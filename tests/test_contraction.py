@@ -3,6 +3,7 @@ import random
 import warnings
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from liecontract.algebra import LieAlgebra, span_subalgebra, split_with_compleme
 from liecontract.catalog import builtin, subalgebra_catalog
 from liecontract.contraction import (
     ContractionFamily,
+    _rescaled_bracket,
     contract,
     eps_bracket,
     invert_family_apply,
@@ -19,8 +21,14 @@ from liecontract.contraction import (
     iw_family,
     transport_map,
 )
-from liecontract.errors import DimensionMismatch, PoleError, SingularFamily
-from liecontract.jets import Jet, bracket_poly
+from liecontract.errors import (
+    DimensionMismatch,
+    InternalInvariantViolation,
+    PoleError,
+    SingularFamily,
+)
+from liecontract.expansion import GeneralExpansion
+from liecontract.jets import Jet, MatrixJet, bracket_poly
 from liecontract.linalg import ZERO
 
 F = Fraction
@@ -62,14 +70,28 @@ def test_iw_family_degenerate_splits():
     assert fam.phis[1] == linalg.identity(3)
 
 
+def reference_family_apply(fam, p):
+    """The family applied to a jet on Fractions: the polynomial product, truncated."""
+    coeffs = [linalg.zero_vector(p.dim) for _ in range(p.trunc)]
+    for i, m in enumerate(fam.phis):
+        for j, v in enumerate(p.coeffs):
+            if i + j < p.trunc:
+                coeffs[i + j] = linalg.vec_add(coeffs[i + j], linalg.mat_vec(m, v))
+    return Jet(p.dim, p.trunc, tuple(coeffs))
+
+
 def test_apply_family_rescales_complement():
     fam = iw_family(x3_split())
     x1 = Jet.constant(so3.basis_vector(0), 4)
     x3 = Jet.constant(so3.basis_vector(2), 4)
-    assert fam.apply(x1) == Jet.make(3, 4, [(0, 0, 0), (1, 0, 0)])
-    assert fam.apply(x3) == x3
+    assert reference_family_apply(fam, x1) == Jet.make(3, 4, [(0, 0, 0), (1, 0, 0)])
+    assert reference_family_apply(fam, x3) == x3
     both = Jet.constant((F(1), F(0), F(1)), 4)
-    assert fam.apply(both) == Jet.make(3, 4, [(0, 0, 1), (1, 0, 0)])
+    assert reference_family_apply(fam, both) == Jet.make(3, 4, [(0, 0, 1), (1, 0, 0)])
+    # the integer lift of X3 + eps X1 and of X2: [X3 + eps^2 X1, eps X2] = -eps X1 + eps^3 X3
+    e = so3.basis_vector
+    assert _rescaled_bracket(fam, (e(2), e(0)), (e(1),), 3) == Jet.make(
+        3, 4, [(-1, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 1)])
 
 
 def test_invert_family_apply_fixed_component():
@@ -262,17 +284,29 @@ def test_complement_independence_via_transport():
                 assert lhs == rhs
 
 
+def entry_polys(fam):
+    """The family's matrix of entry polynomials, on Fractions."""
+    n = fam.dim
+    return [[linalg.poly_trim(tuple(m[i][j] for m in fam.phis)) for j in range(n)]
+            for i in range(n)]
+
+
+def component_polys(r):
+    """Per-coordinate coefficient tuples of a jet, trailing zeros trimmed."""
+    return tuple(linalg.poly_trim(tuple(c[i] for c in r.coeffs)) for i in range(r.dim))
+
+
 def cramer_invert_family_apply(fam, r, order):
     """Reference for invert_family_apply: one determinant per component.
 
     Component i of the solution is det(family with column i replaced by r)
     over det(family), both computed by poly_det.
     """
-    entries = fam.entry_polys()
+    entries = entry_polys(fam)
     den = linalg.poly_det(entries)
     if not den:
         raise SingularFamily("family determinant is the zero polynomial")
-    rhs = r.component_polys()
+    rhs = component_polys(r)
     den_val = linalg.poly_valuation(den)
     numerators = []
     worst = None
@@ -388,10 +422,10 @@ def reference_invert_family_apply(fam, r, order):
     The adjugate of the Fraction entry polynomials, the right-hand side's
     Fraction component polynomials and a Fraction series division.
     """
-    den, adj = linalg.poly_adjugate(fam.entry_polys())
+    den, adj = linalg.poly_adjugate(entry_polys(fam))
     if not den:
         raise SingularFamily("family determinant is the zero polynomial")
-    rhs = r.component_polys()
+    rhs = component_polys(r)
     den_val = linalg.poly_valuation(den)
     numerators = []
     worst = None
@@ -412,13 +446,15 @@ def reference_invert_family_apply(fam, r, order):
     return Jet(fam.dim, order + 1, coeffs)
 
 
+def reference_rescaled_bracket(fam, xs, ys, order):
+    """The rescaled bracket of two polynomials through the Fraction lift and bracket_poly."""
+    trunc = max(2 * (len(xs) - 1 + fam.degree), order) + 1
+    jx, jy = (reference_family_apply(fam, Jet.make(fam.dim, trunc, vs)) for vs in (xs, ys))
+    return reference_invert_family_apply(fam, bracket_poly(fam.algebra, jx, jy), order)
+
+
 def reference_eps_bracket(fam, x, y, order):
-    """eps_bracket through the Fraction matrix jet of the family and bracket_poly."""
-    trunc = max(2 * fam.degree, order) + 1
-    jx = Jet.constant(fam.algebra.vector(x), trunc)
-    jy = Jet.constant(fam.algebra.vector(y), trunc)
-    r = bracket_poly(fam.algebra, fam.apply(jx), fam.apply(jy))
-    return reference_invert_family_apply(fam, r, order)
+    return reference_rescaled_bracket(fam, (x,), (y,), order)
 
 
 def exact_outcome(solve, *args):
@@ -475,11 +511,15 @@ def families(draw):
     alg = LieAlgebra(n, tuple(f"X{i + 1}" for i in range(n)),
                      tuple(tuple(tuple(row) for row in plane) for plane in f))
     fam = ContractionFamily(alg, tuple(mats))
-    vector = st.one_of(st.sampled_from([alg.basis_vector(a) for a in range(n)]),
-                       st.tuples(*[value] * n))
     trunc = draw(st.integers(1, 4))
     r = Jet.make(n, trunc, [draw(st.tuples(*[value] * n)) for _ in range(trunc)])
-    return fam, draw(vector), draw(vector), r, draw(st.integers(0, trunc - 1))
+    return fam, draw(vectors(alg)), draw(vectors(alg)), r, draw(st.integers(0, trunc - 1))
+
+
+def vectors(alg):
+    """A basis vector, or a vector of family entries."""
+    return st.one_of(st.sampled_from([alg.basis_vector(a) for a in range(alg.dim)]),
+                     st.tuples(*[st.sampled_from(FAMILY_ENTRIES)] * alg.dim))
 
 
 @settings(max_examples=150, deadline=None)
@@ -492,9 +532,48 @@ def test_integer_family_path_matches_fraction_reference(case, order):
         exact_outcome(reference_eps_bracket, fam, x, y, order)
 
 
+def general_bracket_tuples(fam, k, xs, ys):
+    """GeneralExpansion.bracket_tuples, with a pole it wraps raised as the PoleError.
+
+    The method reads only the family and the order; a stand-in for the
+    expansion lets families without a contraction, which GeneralExpansion
+    refuses to build, reach it.
+    """
+    try:
+        return GeneralExpansion.bracket_tuples(SimpleNamespace(family=fam, order=k), xs, ys)
+    except InternalInvariantViolation as err:
+        raise err.__cause__ from None
+
+
+def reference_bracket_tuples(fam, k, xs, ys):
+    w = reference_rescaled_bracket(fam, xs, ys, k)
+    return tuple(w.coeff(m) for m in range(k + 1))
+
+
+def tuples_outcome(bracket, *args):
+    """Coefficient tuples as the type and repr of every component, or the error raised."""
+    try:
+        ws = bracket(*args)
+    except PoleError as err:
+        return ("pole", err.valuation, err.component)
+    except SingularFamily:
+        return ("singular",)
+    return [[(type(x), repr(x)) for x in w] for w in ws]
+
+
+@settings(max_examples=100, deadline=None)
+@given(families(), st.integers(0, 2), st.data())
+def test_bracket_tuples_matches_fraction_reference(case, k, data):
+    fam = case[0]
+    coeffs = st.lists(vectors(fam.algebra), min_size=k + 1, max_size=k + 1)
+    xs, ys = data.draw(coeffs), data.draw(coeffs)
+    assert tuples_outcome(general_bracket_tuples, fam, k, xs, ys) == \
+        tuples_outcome(reference_bracket_tuples, fam, k, xs, ys)
+
+
 def test_contract_scales_and_eliminates_once_per_family(monkeypatch):
     alg, sub = so_n(5)
-    fams = [iw_family(span_subalgebra(alg, sub)) for _ in range(2)]
+    fams = [iw_family(span_subalgebra(alg, sub)) for _ in range(3)]
     calls = Counter()
 
     def counted(name, fn):
@@ -520,3 +599,11 @@ def test_contract_scales_and_eliminates_once_per_family(monkeypatch):
     assert calls == {"scaling": 1, "adjugate": 1, "det": 1}
     contract(fams[1])
     assert calls == {"scaling": 2, "adjugate": 2, "det": 2}
+    # the general expansion lifts on the family's integer numerators, without a matrix jet
+    monkeypatch.setattr(MatrixJet, "__post_init__",
+                        counted("matrix jet", MatrixJet.__post_init__))
+    expansion = GeneralExpansion(fams[2], 1)
+    e = alg.basis_vector
+    for a in range(10):
+        expansion.bracket_tuples((e(a), e(9 - a)), (e(9 - a), e((a + 3) % 10)))
+    assert calls == {"scaling": 3, "adjugate": 3, "det": 3}

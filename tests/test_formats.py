@@ -113,6 +113,8 @@ def test_tuple_and_matrix_literals():
     assert m[0] == (F(0), F(-1), F(0))
     with pytest.raises(SpecFormatError):
         formats.parse_matrix_literal("1,2; 3")
+    with pytest.raises(SpecFormatError, match="has 2 rows, need 3"):
+        formats.parse_matrix_literal("1,0,0; 0,1,0", 3)
     with pytest.raises(SpecFormatError):
         formats.parse_tuple_literal("  ")
 
