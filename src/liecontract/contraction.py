@@ -5,14 +5,14 @@ its pointwise inverse is done exactly over the field of rational functions.
 Each family scales its coefficient matrices once to integer numerators over
 one common denominator D, and runs on those integer polynomials from then
 on: it computes the determinant and adjugate of the numerator family once,
-by fraction-free elimination over Z[eps], and caches both.  Every later
-solve is one integer polynomial matrix-vector product (adjugate times the
-right-hand side's numerators) and one fraction-free series division by the
-determinant; each output coefficient becomes a Fraction once, scaled by D
-over the right-hand side's denominator.  The elimination and the back
-substitution that builds the adjugate divide exactly and check the
-remainder; an inexact division raises InternalInvariantViolation, so the
-cached adjugate checks itself.  The valuation at 0 of each component is read
+by the fraction-free Gauss-Jordan elimination of linalg over Z[eps], and
+caches both.  Every later solve is one integer polynomial matrix-vector
+product (adjugate times the right-hand side's numerators) and one
+fraction-free series division by the determinant; each output coefficient
+becomes a Fraction once, scaled by D over the right-hand side's denominator.
+The elimination divides exactly and checks every remainder; an inexact
+division raises InternalInvariantViolation, so the cached adjugate checks
+itself.  The valuation at 0 of each component is read
 off exactly; a negative valuation certifies that the limit does not exist
 and surfaces as PoleError.  A determinant that is the zero polynomial raises
 SingularFamily.  The rescaled bracket lifts its two arguments, vectors (the

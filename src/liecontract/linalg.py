@@ -7,17 +7,21 @@ mode of the group layer passes in on purpose.  Polynomials in the formal
 parameter are coefficient tuples (lowest degree first) with trailing zeros
 trimmed; the empty tuple is zero.
 
-``mat_vec`` and the polynomial helpers also run on integer numerators (see
-``numerators``), and then stay integral: sums of ints start from int 0,
-``poly_divexact`` divides integer coefficients exactly and checks the
+Every elimination is one fraction-free Gauss-Jordan loop, ``_eliminate``,
+parameterised by the ring's multiply, subtract, exact divide and one.
+``pivot_columns``, ``solve_in_basis`` and ``invert`` run it over Z on the
+integer numerators of their input (see ``numerators``) and divide each
+output entry once; float input runs it with unit pivots; ``poly_det`` and
+``poly_adjugate`` run it over Z[eps].  ``mat_vec`` and the polynomial
+helpers stay integral on integer input too: ``poly_divexact`` checks the
 remainder, and ``poly_series_div`` is fraction-free and makes one Fraction
-per output coefficient.  The contraction family runs its determinant,
-adjugate and solves this way, on integer polynomials.  On Fraction input the
-results stay Fractions, with every zero a Fraction zero.
+per output coefficient.  On Fraction input the results stay Fractions, with
+every zero a Fraction zero.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 
@@ -168,33 +172,70 @@ def mat_scale(c, m):
     return tuple(vec_scale(c, row) for row in m)
 
 
-def _gauss_jordan(aug, ncols):
-    """Gauss-Jordan elimination of columns 0..ncols-1 of ``aug``, in place.
+def _divexact(a, b):
+    """The quotient a / b of two ints; InternalInvariantViolation unless it is exact."""
+    q, r = divmod(a, b)
+    if r:
+        raise InternalInvariantViolation("inexact integer division")
+    return q
 
-    ``aug`` is a list of row lists; the columns past ncols are carried along.
-    Each column's pivot is its first nonzero entry at or below the current
-    row; the pivot row is scaled to a leading 1 and the column is cleared in
-    every other row.  Returns the pivot columns in order: row i then leads
-    with a 1 in column pivots[i], and the rows past len(pivots) are zero in
-    the first ncols columns.  The field loop of this module: ``pivot_columns``,
-    ``solve_in_basis`` and ``invert`` are all built on it.
+
+def _eliminate(rows, ncols, mul, sub, div, one, unit=False):
+    """Fraction-free Gauss-Jordan elimination of columns 0..ncols-1 of ``rows``, in place.
+
+    ``rows`` holds equally long row lists over the ring of ``mul``, ``sub``,
+    the exact ``div`` and ``one``; the columns past ncols are carried along.
+    The pivot p of column c is its first nonzero entry at or below row r.
+    With prev the previous pivot (one at first), every other row becomes
+    (p row_i - f row_r) / prev past column c, f its entry in column c; no
+    later step reads column c or an earlier one, so those are left as they
+    stand.  A row with f = 0 would come back unchanged when p == prev, and is
+    skipped.  Each division is exact (Bareiss 1968), and ``div`` checks it.
+    ``unit`` (the float mode) divides the pivot row by p first, so that
+    p = prev = one and each update is row_i - f row_r, bit for bit.
+
+    Returns (pivots, d, sign): row i leads in column pivots[i], the rows past
+    len(pivots) vanish on the first ncols columns, and every row's carried
+    columns are d times the reduced ones, d the last pivot.  d is the leading
+    minor of the row-permuted matrix on the pivot columns, and sign that of
+    the permutation: a square block of full rank has determinant sign * d.
     """
-    m = len(aug)
     pivots = []
+    prev = one
+    sign = 1
     for c in range(ncols):
         r = len(pivots)
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        row_r = rows[r]
+        p = row_r[c]
+        if unit:
+            row_r[c:] = [div(x, p) for x in row_r[c:]]
+            p = one
+        tail = row_r[c + 1:]
+        for i, row_i in enumerate(rows):
+            f = row_i[c]
+            if i == r or (not f and p == prev):
+                continue
+            # where b = 0 the update is p a; the float mode still computes a - f b
+            # there, since its signed zeros and its exact entries depend on it
+            new = [sub(mul(p, a), mul(f, b)) if b or unit else mul(p, a)
+                   for a, b in zip(row_i[c + 1:], tail)]
+            row_i[c + 1:] = new if prev == one else [div(x, prev) if x else x for x in new]
         pivots.append(c)
-    return pivots
+        prev = p
+    return pivots, prev, sign
+
+
+def _eliminate_numerators(rows, ncols, den):
+    """(pivots, d) of ``_eliminate`` over Z on ``numerators`` rows, or in the float mode (den 1.0)."""
+    unit = type(den) is float
+    div = operator.truediv if unit else _divexact
+    return _eliminate(rows, ncols, operator.mul, operator.sub, div, 1, unit)[:2]
 
 
 def pivot_columns(vectors, dim):
@@ -205,16 +246,24 @@ def pivot_columns(vectors, dim):
     """
     if any(len(v) != dim for v in vectors):
         raise DimensionMismatch("vector length differs from ambient dimension")
-    return _gauss_jordan([[v[i] for v in vectors] for i in range(dim)], len(vectors))
+    rows, den = numerators(vectors)
+    return _eliminate_numerators([[v[i] for v in rows] for i in range(dim)], len(rows), den)[0]
 
 
 def invert(m):
-    """Exact inverse of a square rational matrix; ValueError if singular."""
+    """Exact inverse of a square rational matrix; ValueError if singular.
+
+    Eliminates [den m | den I], den m the integer numerators of m: the right
+    half ends as d m^-1.  The float mode pairs m with the exact identity.
+    """
     n = len(m)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m)]
-    if len(_gauss_jordan(aug, n)) < n:
+    rows, den = numerators(m)
+    one, zero = (ONE, ZERO) if type(den) is float else (den, 0)
+    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(rows)]
+    pivots, d = _eliminate_numerators(aug, n, den)
+    if len(pivots) < n:
         raise ValueError("singular matrix")
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(from_numerators(row[n:], d) for row in aug)
 
 
 def solve_in_basis(columns, rhss):
@@ -229,19 +278,14 @@ def solve_in_basis(columns, rhss):
     if not rhss:
         return []
     n = len(columns)
-    aug = [[col[i] for col in columns] + [b[i] for b in rhss] for i in range(len(rhss[0]))]
-    pivots = _gauss_jordan(aug, n)
+    rows, den = numerators(list(columns) + rhss)
+    aug = [[v[i] for v in rows] for i in range(len(rhss[0]))]
+    pivots, d = _eliminate_numerators(aug, n, den)
+    lead = dict(zip(pivots, aug))  # pivot column -> the row leading there
     rest = aug[len(pivots):]
-    out = []
-    for k in range(n, n + len(rhss)):
-        if any(row[k] != 0 for row in rest):
-            out.append(None)
-            continue
-        x = [ZERO] * n
-        for i, c in enumerate(pivots):
-            x[c] = aug[i][k]
-        out.append(tuple(x))
-    return out
+    return [None if any(row[k] for row in rest)
+            else from_numerators([lead[c][k] if c in lead else 0 for c in range(n)], d)
+            for k in range(n, n + len(rhss))]
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +318,8 @@ def poly_sub(p, q):
 
 
 def poly_mul(p, q):
-    p, q = poly_trim(p), poly_trim(q)
+    if p and q:  # the zero polynomial (), frequent in an elimination, needs no trim
+        p, q = poly_trim(p), poly_trim(q)
     if not p or not q:
         return ()
     zero = 0 if type(p[-1]) is int and type(q[-1]) is int else ZERO
@@ -363,84 +408,35 @@ def poly_series_div(num, den, order):
     return from_numerators([x * powers[order - m] for m, x in enumerate(c)], powers[order + 1])
 
 
-def _bareiss(work, n):
-    """Fraction-free (Bareiss) forward elimination of columns 0..n-1, in place.
-
-    ``work`` holds n rows of trimmed polynomials, each at least n wide; the
-    columns past n are carried along.  Returns the sign of the row permutation,
-    or 0 when a column has no pivot, i.e. the leading n x n block has zero
-    determinant.  On success the block is upper triangular and its last
-    diagonal entry is the determinant of the row-permuted block.  Every
-    division is exact (Bareiss 1968); poly_divexact fails loudly otherwise.
-    Integer polynomials stay integer polynomials throughout.
-    """
-    sign = 1
-    prev = None  # the previous pivot; the first step's divisor is 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if work[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
-            sign = -sign
-        row_k = work[k]
-        pk = row_k[k]
-        for i in range(k + 1, n):
-            row_i = work[i]
-            f = row_i[k]
-            for j in range(k + 1, len(row_i)):
-                num = poly_sub(poly_mul(pk, row_i[j]), poly_mul(f, row_k[j]))
-                row_i[j] = num if prev is None else poly_divexact(num, prev)
-            row_i[k] = ()
-        prev = pk
-    return sign
-
-
 def poly_det(rows):
-    """Determinant of a square matrix of polynomials (fraction-free Bareiss)."""
+    """Determinant of a square matrix of polynomials (fraction-free elimination)."""
     n = len(rows)
-    if n == 0:
-        return (ONE,)
     work = [[poly_trim(p) for p in row] for row in rows]
-    sign = _bareiss(work, n)
-    if not sign:
+    pivots, d, sign = _eliminate(work, n, poly_mul, poly_sub, poly_divexact, (1,))
+    if len(pivots) < n:
         return ()
-    d = work[n - 1][n - 1]
-    return poly_neg(d) if sign < 0 else d
+    return d if sign > 0 else poly_neg(d)
 
 
 def poly_adjugate(rows):
     """Determinant and adjugate of a square polynomial matrix, in one elimination.
 
-    Eliminates [rows | I], then back-substitutes U Y = d B, where U and B are
-    the two halves after elimination and d is the determinant of the permuted
-    matrix.  Y is (up to the permutation sign) the adjugate, a polynomial
-    matrix, so each division by a diagonal entry of U is exact and
-    poly_divexact raises InternalInvariantViolation if one is not.  Returns
-    (det, adj) with adj * rows == rows * adj == det * I; adj is None when det
-    is the zero polynomial.
+    Eliminates [rows | I], I made of the int 1 on integer polynomials (which
+    stay integral) and of ONE otherwise.  The right half ends as d rows^-1 and
+    det = sign * d, so adj is sign times the right half.  Returns (det, adj)
+    with adj * rows == rows * adj == det * I; adj is None when det is zero.
     """
     n = len(rows)
-    work = [[poly_trim(p) for p in row] + [(1,) if j == i else () for j in range(n)]
-            for i, row in enumerate(rows)]
-    sign = _bareiss(work, n)
-    if not sign:
+    work = [[poly_trim(p) for p in row] for row in rows]
+    one = (1,) if all(type(c) is int for row in work for p in row for c in p) else (ONE,)
+    for i, row in enumerate(work):
+        row.extend(one if j == i else () for j in range(n))
+    pivots, d, sign = _eliminate(work, n, poly_mul, poly_sub, poly_divexact, one)
+    if len(pivots) < n:
         return (), None
-    d = work[n - 1][n - 1]
-    y = [None] * n
-    for i in range(n - 1, -1, -1):
-        row = work[i]
-        out = []
-        for c in range(n):
-            acc = poly_mul(d, row[n + c])
-            for j in range(i + 1, n):
-                if row[j] and y[j][c]:
-                    acc = poly_sub(acc, poly_mul(row[j], y[j][c]))
-            out.append(poly_divexact(acc, row[i]))
-        y[i] = out
     if sign < 0:
-        return poly_neg(d), tuple(tuple(poly_neg(p) for p in r) for r in y)
-    return d, tuple(tuple(r) for r in y)
+        return poly_neg(d), tuple(tuple(poly_neg(p) for p in row[n:]) for row in work)
+    return d, tuple(tuple(row[n:]) for row in work)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,12 @@ def test_invert_round_trip():
             if laplace(m) != 0:
                 break
         assert linalg.mat_mul(m, linalg.invert(m)) == linalg.identity(n)
+    # the MAX_DIM scale: a dense 28 x 28 matrix with denominators up to 50
+    rng = random.Random(28)
+    m = tuple(tuple(F(rng.randint(-50, 50), rng.randint(1, 50)) for _ in range(28))
+              for _ in range(28))
+    inverse = linalg.invert(m)
+    assert linalg.mat_mul(m, inverse) == linalg.mat_mul(inverse, m) == linalg.identity(28)
 
 
 def test_det_matches_cofactor_expansion():
@@ -223,6 +229,73 @@ def test_float_invert_follows_the_reference_pivots():
         if any(w is None for w in want):
             continue
         assert linalg.invert(m) == tuple(zip(*want))
+    # every entry point on the same kind of matrices, with exact entries mixed
+    # in on odd t; zero columns make each set rank-deficient in a way that no
+    # rounding hides from EchelonBasis, which eliminates in another order;
+    # repr tells -0.0 from 0.0 and a Fraction from a float
+    for t in range(300):
+        n = rng.randint(1, 5)
+
+        def entry():
+            u = rng.random()
+            if u < 0.2:
+                return 0.0
+            if t % 2 and u < 0.5:
+                return F(rng.randint(-4, 4), rng.randint(1, 5))
+            return rng.uniform(-2, 2)
+
+        m = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+        cols = list(zip(*m))
+        for _ in range(2):
+            cols.insert(rng.randint(0, len(cols)), (0.0,) * n)
+        eb = EchelonBasis(n)
+        assert linalg.pivot_columns(cols, n) == [j for j, c in enumerate(cols) if eb.add(c)]
+        rhss = [linalg.basis_vector(n, j) for j in range(n)] + [tuple(entry() for _ in range(n))]
+        assert repr(linalg.solve_in_basis(cols, rhss)) == \
+            repr([reference_solve_in_basis(cols, b) for b in rhss])
+        want = [reference_solve_in_basis(list(zip(*m)), b) for b in rhss[:n]]
+        if any(w is None for w in want):
+            with pytest.raises(ValueError, match="singular matrix"):
+                linalg.invert(m)
+        else:
+            assert repr(linalg.invert(m)) == repr(tuple(zip(*want)))
+
+
+def test_integer_input_gives_fractions():
+    # int entries are exact too: true division used to turn them into floats
+    k = 2 ** 53 + 1  # k and 3 k round to floats that no longer differ by a factor 3
+    assert linalg.pivot_columns([(1, 3), (k, 3 * k), (0, 1)], 2) == [0, 2]
+    inverse = linalg.invert(((1, 2), (3, 4)))
+    assert inverse == ((F(-2), F(1)), (F(3, 2), F(-1, 2)))
+    sols = linalg.solve_in_basis([(1, 3), (0, k)], [(1, 3 + k), (0, 1)])
+    assert sols == [(F(1), F(1)), (F(0), F(1, k))]
+    assert {type(x) for v in inverse + tuple(sols) for x in v} == {Fraction}
+
+
+dense_fraction_st = st.builds(F, st.integers(-50, 50), st.integers(1, 50))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(dense_fraction_st, min_size=n, max_size=n), min_size=n + 1, max_size=n + 1)))
+def test_integer_elimination_matches_the_fraction_reference(rows):
+    m, rhs = tuple(map(tuple, rows[:-1])), tuple(rows[-1])
+    n = len(m)
+    cols = list(zip(*m))
+    rhss = [rhs] + [linalg.basis_vector(n, j) for j in range(n)]
+    want = [reference_solve_in_basis(cols, b) for b in rhss]
+    assert repr(linalg.solve_in_basis(cols, rhss)) == repr(want)
+    if any(w is None for w in want):
+        with pytest.raises(ValueError, match="singular matrix"):
+            linalg.invert(m)
+    else:
+        assert repr(linalg.invert(m)) == repr(tuple(zip(*want[1:])))
+
+
+def test_integer_division_is_checked():
+    assert linalg._divexact(-12, 4) == -3
+    with pytest.raises(InternalInvariantViolation):
+        linalg._divexact(7, 2)
 
 
 def test_poly_basics():
@@ -368,6 +441,9 @@ def test_poly_adjugate_needs_row_swaps():
     assert d == (F(0), F(-2))
     assert poly_mat_mul(adj, rows) == tuple(
         tuple(d if i == j else () for j in range(3)) for i in range(3))
+    # the 0 x 0 matrix: determinant 1, empty adjugate
+    assert linalg.poly_det([]) == (1,)
+    assert linalg.poly_adjugate([]) == ((1,), ())
 
 
 def dense_mat_vec(m, v):
