@@ -250,14 +250,23 @@ class SubalgebraSplit:
 
 
 def _projectors(alg, h_basis, n_basis):
-    """P_h = (h columns of B)(first dh rows of B^-1), B the base change; P_n = 1 - P_h."""
+    """P_h = (h columns of B)(first dh rows of B^-1), B the base change; P_n = 1 - P_h.
+
+    Both come from integers: B's h-column numerators times the rows of
+    d B^-1 that the elimination leaves, over one denominator, one Fraction
+    per entry.  The float mode runs the same sums on the values, over 1.
+    """
     n = alg.dim
-    inv = linalg.invert(tuple(zip(*h_basis, *n_basis)))
-    if h_basis:
-        proj_h = linalg.mat_mul(tuple(zip(*h_basis)), inv[:len(h_basis)])
-    else:
-        proj_h = linalg.zero_matrix(n)
-    proj_n = linalg.mat_sub(linalg.identity(n), proj_h)
+    rows, den = linalg.numerators(tuple(zip(*h_basis, *n_basis)))
+    inv, d = linalg.invert_numerators(rows, den)
+    den = (1 if type(den) is float else den) * d
+    ph = []
+    for row in rows:
+        support = [(l, b) for l, b in enumerate(row[:len(h_basis)]) if b]
+        ph.append([sum((inv[l][k] * b for l, b in support), 0) for k in range(n)])
+    proj_h = tuple(linalg.from_numerators(row, den) for row in ph)
+    proj_n = tuple(linalg.from_numerators([(den if i == k else 0) - x for k, x in enumerate(row)],
+                                          den) for i, row in enumerate(ph))
     return proj_h, proj_n
 
 

@@ -6,25 +6,31 @@ Each family scales its coefficient matrices once to integer numerators over
 one common denominator D, and runs on those integer polynomials from then
 on: it computes the determinant and adjugate of the numerator family once,
 by the fraction-free Gauss-Jordan elimination of linalg over Z[eps], and
-caches both.  Every later solve is one integer polynomial matrix-vector
-product (adjugate times the right-hand side's numerators) and one
-fraction-free series division by the determinant; each output coefficient
-becomes a Fraction once, scaled by D over the right-hand side's denominator.
-The elimination divides exactly and checks every remainder; an inexact
-division raises InternalInvariantViolation, so the cached adjugate checks
-itself.  The valuation at 0 of each component is read
-off exactly; a negative valuation certifies that the limit does not exist
-and surfaces as PoleError.  A determinant that is the zero polynomial raises
-SingularFamily.  The rescaled bracket lifts its two arguments, vectors (the
-contraction) or polynomials (the general expansion), through the integer
-coefficient matrices by the jets module's truncated Cauchy product, and
-brackets them on numerators.
+caches both.  From them it builds, once and on demand, the Taylor
+coefficients G_t of eps^v times its inverse, eps^v the largest power of the
+parameter dividing the determinant: the adjugate times a fraction-free
+reciprocal of the determinant's cofactor, each G_t an integer matrix over one
+denominator, kept in sparse rows.  A caller asking for a higher order extends
+the table; nothing is rebuilt.  Every solve is then a truncated convolution
+of that table with the integer numerators of the right-hand side; each
+output coefficient becomes a Fraction once, scaled by D over the right-hand
+side's denominator.  The elimination divides exactly and checks every
+remainder; an inexact division raises InternalInvariantViolation, so the
+cached adjugate checks itself.  The valuation at 0 of the solution is read
+off exactly: a nonzero coefficient below eps^v certifies that the limit does
+not exist and surfaces as PoleError.  A determinant that is the zero
+polynomial raises SingularFamily.  The rescaled bracket lifts its two
+arguments, vectors (the contraction) or polynomials (the general expansion),
+through the integer coefficient matrices by the jets module's truncated
+Cauchy product, brackets them on numerators and hands the numerators of the
+bracket to the solve as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd, lcm
 
 from .algebra import LieAlgebra, SubalgebraSplit
 from .errors import (
@@ -34,7 +40,7 @@ from .errors import (
     SingularFamily,
 )
 from . import linalg
-from .jets import Jet, _cauchy, bracket_series
+from .jets import Jet, _cauchy, bracket_numerators
 from .linalg import as_matrix
 
 MAX_FAMILY_DEGREE = 8
@@ -96,6 +102,55 @@ class ContractionFamily:
         """Adjugate of the numerator family, computed once; needs _det != 0."""
         return linalg.poly_adjugate(self._numerators[1])[1]
 
+    @cached_property
+    def _inverse(self):
+        """Taylor table of eps^v times the numerator family's inverse; needs _det != 0."""
+        return _InverseSeries(self._det, self._adjugate)
+
+
+class _InverseSeries:
+    """Taylor coefficients G_t of eps^v A^-1, for A a square integer polynomial matrix.
+
+    With det A = eps^v dt(eps) and d0 = dt(0) != 0, eps^v A^-1 = adj(A) / dt.
+    The reciprocal of dt is fraction-free: 1/dt = sum_m beta_m eps^m / d0**(m+1)
+    with beta_0 = 1 and beta_m = -sum_{j>=1} dt_j beta_(m-j) d0**(j-1), so G_t
+    is the integer matrix N_t = sum_s adj_s beta_(t-s) d0**s over d0**(t+1).
+    ``terms`` holds each nonzero G_t as (t, rows, den), reduced by the gcd of
+    its entries and den, with rows its nonzero rows (i, ((j, x), ...));
+    ``extend`` grows it, so each coefficient is computed once.
+    """
+
+    def __init__(self, det, adj):
+        self.valuation = linalg.poly_valuation(det)
+        self._dt = det[self.valuation:]
+        self._adj = adj
+        self._beta = []
+        self._powers = [1]  # powers of d0
+        self.terms = []
+
+    def extend(self, count):
+        """Grow the table to G_0 .. G_(count-1); returns ``terms``."""
+        dt, beta, powers = self._dt, self._beta, self._powers
+        while len(powers) <= count:
+            powers.append(powers[-1] * dt[0])
+        for t in range(len(beta), count):
+            beta.append(-sum(dt[j] * beta[t - j] * powers[j - 1]
+                             for j in range(1, min(t, len(dt) - 1) + 1)) if t else 1)
+            # (s, beta_(t-s) d0**s) for the nonzero beta only: one pair when dt is constant
+            factors = [(t - k, b * powers[t - k]) for k, b in enumerate(beta) if b]
+            rows = []
+            for i, adj_row in enumerate(self._adj):
+                row = [(j, x) for j, x in enumerate(
+                    sum(p[s] * f for s, f in factors if s < len(p)) for p in adj_row) if x]
+                if row:
+                    rows.append((i, row))
+            if rows:
+                den = powers[t + 1]
+                g = gcd(den, *(x for _, row in rows for _, x in row))
+                self.terms.append((t, tuple((i, tuple((j, x // g) for j, x in row))
+                                            for i, row in rows), den // g))
+        return self.terms
+
 
 def iw_family(split: SubalgebraSplit) -> ContractionFamily:
     """Family fixing the subalgebra and rescaling the complement linearly."""
@@ -107,42 +162,43 @@ def invert_family_apply(fam: ContractionFamily, r: Jet, order: int) -> Jet:
 
     The stored coefficients of r are taken as the exact polynomial.  If any
     component of w has a pole at 0, raises PoleError carrying the most
-    negative valuation; if the family determinant vanishes identically,
-    raises SingularFamily.
+    negative valuation and the first component reaching it; if the family
+    determinant vanishes identically, raises SingularFamily.
+
+    With D the family's denominator and R / r_den the numerators of r,
+    eps^v w = D (G R) / r_den, so coefficient m of G R, a convolution of the
+    family's Taylor table with R, is coefficient m - v of w.
     """
     if fam.dim != r.dim:
         raise DimensionMismatch("jet dimension differs from family dimension")
     if order >= r.trunc:
         raise DimensionMismatch("requested order must stay below the jet truncation")
-    det = fam._det
-    if not det:
+    if not fam._det:
         raise SingularFamily("family determinant is the zero polynomial")
+    inverse = fam._inverse
+    v = inverse.valuation
     rows, r_den = r.numerators
-    rhs = [linalg.poly_trim(c[j] for c in rows) for j in range(fam.dim)]
-    det_val = linalg.poly_valuation(det)
-    numerators = []
-    worst = None  # (valuation, component)
-    for i, adj_row in enumerate(fam._adjugate):
-        num = ()
-        for a, b in zip(adj_row, rhs):
-            if a and b:
-                num = linalg.poly_add(num, linalg.poly_mul(a, b))
-        numerators.append(num)
-        if num:
-            val = linalg.poly_valuation(num) - det_val
-            if val < 0 and (worst is None or val < worst[0]):
-                worst = (val, i)
-    if worst is not None:
-        val, comp = worst
-        raise PoleError(
-            f"component {fam.algebra.basis_names[comp]} has valuation {val} at 0",
-            valuation=val, component=comp)
-    # w = D adj R / (r_den det), with R and adj R integer numerators
-    den = linalg.vec_scale(r_den, det)
+    terms = inverse.extend(v + order + 1)
     scale = fam._numerators[2]
-    series = [linalg.poly_series_div(linalg.vec_scale(scale, num), den, order)
-              for num in numerators]
-    return Jet(fam.dim, order + 1, tuple(zip(*series)))
+    coeffs = []
+    for m in range(v + order + 1):
+        parts = [(mat, den, rows[m - t]) for t, mat, den in terms
+                 if t <= m < t + len(rows) and any(rows[m - t])]
+        common = lcm(*(den for _, den, _ in parts))
+        acc = [0] * fam.dim
+        for mat, den, x in parts:
+            f = common // den
+            for i, row in mat:
+                acc[i] += f * sum(a * x[j] for j, a in row)
+        if m < v:
+            comp = next((i for i, c in enumerate(acc) if c), None)
+            if comp is not None:
+                raise PoleError(
+                    f"component {fam.algebra.basis_names[comp]} has valuation {m - v} at 0",
+                    valuation=m - v, component=comp)
+        else:
+            coeffs.append(linalg.from_numerators([scale * c for c in acc], r_den * common))
+    return Jet(fam.dim, order + 1, tuple(coeffs))
 
 
 def _rescaled_bracket(fam: ContractionFamily, xs, ys, order: int) -> Jet:
@@ -151,7 +207,7 @@ def _rescaled_bracket(fam: ContractionFamily, xs, ys, order: int) -> Jet:
     xs and ys are the coefficient tuples of polynomials in the parameter.
     Each is lifted through the family's integer coefficient matrices on
     numerators, the two lifts are bracketed on numerators, and the result is
-    solved back exactly.
+    solved back exactly, its numerators handed over as they are.
     """
     trunc = max(2 * (len(xs) - 1 + fam.degree), order) + 1
     mats, _, den = fam._numerators
@@ -160,7 +216,7 @@ def _rescaled_bracket(fam: ContractionFamily, xs, ys, order: int) -> Jet:
         rows, v_den = linalg.numerators([fam.algebra.vector(v) for v in vs])
         lift = _cauchy(mats, rows, trunc, linalg.mat_vec, linalg.vec_add, (0,) * fam.dim)
         lifts.append((lift, den * v_den))
-    r = Jet(fam.dim, trunc, bracket_series(fam.algebra, *lifts, trunc))
+    r = Jet.from_numerators(fam.dim, trunc, *bracket_numerators(fam.algebra, *lifts, trunc))
     return invert_family_apply(fam, r, order)
 
 

@@ -10,17 +10,19 @@ matrix jets (the matrix product of the oracle), the slot tuples of an
 expansion and the contraction family's lift of a polynomial (integer
 coefficient matrices acting on integer numerators): it works on plain
 coefficient sequences and skips zero coefficients.  The bracket
-convolution, ``bracket_series``, runs it on integers: it takes each
-coefficient sequence as integer numerators over one denominator, the
-algebra's integer bracket table does the products, and each output
-coefficient is divided once.  A Jet scales its coefficients to numerators
-once, in ``Jet.numerators``, however many brackets read them.
+convolution, ``bracket_numerators``, runs it on integers: it takes each
+coefficient sequence as integer numerators over one denominator, and the
+algebra's integer bracket table does the products; ``bracket_series``
+divides each output coefficient once.  A Jet scales its coefficients to
+numerators once, in ``Jet.numerators``, however many brackets read them; a
+Jet built by ``Jet.from_numerators`` keeps the numerators it was built from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 from .errors import DimensionMismatch
 from . import linalg
@@ -51,15 +53,21 @@ def _cauchy(p, q, trunc, mul, add, zero):
     return out
 
 
-def bracket_series(alg, p, q, trunc):
+def bracket_numerators(alg, p, q, trunc):
     """The first ``trunc`` coefficients of the bracket of two vector coefficient sequences.
 
     ``p`` and ``q`` come as ``linalg.numerators`` pairs (rows, den); when
     one of them holds a float, both run in floats (``linalg.floats_if_mixed``).
+    Returns the bracket as such a pair, not reduced.
     """
     (p, dp), (q, dq) = linalg.floats_if_mixed([p, q])
     out = _cauchy(p, q, trunc, alg._numerator_bracket, linalg.vec_add, (0,) * alg.dim)
-    den = dp * dq * alg._table[0]
+    return out, dp * dq * alg._table[0]
+
+
+def bracket_series(alg, p, q, trunc):
+    """``bracket_numerators`` with each coefficient divided out, once."""
+    out, den = bracket_numerators(alg, p, q, trunc)
     return [linalg.from_numerators(v, den) for v in out]
 
 
@@ -89,6 +97,21 @@ class Jet:
     @classmethod
     def make(cls, dim, trunc, coeffs):
         return cls(dim, trunc, tuple(as_vector(c) for c in coeffs))
+
+    @classmethod
+    def from_numerators(cls, dim, trunc, rows, den):
+        """The jet with coefficients rows[k] / den, for integer rows and den > 0.
+
+        The pair, reduced by the gcd of den and every entry, becomes the
+        jet's ``numerators`` as it is; it equals ``linalg.numerators`` of the
+        coefficients, so the coefficients are never scaled back.
+        """
+        jet = cls(dim, trunc, tuple(linalg.from_numerators(v, den) for v in rows[:trunc]))
+        rows = rows[:len(jet.coeffs)]
+        g = gcd(den, *(x for v in rows for x in v))
+        # fills the cached_property below, as its first read would
+        jet.__dict__["numerators"] = (tuple(tuple(x // g for x in v) for v in rows), den // g)
+        return jet
 
     @classmethod
     def zero(cls, dim, trunc):

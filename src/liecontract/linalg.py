@@ -11,12 +11,12 @@ Every elimination is one fraction-free Gauss-Jordan loop, ``_eliminate``,
 parameterised by the ring's multiply, subtract, exact divide and one.
 ``pivot_columns``, ``solve_in_basis`` and ``invert`` run it over Z on the
 integer numerators of their input (see ``numerators``) and divide each
-output entry once; float input runs it with unit pivots; ``poly_det`` and
+output entry once (``invert_numerators`` hands the inverse over before that
+division); float input runs it with unit pivots; ``poly_det`` and
 ``poly_adjugate`` run it over Z[eps].  ``mat_vec`` and the polynomial
-helpers stay integral on integer input too: ``poly_divexact`` checks the
-remainder, and ``poly_series_div`` is fraction-free and makes one Fraction
-per output coefficient.  On Fraction input the results stay Fractions, with
-every zero a Fraction zero.
+helpers stay integral on integer input too, and ``poly_divexact`` checks the
+remainder.  On Fraction input the results stay Fractions, with every zero a
+Fraction zero.
 """
 
 from __future__ import annotations
@@ -250,20 +250,26 @@ def pivot_columns(vectors, dim):
     return _eliminate_numerators([[v[i] for v in rows] for i in range(dim)], len(rows), den)[0]
 
 
-def invert(m):
-    """Exact inverse of a square rational matrix; ValueError if singular.
+def invert_numerators(rows, den):
+    """(inv, d) with m^-1 = inv / d, for (rows, den) = ``numerators(m)``; ValueError if singular.
 
-    Eliminates [den m | den I], den m the integer numerators of m: the right
-    half ends as d m^-1.  The float mode pairs m with the exact identity.
+    Eliminates [den m | den I]: the right half ends as d m^-1, an integer
+    matrix.  The float mode (den 1.0) pairs m with the exact identity, and
+    its d is 1.
     """
-    n = len(m)
-    rows, den = numerators(m)
+    n = len(rows)
     one, zero = (ONE, ZERO) if type(den) is float else (den, 0)
     aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(rows)]
     pivots, d = _eliminate_numerators(aug, n, den)
     if len(pivots) < n:
         raise ValueError("singular matrix")
-    return tuple(from_numerators(row[n:], d) for row in aug)
+    return [row[n:] for row in aug], d
+
+
+def invert(m):
+    """Exact inverse of a square rational matrix; ValueError if singular."""
+    inv, d = invert_numerators(*numerators(m))
+    return tuple(from_numerators(row, d) for row in inv)
 
 
 def solve_in_basis(columns, rhss):
@@ -371,41 +377,6 @@ def poly_divexact(num, den):
     if any(c != 0 for c in num):
         raise InternalInvariantViolation("inexact polynomial division")
     return poly_trim(q)
-
-
-def poly_series_div(num, den, order):
-    """Taylor coefficients 0..order of num/den, which must be regular at 0.
-
-    The caller guarantees valuation(num) >= valuation(den) (or num == 0).
-    The recurrence is fraction-free: with d0 the lowest coefficient of den,
-    c_m = d0**(m+1) times coefficient m satisfies
-    c_m = d0**m num_m - sum_{j<m} c_j d0**(m-1-j) den_(m-j), so integer input
-    stays integral and each coefficient is divided once, at the end, by
-    ``from_numerators`` (a Fraction for integers).
-    """
-    den = poly_trim(den)
-    v = poly_valuation(den)
-    if v is None:
-        raise ZeroDivisionError("series division by zero")
-    num = poly_trim(num)
-    if not num:
-        return (ZERO,) * (order + 1)
-    if poly_valuation(num) < v:
-        raise ValueError("quotient is not regular at 0")
-    ns = num[v:]
-    ds = den[v:]
-    powers = [1]  # powers of d0
-    for _ in range(order + 1):
-        powers.append(powers[-1] * ds[0])
-    c = []
-    for m in range(order + 1):
-        acc = ns[m] * powers[m] if m < len(ns) else 0
-        for j in range(m):
-            step = m - j
-            if step < len(ds) and ds[step] and c[j]:
-                acc -= c[j] * powers[step - 1] * ds[step]
-        c.append(acc)
-    return from_numerators([x * powers[order - m] for m, x in enumerate(c)], powers[order + 1])
 
 
 def poly_det(rows):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from liecontract import linalg
 from liecontract.algebra import (
-    LieAlgebra, ValidationReport, span_subalgebra, split_with_complement)
+    LieAlgebra, ValidationReport, _projectors, span_subalgebra, split_with_complement)
 from liecontract.catalog import builtin, subalgebra_catalog
 from liecontract.errors import DimensionMismatch, NotASubalgebra, UnknownAlgebra
 
@@ -316,6 +316,36 @@ def test_projector_identities():
                 x = linalg.random_vector(rng, alg.dim)
                 assert split.contains(split.project_h(x))
                 assert split.contains(x) == (split.project_h(x) == x)
+
+
+def product_projectors(n, h_basis, n_basis):
+    """P_h as the matrix product of the h columns of B and the first dh rows of B^-1."""
+    inv = linalg.invert(tuple(zip(*h_basis, *n_basis)))
+    if h_basis:
+        proj_h = linalg.mat_mul(tuple(zip(*h_basis)), inv[:len(h_basis)])
+    else:
+        proj_h = linalg.zero_matrix(n)
+    return proj_h, linalg.mat_sub(linalg.identity(n), proj_h)
+
+
+def test_projectors_match_the_matrix_product_bit_for_bit():
+    """Exact, float and mixed bases give the product's projectors, by repr."""
+    rng = random.Random(12)
+    entries = (0, 0, 1, -1, F(1, 3), F(-5, 2), F(7, 10 ** 9 + 7), 0.0, -0.0, 0.1, -2.5, 1e-300)
+    for trial in range(600):
+        n = rng.randint(1, 5)
+        mode = trial % 3  # exact, float, mixed
+        cols = [[F(rng.choice(entries[:7])) if mode == 0 or (mode == 2 and rng.random() < 0.5)
+                 else float(rng.choice(entries)) for _ in range(n)] for _ in range(n)]
+        dh = rng.randint(0, n)
+        args = (n, tuple(map(tuple, cols[:dh])), tuple(map(tuple, cols[dh:])))
+        try:
+            want = product_projectors(*args)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _projectors(builtin(f"abelian({n})")[0], *args[1:])
+            continue
+        assert repr(_projectors(builtin(f"abelian({n})")[0], *args[1:])) == repr(want)
 
 
 def test_coset_reduce_examples(so3, heis3):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liecontract import linalg
+from liecontract import contraction, linalg
 from liecontract.algebra import LieAlgebra, span_subalgebra, split_with_complement
 from liecontract.catalog import builtin, subalgebra_catalog
 from liecontract.contraction import (
@@ -296,6 +296,74 @@ def component_polys(r):
     return tuple(linalg.poly_trim(tuple(c[i] for c in r.coeffs)) for i in range(r.dim))
 
 
+def poly_series_div(num, den, order):
+    """Taylor coefficients 0..order of num/den, which must be regular at 0.
+
+    The caller guarantees valuation(num) >= valuation(den) (or num == 0).
+    The recurrence is fraction-free: with d0 the lowest coefficient of den,
+    c_m = d0**(m+1) times coefficient m satisfies
+    c_m = d0**m num_m - sum_{j<m} c_j d0**(m-1-j) den_(m-j), so integer input
+    stays integral and each coefficient is divided once, at the end, by
+    ``from_numerators`` (a Fraction for integers).
+    """
+    den = linalg.poly_trim(den)
+    v = linalg.poly_valuation(den)
+    if v is None:
+        raise ZeroDivisionError("series division by zero")
+    num = linalg.poly_trim(num)
+    if not num:
+        return (ZERO,) * (order + 1)
+    if linalg.poly_valuation(num) < v:
+        raise ValueError("quotient is not regular at 0")
+    ns = num[v:]
+    ds = den[v:]
+    powers = [1]  # powers of d0
+    for _ in range(order + 1):
+        powers.append(powers[-1] * ds[0])
+    c = []
+    for m in range(order + 1):
+        acc = ns[m] * powers[m] if m < len(ns) else 0
+        for j in range(m):
+            step = m - j
+            if step < len(ds) and ds[step] and c[j]:
+                acc -= c[j] * powers[step - 1] * ds[step]
+        c.append(acc)
+    return linalg.from_numerators([x * powers[order - m] for m, x in enumerate(c)],
+                                  powers[order + 1])
+
+
+def test_poly_series_div_against_multiplication():
+    rng = random.Random(3)
+    for _ in range(25):
+        num = linalg.poly_trim([linalg.random_fraction(rng) for _ in range(4)])
+        den = [linalg.random_fraction(rng) for _ in range(3)]
+        den[0] = den[0] if den[0] != 0 else F(1)
+        den = linalg.poly_trim(den)
+        order = 6
+        series = poly_series_div(num, den, order)
+        # multiplying back must reproduce num through the requested order
+        back = linalg.poly_mul(series, den)
+        padded = back + (F(0),) * (order + 1)
+        want = num + (F(0),) * (order + 1)
+        assert padded[: order + 1] == want[: order + 1]
+        # integer input gives the same Fractions
+        ints = [linalg.poly_trim(int(x * 12) for x in p) for p in (num, den)]
+        series = poly_series_div(*ints, order)
+        assert series == poly_series_div(num, den, order)
+        assert {type(x) for x in series} == {Fraction}
+
+
+def test_poly_series_div_requires_regularity():
+    with pytest.raises(ValueError):
+        poly_series_div((F(1),), (F(0), F(1)), 3)
+
+
+def pole_error(fam, valuation, component):
+    """The PoleError invert_family_apply raises for this valuation and component."""
+    return PoleError(f"component {fam.algebra.basis_names[component]} has valuation "
+                     f"{valuation} at 0", valuation=valuation, component=component)
+
+
 def cramer_invert_family_apply(fam, r, order):
     """Reference for invert_family_apply: one determinant per component.
 
@@ -319,9 +387,9 @@ def cramer_invert_family_apply(fam, r, order):
             if val < 0 and (worst is None or val < worst[0]):
                 worst = (val, i)
     if worst is not None:
-        raise PoleError("pole", valuation=worst[0], component=worst[1])
+        raise pole_error(fam, *worst)
     series = [
-        linalg.poly_series_div(num, den, order) if num else (ZERO,) * (order + 1)
+        poly_series_div(num, den, order) if num else (ZERO,) * (order + 1)
         for num in numerators
     ]
     coeffs = tuple(tuple(series[i][m] for i in range(fam.dim)) for m in range(order + 1))
@@ -440,7 +508,7 @@ def reference_invert_family_apply(fam, r, order):
             if val < 0 and (worst is None or val < worst[0]):
                 worst = (val, i)
     if worst is not None:
-        raise PoleError("pole", valuation=worst[0], component=worst[1])
+        raise pole_error(fam, *worst)
     series = [reference_series_div(num, den, order) for num in numerators]
     coeffs = tuple(tuple(series[i][m] for i in range(fam.dim)) for m in range(order + 1))
     return Jet(fam.dim, order + 1, coeffs)
@@ -462,7 +530,7 @@ def exact_outcome(solve, *args):
     try:
         jet = solve(*args)
     except PoleError as err:
-        return ("pole", err.valuation, err.component)
+        return ("pole", str(err), err.valuation, err.component)
     except SingularFamily:
         return ("singular",)
     return ("jet", jet.dim, jet.trunc, [[(type(x), repr(x)) for x in c] for c in jet.coeffs])
@@ -532,6 +600,20 @@ def test_integer_family_path_matches_fraction_reference(case, order):
         exact_outcome(reference_eps_bracket, fam, x, y, order)
 
 
+@settings(max_examples=150, deadline=None)
+@given(families(), st.integers(1, 4), st.data())
+def test_invert_family_apply_matches_both_references(case, order, data):
+    """The cached inverse table against the Fraction adjugate and against Cramer's rule."""
+    fam = case[0]
+    n = fam.dim
+    coeffs = st.tuples(*[st.sampled_from(FAMILY_ENTRIES)] * n)
+    trunc = data.draw(st.integers(order + 1, order + 3))
+    r = Jet.make(n, trunc, data.draw(st.lists(coeffs, min_size=1, max_size=trunc)))
+    got = exact_outcome(invert_family_apply, fam, r, order)
+    assert got == exact_outcome(reference_invert_family_apply, fam, r, order)
+    assert got == exact_outcome(cramer_invert_family_apply, fam, r, order)
+
+
 def general_bracket_tuples(fam, k, xs, ys):
     """GeneralExpansion.bracket_tuples, with a pole it wraps raised as the PoleError.
 
@@ -592,13 +674,22 @@ def test_contract_scales_and_eliminates_once_per_family(monkeypatch):
     monkeypatch.setattr(linalg, "numerators", counted_numerators)
     monkeypatch.setattr(linalg, "poly_adjugate", counted("adjugate", linalg.poly_adjugate))
     monkeypatch.setattr(linalg, "poly_det", counted("det", linalg.poly_det))
+    monkeypatch.setattr(contraction, "_InverseSeries",
+                        counted("table", contraction._InverseSeries))
     contract(fams[0])
-    assert calls == {"scaling": 1, "adjugate": 1, "det": 1}
-    for a in range(alg.dim):
-        eps_bracket(fams[0], alg.basis_vector(a), alg.basis_vector(alg.dim - 1 - a), order=2)
-    assert calls == {"scaling": 1, "adjugate": 1, "det": 1}
+    assert calls == {"scaling": 1, "adjugate": 1, "det": 1, "table": 1}
+    table = fams[0]._inverse
+    # higher orders extend the one table, and neither eliminate nor rebuild it
+    for order in (2, 4):
+        for a in range(alg.dim):
+            eps_bracket(fams[0], alg.basis_vector(a), alg.basis_vector(alg.dim - 1 - a),
+                        order=order)
+    GeneralExpansion(fams[0], 3).bracket_tuples([alg.basis_vector(0)] * 4,
+                                                [alg.basis_vector(9)] * 4)
+    assert calls == {"scaling": 1, "adjugate": 1, "det": 1, "table": 1}
+    assert fams[0]._inverse is table
     contract(fams[1])
-    assert calls == {"scaling": 2, "adjugate": 2, "det": 2}
+    assert calls == {"scaling": 2, "adjugate": 2, "det": 2, "table": 2}
     # the general expansion lifts on the family's integer numerators, without a matrix jet
     monkeypatch.setattr(MatrixJet, "__post_init__",
                         counted("matrix jet", MatrixJet.__post_init__))
@@ -606,4 +697,4 @@ def test_contract_scales_and_eliminates_once_per_family(monkeypatch):
     e = alg.basis_vector
     for a in range(10):
         expansion.bracket_tuples((e(a), e(9 - a)), (e(9 - a), e((a + 3) % 10)))
-    assert calls == {"scaling": 3, "adjugate": 3, "det": 3}
+    assert calls == {"scaling": 3, "adjugate": 3, "det": 3, "table": 3}

@@ -92,6 +92,21 @@ def test_numerators_reproduce_coefficients():
     assert Jet.zero(3, 6).numerators == ((), 1)
 
 
+int_rows_st = st.lists(st.tuples(*[st.sampled_from((0, 0, 1, -2, 6, 12, -30, 7 * 2 ** 70))] * 3),
+                       max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_rows_st, st.sampled_from((1, 2, 6, 12, 60, 2 ** 70, 3 ** 40)), st.integers(1, 6))
+def test_jet_from_numerators_keeps_the_reduced_numerators(rows, den, trunc):
+    """Jet.from_numerators hands on exactly the pair linalg.numerators would compute."""
+    jet = Jet.from_numerators(3, trunc, rows, den)
+    assert jet == Jet(3, trunc, tuple(tuple(F(x, den) for x in row) for row in rows))
+    assert all(type(x) is F for c in jet.coeffs for x in c)
+    assert jet.numerators == linalg.numerators(jet.coeffs)
+    assert all(type(x) is int for row in jet.numerators[0] for x in row)
+
+
 def test_bracket_poly_so3_rescaled_generators():
     p = jet3([(0, 0, 0), (1, 0, 0)])  # eps*X1
     q = jet3([(0, 0, 0), (0, 1, 0)])  # eps*X2
