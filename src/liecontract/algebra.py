@@ -11,6 +11,12 @@ f[a][b] with a < b as integer numerators over one common denominator D.
 denominator, runs the pair loop on ints and builds one Fraction per output
 component; the jet convolution and the Jacobi sweep of ``validate`` read the
 same table.
+
+A subalgebra split keeps each projector as integer numerators over one
+denominator, and a copy rounded once to floats.  An exact vector is
+projected in one integer product with one Fraction per entry; a float vector
+(the numeric mode) meets the rounded copy, with the float bits that the
+exact projector gives when it is rounded at each product.
 """
 
 from __future__ import annotations
@@ -147,8 +153,11 @@ class LieAlgebra:
 
         Both vectors are scaled to numerators together.  When either holds a
         float (the numeric mode of the group layer) both run through the same
-        loop as they are, so an exact entry meets a float as a Fraction does,
-        and come back as floats.
+        loop as they are, so an exact entry meets a float as a Fraction does.
+        A component that some nonzero product reaches then comes back a float
+        (0.0 where the products cancel); any other is a Fraction zero:
+        [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)] on so3 is
+        (Fraction(0, 1), Fraction(0, 1), 1.0).
         """
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vector length differs from algebra dimension")
@@ -234,11 +243,41 @@ class SubalgebraSplit:
     def dim_n(self):
         return len(self.n_basis)
 
+    @cached_property
+    def _projector_forms(self):
+        """Each projector exact, as integer numerators over one denominator, and as floats.
+
+        Maps "h" and "n" to (proj, rows, den, floats): proj is rows / den,
+        and floats is ``linalg.rounded(rows, den)`` with 0.0 for zeros, each
+        entry rounded once: a float matrix, never taken for an integer one.
+        """
+        forms = {}
+        for key, proj in (("h", self.proj_h), ("n", self.proj_n)):
+            rows, den = linalg.numerators(proj)
+            forms[key] = (proj, rows, den, linalg.rounded(rows, den, zero=0.0))
+        return forms
+
+    def _project(self, key, x):
+        """The projector ``key`` times x.
+
+        Exact x runs one integer product and makes one Fraction per entry.
+        Float x (every nonzero entry a float) meets the rounded projector;
+        the floats are those of the exact projector, rounded at each product.
+        Mixed x meets the exact projector, as a loop on Fractions does.
+        """
+        proj, rows, den, floats = self._projector_forms[key]
+        if not any(x):  # the zero vector: Fraction zeros, with no numerators to form
+            return linalg.mat_vec(proj, x)
+        [v], vden = linalg.numerators([x])
+        if type(vden) is int:
+            return linalg.from_numerators(linalg.mat_vec(rows, v), den * vden)
+        return linalg.mat_vec(floats if all(type(b) is float for b in x if b) else proj, x)
+
     def project_h(self, x):
-        return linalg.mat_vec(self.proj_h, x)
+        return self._project("h", x)
 
     def project_n(self, x):
-        return linalg.mat_vec(self.proj_n, x)
+        return self._project("n", x)
 
     def coset_reduce(self, x):
         """Canonical representative of x modulo the subalgebra."""

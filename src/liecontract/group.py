@@ -7,6 +7,12 @@ star lifts the tuples to polynomials through zero, multiplies them with the
 truncated BCH product, and reads the first k+1 coefficients back, reducing
 the last one modulo the subalgebra.  Rational data stays exact; matrices with
 float entries are accepted and validated against a small tolerance.
+
+In that numeric mode exact data meets floats rounded once: ``h_element``
+reads [X_a, X_b] off the structure constants, rounded once per group, and
+the split's projectors are rounded once per split.  The results have the
+bits and types of the exact values rounded at each product, Fraction zeros
+included.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import SubalgebraSplit
 from .bch import local_mult
@@ -35,7 +42,13 @@ def _matrix_exact(m):
 
 
 def _close(u, v, tol):
-    return all(abs(a - b) <= tol for a, b in zip(u, v))
+    """|a - b| <= tol entrywise.
+
+    A zero side is not subtracted (|a - 0| is |a|, and two zeros compare as
+    the int 0), so a float never meets one of the Fraction zeros that the
+    numeric mode returns.
+    """
+    return all(abs(a - b if a and b else a or b or 0) <= tol for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -115,6 +128,19 @@ class ExpansionGroup:
 
     # ----- subgroup part -------------------------------------------------
 
+    @cached_property
+    def _basis_brackets(self):
+        """(a, b, [X_a, X_b], the same rounded to floats) for a < b.
+
+        The brackets are the structure rows f[a][b], read off the tensor; the
+        floats are ``linalg.rounded`` over the rows' common denominator.
+        """
+        alg = self.algebra
+        pairs = [(a, b) for a in range(alg.dim) for b in range(a + 1, alg.dim)]
+        rows = [alg.structure[a][b] for a, b in pairs]
+        floats = linalg.rounded(*linalg.numerators(rows))
+        return tuple((a, b, row, f) for (a, b), row, f in zip(pairs, rows, floats))
+
     def h_element(self, ad, defining=None, tol=FLOAT_TOL) -> HElement:
         """Validate and wrap an adjoint matrix.
 
@@ -129,19 +155,18 @@ class ExpansionGroup:
             raise DimensionMismatch("adjoint matrix must be square of the algebra dimension")
         exact = _matrix_exact(ad)
         check_tol = 0 if exact else tol
+        floats = not exact and all(type(x) is float for row in ad for x in row)
         cols = list(zip(*ad))
-        for a in range(n):
-            for b in range(a + 1, n):
-                lhs = linalg.mat_vec(ad, alg.bracket(alg.basis_vector(a), alg.basis_vector(b)))
-                rhs = alg.bracket(cols[a], cols[b])
-                if not _close(lhs, rhs, check_tol):
-                    raise DimensionMismatch(
-                        f"matrix is not a bracket automorphism at pair "
-                        f"({alg.basis_names[a]}, {alg.basis_names[b]})")
+        for a, b, row, rounded in self._basis_brackets:
+            lhs = linalg.mat_vec(ad, rounded if floats else row)
+            rhs = alg.bracket(cols[a], cols[b])
+            if not _close(lhs, rhs, check_tol):
+                raise DimensionMismatch(
+                    f"matrix is not a bracket automorphism at pair "
+                    f"({alg.basis_names[a]}, {alg.basis_names[b]})")
         for v in self.split.h_basis:
-            image = linalg.mat_vec(ad, v)
-            if not _close(self.split.project_n(image),
-                          linalg.zero_vector(n), check_tol):
+            image = self.split.project_n(linalg.mat_vec(ad, v))
+            if not all(abs(x) <= check_tol for x in image):
                 raise DimensionMismatch("matrix does not preserve the subalgebra")
         if len(linalg.pivot_columns(cols, n)) < n:
             raise DimensionMismatch("adjoint matrix is singular")

@@ -17,6 +17,14 @@ division); float input runs it with unit pivots; ``poly_det`` and
 helpers stay integral on integer input too, and ``poly_divexact`` checks the
 remainder.  On Fraction input the results stay Fractions, with every zero a
 Fraction zero.
+
+Exact values meet floats rounded once: ``rounded`` turns integer numerators
+over a denominator into floats, n / den rounded as float(Fraction) rounds
+it, and callers that meet floats again and again (``floats_if_mixed``, the
+split projectors, the group's structure constants) keep the rounded copy.
+``mat_vec`` sums float products in floats from 0.0, left to right, which
+gives the bits of a sum from the Fraction zero; where no product reaches an
+entry, it is a Fraction zero, in the numeric mode too.
 """
 
 from __future__ import annotations
@@ -104,13 +112,32 @@ def mat_vec(m, v):
     """The product m v, summed over the support of v only.
 
     An integer matrix times an integer vector (numerators) sums from int 0 and
-    stays integral; any other product sums from ZERO.
+    stays integral.  When every product is a float (each entry of the support
+    of v is a float, or each entry of m is), each exact factor is rounded
+    once and every row is summed left to right from 0.0: the bits that a sum
+    from ZERO gives, as ZERO + p is 0.0 + p.  Any other product sums from
+    ZERO, so exact input stays exact and mixed input meets floats as
+    Fractions do.  An empty support gives int zeros on integer input and
+    Fraction zeros (ZERO) otherwise, float input included.
     """
     if m and len(m[0]) != len(v):
         raise DimensionMismatch("matrix and vector shapes differ")
     support = [(j, b) for j, b in enumerate(v) if b]
-    zero = 0 if m and v and type(m[0][0]) is int and type(v[0]) is int else ZERO
-    return tuple(sum((row[j] * b for j, b in support), zero) for row in m)
+    if m and v and type(m[0][0]) is int and type(v[0]) is int:
+        return tuple(sum((row[j] * b for j, b in support), 0) for row in m)
+    if not support:
+        return (ZERO,) * len(m)
+    if (all(type(b) is float for _, b in support)
+            or all(type(x) is float for row in m for x in row)):
+        support = [(j, b if type(b) is float else float(b)) for j, b in support]
+        out = []
+        for row in m:  # a loop, not sum(), which compensates float sums from Python 3.12 on
+            acc = 0.0
+            for j, b in support:
+                acc += row[j] * b
+            out.append(acc)
+        return tuple(out)
+    return tuple(sum((row[j] * b for j, b in support), ZERO) for row in m)
 
 
 def mat_mul(a, b):
@@ -138,20 +165,29 @@ def numerators(vectors):
                   for v in vectors]), den
 
 
+def rounded(rows, den, zero=0):
+    """The rows rows / den rounded to floats, entry by entry.
+
+    Each nonzero entry is n / den, rounded once, as float(Fraction) rounds
+    it; a zero becomes ``zero``, the int 0 or 0.0, either of which meets a
+    float as ZERO does.
+    """
+    return tuple(tuple(x / den if x else zero for x in row) for row in rows)
+
+
 def floats_if_mixed(pairs):
     """``numerators`` pairs (rows, den) made ready to meet in one product or sum.
 
     Every pair comes back over an int denominator.  When some of the pairs
     hold a float (den 1.0) and the others are exact, each exact pair is
-    rounded to floats over 1, entry by entry (n / den, rounded once, as
-    float(Fraction) rounds; a zero stays the int 0): the arithmetic then runs
-    in floats, as a loop on Fractions runs it, and a large exact numerator
-    never meets a float.
+    ``rounded`` to floats over 1: the arithmetic then runs in floats, as a
+    loop on Fractions runs it, and a large exact numerator never meets a
+    float.
     """
     floats = [type(den) is float for _, den in pairs]
     if True not in floats:
         return pairs
-    return [(rows, 1) if f else (tuple(tuple(x / den if x else 0 for x in row) for row in rows), 1)
+    return [(rows, 1) if f else (rounded(rows, den), 1)
             for (rows, den), f in zip(pairs, floats)]
 
 

@@ -1,7 +1,8 @@
-"""Machine-format CLI output, pinned byte for byte against a recorded file.
+"""CLI output, pinned byte for byte against a recorded file.
 
 Each case runs ``main`` in-process on the spec files in tests/golden and
-compares its exit code, stdout and stderr with tests/golden/cli.json.  After
+compares its exit code, stdout and stderr with tests/golden/cli.json.  A case
+runs in machine format unless its argv starts with its own ``--format``.  After
 a deliberate change of the output, record the file again with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` and review its diff.
 """
@@ -32,17 +33,34 @@ CASES = {
     "expand-sl2-order3-constants": ["expand", "sl2", "--subalgebra", "sl2-h.json",
                                     "--order", "3", "--emit-constants"],
     "verify-seed3": ["verify", "--seed", "3", "--trials", "10"],
+    "verify-default-seed": ["verify"],
+    **{f"example-so3-order{k}{suffix}": [*fmt, "example", "so3", "--order", str(k)]
+       for k in (0, 1) for suffix, fmt in (("", ()), ("-text", ("--format", "text")))},
+    "oracle-so3-order6": ["oracle", "so3", "--order", "6", "--trials", "5", "--seed", "342"],
+    # the star and group-mult literals of the cli-session benchmark at seed 101
+    "star-so3-order5": [
+        "star", "so3", "--subalgebra", "so3-x3.json", "--order", "5",
+        "--a=3/2,-1/1,6/1;-2/1,3/4,-3/4;-6/1,-3/4,-4/1;2/1,2/1,4/3;-1/2,-1/1,-1/2;-5/4,-5/2,-5/1",
+        "--b=-3/1,3/1,3/1;1/4,-5/1,-5/1;1/2,-3/4,1/1;5/4,-1/2,3/1;-5/1,-5/2,-1/3;1/2,5/1,-3/4"],
+    "group-mult-so3-order2": [
+        "group-mult", "so3", "--subalgebra", "so3-x3.json", "--order", "2",
+        "--h1=-4/5,-3/5,0/1;3/5,-4/5,0/1;0/1,0/1,1/1",
+        "--a=-1/3,1/1,3/4;3/2,-1/2,-1/1;-3/2,-5/2,-2/1",
+        "--h2=0/1,-1/1,0/1;1/1,0/1,0/1;0/1,0/1,1/1",
+        "--b=5/3,3/1,-1/2;6/1,2/1,1/2;-5/3,-1/2,-1/2"],
 }
 
 
 def run_case(args):
-    """(exit code, stdout, stderr) of the machine-format command, run from tests/golden."""
+    """(exit code, stdout, stderr) of the command, run from tests/golden."""
+    if args[0] != "--format":
+        args = ["--format", "machine", *args]
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(GOLDEN)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["--format", "machine", *args])
+            code = main(args)
     finally:
         os.chdir(cwd)
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
