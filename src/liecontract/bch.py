@@ -11,13 +11,17 @@ degree L on, so only words up to the requested order matter.
 The sum runs on integers: each word's value comes as integer numerators over
 one denominator (``Jet.numerators``), every term is brought to the least
 common denominator of all words, and each output component becomes a
-Fraction once.  Float jets (the numeric mode) come over 1 and go through the
-same loop, so a float result is the sum of (integer multiple) * value,
-divided once by the common denominator.  At order 1 every coefficient is 1
-and that is exactly x + y; at higher orders it may differ in the last bit
-from summing float(coefficient) * value.  When one jet is exact and the other
-holds a float, the exact values are rounded to floats before they meet
-(``linalg.floats_if_mixed``), so the whole sum runs in floats.
+Fraction once.  On exact jets every prefix value is a ``Jet.from_numerators``
+whose Fraction coefficients nobody reads, so no word value makes a Fraction;
+a value is tested for zero on its numerators.  Float jets (the numeric mode)
+come over 1 and go through the same loop, so a float result is the sum of
+(integer multiple) * value, divided once by the common denominator.  A row
+of exact zeros (the constant slot of a float jet) is skipped, not multiplied.
+At order 1 every coefficient is 1 and that is exactly x + y; at higher
+orders it may differ in the last bit from summing float(coefficient) * value.
+When one jet is exact and the other holds a float, the exact values are
+rounded to floats before they meet (``linalg.floats_if_mixed``), so the
+whole sum runs in floats.
 """
 
 from __future__ import annotations
@@ -87,9 +91,9 @@ def local_mult(alg, p: Jet, q: Jet, order: int, cap=None) -> Jet:
     values = {"x": p.truncated(trunc), "y": q.truncated(trunc)}
     words = []  # (coefficient, numerators of the word's value) for nonzero values
     for word, coeff in word_coefficients(order):
-        term = _word_value(alg, word, values)
-        if term.degree >= 0:
-            words.append((coeff, term.numerators))
+        pair = _word_value(alg, word, values).numerators
+        if pair[0]:
+            words.append((coeff, pair))
     pairs = linalg.floats_if_mixed([pair for _, pair in words])
     # (numerator rows, coefficient numerator, denominator of both)
     terms = [(rows, coeff.numerator, coeff.denominator * den)
@@ -99,7 +103,8 @@ def local_mult(alg, p: Jet, q: Jet, order: int, cap=None) -> Jet:
     for rows, num, d in terms:
         s = num * (common // d)
         for k, row in enumerate(rows):
-            acc[k] = [a + s * x for a, x in zip(acc[k], row)]
+            if any(row) or float in map(type, row):  # a row of exact zeros adds nothing
+                acc[k] = [a + s * x for a, x in zip(acc[k], row)]
     return Jet(alg.dim, trunc, tuple(linalg.from_numerators(v, common) for v in acc))
 
 

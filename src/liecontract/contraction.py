@@ -23,7 +23,8 @@ polynomial raises SingularFamily.  The rescaled bracket lifts its two
 arguments, vectors (the contraction) or polynomials (the general expansion),
 through the integer coefficient matrices by the jets module's truncated
 Cauchy product, brackets them on numerators and hands the numerators of the
-bracket to the solve as they are.
+bracket to the solve as they are, in a ``Jet.from_numerators`` whose Fraction
+coefficients are never built.
 """
 
 from __future__ import annotations

@@ -15,13 +15,18 @@ coefficient sequence as integer numerators over one denominator, and the
 algebra's integer bracket table does the products; ``bracket_series``
 divides each output coefficient once.  A Jet scales its coefficients to
 numerators once, in ``Jet.numerators``, however many brackets read them; a
-Jet built by ``Jet.from_numerators`` keeps the numerators it was built from.
+Jet built by ``Jet.from_numerators`` keeps the numerators it was built from
+and makes its Fraction coefficients only when something first reads them.
+``bracket_poly`` on exact jets returns such a jet, so a chain of brackets
+(the BCH word prefixes, the rescaled bracket) runs on integers throughout;
+on float jets (the numeric mode) it divides each coefficient at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import gcd
 
 from .errors import DimensionMismatch
@@ -104,14 +109,32 @@ class Jet:
 
         The pair, reduced by the gcd of den and every entry, becomes the
         jet's ``numerators`` as it is; it equals ``linalg.numerators`` of the
-        coefficients, so the coefficients are never scaled back.
+        coefficients, so the coefficients are never scaled back.  The
+        coefficients themselves are built on their first read (see
+        ``__getattr__``), so a jet that is only bracketed or summed on its
+        numerators never makes a Fraction.
         """
-        jet = cls(dim, trunc, tuple(linalg.from_numerators(v, den) for v in rows[:trunc]))
-        rows = rows[:len(jet.coeffs)]
-        g = gcd(den, *(x for v in rows for x in v))
-        # fills the cached_property below, as its first read would
-        jet.__dict__["numerators"] = (tuple(tuple(x // g for x in v) for v in rows), den // g)
+        if trunc < 1:
+            raise DimensionMismatch("truncation order must be positive")
+        rows = _trim([tuple(v) for v in rows[:trunc]], lambda v: not any(v))
+        if any(len(v) != dim for v in rows):
+            raise DimensionMismatch("coefficient length differs from jet dimension")
+        g = gcd(den, *chain.from_iterable(rows))
+        if g > 1:
+            rows, den = tuple([tuple([x // g for x in v]) for v in rows]), den // g
+        jet = cls.__new__(cls)
+        # ``numerators`` fills the cached_property below, as its first read would
+        jet.__dict__.update(dim=dim, trunc=trunc, numerators=(rows, den))
         return jet
+
+    def __getattr__(self, name):
+        """Build ``coeffs`` of a jet made by ``from_numerators``, once, on its first read."""
+        if name != "coeffs" or "numerators" not in self.__dict__:
+            raise AttributeError(name)
+        rows, den = self.numerators
+        coeffs = tuple(linalg.from_numerators(v, den) for v in rows)
+        self.__dict__["coeffs"] = coeffs
+        return coeffs
 
     @classmethod
     def zero(cls, dim, trunc):
@@ -124,7 +147,8 @@ class Jet:
     @property
     def degree(self):
         """Largest stored nonzero degree, or -1 for the zero jet."""
-        return len(self.coeffs) - 1
+        coeffs = self.__dict__.get("coeffs")
+        return len(self.numerators[0] if coeffs is None else coeffs) - 1
 
     @cached_property
     def numerators(self):
@@ -183,7 +207,10 @@ def bracket_poly(alg, p, q):
     p._check_compatible(q)
     if alg.dim != p.dim:
         raise DimensionMismatch("jet dimension differs from algebra dimension")
-    return Jet(alg.dim, p.trunc, bracket_series(alg, p.numerators, q.numerators, p.trunc))
+    trunc, p, q = p.trunc, p.numerators, q.numerators
+    if type(p[1]) is float or type(q[1]) is float:  # the numeric mode: floats, divided now
+        return Jet(alg.dim, trunc, bracket_series(alg, p, q, trunc))
+    return Jet.from_numerators(alg.dim, trunc, *bracket_numerators(alg, p, q, trunc))
 
 
 def jet_through_subalgebra(split, p):

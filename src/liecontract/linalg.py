@@ -37,6 +37,7 @@ from .errors import DimensionMismatch, InternalInvariantViolation
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_INT = {int}
 
 
 def rat(value):
@@ -111,20 +112,27 @@ def vec_neg(v):
 def mat_vec(m, v):
     """The product m v, summed over the support of v only.
 
-    An integer matrix times an integer vector (numerators) sums from int 0 and
-    stays integral.  When every product is a float (each entry of the support
-    of v is a float, or each entry of m is), each exact factor is rounded
-    once and every row is summed left to right from 0.0: the bits that a sum
-    from ZERO gives, as ZERO + p is 0.0 + p.  Any other product sums from
-    ZERO, so exact input stays exact and mixed input meets floats as
-    Fractions do.  An empty support gives int zeros on integer input and
-    Fraction zeros (ZERO) otherwise, float input included.
+    An integer vector (numerators) times a matrix whose columns on the
+    support of v hold integers sums from int 0 and stays integral: the
+    choice reads every entry of v and the type of every product (all of m
+    when the support is empty).  When every product is a float (each
+    entry of the support of v is a float, or each entry of m is), each
+    exact factor is rounded once and every row is summed left to right from
+    0.0: the bits that a sum from ZERO gives, as ZERO + p is 0.0 + p.  Any
+    other product sums from ZERO, so exact input stays exact and mixed input
+    meets floats as Fractions do.  An empty support gives int zeros on
+    integer input and Fraction zeros (ZERO) otherwise, float input included.
     """
     if m and len(m[0]) != len(v):
         raise DimensionMismatch("matrix and vector shapes differ")
     support = [(j, b) for j, b in enumerate(v) if b]
-    if m and v and type(m[0][0]) is int and type(v[0]) is int:
-        return tuple(sum((row[j] * b for j, b in support), 0) for row in m)
+    if m and v and type(v[0]) is int and {*map(type, v)} == _INT:
+        if support:
+            out = tuple(sum((row[j] * b for j, b in support), 0) for row in m)
+            if {*map(type, out)} == _INT:  # every product read was int * int
+                return out
+        elif {type(x) for row in m for x in row} == _INT:
+            return (0,) * len(m)
     if not support:
         return (ZERO,) * len(m)
     if (all(type(b) is float for _, b in support)

@@ -186,6 +186,26 @@ def test_each_jet_is_scaled_to_numerators_once(monkeypatch):
     assert calls["numerators"] <= calls["bracket_poly"] + 2
 
 
+def test_word_values_stay_on_numerators(monkeypatch):
+    """Every word value is bracketed and summed on its numerators: local_mult
+    divides only its output, at most one call per coefficient."""
+    rng = random.Random(14)
+    p = through_zero(rng, so3, 6, 7)
+    q = through_zero(rng, so3, 6, 7)
+    want = local_mult(so3, p, q, 6)
+    calls = []
+    from_numerators = linalg.from_numerators
+
+    def counted(v, den):
+        calls.append(v)
+        return from_numerators(v, den)
+
+    monkeypatch.setattr(linalg, "from_numerators", counted)
+    got = local_mult(so3, p, q, 6)
+    assert len(calls) <= 7
+    assert got == want == so3_rep.local_mult(p, q, 6)
+
+
 def test_exact_meets_float_in_floats():
     """An exact jet with a huge denominator and a float jet sum in floats, without overflow."""
     abelian = builtin("abelian(3)")[0]

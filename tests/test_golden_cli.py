@@ -48,6 +48,22 @@ CASES = {
         "--a=-1/3,1/1,3/4;3/2,-1/2,-1/1;-3/2,-5/2,-2/1",
         "--h2=0/1,-1/1,0/1;1/1,0/1,0/1;0/1,0/1,1/1",
         "--b=5/3,3/1,-1/2;6/1,2/1,1/2;-5/3,-1/2,-1/2"],
+    **{f"star-{alg}-order5": [
+        "star", alg, "--subalgebra", sub, "--order", "5",
+        "--a=1/2,-1/1,2/1;0/1,3/4,-3/4;-2/1,1/3,-1/1;2/1,0/1,4/3;-1/2,-1/1,5/2;-5/4,1/2,-1/1",
+        "--b=-3/1,1/1,1/2;1/4,-1/1,0/1;1/2,-3/4,1/1;5/4,-1/2,3/1;-2/1,-5/2,-1/3;1/2,2/1,-3/4"]
+       for alg, sub in (("sl2", "sl2-h.json"), ("heis3", "heis3-z.json"))},
+    # a star of order k runs the BCH product at order k + 1: order 7 under cap 8
+    # reaches the cap, order 8 exceeds it
+    **{f"star-so3-order{k}-cap8": [
+        "--order-cap", "8", "star", "so3", "--subalgebra", "so3-x3.json", "--order", str(k),
+        "--a=" + ";".join(["1/2,-1/1,2/1", "0/1,3/4,-3/4", "-2/1,1/3,-1/1", "2/1,0/1,4/3",
+                           "-1/2,-1/1,5/2", "-5/4,1/2,-1/1", "1/3,0/1,2/1", "-1/1,1/5,0/1",
+                           "3/2,-2/3,1/1"][:k + 1]),
+        "--b=" + ";".join(["-3/1,1/1,1/2", "1/4,-1/1,0/1", "1/2,-3/4,1/1", "5/4,-1/2,3/1",
+                           "-2/1,-5/2,-1/3", "1/2,2/1,-3/4", "0/1,1/1,-1/2", "2/3,0/1,1/4",
+                           "-1/1,1/2,5/3"][:k + 1])]
+       for k in (7, 8)},
 }
 
 

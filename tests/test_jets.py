@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -105,6 +107,61 @@ def test_jet_from_numerators_keeps_the_reduced_numerators(rows, den, trunc):
     assert all(type(x) is F for c in jet.coeffs for x in c)
     assert jet.numerators == linalg.numerators(jet.coeffs)
     assert all(type(x) is int for row in jet.numerators[0] for x in row)
+
+
+def copies(jet):
+    return [jet, copy.copy(jet), pickle.loads(pickle.dumps(jet))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_rows_st, st.sampled_from((1, 2, 6, 12, 60, 2 ** 70, 3 ** 40)), st.integers(1, 6))
+def test_lazy_jet_matches_the_eager_jet(rows, den, trunc):
+    """A jet from numerators builds its coefficients on their first read only,
+    and then agrees with the jet built from the same coefficients."""
+    eager = Jet(3, trunc, tuple(tuple(F(x, den) for x in row) for row in rows))
+    built = []
+    from_numerators = linalg.from_numerators
+
+    def counted(v, d):
+        built.append(v)
+        return from_numerators(v, d)
+
+    linalg.from_numerators = counted
+    try:
+        lazy = copies(Jet.from_numerators(3, trunc, rows, den))
+        for jet in lazy:
+            assert (jet.dim, jet.trunc, jet.degree) == (eager.dim, eager.trunc, eager.degree)
+            assert jet.numerators == eager.numerators
+        assert not built  # nothing has read the coefficients yet
+        for jet in lazy:
+            assert jet == eager and eager == jet
+            assert hash(jet) == hash(eager)
+            assert repr(jet) == repr(eager)
+            assert [[type(x) for x in c] for c in jet.coeffs] == \
+                [[type(x) for x in c] for c in eager.coeffs]
+            assert jet.degree == eager.degree
+            assert jet.coeffs is jet.coeffs  # built once
+        assert len(built) == len(lazy) * len(eager.coeffs)
+        # copies of a jet whose coefficients are built keep them
+        for jet in copies(lazy[0])[1:]:
+            assert jet.coeffs == eager.coeffs and jet.numerators == eager.numerators
+        assert len(built) == len(lazy) * len(eager.coeffs)
+    finally:
+        linalg.from_numerators = from_numerators
+
+
+def test_jet_from_numerators_checks_its_shape():
+    with pytest.raises(DimensionMismatch):
+        Jet.from_numerators(3, 0, [], 1)
+    with pytest.raises(DimensionMismatch):
+        Jet.from_numerators(3, 2, [(1, 2)], 1)
+    # rows past the truncation order and trailing zero rows are dropped
+    jet = Jet.from_numerators(2, 2, [(0, 0), (2, 4), (1, 1)], 6)
+    assert jet.numerators == (((0, 0), (1, 2)), 3)
+    assert jet.degree == 1 and jet.coeff(1) == (F(1, 3), F(2, 3))
+    assert Jet.from_numerators(2, 3, [(0, 0)], 5).numerators == ((), 1)
+    with pytest.raises(AttributeError):
+        Jet.from_numerators(2, 3, [(1, 0)], 5).missing
 
 
 def test_bracket_poly_so3_rescaled_generators():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -426,26 +427,58 @@ def dense_mat_vec(m, v):
 
 @st.composite
 def matrix_vector_pairs(draw):
-    """Exact or float matrix and vector, with forced zero coefficients in v."""
+    """Exact, float or int-led mixed matrix and vector, with forced zero coefficients in v.
+
+    An int-led mixed matrix starts each row with an int and mixes ints,
+    Fractions and floats after it; its vector starts with an int too.
+    """
     rows, cols = draw(st.integers(0, 5)), draw(st.integers(1, 6))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("exact", "float", "mixed")))
+    floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    lead = None
+    if kind == "exact":
         scalar = fractions_st
         zero = st.just(F(0))
-    else:
-        scalar = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    elif kind == "float":
+        scalar = floats
         zero = st.sampled_from((0.0, -0.0))
-    m = tuple(tuple(draw(scalar) for _ in range(cols)) for _ in range(rows))
-    v = tuple(draw(st.one_of(zero, scalar)) for _ in range(cols))
-    return m, v
+    else:
+        scalar = st.one_of(st.integers(-5, 5), fractions_st, floats)
+        zero = st.sampled_from((0, F(0), 0.0, -0.0))
+        lead = st.integers(-2, 2)
+    entry = st.one_of(zero, scalar)
+    m = tuple(tuple(draw(scalar if lead is None else lead if j == 0 else entry)
+                    for j in range(cols)) for _ in range(rows))
+    v = tuple(draw(entry if lead is None or j else lead) for j in range(cols))
+    return m, v, kind
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(matrix_vector_pairs())
 def test_mat_vec_matches_dense_sum(case):
-    m, v = case
+    m, v, kind = case
     got = linalg.mat_vec(m, v)
     assert len(got) == len(m)
-    assert got == dense_mat_vec(m, v)
+    want = dense_mat_vec(m, v)
+    if kind != "mixed":
+        assert got == want
+    else:  # a float zero of v turns the dense sum to floats, where the support's may stay exact
+        assert all(math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-6) for a, b in zip(got, want))
+    # the sum is integral exactly when every factor it reads is an int: v, and
+    # m's columns on the support of v (all of m for an empty support)
+    support = [j for j, b in enumerate(v) if b]
+    read = [row[j] for row in m for j in support] if support else [x for row in m for x in row]
+    integer = all(type(x) is int for x in (*v, *read))
+    assert all((type(x) is int) == integer for x in got)
+
+
+def test_mat_vec_path_reads_every_factor():
+    # an int-led row and vector holding a float: Fraction zeros, not int zeros
+    assert repr(linalg.mat_vec(((0, 1.5),), (0, 0.0))) == repr((F(0, 1),))
+    assert repr(linalg.mat_vec(((0, 1.5),), (0, 0))) == repr((F(0, 1),))
+    assert repr(linalg.mat_vec(((0, F(1, 2)),), (1, 2))) == repr((F(1),))
+    assert repr(linalg.mat_vec(((2, F(1, 2)),), (1, 0))) == repr((2,))
+    assert repr(linalg.mat_vec(((2, 1),), (0, 0))) == repr((0,))
 
 
 def dense_mat_mul(a, b):

@@ -25,11 +25,16 @@ F = Fraction
 
 
 def reference_mat_vec(m, v):
-    """mat_vec as it was: every sum but the integer one starts at the Fraction zero."""
+    """mat_vec as it was: every sum but the integer one starts at the Fraction zero.
+
+    The sum is integral when v and every entry of m that it reads (all of m
+    for an empty support) are ints.
+    """
     if m and len(m[0]) != len(v):
         raise DimensionMismatch("matrix and vector shapes differ")
     support = [(j, b) for j, b in enumerate(v) if b]
-    zero = 0 if m and v and type(m[0][0]) is int and type(v[0]) is int else F(0)
+    read = [row[j] for row in m for j, _ in support] if support else [x for row in m for x in row]
+    zero = 0 if m and v and all(type(x) is int for x in (*v, *read)) else F(0)
     return tuple(sum((row[j] * b for j, b in support), zero) for row in m)
 
 
@@ -265,6 +270,50 @@ def test_h_element_reference_cases_reach_every_outcome():
         assert (got if isinstance(got, str) else "accepted") == want
     # the same bump within a looser tolerance passes
     assert not isinstance(h_element_outcome(grp, bumped, 1e-6), str)
+
+
+# ----- the float order-0 product ---------------------------------------------
+
+def reference_mult(grp, g1, g2):
+    """``mult`` at order 0 as it was: the adjoint product and the moved, reduced
+    tops by ``reference_mat_vec``, the tops summed from the Fraction zero."""
+    h1, h2 = g1.h.ad, g2.h.ad
+    ad = tuple(reference_mat_vec(tuple(zip(*h2)), row) for row in h1)
+    proj = grp.split.proj_n
+    moved = reference_mat_vec(proj, reference_mat_vec(h1, g2.nil.top))
+    return ad, reference_mat_vec(proj, tuple(F(0) + x + y for x, y in zip(g1.nil.top, moved)))
+
+
+def test_float_order_0_mult_runs_no_fraction_product(monkeypatch):
+    """The exact zero constant slot of the lifted tuples is skipped, not
+    multiplied: a float ``mult`` makes no Fraction product, and its result
+    matches the reference by repr, signed zeros included."""
+    so3 = builtin("so3")[0]
+    grp = ExpansionGroup(span_subalgebra(so3, [so3.basis_vector(2)]), 0)
+    rng = random.Random(2025)
+
+    def top():
+        return tuple(rng.choice((0.0, -0.0, rng.uniform(-2, 2))) for _ in range(2)) + (
+            rng.choice((0.0, -0.0)),)
+
+    samples = [tuple(grp.element(grp.h_element(_rotation_ad(rng.uniform(0, 2 * math.pi)),
+                                               tol=1e-9), grp.nil((), top()))
+                     for _ in range(2)) for _ in range(200)]
+    grp.mult(*samples[0])  # warms the word table
+    products = []
+    for name in ("__mul__", "__rmul__"):
+        real = getattr(Fraction, name)
+
+        def counting(self, other, real=real):
+            products.append(1)
+            return real(self, other)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    got = [grp.mult(g1, g2) for g1, g2 in samples]
+    monkeypatch.undo()
+    assert not products
+    for (g1, g2), g in zip(samples, got):
+        assert repr((g.h.ad, g.nil.top)) == repr(reference_mult(grp, g1, g2))
 
 
 # ----- the coercion guard ---------------------------------------------------
