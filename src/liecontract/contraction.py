@@ -41,7 +41,7 @@ from .errors import (
     SingularFamily,
 )
 from . import linalg
-from .jets import Jet, _cauchy, bracket_numerators
+from .jets import Jet, _cauchy, _vec_add, bracket_numerators
 from .linalg import as_matrix
 
 MAX_FAMILY_DEGREE = 8
@@ -215,7 +215,7 @@ def _rescaled_bracket(fam: ContractionFamily, xs, ys, order: int) -> Jet:
     lifts = []  # (rows, den): the coefficients of the family applied to xs and to ys
     for vs in (xs, ys):
         rows, v_den = linalg.numerators([fam.algebra.vector(v) for v in vs])
-        lift = _cauchy(mats, rows, trunc, linalg.mat_vec, linalg.vec_add, (0,) * fam.dim)
+        lift = _cauchy(mats, rows, trunc, linalg.mat_vec, _vec_add, (0,) * fam.dim)
         lifts.append((lift, den * v_den))
     r = Jet.from_numerators(fam.dim, trunc, *bracket_numerators(fam.algebra, *lifts, trunc))
     return invert_family_apply(fam, r, order)

@@ -2,31 +2,81 @@
 
 The subalgebra-split case stores elements in the coordinates used by the
 group layer: a value in the subalgebra, k free middle coefficients, and a
-canonical coset representative on top.  The general-family case works in
-plain coefficient tuples: its bracket is the contraction's rescaled bracket
-on polynomials, one integer lift through the family's coefficient matrices,
-a bracket on numerators and an exact solve back.  An exact transport
-identifies the two pictures when the family comes from a split.
+canonical coset representative on top.  Its structure constants run on
+integers from start to finish.  Each element scales its slots to integer
+numerators over one denominator once (``ExpandedElement.numerators``); the
+bracket convolves two such pairs on the algebra's integer table, tests the
+leading slot and reduces the top slot on the integer numerators of the
+split's projector, and returns an element that keeps the reduced numerators
+and builds its Fraction slots only when something first reads them.
+``coords`` solves those numerators against the level-tagged basis, scaled
+once per expansion, in one integer elimination, and makes one Fraction per
+output coordinate.  Elements holding a float (the numeric mode) take the same
+steps in floats.
+
+The general-family case works in plain coefficient tuples: its bracket is
+the contraction's rescaled bracket on polynomials, one integer lift through
+the family's coefficient matrices, a bracket on numerators and an exact
+solve back.  An exact transport identifies the two pictures when the family
+comes from a split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from math import gcd
 
 from .algebra import LieAlgebra, SubalgebraSplit
 from .contraction import ContractionFamily, _rescaled_bracket, contract
 from .errors import DimensionMismatch, InternalInvariantViolation, PoleError
 from . import linalg
-from .jets import bracket_series
+from .jets import bracket_numerators, bracket_series
+
+_SLOTS = ("a0", "mids", "top")
 
 
 @dataclass(frozen=True)
 class ExpandedElement:
-    """Subalgebra value, k middle coefficients, canonical coset top slot."""
+    """Subalgebra value, k middle coefficients, canonical coset top slot.
+
+    ``numerators`` holds the slots as integer numerators over one common
+    denominator, computed once however many brackets read them.
+    """
 
     a0: tuple
     mids: tuple
     top: tuple
+
+    @classmethod
+    def _from_numerators(cls, rows, den):
+        """The element with slots rows[i] / den, for integer rows and den > 0.
+
+        The pair, reduced by the gcd of den and every entry, becomes the
+        element's ``numerators`` as it is, as ``Jet.from_numerators`` keeps
+        its pair; the slots are built on their first read (``__getattr__``).
+        """
+        g = gcd(den, *chain.from_iterable(rows))
+        rows = tuple([tuple([x // g for x in v]) if g > 1 else tuple(v) for v in rows])
+        el = cls.__new__(cls)
+        # ``numerators`` fills the cached_property below, as its first read would
+        el.__dict__["numerators"] = (rows, den // g)
+        return el
+
+    def __getattr__(self, name):
+        """Build the slots of an element made by ``_from_numerators``, once, on a first read."""
+        if name not in _SLOTS or "numerators" not in self.__dict__:
+            raise AttributeError(name)
+        rows, den = self.numerators
+        slots = [linalg.from_numerators(v, den) for v in rows]
+        self.__dict__.update(zip(_SLOTS, (slots[0], tuple(slots[1:-1]), slots[-1])))
+        return self.__dict__[name]
+
+    @cached_property
+    def numerators(self):
+        """``linalg.numerators(slots)``: the slots as (rows, den), computed once."""
+        return linalg.numerators(self.slots)
 
     @property
     def slots(self):
@@ -63,14 +113,30 @@ class IWExpansion:
         return all(linalg.is_zero_vector(s) for s in a.slots)
 
     def bracket(self, a: ExpandedElement, b: ExpandedElement) -> ExpandedElement:
-        """Convolution bracket with the top slot reduced modulo the subalgebra."""
+        """Convolution bracket with the top slot reduced modulo the subalgebra.
+
+        Exact elements stay on numerators: with P / p the complement
+        projector's numerators, the leading slot must satisfy P x = 0 and the
+        top slot becomes P x, all slots over p times the bracket's
+        denominator.  An element holding a float divides the bracket at once
+        and projects the Fraction or float slots, as the numeric mode always
+        has.
+        """
         k = self.order
-        out = bracket_series(self.algebra, linalg.numerators(a.slots),
-                             linalg.numerators(b.slots), k + 2)
-        if not self.split.contains(out[0]):
+        pa, pb = a.numerators, b.numerators
+        if type(pa[1]) is float or type(pb[1]) is float:
+            out = bracket_series(self.algebra, pa, pb, k + 2)
+            if not self.split.contains(out[0]):
+                raise InternalInvariantViolation("leading bracket slot escaped the subalgebra")
+            return ExpandedElement(
+                out[0], tuple(out[1: k + 1]), self.split.coset_reduce(out[k + 1]))
+        out, den = bracket_numerators(self.algebra, pa, pb, k + 2)
+        _, proj, pden, _ = self.split._projector_forms["n"]
+        if any(linalg.mat_vec(proj, out[0])):
             raise InternalInvariantViolation("leading bracket slot escaped the subalgebra")
-        return ExpandedElement(
-            out[0], tuple(out[1: k + 1]), self.split.coset_reduce(out[k + 1]))
+        rows = [[x * pden for x in v] for v in out[:k + 1]]
+        rows.append(linalg.mat_vec(proj, out[k + 1]))
+        return ExpandedElement._from_numerators(rows, den * pden)
 
     # ----- order-0 identification with the contraction -----------------
 
@@ -103,8 +169,10 @@ class IWExpansion:
 
     # ----- basis, coordinates, emitted structure constants --------------
 
-    def basis_elements(self):
-        """Basis of the expansion with level-tagged names."""
+    @cached_property
+    def _basis(self):
+        """(named, columns, den): the level-tagged basis, and its elements' slots
+        flattened into integer columns over one common denominator."""
         alg = self.algebra
         split = self.split
         k = self.order
@@ -127,25 +195,38 @@ class IWExpansion:
         for i, v in enumerate(split.n_basis):
             named.append((tag(v, k + 1, "n", i),
                           self.element(alg.zero_vector(), [alg.zero_vector()] * k, v)))
-        return named
+        columns, den = linalg.numerators([tuple(chain.from_iterable(e.slots)) for _, e in named])
+        return named, columns, den
 
-    def _flatten(self, el):
-        flat = []
-        for s in el.slots:
-            flat.extend(s)
-        return tuple(flat)
+    def basis_elements(self):
+        """Basis of the expansion with level-tagged names."""
+        return list(self._basis[0])
 
     def coords(self, els):
-        """Coordinates of each element in the level-tagged basis, in one solve."""
-        columns = [self._flatten(e) for _, e in self.basis_elements()]
-        sols = linalg.solve_in_basis(columns, [self._flatten(el) for el in els])
+        """Coordinates of each element in the level-tagged basis, in one solve.
+
+        The solve runs on numerators: the basis columns over their common
+        denominator D against each element's flattened numerators over its
+        own e.  A coordinate y / d of that solve is y D / (d e) of the
+        element, one Fraction each.  When some element holds a float, every
+        operand is rounded to floats over 1 (``linalg.floats_if_mixed``) and
+        the solve runs in floats.
+        """
+        _, columns, den = self._basis
+        pairs = [((tuple(chain.from_iterable(rows)),), e)
+                 for rows, e in (el.numerators for el in els)]
+        numeric = any(type(e) is float for _, e in pairs)
+        (columns, den), *pairs = linalg.floats_if_mixed([(columns, den)] + pairs)
+        sols, d = linalg.solve_numerators(
+            columns, [rows[0] for rows, _ in pairs], 1.0 if numeric else den)
         if any(sol is None for sol in sols):
             raise InternalInvariantViolation("element outside the expansion basis span")
-        return sols
+        return [linalg.from_numerators([y * den for y in sol], d * e)
+                for sol, (_, e) in zip(sols, pairs)]
 
     def structure_algebra(self) -> LieAlgebra:
         """The expansion as a plain algebra on the level-tagged basis."""
-        named = self.basis_elements()
+        named = self._basis[0]
         m = len(named)
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
         sols = self.coords([self.bracket(named[i][1], named[j][1]) for i, j in pairs])

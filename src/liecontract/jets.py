@@ -24,6 +24,7 @@ on float jets (the numeric mode) it divides each coefficient at once.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -34,22 +35,29 @@ from . import linalg
 from .linalg import as_vector, rat
 
 
-def _is_zero(c):
-    """Whether a vector or a matrix coefficient vanishes."""
-    return not any(map(any, c) if c and isinstance(c[0], tuple) else c)
+def _nonzero(c):
+    """Whether a vector or a matrix coefficient is nonzero."""
+    return any(map(any, c) if c and isinstance(c[0], tuple) else c)
 
 
-def _cauchy(p, q, trunc, mul, add, zero):
+def _vec_add(u, v):
+    """u + v for two vectors of one length, which the vector convolutions guarantee."""
+    return tuple(map(operator.add, u, v))
+
+
+def _cauchy(p, q, trunc, mul, add, zero, nonzero=_nonzero):
     """The first ``trunc`` coefficients of the product of two coefficient sequences.
 
     Coefficient m sums ``mul(p[i], q[m - i])`` over increasing i, starting
-    from ``zero``; pairs with a zero factor are skipped, so a degree that no
-    pair reaches holds ``zero`` itself.
+    from ``zero``; pairs with a factor that ``nonzero`` rejects are skipped,
+    so a degree that no pair reaches holds ``zero`` itself.  The default test
+    reads vectors and matrices alike; a caller whose coefficients are all
+    vectors passes ``any``.
     """
     out = [zero] * trunc
-    q = [(j, b) for j, b in enumerate(q[:trunc]) if not _is_zero(b)]
+    q = [(j, b) for j, b in enumerate(q[:trunc]) if nonzero(b)]
     for i, a in enumerate(p[:trunc]):
-        if _is_zero(a):
+        if not nonzero(a):
             continue
         for j, b in q:
             if i + j >= trunc:
@@ -66,7 +74,7 @@ def bracket_numerators(alg, p, q, trunc):
     Returns the bracket as such a pair, not reduced.
     """
     (p, dp), (q, dq) = linalg.floats_if_mixed([p, q])
-    out = _cauchy(p, q, trunc, alg._numerator_bracket, linalg.vec_add, (0,) * alg.dim)
+    out = _cauchy(p, q, trunc, alg._numerator_bracket, _vec_add, (0,) * alg.dim, any)
     return out, dp * dq * alg._table[0]
 
 

@@ -30,8 +30,10 @@ CASES = {
                                        "--order", "3"],
     "contract-so3-pole": ["contract", "so3", "--family", "so3-pole.json"],
     "contract-so3-singular": ["contract", "so3", "--family", "so3-singular.json"],
-    "expand-sl2-order3-constants": ["expand", "sl2", "--subalgebra", "sl2-h.json",
-                                    "--order", "3", "--emit-constants"],
+    **{f"expand-{alg.removesuffix('.json')}-order{k}-constants": [
+        "expand", alg, "--subalgebra", sub, "--order", str(k), "--emit-constants"]
+       for alg, sub, k in (("so3", "so3-x3.json", 2), ("sl2", "sl2-h.json", 3),
+                           ("heis3", "heis3-z.json", 4), ("so5.json", "so5-so4.json", 1))},
     "verify-seed3": ["verify", "--seed", "3", "--trials", "10"],
     "verify-default-seed": ["verify"],
     **{f"example-so3-order{k}{suffix}": [*fmt, "example", "so3", "--order", str(k)]

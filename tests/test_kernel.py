@@ -1,14 +1,16 @@
 """The integer bracket kernel against the Fraction loops it replaced.
 
-``bracket``, ``bracket_poly``, ``IWExpansion.bracket`` and the Jacobi sweep of
-``validate`` run on integer numerators over one common denominator.  The
-references below are the same loops on the Fraction tensor, as they read
-before the integer table; they must give the same values, component types
-included, and on integer tensors the same floats bit for bit.
+``bracket``, ``bracket_poly``, ``IWExpansion.bracket``, ``structure_algebra``
+and the Jacobi sweep of ``validate`` run on integer numerators over one
+common denominator.  The references below are the same loops on the Fraction
+tensor, as they read before the integer table; they must give the same
+values, component types included, and on integer tensors the same floats bit
+for bit.
 """
 
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,8 @@ from liecontract.catalog import builtin, subalgebra_catalog
 from liecontract.errors import DimensionMismatch, InternalInvariantViolation
 from liecontract.expansion import ExpandedElement, IWExpansion
 from liecontract.jets import Jet, _cauchy, bracket_poly
+from test_jets import copies
+from test_numeric_mode import dense_split, so_n
 
 F = Fraction
 ZERO = F(0)
@@ -65,6 +69,19 @@ def reference_iw_bracket(ea, a, b):
         raise InternalInvariantViolation("leading bracket slot escaped the subalgebra")
     return ExpandedElement(
         out[0], tuple(out[1: k + 1]), ea.split.coset_reduce(out[k + 1]))
+
+
+def reference_structure_algebra(ea):
+    """``structure_algebra`` as it ran before the integer route: Fraction
+    brackets, and one Fraction ``solve_in_basis`` over the flattened slots."""
+    named = ea.basis_elements()
+    m = len(named)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    columns = [tuple(chain.from_iterable(el.slots)) for _, el in named]
+    brackets = [reference_iw_bracket(ea, named[i][1], named[j][1]) for i, j in pairs]
+    sols = linalg.solve_in_basis(columns, [tuple(chain.from_iterable(w.slots)) for w in brackets])
+    entries = [(i, j, c, x) for (i, j), sol in zip(pairs, sols) for c, x in enumerate(sol) if x]
+    return LieAlgebra.from_brackets(m, tuple(name for name, _ in named), entries)
 
 
 def reference_validate(alg):
@@ -198,7 +215,9 @@ def test_integer_kernel_matches_fraction_reference(case, data):
         with pytest.raises(InternalInvariantViolation, match=str(err)):
             ea.bracket(a, b)
     else:
-        assert element_key(ea.bracket(a, b)) == element_key(expected)
+        got = ea.bracket(a, b)
+        assert element_key(got) == element_key(expected)
+        assert got.numerators == linalg.numerators(got.slots)
 
     assert report_key(alg.validate()) == report_key(reference_validate(alg))
 
@@ -216,3 +235,85 @@ def test_exact_meets_float_in_floats():
     p, q = Jet(3, 3, [x, (F(2, 3), F(1, 3 ** 700), 0)]), Jet(3, 3, [y, (0.0, 1.0, 0.25)])
     for a, b in ((p, q), (q, p)):
         assert jet_key(bracket_poly(so3, a, b)) == jet_key(reference_bracket_poly(so3, a, b))
+
+
+int_slots = st.tuples(*[st.sampled_from((0, 0, 1, -2, 6, 12, -30, 7 * 2 ** 70))] * 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(int_slots, min_size=2, max_size=6),
+       st.sampled_from((1, 2, 6, 12, 60, 2 ** 70, 3 ** 40)))
+def test_lazy_element_matches_the_eager_element(rows, den):
+    """An element from numerators builds its slots on their first read only,
+    and then agrees with the element built from the same slots."""
+    slots = [tuple(F(x, den) for x in row) for row in rows]
+    eager = ExpandedElement(slots[0], tuple(slots[1:-1]), slots[-1])
+    built = []
+    from_numerators = linalg.from_numerators
+
+    def counted(v, d):
+        built.append(v)
+        return from_numerators(v, d)
+
+    linalg.from_numerators = counted
+    try:
+        lazy = copies(ExpandedElement._from_numerators(rows, den))
+        for el in lazy:
+            assert el.numerators == linalg.numerators(eager.slots)
+            assert all(type(x) is int for row in el.numerators[0] for x in row)
+        assert not built  # nothing has read the slots yet
+        for el in lazy:
+            assert el == eager and eager == el
+            assert hash(el) == hash(eager)
+            assert repr(el) == repr(eager)
+            assert [[type(x) for x in s] for s in el.slots] == \
+                [[type(x) for x in s] for s in eager.slots]
+            assert el.mids is el.mids  # built once
+        assert len(built) == len(lazy) * len(rows)
+        # copies of an element whose slots are built keep them
+        for el in copies(lazy[0])[1:]:
+            assert el.slots == eager.slots and el.numerators == lazy[0].numerators
+        assert len(built) == len(lazy) * len(rows)
+    finally:
+        linalg.from_numerators = from_numerators
+
+
+def structure_cases():
+    """(label, split, order): the splits whose structure algebra is pinned."""
+    cases = []
+    for name in ("so3", "sl2", "heis3"):
+        alg = builtin(name)[0]
+        for label, span in subalgebra_catalog(name).items():
+            cases += [(f"{name} {label}", span_subalgebra(alg, span), k) for k in range(5)]
+    for n, orders in ((4, (0, 1, 2)), (5, (0, 1))):
+        alg, sub = so_n(n)
+        cases += [(f"so({n})", span_subalgebra(alg, sub), k) for k in orders]
+    cases += [(f"dense so(4) seed {seed}", dense_split(4, seed), k)
+              for seed in range(3) for k in (0, 1)]
+    abelian = builtin("abelian(1)")[0]
+    cases += [(f"abelian(1) span{span}", span_subalgebra(abelian, span), k)
+              for span in ([], [abelian.basis_vector(0)]) for k in range(3)]
+    return cases
+
+
+def test_structure_algebra_matches_the_fraction_route():
+    for label, split, k in structure_cases():
+        ea = IWExpansion(split, k)
+        got, want = ea.structure_algebra(), reference_structure_algebra(ea)
+        assert got.basis_names == want.basis_names, label
+        assert repr(got.structure) == repr(want.structure), label
+
+
+def test_coords_rejects_a_leading_slot_outside_the_subalgebra():
+    so3 = builtin("so3")[0]
+    ea = IWExpansion(span_subalgebra(so3, [so3.basis_vector(2)]), 1)
+    inside = ea.basis_elements()[0][1]
+    for zero, x in (((ZERO,) * 3, (F(1, 3), ZERO, F(2))),  # the exact route
+                    ((0.0,) * 3, (0.5, 0.0, 2.0))):  # the float route
+        el = ExpandedElement(x, (zero,), zero)
+        for els in ([el], [inside, el], [el, inside]):
+            with pytest.raises(InternalInvariantViolation, match="outside the expansion basis"):
+                ea.coords(els)
+        # with the leading slot in the subalgebra and the top one reduced, it is solved
+        el = ExpandedElement((zero[0], zero[0], x[2]), (x,), (x[0], x[1], zero[0]))
+        assert ea.coords([el]) == [(x[2], *x, x[0], x[1])]
