@@ -273,6 +273,12 @@ class SubalgebraSplit:
             return linalg.from_numerators(linalg.mat_vec(rows, v), den * vden)
         return linalg.mat_vec(floats if all(type(b) is float for b in x if b) else proj, x)
 
+    @cached_property
+    def _inverse(self):
+        """(columns, d): B^-1 = inv / d for B = [h_basis | n_basis], column j of
+        inv as its nonzero (row, entry) pairs; rows below dim_h are h-coordinates."""
+        return _split(self.algebra, self.h_basis, self.n_basis)._inverse
+
     def project_h(self, x):
         return self._project("h", x)
 
@@ -288,12 +294,14 @@ class SubalgebraSplit:
         return linalg.is_zero_vector(self.project_n(x))
 
 
-def _projectors(alg, h_basis, n_basis):
-    """P_h = (h columns of B)(first dh rows of B^-1), B the base change; P_n = 1 - P_h.
+def _split(alg, h_basis, n_basis):
+    """The split along h_basis with complement n_basis, and its exact projectors.
 
-    Both come from integers: B's h-column numerators times the rows of
-    d B^-1 that the elimination leaves, over one denominator, one Fraction
-    per entry.  The float mode runs the same sums on the values, over 1.
+    P_h = (h columns of B)(first dh rows of B^-1), B the base change, and
+    P_n = 1 - P_h come from integers: B's h-column numerators times the rows
+    of d B^-1 that the elimination leaves, over one denominator, one Fraction
+    per entry.  The float mode runs the same sums on the values, over 1.  The
+    split keeps d B^-1, column by column, and d as ``_inverse``.
     """
     n = alg.dim
     rows, den = linalg.numerators(tuple(zip(*h_basis, *n_basis)))
@@ -306,7 +314,11 @@ def _projectors(alg, h_basis, n_basis):
     proj_h = tuple(linalg.from_numerators(row, den) for row in ph)
     proj_n = tuple(linalg.from_numerators([(den if i == k else 0) - x for k, x in enumerate(row)],
                                           den) for i, row in enumerate(ph))
-    return proj_h, proj_n
+    split = SubalgebraSplit(alg, tuple(h_basis), tuple(n_basis), proj_h, proj_n)
+    # fills the cached_property, as its first read would
+    split.__dict__["_inverse"] = (
+        tuple(tuple((r, row[j]) for r, row in enumerate(inv) if row[j]) for j in range(n)), d)
+    return split
 
 
 def _closure_check(alg, h_basis):
@@ -333,8 +345,7 @@ def span_subalgebra(alg, vectors):
     h_basis = [cols[j] for j in pivots if j < len(vectors)]
     n_basis = [cols[j] for j in pivots if j >= len(vectors)]
     _closure_check(alg, h_basis)
-    proj_h, proj_n = _projectors(alg, h_basis, n_basis)
-    return SubalgebraSplit(alg, tuple(h_basis), tuple(n_basis), proj_h, proj_n)
+    return _split(alg, h_basis, n_basis)
 
 
 def split_with_complement(alg, h_vectors, n_vectors):
@@ -348,5 +359,4 @@ def split_with_complement(alg, h_vectors, n_vectors):
         raise DimensionMismatch("complement vectors are not independent of the subalgebra")
     if len(pivots) != alg.dim:
         raise DimensionMismatch("subalgebra and complement do not span the algebra")
-    proj_h, proj_n = _projectors(alg, h_basis, n_basis)
-    return SubalgebraSplit(alg, tuple(h_basis), tuple(n_basis), proj_h, proj_n)
+    return _split(alg, h_basis, n_basis)

@@ -8,11 +8,11 @@ numerators over one denominator once (``ExpandedElement.numerators``); the
 bracket convolves two such pairs on the algebra's integer table, tests the
 leading slot and reduces the top slot on the integer numerators of the
 split's projector, and returns an element that keeps the reduced numerators
-and builds its Fraction slots only when something first reads them.
-``coords`` solves those numerators against the level-tagged basis, scaled
-once per expansion, in one integer elimination, and makes one Fraction per
-output coordinate.  Elements holding a float (the numeric mode) take the same
-steps in floats.
+and builds its Fraction slots only when something first reads them.  The
+level-tagged basis is block-triangular, so ``coords`` solves nothing: it reads
+the outer slots through the split's integer inverse and takes the middle
+slots as they stand, one Fraction per output coordinate.  Elements holding a
+float (the numeric mode) take the same steps in floats.
 
 The general-family case works in plain coefficient tuples: its bracket is
 the contraction's rescaled bracket on polynomials, one integer lift through
@@ -171,12 +171,11 @@ class IWExpansion:
 
     @cached_property
     def _basis(self):
-        """(named, columns, den): the level-tagged basis, and its elements' slots
-        flattened into integer columns over one common denominator."""
+        """The level-tagged basis: (name, element) pairs, h@0, g@1..k, n@(k+1)."""
         alg = self.algebra
-        split = self.split
         k = self.order
-        named = []
+        zero = alg.zero_vector()
+        zeros = (zero,) * k
 
         def tag(vector, level, fallback, index):
             for a in range(alg.dim):
@@ -184,49 +183,54 @@ class IWExpansion:
                     return f"{alg.basis_names[a]}@{level}"
             return f"{fallback}{index + 1}@{level}"
 
-        for i, v in enumerate(split.h_basis):
-            named.append((tag(v, 0, "h", i), self.element(v, [alg.zero_vector()] * k)))
-        for level in range(1, k + 1):
-            for a in range(alg.dim):
-                mids = [alg.zero_vector()] * k
-                mids[level - 1] = alg.basis_vector(a)
-                named.append((f"{alg.basis_names[a]}@{level}",
-                              self.element(alg.zero_vector(), mids)))
-        for i, v in enumerate(split.n_basis):
-            named.append((tag(v, k + 1, "n", i),
-                          self.element(alg.zero_vector(), [alg.zero_vector()] * k, v)))
-        columns, den = linalg.numerators([tuple(chain.from_iterable(e.slots)) for _, e in named])
-        return named, columns, den
+        named = [(tag(v, 0, "h", i), ExpandedElement(v, zeros, zero))
+                 for i, v in enumerate(self.split.h_basis)]
+        named += [(f"{alg.basis_names[a]}@{level}", ExpandedElement(
+            zero, zeros[:level - 1] + (alg.basis_vector(a),) + zeros[level:], zero))
+            for level in range(1, k + 1) for a in range(alg.dim)]
+        return named + [(tag(v, k + 1, "n", i), ExpandedElement(zero, zeros, v))
+                        for i, v in enumerate(self.split.n_basis)]
 
     def basis_elements(self):
         """Basis of the expansion with level-tagged names."""
-        return list(self._basis[0])
+        return list(self._basis)
 
     def coords(self, els):
-        """Coordinates of each element in the level-tagged basis, in one solve.
+        """Coordinates of each element in the level-tagged basis, with no solve.
 
-        The solve runs on numerators: the basis columns over their common
-        denominator D against each element's flattened numerators over its
-        own e.  A coordinate y / d of that solve is y D / (d e) of the
-        element, one Fraction each.  When some element holds a float, every
-        operand is rounded to floats over 1 (``linalg.floats_if_mixed``) and
-        the solve runs in floats.
+        With B^-1 = inv / d the split's inverse, the leading slot's numerators
+        over e give its h-coordinates through the first dh rows of inv, the
+        middle slots are coordinates as they stand, and the top slot gives
+        its n-coordinates through the last dn rows: one vector over d e.  An
+        element holding a float (e is 1.0) divides the outer sums by d at once.
         """
-        _, columns, den = self._basis
-        pairs = [((tuple(chain.from_iterable(rows)),), e)
-                 for rows, e in (el.numerators for el in els)]
-        numeric = any(type(e) is float for _, e in pairs)
-        (columns, den), *pairs = linalg.floats_if_mixed([(columns, den)] + pairs)
-        sols, d = linalg.solve_numerators(
-            columns, [rows[0] for rows, _ in pairs], 1.0 if numeric else den)
-        if any(sol is None for sol in sols):
-            raise InternalInvariantViolation("element outside the expansion basis span")
-        return [linalg.from_numerators([y * den for y in sol], d * e)
-                for sol, (_, e) in zip(sols, pairs)]
+        columns, d = self.split._inverse
+        dh = self.split.dim_h
+
+        def inverse_times(v):  # inv v, summed over the support of v
+            y = [0] * len(v)
+            for j, x in enumerate(v):
+                if x:
+                    for r, c in columns[j]:
+                        y[r] += x * c
+            return y
+
+        out = []
+        for el in els:
+            (a0, *mids, top), e = el.numerators
+            y0, yk = inverse_times(a0), inverse_times(top)
+            if any(y0[dh:]) or any(yk[:dh]):
+                raise InternalInvariantViolation("element outside the expansion basis span")
+            s = d
+            if type(e) is float:  # x d / d would round a float middle slot
+                y0, yk, s, e = [y / d for y in y0], [y / d for y in yk], 1, 1
+            out.append(linalg.from_numerators(
+                y0[:dh] + [x * s for v in mids for x in v] + yk[dh:], s * e))
+        return out
 
     def structure_algebra(self) -> LieAlgebra:
         """The expansion as a plain algebra on the level-tagged basis."""
-        named = self._basis[0]
+        named = self._basis
         m = len(named)
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
         sols = self.coords([self.bracket(named[i][1], named[j][1]) for i, j in pairs])

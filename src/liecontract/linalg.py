@@ -11,9 +11,9 @@ Every elimination is one fraction-free Gauss-Jordan loop, ``_eliminate``,
 parameterised by the ring's multiply, subtract, exact divide and one.
 ``pivot_columns``, ``solve_in_basis`` and ``invert`` run it over Z on the
 integer numerators of their input (see ``numerators``) and divide each
-output entry once (``invert_numerators`` and ``solve_numerators`` hand the
-inverse and the solutions over before that division); float input runs it
-with unit pivots; ``poly_det`` and ``poly_adjugate`` run it over Z[eps].
+output entry once (``invert_numerators`` hands the integer inverse over
+before that division); float input runs it with unit pivots; ``poly_det``
+and ``poly_adjugate`` run it over Z[eps].
 ``mat_vec`` and the polynomial helpers stay integral on integer input too,
 and ``poly_divexact`` checks the remainder.  On Fraction input the results
 stay Fractions, with every zero a Fraction zero.
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 
 from .errors import DimensionMismatch, InternalInvariantViolation
@@ -317,40 +316,25 @@ def invert(m):
     return tuple(from_numerators(row, d) for row in inv)
 
 
-def solve_numerators(columns, rhss, den):
-    """``solve_in_basis`` on numerators: one elimination of [columns | rhss].
+def solve_in_basis(columns, rhss):
+    """Solve sum_j x_j columns[j] = rhs exactly, for every rhs in ``rhss``.
 
-    ``columns`` and ``rhss`` are equally long integer rows, or float rows in
-    the float mode, which ``den`` 1.0 marks as in ``numerators``; the two
-    sides need not share a denominator, as the caller scales the solutions.
-    Returns (sols, d): sols[k] is d times the solution for rhss[k], a list of
-    integers (floats in the float mode), or None where that system is
-    inconsistent.
+    One elimination of [columns | rhss], on their numerators, serves all
+    right-hand sides.  Returns a list with one coefficient tuple per
+    right-hand side, or None where that system is inconsistent.  Intended
+    for independent columns, where each solution is unique.
     """
     if not rhss:
-        return [], 1
+        return []
     n = len(columns)
-    aug = [[v[i] for v in chain(columns, rhss)] for i in range(len(rhss[0]))]
+    rows, den = numerators(list(columns) + list(rhss))
+    aug = [[v[i] for v in rows] for i in range(len(rows[0]))]
     pivots, d = _eliminate_numerators(aug, n, den)
     lead = dict(zip(pivots, aug))  # pivot column -> the row leading there
     rest = aug[len(pivots):]
     return [None if any(row[k] for row in rest)
-            else [lead[c][k] if c in lead else 0 for c in range(n)]
-            for k in range(n, n + len(rhss))], d
-
-
-def solve_in_basis(columns, rhss):
-    """Solve sum_j x_j columns[j] = rhs exactly, for every rhs in ``rhss``.
-
-    One elimination serves all right-hand sides.  Returns a list with one
-    coefficient tuple per right-hand side, or None where that system is
-    inconsistent.  Intended for independent columns, where each solution is
-    unique.
-    """
-    n = len(columns)
-    rows, den = numerators(list(columns) + list(rhss))
-    sols, d = solve_numerators(rows[:n], rows[n:], den)
-    return [None if sol is None else from_numerators(sol, d) for sol in sols]
+            else from_numerators([lead[c][k] if c in lead else 0 for c in range(n)], d)
+            for k in range(n, len(rows))]
 
 
 # ---------------------------------------------------------------------------

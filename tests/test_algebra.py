@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from liecontract import linalg
 from liecontract.algebra import (
-    LieAlgebra, ValidationReport, _projectors, span_subalgebra, split_with_complement)
+    LieAlgebra, ValidationReport, _split, span_subalgebra, split_with_complement)
 from liecontract.catalog import builtin, subalgebra_catalog
 from liecontract.errors import DimensionMismatch, NotASubalgebra, UnknownAlgebra
 
@@ -329,7 +329,8 @@ def product_projectors(n, h_basis, n_basis):
 
 
 def test_projectors_match_the_matrix_product_bit_for_bit():
-    """Exact, float and mixed bases give the product's projectors, by repr."""
+    """Exact, float and mixed bases give the product's projectors, by repr;
+    exact bases also the inverse of the base change that the split keeps."""
     rng = random.Random(12)
     entries = (0, 0, 1, -1, F(1, 3), F(-5, 2), F(7, 10 ** 9 + 7), 0.0, -0.0, 0.1, -2.5, 1e-300)
     for trial in range(600):
@@ -343,9 +344,18 @@ def test_projectors_match_the_matrix_product_bit_for_bit():
             want = product_projectors(*args)
         except ValueError:
             with pytest.raises(ValueError):
-                _projectors(builtin(f"abelian({n})")[0], *args[1:])
+                _split(builtin(f"abelian({n})")[0], *args[1:])
             continue
-        assert repr(_projectors(builtin(f"abelian({n})")[0], *args[1:])) == repr(want)
+        split = _split(builtin(f"abelian({n})")[0], *args[1:])
+        assert repr((split.proj_h, split.proj_n)) == repr(want)
+        if mode == 0:  # the exact inverse kept for the split, column by column
+            inv = [[0] * n for _ in range(n)]
+            columns, d = split._inverse
+            for j, column in enumerate(columns):
+                for r, x in column:
+                    inv[r][j] = x
+            assert repr(tuple(linalg.from_numerators(row, d) for row in inv)) == \
+                repr(linalg.invert(tuple(zip(*args[1], *args[2]))))
 
 
 def test_coset_reduce_examples(so3, heis3):

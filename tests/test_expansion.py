@@ -179,25 +179,26 @@ def test_structure_algebra_names_are_level_tagged():
     assert names == ("X3@0", "X1@1", "X2@1", "X3@1", "X1@2", "X2@2")
 
 
-def test_structure_algebra_solves_once_on_numerators(monkeypatch):
+def test_structure_algebra_runs_no_elimination(monkeypatch):
     ea = so3_x3(2)
     m = len(ea.basis_elements())  # the basis is built, once per expansion
-    calls = {"solve": 0, "vectors": 0}
-    solve, from_numerators = linalg.solve_numerators, linalg.from_numerators
+    ea.split._inverse  # kept by the split from its projectors
+    calls = {"eliminate": 0, "vectors": 0}
+    eliminate, from_numerators = linalg._eliminate, linalg.from_numerators
 
-    def counted_solve(*args):
-        calls["solve"] += 1
-        return solve(*args)
+    def counted_eliminate(*args, **kwargs):
+        calls["eliminate"] += 1
+        return eliminate(*args, **kwargs)
 
     def counted_from_numerators(v, den):
         calls["vectors"] += 1
         return from_numerators(v, den)
 
-    monkeypatch.setattr(linalg, "solve_numerators", counted_solve)
+    monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
     monkeypatch.setattr(linalg, "from_numerators", counted_from_numerators)
     ea.structure_algebra()
-    # one solve, and one vector of Fractions per bracket: its coordinates
-    assert calls == {"solve": 1, "vectors": m * (m - 1) // 2}
+    # no elimination, and one vector of Fractions per bracket: its coordinates
+    assert calls == {"eliminate": 0, "vectors": m * (m - 1) // 2}
 
 
 def element_to_tuple(ea, el):

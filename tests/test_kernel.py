@@ -5,18 +5,21 @@ and the Jacobi sweep of ``validate`` run on integer numerators over one
 common denominator.  The references below are the same loops on the Fraction
 tensor, as they read before the integer table; they must give the same
 values, component types included, and on integer tensors the same floats bit
-for bit.
+for bit.  ``coords`` reads coordinates off the split's inverse;
+``reference_coords`` is the general solve against the flattened basis that it
+replaced.
 """
 
+import random
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecontract import linalg
-from liecontract.algebra import LieAlgebra, ValidationReport, span_subalgebra
+from liecontract.algebra import LieAlgebra, ValidationReport, span_subalgebra, split_with_complement
 from liecontract.catalog import builtin, subalgebra_catalog
 from liecontract.errors import DimensionMismatch, InternalInvariantViolation
 from liecontract.expansion import ExpandedElement, IWExpansion
@@ -71,15 +74,24 @@ def reference_iw_bracket(ea, a, b):
         out[0], tuple(out[1: k + 1]), ea.split.coset_reduce(out[k + 1]))
 
 
+def reference_coords(ea, els):
+    """``coords`` as it ran before the split's inverse: one ``solve_in_basis``
+    of the flattened slots against the flattened basis elements."""
+    columns = [tuple(chain.from_iterable(el.slots)) for _, el in ea.basis_elements()]
+    sols = linalg.solve_in_basis(columns, [tuple(chain.from_iterable(el.slots)) for el in els])
+    if None in sols:
+        raise InternalInvariantViolation("element outside the expansion basis span")
+    return sols
+
+
 def reference_structure_algebra(ea):
     """``structure_algebra`` as it ran before the integer route: Fraction
-    brackets, and one Fraction ``solve_in_basis`` over the flattened slots."""
+    brackets, and ``reference_coords``."""
     named = ea.basis_elements()
     m = len(named)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    columns = [tuple(chain.from_iterable(el.slots)) for _, el in named]
-    brackets = [reference_iw_bracket(ea, named[i][1], named[j][1]) for i, j in pairs]
-    sols = linalg.solve_in_basis(columns, [tuple(chain.from_iterable(w.slots)) for w in brackets])
+    sols = reference_coords(ea, [reference_iw_bracket(ea, named[i][1], named[j][1])
+                                 for i, j in pairs])
     entries = [(i, j, c, x) for (i, j), sol in zip(pairs, sols) for c, x in enumerate(sol) if x]
     return LieAlgebra.from_brackets(m, tuple(name for name, _ in named), entries)
 
@@ -206,8 +218,10 @@ def test_integer_kernel_matches_fraction_reference(case, data):
     assert jet_key(bracket_poly(alg, p, q)) == jet_key(reference_bracket_poly(alg, p, q))
 
     ea = IWExpansion(span_subalgebra(alg, draw(st.sampled_from(spans))), draw(st.integers(0, 3)))
-    a, b = (ExpandedElement(slot(draw, n), tuple(slot(draw, n) for _ in range(ea.order)),
-                            slot(draw, n))
+    entries = FLOATS if integral and draw(st.booleans()) else ENTRIES
+    a, b = (ExpandedElement(slot(draw, n, entries),
+                            tuple(slot(draw, n, entries) for _ in range(ea.order)),
+                            slot(draw, n, entries))
             for _ in range(2))
     try:
         expected = reference_iw_bracket(ea, a, b)
@@ -296,9 +310,69 @@ def structure_cases():
     return cases
 
 
+@cache
+def coords_cases():
+    """``structure_cases`` plus catalogued splits given dense complements."""
+    rng = random.Random(7)
+    cases = structure_cases()
+    for name in ("so3", "sl2", "heis3"):
+        alg = builtin(name)[0]
+        whole = [alg.basis_vector(a) for a in range(alg.dim)]
+        for label, span in [("span[]", []), ("whole", whole), *subalgebra_catalog(name).items()]:
+            h = span_subalgebra(alg, span).h_basis
+            while True:
+                try:
+                    split = split_with_complement(alg, h, [
+                        linalg.random_vector(rng, alg.dim) for _ in range(alg.dim - len(h))])
+                    break
+                except DimensionMismatch:
+                    continue
+            cases += [(f"{name} {label} dense complement", split, k) for k in range(3)]
+    return cases
+
+
+def combination(draw, basis, n):
+    """A combination of ``basis`` with coefficients drawn from ENTRIES."""
+    out = linalg.zero_vector(n)
+    for v in basis:
+        out = linalg.vec_add(out, linalg.vec_scale(draw(st.sampled_from(ENTRIES)), v))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_coords_matches_the_solve_it_replaces(data):
+    """Coordinates read off the split's inverse equal those of one general
+    solve against the flattened basis, on leading slots that leave the
+    subalgebra and top slots with an h-part too."""
+    draw = data.draw
+    label, split, k = draw(st.sampled_from(coords_cases()))
+    ea = IWExpansion(split, k)
+    n = ea.algebra.dim
+    escape = st.sampled_from((False, False, False, True))
+    els = []
+    for _ in range(draw(st.integers(1, 3))):
+        a0 = combination(draw, split.h_basis, n)
+        if draw(escape):
+            a0 = linalg.vec_add(a0, draw(vectors(n)))
+        top = combination(draw, split.n_basis, n)
+        if draw(escape):
+            top = linalg.vec_add(top, combination(draw, split.h_basis, n))
+        els.append(ExpandedElement(a0, tuple(slot(draw, n) for _ in range(k)), top))
+    try:
+        expected = reference_coords(ea, els)
+    except InternalInvariantViolation as err:
+        with pytest.raises(InternalInvariantViolation, match=str(err)):
+            ea.coords(els)
+    else:
+        assert repr(ea.coords(els)) == repr(expected), label
+
+
 def test_structure_algebra_matches_the_fraction_route():
     for label, split, k in structure_cases():
         ea = IWExpansion(split, k)
+        for _, el in ea.basis_elements():  # built directly, as ``element`` builds them
+            assert element_key(el) == element_key(ea.element(el.a0, el.mids, el.top)), label
         got, want = ea.structure_algebra(), reference_structure_algebra(ea)
         assert got.basis_names == want.basis_names, label
         assert repr(got.structure) == repr(want.structure), label
@@ -317,3 +391,16 @@ def test_coords_rejects_a_leading_slot_outside_the_subalgebra():
         # with the leading slot in the subalgebra and the top one reduced, it is solved
         el = ExpandedElement((zero[0], zero[0], x[2]), (x,), (x[0], x[1], zero[0]))
         assert ea.coords([el]) == [(x[2], *x, x[0], x[1])]
+
+
+def test_coords_keeps_float_middle_slots():
+    """A float element's middle slots are its coordinates bit for bit, also
+    where the split's inverse has a denominator d > 1 (x d / d would round)."""
+    ea = IWExpansion(dense_split(4, 0), 2)
+    n, dh = ea.algebra.dim, ea.split.dim_h
+    assert ea.split._inverse[1] > 1
+    zero = (0.0,) * n
+    mids = (FLOATS[-n:], FLOATS[:n])
+    [got] = ea.coords([ExpandedElement(zero, mids, zero)])
+    assert exact_key(got[dh:dh + 2 * n]) == exact_key(mids[0] + mids[1])
+    assert not any(got[:dh] + got[dh + 2 * n:])
