@@ -1,6 +1,6 @@
 """Finite-dimensional Lie algebras with exact rational structure constants.
 
-A LieAlgebra stores the dense tensor f[a][b][c] defined by
+A LieAlgebra holds the structure constants f[a][b][c] defined by
 [X_a, X_b] = sum_c f[a][b][c] X_c.  Antisymmetry and the Jacobi identity are
 not enforced at construction time: ``validate`` produces an exact report, so
 deliberately broken tensors can be represented and diagnosed.
@@ -10,7 +10,11 @@ f[a][b] with a < b as integer numerators over one common denominator D.
 ``bracket`` scales its two arguments to integer numerators over one
 denominator, runs the pair loop on ints and builds one Fraction per output
 component; the jet convolution and the Jacobi sweep of ``validate`` read the
-same table.
+same table.  An algebra given a dense tensor derives the table from it;
+``from_brackets`` fills the table straight from its sparse entries, together
+with the explicit mirror entries that break antisymmetry, and builds the
+dense tensor ``structure`` only when something first reads it.  ``validate``
+reads the table and those entries, never the dense tensor.
 
 A subalgebra split keeps each projector as integer numerators over one
 denominator, and a copy rounded once to floats.  An exact vector is
@@ -72,17 +76,35 @@ def _format_vector(names, v):
     return " + ".join(parts) if parts else "0"
 
 
+def _check_size(dim, basis_names):
+    if not 1 <= dim <= MAX_DIM:
+        raise DimensionMismatch(f"dimension must be in 1..{MAX_DIM}")
+    if len(basis_names) != dim:
+        raise DimensionMismatch("basis name count differs from dimension")
+
+
+def _dense(n, table, mirrors):
+    """The tensor f[a][b][c] with upper triangle ``table``, completed antisymmetrically
+    except at the ``mirrors`` (a, b, c, f[a][b][c], f[b][a][c])."""
+    den, rows = table
+    f = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for a, b, row in rows:
+        for c, x in row:
+            f[a][b][c] = value = Fraction(x, den)
+            f[b][a][c] = -value
+    for a, b, c, x, y in mirrors:
+        f[a][b][c], f[b][a][c] = x, y
+    return tuple(tuple(tuple(row) for row in plane) for plane in f)
+
+
 @dataclass(frozen=True)
 class LieAlgebra:
     dim: int
     basis_names: tuple
-    structure: tuple  # structure[a][b][c], all Fractions
+    structure: tuple  # structure[a][b][c], all Fractions; from_brackets builds it on first read
 
     def __post_init__(self):
-        if not 1 <= self.dim <= MAX_DIM:
-            raise DimensionMismatch(f"dimension must be in 1..{MAX_DIM}")
-        if len(self.basis_names) != self.dim:
-            raise DimensionMismatch("basis name count differs from dimension")
+        _check_size(self.dim, self.basis_names)
         if len(self.structure) != self.dim or any(
             len(plane) != self.dim or any(len(row) != self.dim for row in plane)
             for plane in self.structure
@@ -97,6 +119,11 @@ class LieAlgebra:
         without an explicit mirror entry.  Explicit mirror entries are stored
         as given, so deliberately broken tensors remain representable and are
         caught by ``validate`` instead of being rejected here.
+
+        The entries fill ``_table`` and ``_antisymmetry`` directly, with no
+        pass over the dense tensor; ``structure`` is built on its first read
+        (see ``__getattr__``), so an algebra that is only bracketed,
+        validated or written out never builds it.
         """
         explicit = {}
         for a, b, c, coeff in entries:
@@ -109,14 +136,34 @@ class LieAlgebra:
             if key in explicit and explicit[key] != coeff:
                 raise DimensionMismatch(f"conflicting entries for {key}")
             explicit[key] = coeff
-        f = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+        _check_size(dim, basis_names)
+        upper = {}  # (a, b), a < b: {c: f[a][b][c]} over the nonzero entries
+        mirrors = []
         for (a, b, c), coeff in explicit.items():
-            f[a][b][c] = coeff
-        for (a, b, c), coeff in explicit.items():
-            if (b, a, c) not in explicit:
-                f[b][a][c] = -coeff
-        tensor = tuple(tuple(tuple(row) for row in plane) for plane in f)
-        return cls(dim, tuple(basis_names), tensor)
+            mirror = explicit.get((b, a, c))
+            if a < b:
+                if mirror is not None and coeff + mirror != 0:
+                    mirrors.append((a, b, c, coeff, mirror))
+            elif mirror is None:
+                a, b, coeff = b, a, -coeff
+            else:  # the upper entry of the pair is explicit too
+                continue
+            if coeff:
+                upper.setdefault((a, b), {})[c] = coeff
+        den = lcm(*(f.denominator for row in upper.values() for f in row.values()))
+        table = tuple((a, b, tuple((c, row[c].numerator * (den // row[c].denominator))
+                                   for c in sorted(row)))
+                      for (a, b), row in sorted(upper.items()))
+        alg = cls.__new__(cls)
+        # fills the cached_properties below, as their first reads would
+        alg.__dict__.update(dim=dim, basis_names=tuple(basis_names), _table=(den, table),
+                            _antisymmetry=tuple(sorted(mirrors)))
+        return alg
+
+    def __getattr__(self, name):
+        """Build ``structure`` of an algebra made by ``from_brackets``, once, on its first read."""
+        return linalg.deferred(self, name, ("structure",), "_table",
+                               lambda table: (_dense(self.dim, table, self._antisymmetry),))
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, basis_names={self.basis_names!r})"
@@ -125,9 +172,10 @@ class LieAlgebra:
     def _table(self):
         """The nonzero rows f[a][b], a < b, as integers over one denominator.
 
-        Returns (den, rows) with rows = ((a, b, ((c, n), ...)), ...) and
-        f[a][b][c] = n / den, den being the least common denominator of the
-        upper triangle.  The lower triangle is never read.
+        Returns (den, rows) with rows = ((a, b, ((c, n), ...)), ...) in (a, b)
+        order, c ascending, and f[a][b][c] = n / den, den being the least
+        common denominator of the upper triangle.  The lower triangle is never
+        read.
         """
         upper = [(a, b, [(c, f) for c, f in enumerate(self.structure[a][b]) if f != 0])
                  for a in range(self.dim) for b in range(a + 1, self.dim)]
@@ -135,6 +183,21 @@ class LieAlgebra:
         rows = tuple((a, b, tuple((c, f.numerator * (den // f.denominator)) for c, f in row))
                      for a, b, row in upper if row)
         return den, rows
+
+    @cached_property
+    def _antisymmetry(self):
+        """The entries that break antisymmetry: (a, b, c, f[a][b][c], f[b][a][c])
+        for b >= a with a nonzero sum, in (a, b, c) order.
+
+        An algebra from a dense tensor finds them in one pass over it; one
+        from ``from_brackets`` can only break antisymmetry at explicit mirror
+        entries, and is given them at construction.
+        """
+        f = self.structure
+        n = self.dim
+        return tuple((a, b, c, f[a][b][c], f[b][a][c])
+                     for a in range(n) for b in range(a, n) for c in range(n)
+                     if (f[a][b][c] or f[b][a][c]) and f[a][b][c] + f[b][a][c] != 0)
 
     def zero_vector(self):
         return linalg.zero_vector(self.dim)
@@ -182,24 +245,20 @@ class LieAlgebra:
     def validate(self):
         """Exact antisymmetry and Jacobi report over all index combinations.
 
-        The Jacobi residuals are summed over the nonzero structure constants
-        only, so a sparse tensor is checked in time proportional to its
-        nonzero products rather than through dense ``bracket`` calls.  The
-        sums run on the integer table; a residual becomes Fractions only when
-        it is reported.
+        The report counts n n(n+1)/2 antisymmetry checks (the pairs
+        f[a][b][c], f[b][a][c] with b >= a) and C(n, 3) Jacobi triples, but
+        reads only the entries that break antisymmetry (``_antisymmetry``)
+        and the nonzero structure constants.  The Jacobi residuals are summed
+        on the integer table, so a sparse tensor is checked in time
+        proportional to its nonzero products rather than through dense
+        ``bracket`` calls; a residual becomes Fractions only when it is
+        reported.
         """
-        report = ValidationReport()
-        f = self.structure
         n = self.dim
-        for a in range(n):
-            for b in range(a, n):
-                for c in range(n):
-                    report.checks += 1
-                    if (f[a][b][c] or f[b][a][c]) and f[a][b][c] + f[b][a][c] != 0:
-                        report.record(
-                            "antisymmetry", (a + 1, b + 1, c + 1),
-                            f"f[{a + 1}][{b + 1}][{c + 1}]={f[a][b][c]} but "
-                            f"f[{b + 1}][{a + 1}][{c + 1}]={f[b][a][c]}")
+        report = ValidationReport(checks=n * n * (n + 1) // 2 + n * (n - 1) * (n - 2) // 6)
+        for a, b, c, x, y in self._antisymmetry:
+            report.record("antisymmetry", (a + 1, b + 1, c + 1),
+                          f"f[{a + 1}][{b + 1}][{c + 1}]={x} but f[{b + 1}][{a + 1}][{c + 1}]={y}")
         # rows[p][q]: nonzero (c, numerator) of [X_p, X_q] as ``bracket`` sees
         # it, i.e. read off the upper triangle f[min][max] with the sign of the
         # order; a residual is a sum of products of two of them, over den**2
@@ -216,7 +275,6 @@ class LieAlgebra:
                         for d, u in rows[x][y]:
                             for e, v in rows[d][z]:
                                 residual[e] = residual.get(e, 0) + u * v
-                    report.checks += 1
                     if any(residual.values()):
                         vec = tuple(Fraction(residual.get(e, 0), den * den) for e in range(n))
                         report.record(

@@ -37,6 +37,13 @@ from .jets import bracket_numerators, bracket_series
 _SLOTS = ("a0", "mids", "top")
 
 
+def _slots(pair):
+    """The slots (a0, mids, top) of the numerators pair (rows, den)."""
+    rows, den = pair
+    slots = [linalg.from_numerators(v, den) for v in rows]
+    return slots[0], tuple(slots[1:-1]), slots[-1]
+
+
 @dataclass(frozen=True)
 class ExpandedElement:
     """Subalgebra value, k middle coefficients, canonical coset top slot.
@@ -66,12 +73,7 @@ class ExpandedElement:
 
     def __getattr__(self, name):
         """Build the slots of an element made by ``_from_numerators``, once, on a first read."""
-        if name not in _SLOTS or "numerators" not in self.__dict__:
-            raise AttributeError(name)
-        rows, den = self.numerators
-        slots = [linalg.from_numerators(v, den) for v in rows]
-        self.__dict__.update(zip(_SLOTS, (slots[0], tuple(slots[1:-1]), slots[-1])))
-        return self.__dict__[name]
+        return linalg.deferred(self, name, _SLOTS, "numerators", _slots)
 
     @cached_property
     def numerators(self):
@@ -132,10 +134,11 @@ class IWExpansion:
                 out[0], tuple(out[1: k + 1]), self.split.coset_reduce(out[k + 1]))
         out, den = bracket_numerators(self.algebra, pa, pb, k + 2)
         _, proj, pden, _ = self.split._projector_forms["n"]
-        if any(linalg.mat_vec(proj, out[0])):
+        # a zero slot (int zeros) projects to itself: mat_vec would scan proj to tell
+        if any(out[0]) and any(linalg.mat_vec(proj, out[0])):
             raise InternalInvariantViolation("leading bracket slot escaped the subalgebra")
         rows = [[x * pden for x in v] for v in out[:k + 1]]
-        rows.append(linalg.mat_vec(proj, out[k + 1]))
+        rows.append(linalg.mat_vec(proj, out[k + 1]) if any(out[k + 1]) else out[k + 1])
         return ExpandedElement._from_numerators(rows, den * pden)
 
     # ----- order-0 identification with the contraction -----------------

@@ -105,13 +105,10 @@ def algebra_from_dict(data):
 
 
 def algebra_to_dict(alg):
-    brackets = []
-    for a in range(alg.dim):
-        for b in range(a + 1, alg.dim):
-            for c in range(alg.dim):
-                coeff = alg.structure[a][b][c]
-                if coeff != 0:
-                    brackets.append([a + 1, b + 1, c + 1, format_rational(coeff)])
+    """The nonzero f[a][b][c], a < b, read off the algebra's integer table."""
+    den, rows = alg._table
+    brackets = [[a + 1, b + 1, c + 1, format_rational(Fraction(x, den))]
+                for a, b, row in rows for c, x in row]
     return {"dim": alg.dim, "basis": list(alg.basis_names), "brackets": brackets}
 
 

@@ -137,12 +137,8 @@ class Jet:
 
     def __getattr__(self, name):
         """Build ``coeffs`` of a jet made by ``from_numerators``, once, on its first read."""
-        if name != "coeffs" or "numerators" not in self.__dict__:
-            raise AttributeError(name)
-        rows, den = self.numerators
-        coeffs = tuple(linalg.from_numerators(v, den) for v in rows)
-        self.__dict__["coeffs"] = coeffs
-        return coeffs
+        return linalg.deferred(self, name, ("coeffs",), "numerators", lambda pair: (
+            tuple(linalg.from_numerators(v, pair[1]) for v in pair[0]),))
 
     @classmethod
     def zero(cls, dim, trunc):

@@ -204,6 +204,22 @@ def from_numerators(v, den):
     return tuple((Fraction(n, den) if n else ZERO) if type(n) is int else n / den for n in v)
 
 
+def deferred(obj, name, fields, source, build):
+    """``__getattr__`` for the fields of an object that are built on their first read.
+
+    Such an object holds ``source`` in its ``__dict__`` in place of
+    ``fields``.  The first read of any of them stores ``build(source value)``,
+    the values of all ``fields`` in order, so it runs once.  Any other name,
+    and any object without ``source``, is an AttributeError, as ``copy`` and
+    ``pickle`` expect when they probe for ``__setstate__``.
+    """
+    state = obj.__dict__
+    if name not in fields or source not in state:
+        raise AttributeError(name)
+    state.update(zip(fields, build(state[source])))
+    return state[name]
+
+
 def mat_add(a, b):
     return tuple(vec_add(ra, rb) for ra, rb in zip(a, b))
 

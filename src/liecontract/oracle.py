@@ -146,32 +146,3 @@ class Representation:
         coeffs = tuple(self.decompose(z.coeff(m)) for m in range(order + 1))
         return Jet(self.algebra.dim, order + 1, coeffs)
 
-
-def numeric_exp(matrix, tol=1e-17, max_terms=80):
-    """Plain Taylor partial sums at a small numeric argument (sampling only)."""
-    size = len(matrix)
-    acc = [[float(i == j) for j in range(size)] for i in range(size)]
-    term = [[float(i == j) for j in range(size)] for i in range(size)]
-    for k in range(1, max_terms):
-        term = [[sum(term[i][l] * float(matrix[l][j]) for l in range(size)) / k
-                 for j in range(size)] for i in range(size)]
-        for i in range(size):
-            for j in range(size):
-                acc[i][j] += term[i][j]
-        if max(abs(x) for row in term for x in row) < tol:
-            break
-    return tuple(tuple(row) for row in acc)
-
-
-def numeric_product_gap(rep: Representation, p: Jet, q: Jet, z: Jet, point):
-    """Max componentwise gap between exp(P) exp(Q) and exp(Z) at a numeric point.
-
-    Sampling aid for plots and sanity sweeps; never part of exact checks.
-    """
-    def float_matrix(jet):
-        value = jet.eval_at(Fraction(point))
-        return [[float(x) for x in row] for row in rep.matrix_of(value)]
-
-    prod = linalg.mat_mul(numeric_exp(float_matrix(p)), numeric_exp(float_matrix(q)))
-    via_z = numeric_exp(float_matrix(z))
-    return max(abs(a - b) for ra, rb in zip(prod, via_z) for a, b in zip(ra, rb))

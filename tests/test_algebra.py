@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from liecontract.algebra import (
     LieAlgebra, ValidationReport, _split, span_subalgebra, split_with_complement)
 from liecontract.catalog import builtin, subalgebra_catalog
 from liecontract.errors import DimensionMismatch, NotASubalgebra, UnknownAlgebra
+from test_numeric_mode import so_n
 
 F = Fraction
 
@@ -238,14 +241,108 @@ def structure_tensors(draw):
                       tuple(tuple(tuple(r) for r in plane) for plane in f))
 
 
+def reference_tensor(dim, entries):
+    """The dense tensor of ``from_brackets`` entries: each explicit entry as
+    given, the mirror of every other one completed antisymmetrically."""
+    explicit = {(a, b, c): F(x) for a, b, c, x in entries}
+    f = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (a, b, c), x in explicit.items():
+        f[a][b][c] = x
+    for (a, b, c), x in explicit.items():
+        if (b, a, c) not in explicit:
+            f[b][a][c] = -x
+    return tuple(tuple(tuple(row) for row in plane) for plane in f)
+
+
+@st.composite
+def sparse_entries(draw, f):
+    """``from_brackets`` entries of a tensor with a zero diagonal, in a drawn order.
+
+    An antisymmetric pair comes as its upper entry, its lower entry or both
+    (a zero pair also not at all, or as explicit zeros); any other pair as
+    both entries, an explicit zero mirror among them.  Some entries repeat.
+    """
+    n = len(f)
+    entries = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(n):
+                x, y = f[a][b][c], f[b][a][c]
+                given = ("both",) if x + y != 0 else ("upper", "lower", "both") + ("none",) * (x == 0)
+                given = draw(st.sampled_from(given))
+                if given in ("upper", "both"):
+                    entries.append((a, b, c, x))
+                if given in ("lower", "both"):
+                    entries.append((b, a, c, y))
+    if entries:
+        entries += draw(st.lists(st.sampled_from(entries), max_size=2))
+    return draw(st.permutations(entries))
+
+
+@st.composite
+def algebras(draw):
+    """(algebra, the same tensor through the dense constructor): half of the
+    ``structure_tensors`` with a zero diagonal go through ``from_brackets``."""
+    dense = draw(structure_tensors())
+    f, n = dense.structure, dense.dim
+    if draw(st.booleans()) and not any(f[a][a][c] for a in range(n) for c in range(n)):
+        entries = draw(sparse_entries(f))
+        alg = LieAlgebra.from_brackets(n, dense.basis_names, entries)
+        assert repr(reference_tensor(n, entries)) == repr(f)
+        return alg, dense
+    return dense, dense
+
+
 def report_key(report):
     return report.checks, [(v.kind, v.location, v.detail) for v in report.violations]
 
 
-@settings(max_examples=200, deadline=None)
-@given(structure_tensors())
-def test_validate_matches_bracket_reference(alg):
-    assert report_key(alg.validate()) == report_key(reference_validate(alg))
+@settings(max_examples=300, deadline=None)
+@given(algebras())
+def test_validate_matches_bracket_reference(case):
+    alg, dense = case
+    assert report_key(alg.validate()) == report_key(reference_validate(dense))
+    assert alg._table == dense._table  # the rows that bracket and validate read, in order
+    assert repr(alg.structure) == repr(dense.structure)
+    assert alg == dense and hash(alg) == hash(dense)
+
+
+def test_from_brackets_defers_the_dense_tensor():
+    """An algebra from ``from_brackets`` validates without its dense tensor;
+    the first read builds the tensor once, and copies stay lazy until then."""
+    entries = [(0, 1, 2, 1), (2, 0, 1, F(1, 2)), (1, 2, 0, 3), (2, 1, 0, 0), (0, 1, 2, 1)]
+    want = LieAlgebra(3, ("X1", "X2", "X3"), reference_tensor(3, entries))
+    alg = LieAlgebra.from_brackets(3, ("X1", "X2", "X3"), entries)
+    report = alg.validate()
+    assert report_key(report) == report_key(reference_validate(want))
+    assert [v.detail for v in report.violations][0] == "f[2][3][1]=3 but f[3][2][1]=0"
+    assert alg._table == want._table
+    assert "structure" not in alg.__dict__
+    for lazy in (alg, copy.copy(alg), pickle.loads(pickle.dumps(alg))):
+        assert "structure" not in lazy.__dict__
+        assert lazy == want and hash(lazy) == hash(want)
+        assert repr(lazy.structure) == repr(want.structure)
+        assert lazy.structure is lazy.structure  # built once
+
+
+def test_so8_sized_dense_tensor_validates_like_the_reference():
+    alg, _ = so_n(8)
+    assert alg.dim == 28
+    report = alg.validate()
+    assert report.ok and report.checks == 28 * 28 * 29 // 2 + 28 * 27 * 26 // 6
+    assert report_key(report) == report_key(reference_validate(alg))
+    entries = [(a, b, c, x) for a in range(28) for b in range(a + 1, 28)
+               for c, x in enumerate(alg.structure[a][b]) if x]
+    sparse = LieAlgebra.from_brackets(28, alg.basis_names, entries)
+    assert report_key(sparse.validate()) == report_key(report)
+    assert sparse._table == alg._table and "structure" not in sparse.__dict__
+    assert sparse.structure == alg.structure
+    f = [[list(row) for row in plane] for plane in alg.structure]
+    f[3][20][27] += 1  # its mirror left as it is: antisymmetry and Jacobi break
+    broken = LieAlgebra(28, alg.basis_names, tuple(tuple(map(tuple, p)) for p in f))
+    report = broken.validate()
+    assert not report.ok
+    assert report_key(report) == report_key(reference_validate(broken))
 
 
 def test_dimension_cap():
@@ -253,6 +350,12 @@ def test_dimension_cap():
                  for _ in range(33))
     with pytest.raises(DimensionMismatch):
         LieAlgebra(33, tuple(f"A{i}" for i in range(33)), zero)
+    names = tuple(f"A{i}" for i in range(33))
+    for dim, entries in ((33, []), (33, [(0, 32, 1, 1)]), (0, []), (10 ** 9, [])):
+        with pytest.raises(DimensionMismatch, match="dimension must be in 1..32"):
+            LieAlgebra.from_brackets(dim, names, entries)
+    with pytest.raises(DimensionMismatch, match="basis name count"):
+        LieAlgebra.from_brackets(32, names, [])
 
 
 def test_span_subalgebra_so3_x3(so3):

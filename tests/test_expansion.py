@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,6 +11,8 @@ from liecontract.catalog import builtin, canonical_split_vectors, subalgebra_cat
 from liecontract.contraction import ContractionFamily, contract, iw_family
 from liecontract.errors import DimensionMismatch
 from liecontract.expansion import ExpandedElement, GeneralExpansion, IWExpansion
+from liecontract.formats import algebra_to_dict
+from test_algebra import reference_tensor
 
 F = Fraction
 
@@ -199,6 +203,34 @@ def test_structure_algebra_runs_no_elimination(monkeypatch):
     ea.structure_algebra()
     # no elimination, and one vector of Fractions per bracket: its coordinates
     assert calls == {"eliminate": 0, "vectors": m * (m - 1) // 2}
+
+
+def test_emitted_algebra_is_validated_without_its_dense_tensor():
+    """Emitting, validating and writing out an expansion builds no dense
+    tensor; its first read gives the tensor of the emitted entries."""
+    cases = [(name, vectors) for name in ("so3", "sl2", "heis3")
+             for vectors in subalgebra_catalog(name).values()]
+    for name, vectors in cases:
+        split = span_subalgebra(builtin(name)[0], vectors)
+        for k in range(3):
+            ea = IWExpansion(split, k)
+            alg = ea.structure_algebra()
+            assert alg.validate().ok
+            payload = algebra_to_dict(alg)
+            assert "structure" not in alg.__dict__
+            named = ea.basis_elements()
+            m = len(named)
+            pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+            sols = ea.coords([ea.bracket(named[i][1], named[j][1]) for i, j in pairs])
+            entries = [(i, j, c, x) for (i, j), sol in zip(pairs, sols)
+                       for c, x in enumerate(sol) if x]
+            want = LieAlgebra(m, alg.basis_names, reference_tensor(m, entries))
+            assert payload == algebra_to_dict(want)
+            lazy = [alg, copy.copy(alg), pickle.loads(pickle.dumps(alg))]
+            assert all("structure" not in x.__dict__ for x in lazy)
+            for x in lazy:
+                assert x == want and hash(x) == hash(want)
+                assert repr(x.structure) == repr(want.structure)
 
 
 def element_to_tuple(ea, el):

@@ -12,7 +12,7 @@ from liecontract.errors import (
     NonzeroConstantTerm,
 )
 from liecontract.jets import Jet, MatrixJet
-from liecontract.oracle import Representation, numeric_product_gap
+from liecontract.oracle import Representation
 
 F = Fraction
 
@@ -167,6 +167,33 @@ def test_faithfulness_is_checked_once_per_representation(monkeypatch):
         with pytest.raises(DecompositionFailed):
             broken.require_faithful()
     assert checked == [rep, broken]
+
+
+def numeric_exp(matrix, tol=1e-17, max_terms=80):
+    """Plain Taylor partial sums at a small numeric argument."""
+    size = len(matrix)
+    acc = [[float(i == j) for j in range(size)] for i in range(size)]
+    term = [[float(i == j) for j in range(size)] for i in range(size)]
+    for k in range(1, max_terms):
+        term = [[sum(term[i][l] * float(matrix[l][j]) for l in range(size)) / k
+                 for j in range(size)] for i in range(size)]
+        for i in range(size):
+            for j in range(size):
+                acc[i][j] += term[i][j]
+        if max(abs(x) for row in term for x in row) < tol:
+            break
+    return tuple(tuple(row) for row in acc)
+
+
+def numeric_product_gap(rep, p, q, z, point):
+    """Max componentwise gap between exp(P) exp(Q) and exp(Z) at a numeric point."""
+    def float_matrix(jet):
+        value = jet.eval_at(F(point))
+        return [[float(x) for x in row] for row in rep.matrix_of(value)]
+
+    prod = linalg.mat_mul(numeric_exp(float_matrix(p)), numeric_exp(float_matrix(q)))
+    via_z = numeric_exp(float_matrix(z))
+    return max(abs(a - b) for ra, rb in zip(prod, via_z) for a, b in zip(ra, rb))
 
 
 def test_numeric_sampling_gap_is_small():
