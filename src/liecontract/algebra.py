@@ -10,7 +10,9 @@ f[a][b] with a < b as integer numerators over one common denominator D.
 ``bracket`` scales its two arguments to integer numerators over one
 denominator, runs the pair loop on ints and builds one Fraction per output
 component; the jet convolution and the Jacobi sweep of ``validate`` read the
-same table.  An algebra given a dense tensor derives the table from it;
+same table, the sweep walking only the nonzero nested products [[X_x, X_y],
+X_z] rather than every triple.  An algebra given a dense tensor derives the
+table from it;
 ``from_brackets`` fills the table straight from its sparse entries, together
 with the explicit mirror entries that break antisymmetry, and builds the
 dense tensor ``structure`` only when something first reads it.  ``validate``
@@ -249,37 +251,49 @@ class LieAlgebra:
         f[a][b][c], f[b][a][c] with b >= a) and C(n, 3) Jacobi triples, but
         reads only the entries that break antisymmetry (``_antisymmetry``)
         and the nonzero structure constants.  The Jacobi residuals are summed
-        on the integer table, so a sparse tensor is checked in time
-        proportional to its nonzero products rather than through dense
-        ``bracket`` calls; a residual becomes Fractions only when it is
-        reported.
+        on the integer table over the nonzero products only: each nonzero
+        entry u of a row [X_x, X_y] meets each nonzero row [X_d, X_z] and adds
+        into the residual of the triple {x, y, z}, so a triple none of whose
+        brackets nest to a nonzero product is never visited.  A residual
+        becomes Fractions only when it is reported, in (a, b, c) order.
         """
         n = self.dim
         report = ValidationReport(checks=n * n * (n + 1) // 2 + n * (n - 1) * (n - 2) // 6)
         for a, b, c, x, y in self._antisymmetry:
             report.record("antisymmetry", (a + 1, b + 1, c + 1),
                           f"f[{a + 1}][{b + 1}][{c + 1}]={x} but f[{b + 1}][{a + 1}][{c + 1}]={y}")
-        # rows[p][q]: nonzero (c, numerator) of [X_p, X_q] as ``bracket`` sees
+        # nbr[d]: (z, nonzero (e, numerator) of [X_d, X_z]) as ``bracket`` sees
         # it, i.e. read off the upper triangle f[min][max] with the sign of the
-        # order; a residual is a sum of products of two of them, over den**2
+        # order.  The residual of a < b < c is the sum of u [X_d, X_z] over the
+        # cyclic terms [[X_x, X_y], X_z] = sum_d u X_d, over den**2; written
+        # with x < y, the term (c, a, b) is minus that of (a, c, b), so a term
+        # takes the sign -1 exactly when x < z < y.
         den, table = self._table
-        rows = [[()] * n for _ in range(n)]
+        nbr = [[] for _ in range(n)]
         for a, b, row in table:
-            rows[a][b] = row
-            rows[b][a] = tuple((c, -x) for c, x in row)
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    residual = {}
-                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                        for d, u in rows[x][y]:
-                            for e, v in rows[d][z]:
-                                residual[e] = residual.get(e, 0) + u * v
-                    if any(residual.values()):
-                        vec = tuple(Fraction(residual.get(e, 0), den * den) for e in range(n))
-                        report.record(
-                            "jacobi", (a + 1, b + 1, c + 1),
-                            f"residual {self.format_vector(vec)}")
+            nbr[a].append((b, row))
+            nbr[b].append((a, tuple((c, -x) for c, x in row)))
+        residuals = {}
+        for x, y, row in table:
+            for d, u in row:
+                for z, bracket in nbr[d]:
+                    if z < x:
+                        key, s = (z, x, y), u
+                    elif z > y:
+                        key, s = (x, y, z), u
+                    elif x < z < y:
+                        key, s = (x, z, y), -u
+                    else:  # z is x or y: no triple
+                        continue
+                    residual = residuals.setdefault(key, {})
+                    for e, v in bracket:
+                        residual[e] = residual.get(e, 0) + s * v
+        for key in sorted(residuals):
+            residual = residuals[key]
+            if any(residual.values()):
+                vec = tuple(Fraction(residual.get(e, 0), den * den) for e in range(n))
+                report.record("jacobi", tuple(i + 1 for i in key),
+                              f"residual {self.format_vector(vec)}")
         return report
 
 

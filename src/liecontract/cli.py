@@ -126,15 +126,14 @@ def cmd_contract(args):
         _emit(payload, args.format)
     else:
         print("contraction limit:")
-        shown = False
-        for a in range(alg.dim):
-            for b in range(a + 1, alg.dim):
-                row = limit.structure[a][b]
-                if not linalg.is_zero_vector(row):
-                    shown = True
-                    print(f"  [{limit.basis_names[a]}, {limit.basis_names[b]}] = "
-                          f"{limit.format_vector(row)}")
-        if not shown:
+        den, rows = limit._table
+        for a, b, row in rows:
+            v = [0] * limit.dim
+            for c, x in row:
+                v[c] = x
+            print(f"  [{limit.basis_names[a]}, {limit.basis_names[b]}] = "
+                  f"{limit.format_vector(linalg.from_numerators(v, den))}")
+        if not rows:
             print("  (abelian)")
         for key, jet in eps_block.items():
             print(f"  {key}_eps = {_format_jet(alg, jet)}")

@@ -9,10 +9,13 @@ bracket convolves two such pairs on the algebra's integer table, tests the
 leading slot and reduces the top slot on the integer numerators of the
 split's projector, and returns an element that keeps the reduced numerators
 and builds its Fraction slots only when something first reads them.  The
-level-tagged basis is block-triangular, so ``coords`` solves nothing: it reads
-the outer slots through the split's integer inverse and takes the middle
-slots as they stand, one Fraction per output coordinate.  Elements holding a
-float (the numeric mode) take the same steps in floats.
+level-tagged basis is made from numerators too, and it is graded: the bracket
+of levels l and l' lies in level l + l', so ``structure_algebra`` brackets
+only the pairs with l + l' <= k + 1, the others being truncated to zero.  The
+basis is also block-triangular, so ``coords`` solves nothing: it reads the
+outer slots through the split's integer inverse and takes the middle slots as
+they stand, one Fraction per output coordinate.  Elements holding a float (the
+numeric mode) take the same steps in floats.
 
 The general-family case works in plain coefficient tuples: its bracket is
 the contraction's rescaled bracket on polynomials, one integer lift through
@@ -174,25 +177,36 @@ class IWExpansion:
 
     @cached_property
     def _basis(self):
-        """The level-tagged basis: (name, element) pairs, h@0, g@1..k, n@(k+1)."""
-        alg = self.algebra
-        k = self.order
-        zero = alg.zero_vector()
-        zeros = (zero,) * k
+        """The level-tagged basis: (name, element) pairs, h@0, g@1..k, n@(k+1).
 
-        def tag(vector, level, fallback, index):
-            for a in range(alg.dim):
-                if vector == alg.basis_vector(a):
-                    return f"{alg.basis_names[a]}@{level}"
-            return f"{fallback}{index + 1}@{level}"
+        Each element is made from numerators: the numerators of an h or n
+        vector of the split in slot 0 or k+1, and a unit row over 1 in slot
+        1..k.  An h or n vector that is the unit vector of X_a is named after
+        X_a; any other is h<i> or n<i>.
+        """
+        names = self.algebra.basis_names
+        n, k = self.algebra.dim, self.order
 
-        named = [(tag(v, 0, "h", i), ExpandedElement(v, zeros, zero))
-                 for i, v in enumerate(self.split.h_basis)]
-        named += [(f"{alg.basis_names[a]}@{level}", ExpandedElement(
-            zero, zeros[:level - 1] + (alg.basis_vector(a),) + zeros[level:], zero))
-            for level in range(1, k + 1) for a in range(alg.dim)]
-        return named + [(tag(v, k + 1, "n", i), ExpandedElement(zero, zeros, v))
-                        for i, v in enumerate(self.split.n_basis)]
+        def element(level, row, den=1):
+            rows = [(0,) * n] * (k + 2)
+            rows[level] = row
+            return ExpandedElement._from_numerators(rows, den)
+
+        def tagged(vectors, level, fallback):
+            out = []
+            for i, v in enumerate(vectors):
+                [row], den = linalg.numerators([v])
+                support = [a for a, x in enumerate(row) if x]
+                unit = den == 1 and len(support) == 1 and row[support[0]] == 1
+                name = names[support[0]] if unit else f"{fallback}{i + 1}"
+                out.append((f"{name}@{level}", element(level, row, den)))
+            return out
+
+        units = [tuple(int(a == b) for b in range(n)) for a in range(n)]
+        return (tagged(self.split.h_basis, 0, "h")
+                + [(f"{names[a]}@{level}", element(level, units[a]))
+                   for level in range(1, k + 1) for a in range(n)]
+                + tagged(self.split.n_basis, k + 1, "n"))
 
     def basis_elements(self):
         """Basis of the expansion with level-tagged names."""
@@ -232,10 +246,18 @@ class IWExpansion:
         return out
 
     def structure_algebra(self) -> LieAlgebra:
-        """The expansion as a plain algebra on the level-tagged basis."""
+        """The expansion as a plain algebra on the level-tagged basis.
+
+        Only the pairs whose levels sum to at most k + 1 are bracketed: the
+        bracket of x@l and y@l' lies in level l + l', which the expansion
+        drops past k + 1, so every other pair brackets to zero.
+        """
         named = self._basis
         m = len(named)
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        k, n, split = self.order, self.algebra.dim, self.split
+        levels = [0] * split.dim_h + [1 + i // n for i in range(k * n)] + [k + 1] * split.dim_n
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)
+                 if levels[i] + levels[j] <= k + 1]
         sols = self.coords([self.bracket(named[i][1], named[j][1]) for i, j in pairs])
         entries = [(i, j, c, x) for (i, j), coords in zip(pairs, sols)
                    for c, x in enumerate(coords) if x]

@@ -130,16 +130,23 @@ class ExpansionGroup:
 
     @cached_property
     def _basis_brackets(self):
-        """(a, b, [X_a, X_b], the same rounded to floats) for a < b.
+        """(a, b, [X_a, X_b], the same rounded to floats) for a < b, zero rows included.
 
-        The brackets are the structure rows f[a][b], read off the tensor; the
-        floats are ``linalg.rounded`` over the rows' common denominator.
+        The brackets are the rows of the algebra's integer table over its
+        denominator D, with no read of the dense tensor; the floats are
+        ``linalg.rounded`` over D.
         """
-        alg = self.algebra
-        pairs = [(a, b) for a in range(alg.dim) for b in range(a + 1, alg.dim)]
-        rows = [alg.structure[a][b] for a, b in pairs]
-        floats = linalg.rounded(*linalg.numerators(rows))
-        return tuple((a, b, row, f) for (a, b), row, f in zip(pairs, rows, floats))
+        n = self.algebra.dim
+        den, table = self.algebra._table
+        nonzero = {(a, b): row for a, b, row in table}
+        out = []
+        for a in range(n):
+            for b in range(a + 1, n):
+                v = [0] * n
+                for c, x in nonzero.get((a, b), ()):
+                    v[c] = x
+                out.append((a, b, linalg.from_numerators(v, den), linalg.rounded([v], den)[0]))
+        return tuple(out)
 
     def h_element(self, ad, defining=None, tol=FLOAT_TOL) -> HElement:
         """Validate and wrap an adjoint matrix.

@@ -187,6 +187,10 @@ def test_structure_algebra_runs_no_elimination(monkeypatch):
     ea = so3_x3(2)
     m = len(ea.basis_elements())  # the basis is built, once per expansion
     ea.split._inverse  # kept by the split from its projectors
+    # levels 0, 1, 1, 1, 2, 2, 2, 3, 3: 20 of the 36 pairs have a level sum of at most 3
+    levels = [next(l for l, s in enumerate(el.slots) if any(s)) for _, el in ea.basis_elements()]
+    graded = [(i, j) for i in range(m) for j in range(i + 1, m) if levels[i] + levels[j] <= 3]
+    assert len(graded) == 20 and m * (m - 1) // 2 == 36
     calls = {"eliminate": 0, "vectors": 0}
     eliminate, from_numerators = linalg._eliminate, linalg.from_numerators
 
@@ -201,8 +205,8 @@ def test_structure_algebra_runs_no_elimination(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
     monkeypatch.setattr(linalg, "from_numerators", counted_from_numerators)
     ea.structure_algebra()
-    # no elimination, and one vector of Fractions per bracket: its coordinates
-    assert calls == {"eliminate": 0, "vectors": m * (m - 1) // 2}
+    # no elimination, and one vector of Fractions per graded pair: its coordinates
+    assert calls == {"eliminate": 0, "vectors": 20}
 
 
 def test_emitted_algebra_is_validated_without_its_dense_tensor():

@@ -28,6 +28,12 @@ CASES = {
                             "--order", "2"],
     "contract-heis3-weighted-order3": ["contract", "heis3", "--family", "heis3-weighted.json",
                                        "--order", "3"],
+    **{f"contract-{alg.removesuffix('.json')}-text": ["--format", "text", "contract", alg, *rest]
+       for alg, rest in (("so3", ["--subalgebra", "so3-x3.json", "--order", "2"]),
+                         ("heis3", ["--subalgebra", "heis3-z.json"]),
+                         ("so5.json", ["--subalgebra", "so5-so4.json", "--order", "1"]))},
+    "contract-heis3-weighted-text": ["--format", "text", "contract", "heis3", "--family",
+                                     "heis3-weighted.json", "--order", "2"],
     "contract-so3-pole": ["contract", "so3", "--family", "so3-pole.json"],
     "contract-so3-singular": ["contract", "so3", "--family", "so3-singular.json"],
     **{f"expand-{alg.removesuffix('.json')}-order{k}-constants": [

@@ -236,6 +236,39 @@ def test_integer_kernel_matches_fraction_reference(case, data):
     assert report_key(alg.validate()) == report_key(reference_validate(alg))
 
 
+def test_sparse_jacobi_sweep_matches_the_per_triple_sweep():
+    """``validate`` sums each nonzero product [[X_x, X_y], X_z] into the
+    residual of its sorted triple; the per-triple sweep is the reference.
+
+    In the broken algebras below the one nonzero product has z below x,
+    between x and y (where it enters with the sign -1) or above y; the other
+    cases cover a triple whose products cancel (so3), dimensions with no
+    triple, an abelian algebra, and violations found out of (a, b, c) order.
+    """
+    names = tuple(f"X{i + 1}" for i in range(4))
+    cases = []
+    for x, y, z, d in ((1, 2, 0, 3), (0, 2, 1, 3), (0, 1, 2, 3), (1, 3, 2, 0)):
+        # [X_x, X_y] = 2 X_d and [X_d, X_z] = X_d: one nonzero product, one violation
+        alg = LieAlgebra.from_brackets(4, names, [(x, y, d, 2), (d, z, d, 1)])
+        [violation] = reference_validate(alg).violations
+        assert violation.location == tuple(sorted((x + 1, y + 1, z + 1)))
+        cases.append(alg)
+    cases += [builtin(name)[0] for name in ("so3", "sl2", "heis3", "abelian(4)")]
+    cases += [LieAlgebra.from_brackets(1, ("X1",), []),
+              LieAlgebra.from_brackets(2, ("X1", "X2"), [(0, 1, 1, F(1, 2))])]
+    # nine violations, whose residuals the sweep reaches out of (a, b, c) order
+    cases.append(LieAlgebra.from_brackets(5, names + ("X5",), [
+        (3, 4, 0, 1), (0, 1, 1, F(2, 3)), (0, 2, 4, -1), (1, 2, 3, 5), (2, 4, 2, 1),
+        (0, 4, 3, F(1, 7)), (1, 3, 0, 2)]))
+    for alg in cases:
+        want = reference_validate(alg)
+        assert report_key(alg.validate()) == report_key(want), alg.structure
+    assert [v.location for v in want.violations] == sorted(v.location for v in want.violations)
+    assert len(want.violations) == 9
+    so3 = builtin("so3")[0]
+    assert report_key(so3.validate()) == (19, [])
+
+
 def test_exact_meets_float_in_floats():
     """An exact operand with a huge denominator meets a float operand in floats.
 
@@ -307,7 +340,26 @@ def structure_cases():
     abelian = builtin("abelian(1)")[0]
     cases += [(f"abelian(1) span{span}", span_subalgebra(abelian, span), k)
               for span in ([], [abelian.basis_vector(0)]) for k in range(3)]
+    # subalgebras spanned by a multiple of a basis vector, which keeps an h name
+    for name, span in (("so3", [(0, 0, F(1, 2))]), ("sl2", [(2, 0, 0)])):
+        cases += [(f"{name} span{span}", span_subalgebra(builtin(name)[0], span), k)
+                  for k in range(3)]
     return cases
+
+
+def reference_names(ea):
+    """The level-tagged names, an h or n vector named after the basis vector it equals."""
+    alg, k = ea.algebra, ea.order
+
+    def tag(vector, level, fallback, index):
+        for a in range(alg.dim):
+            if vector == alg.basis_vector(a):
+                return f"{alg.basis_names[a]}@{level}"
+        return f"{fallback}{index + 1}@{level}"
+
+    return ([tag(v, 0, "h", i) for i, v in enumerate(ea.split.h_basis)]
+            + [f"{name}@{level}" for level in range(1, k + 1) for name in alg.basis_names]
+            + [tag(v, k + 1, "n", i) for i, v in enumerate(ea.split.n_basis)])
 
 
 @cache
@@ -368,12 +420,35 @@ def test_coords_matches_the_solve_it_replaces(data):
         assert repr(ea.coords(els)) == repr(expected), label
 
 
-def test_structure_algebra_matches_the_fraction_route():
+def test_structure_algebra_matches_the_fraction_route(monkeypatch):
+    """The structure algebra brackets only the pairs whose levels sum to at
+    most k + 1; every other pair brackets to zero, and the algebra equals the
+    reference, which brackets every pair."""
+    calls = []
+    bracket = IWExpansion.bracket
+
+    def counted(self, a, b):
+        calls.append(None)
+        return bracket(self, a, b)
+
+    monkeypatch.setattr(IWExpansion, "bracket", counted)
     for label, split, k in structure_cases():
         ea = IWExpansion(split, k)
-        for _, el in ea.basis_elements():  # built directly, as ``element`` builds them
+        named = ea.basis_elements()
+        assert [name for name, _ in named] == reference_names(ea), label
+        for _, el in named:  # built directly, as ``element`` builds them
             assert element_key(el) == element_key(ea.element(el.a0, el.mids, el.top)), label
-        got, want = ea.structure_algebra(), reference_structure_algebra(ea)
+        # the level of a basis element is its one nonzero slot
+        levels = [next(l for l, s in enumerate(el.slots) if any(s)) for _, el in named]
+        m = len(named)
+        skipped = [(i, j) for i in range(m) for j in range(i + 1, m)
+                   if levels[i] + levels[j] > k + 1]
+        calls.clear()
+        got = ea.structure_algebra()
+        assert len(calls) == m * (m - 1) // 2 - len(skipped), label
+        for i, j in skipped:
+            assert ea.is_zero(ea.bracket(named[i][1], named[j][1])), label
+        want = reference_structure_algebra(ea)
         assert got.basis_names == want.basis_names, label
         assert repr(got.structure) == repr(want.structure), label
 

@@ -272,6 +272,18 @@ def test_h_element_reference_cases_reach_every_outcome():
     assert not isinstance(h_element_outcome(grp, bumped, 1e-6), str)
 
 
+def test_basis_brackets_match_the_structure_route():
+    """The basis brackets read off the integer table equal the rows of the
+    dense tensor and their floats over the rows' common denominator, bit for bit."""
+    for grp in [g for g, _ in GROUPS] + [ExpansionGroup(split, 0) for split in SPLITS]:
+        alg = grp.algebra
+        pairs = [(a, b) for a in range(alg.dim) for b in range(a + 1, alg.dim)]
+        rows = [alg.structure[a][b] for a, b in pairs]
+        floats = linalg.rounded(*linalg.numerators(rows))
+        want = tuple((a, b, row, f) for (a, b), row, f in zip(pairs, rows, floats))
+        assert repr(grp._basis_brackets) == repr(want)
+
+
 # ----- the float order-0 product ---------------------------------------------
 
 def reference_mult(grp, g1, g2):
