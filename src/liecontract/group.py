@@ -8,7 +8,14 @@ truncated BCH product, and reads the first k+1 coefficients back, reducing
 the last one modulo the subalgebra.  Rational data stays exact; matrices with
 float entries are accepted and validated against a small tolerance.
 
-In that numeric mode exact data meets floats rounded once: ``h_element``
+Exact subgroup elements run on integers: an element keeps its adjoint
+matrix as integer numerators N over one denominator delta
+(``HElement.numerators``).  ``h_element`` checks them against the algebra's
+integer table, the split's integer projector and one elimination of N;
+``h_compose``, ``h_inverse`` and ``ad_nil`` multiply numerators, a product or
+an inverse keeps its own, and each output entry becomes a Fraction once.
+
+In the numeric mode exact data meets floats rounded once: ``h_element``
 reads [X_a, X_b] off the structure constants, rounded once per group, and
 the split's projectors are rounded once per split.  The results have the
 bits and types of the exact values rounded at each product, Fraction zeros
@@ -22,6 +29,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from math import gcd
 
 from .algebra import SubalgebraSplit
 from .bch import local_mult
@@ -39,6 +48,11 @@ def _scalar(value):
 
 def _matrix_exact(m):
     return not any(isinstance(x, float) for row in m for x in row)
+
+
+_NOT_AUTOMORPHISM = "matrix is not a bracket automorphism at pair ({}, {})"
+_NOT_PRESERVED = "matrix does not preserve the subalgebra"
+_SINGULAR = "adjoint matrix is singular"
 
 
 def _close(u, v, tol):
@@ -69,6 +83,28 @@ class HElement:
 
     ad: tuple
     defining: tuple = None
+
+    @cached_property
+    def numerators(self):
+        """``linalg.numerators(ad)``: the adjoint matrix as (rows, den), computed once."""
+        return linalg.numerators(self.ad)
+
+    @classmethod
+    def _from_numerators(cls, rows, den, defining=None):
+        """The element with adjoint matrix rows / den, for integer rows and den != 0.
+
+        The pair, reduced by the gcd of den and every entry and signed so that
+        den > 0, becomes the element's ``numerators``, which then equals
+        ``linalg.numerators(ad)``; ``ad`` is made from it, one Fraction per entry.
+        """
+        g = gcd(den, *chain.from_iterable(rows)) * (1 if den > 0 else -1)
+        if g != 1:
+            rows, den = [[x // g for x in row] for row in rows], den // g
+        rows = tuple(map(tuple, rows))
+        h = cls(tuple(linalg.from_numerators(row, den) for row in rows), defining)
+        # fills the cached_property, as its first read would
+        h.__dict__["numerators"] = (rows, den)
+        return h
 
 
 @dataclass(frozen=True)
@@ -148,12 +184,26 @@ class ExpansionGroup:
                 out.append((a, b, linalg.from_numerators(v, den), linalg.rounded([v], den)[0]))
         return tuple(out)
 
+    @cached_property
+    def _exact_forms(self):
+        """(brackets, h) for the exact checks of ``h_element``, built once per group.
+
+        brackets[a, b] holds the nonzero (c, numerator) of D [X_a, X_b] for
+        a < b, D the algebra's table denominator, and h the integer
+        numerators of each subalgebra basis vector.
+        """
+        _, table = self.algebra._table
+        h = [linalg.numerators([v])[0][0] for v in self.split.h_basis]
+        return {(a, b): row for a, b, row in table}, h
+
     def h_element(self, ad, defining=None, tol=FLOAT_TOL) -> HElement:
         """Validate and wrap an adjoint matrix.
 
         The matrix must be a bracket automorphism, must preserve the
         subalgebra and must be invertible; the first two checks are exact for
         rational entries and use ``tol`` componentwise for float entries.
+        Rational entries are checked on the integer numerators N / delta of
+        the matrix, which the element keeps.
         """
         alg = self.algebra
         n = alg.dim
@@ -161,43 +211,103 @@ class ExpansionGroup:
         if len(ad) != n or any(len(row) != n for row in ad):
             raise DimensionMismatch("adjoint matrix must be square of the algebra dimension")
         exact = _matrix_exact(ad)
-        check_tol = 0 if exact else tol
-        floats = not exact and all(type(x) is float for row in ad for x in row)
+        if exact:
+            numerators = linalg.numerators(ad)
+            self._check_exact(*numerators)
+        else:
+            self._check_numeric(ad, tol)
+        if defining is not None:
+            defining = tuple(tuple(_scalar(x) for x in row) for row in defining)
+        h = HElement(ad, defining)
+        if exact:  # fills the cached_property, as its first read would
+            h.__dict__["numerators"] = numerators
+        return h
+
+    def _check_numeric(self, ad, tol):
+        """``h_element``'s three checks on a matrix holding a float, within ``tol``."""
+        alg = self.algebra
+        n = alg.dim
+        floats = all(type(x) is float for row in ad for x in row)
         cols = list(zip(*ad))
         for a, b, row, rounded in self._basis_brackets:
             lhs = linalg.mat_vec(ad, rounded if floats else row)
             rhs = alg.bracket(cols[a], cols[b])
-            if not _close(lhs, rhs, check_tol):
+            if not _close(lhs, rhs, tol):
                 raise DimensionMismatch(
-                    f"matrix is not a bracket automorphism at pair "
-                    f"({alg.basis_names[a]}, {alg.basis_names[b]})")
+                    _NOT_AUTOMORPHISM.format(alg.basis_names[a], alg.basis_names[b]))
         for v in self.split.h_basis:
             image = self.split.project_n(linalg.mat_vec(ad, v))
-            if not all(abs(x) <= check_tol for x in image):
-                raise DimensionMismatch("matrix does not preserve the subalgebra")
+            if not all(abs(x) <= tol for x in image):
+                raise DimensionMismatch(_NOT_PRESERVED)
         if len(linalg.pivot_columns(cols, n)) < n:
-            raise DimensionMismatch("adjoint matrix is singular")
-        if defining is not None:
-            defining = tuple(tuple(_scalar(x) for x in row) for row in defining)
-        return HElement(ad, defining)
+            raise DimensionMismatch(_SINGULAR)
+
+    def _check_exact(self, rows, den):
+        """``h_element``'s three checks on ad = rows / den, in integers.
+
+        [ad X_a, ad X_b] = ad [X_a, X_b] is delta (N f_ab) = [N e_a, N e_b]
+        on numerators (both sides times delta^2 D); the subalgebra is kept
+        when the complement projector kills N v for each of its basis
+        vectors v; and N must have full rank.
+        """
+        alg = self.algebra
+        n = alg.dim
+        brackets, h_basis = self._exact_forms
+        pn = self.split._projector_forms["n"][1]
+        cols = list(zip(*rows))
+        for a in range(n):
+            for b in range(a + 1, n):
+                lhs = [0] * n
+                for c, f in brackets.get((a, b), ()):
+                    for i, x in enumerate(cols[c]):
+                        lhs[i] += den * f * x
+                if lhs != alg._numerator_bracket(cols[a], cols[b]):
+                    raise DimensionMismatch(
+                        _NOT_AUTOMORPHISM.format(alg.basis_names[a], alg.basis_names[b]))
+        for v in h_basis:
+            if any(linalg.mat_vec(pn, linalg.mat_vec(rows, v))):
+                raise DimensionMismatch(_NOT_PRESERVED)
+        if len(linalg._eliminate_numerators([list(row) for row in rows], n, den)[0]) < n:
+            raise DimensionMismatch(_SINGULAR)
 
     def identity_h(self) -> HElement:
         return HElement(linalg.identity(self.algebra.dim))
 
     def h_compose(self, h1: HElement, h2: HElement) -> HElement:
+        """The product h1 h2: on exact elements, the product of the integer
+        numerators, which the result keeps."""
         defining = None
         if h1.defining is not None and h2.defining is not None:
             defining = linalg.mat_mul(h1.defining, h2.defining)
-        return HElement(linalg.mat_mul(h1.ad, h2.ad), defining)
+        (r1, d1), (r2, d2) = h1.numerators, h2.numerators
+        if type(d1) is float or type(d2) is float:
+            return HElement(linalg.mat_mul(h1.ad, h2.ad), defining)
+        return HElement._from_numerators(linalg.mat_mul(r1, r2), d1 * d2, defining)
 
     def h_inverse(self, h: HElement) -> HElement:
         defining = None if h.defining is None else linalg.invert(h.defining)
-        return HElement(linalg.invert(h.ad), defining)
+        rows, den = h.numerators
+        if type(den) is float:
+            return HElement(linalg.invert(h.ad), defining)
+        return HElement._from_numerators(*linalg.invert_numerators(rows, den), defining)
 
     def ad_nil(self, h: HElement, a: NilTuple) -> NilTuple:
-        """Slotwise adjoint action, reducing the top slot."""
-        mids = tuple(linalg.mat_vec(h.ad, m) for m in a.mids)
-        return NilTuple(mids, self.split.coset_reduce(linalg.mat_vec(h.ad, a.top)))
+        """Slotwise adjoint action, reducing the top slot.
+
+        Exact h and a run on integers: N times the numerators of every slot,
+        and the top slot through the complement projector, with one Fraction
+        per output entry.
+        """
+        rows, den = h.numerators
+        slots, sden = linalg.numerators([*a.mids, a.top])
+        if type(den) is float or type(sden) is float:
+            mids = tuple(linalg.mat_vec(h.ad, m) for m in a.mids)
+            return NilTuple(mids, self.split.coset_reduce(linalg.mat_vec(h.ad, a.top)))
+        _, pn, pden, _ = self.split._projector_forms["n"]
+        out = [linalg.mat_vec(rows, v) for v in slots]
+        mids = tuple(linalg.from_numerators(v, den * sden) for v in out[:-1])
+        top = linalg.mat_vec(pn, out[-1])
+        return NilTuple(mids, linalg.from_numerators(top, pden * den * sden))
 
     # ----- full group law --------------------------------------------------
 

@@ -20,6 +20,10 @@ and makes its Fraction coefficients only when something first reads them.
 ``bracket_poly`` on exact jets returns such a jet, so a chain of brackets
 (the BCH word prefixes, the rescaled bracket) runs on integers throughout;
 on float jets (the numeric mode) it divides each coefficient at once.
+
+A MatrixJet keeps numerators the same way (``MatrixJet.numerators``,
+``MatrixJet.from_numerators``), and ``matmul`` on exact operands convolves
+the integer matrices (``matmul_numerators``) into a jet that keeps them.
 """
 
 from __future__ import annotations
@@ -231,6 +235,22 @@ def jet_in_filtration(split, p, k):
     return split.contains(p.coeff(k))
 
 
+def _int_mat_mul(a, b):
+    """The product of two integer matrices, dense."""
+    bt = tuple(zip(*b))
+    return tuple([tuple([sum(map(operator.mul, row, col)) for col in bt]) for row in a])
+
+
+def _mat_add(a, b):
+    """a + b for two matrices of one shape."""
+    return tuple(map(_vec_add, a, b))
+
+
+def matmul_numerators(p, q, trunc, size):
+    """The first ``trunc`` coefficients of the product of two integer matrix sequences."""
+    return _cauchy(p, q, trunc, _int_mat_mul, _mat_add, ((0,) * size,) * size)
+
+
 @dataclass(frozen=True)
 class MatrixJet:
     """Square-matrix-valued truncated polynomial."""
@@ -249,6 +269,33 @@ class MatrixJet:
         object.__setattr__(self, "coeffs", _trim(coeffs, linalg.is_zero_matrix))
 
     @classmethod
+    def from_numerators(cls, size, trunc, mats, den):
+        """The jet with coefficients mats[k] / den, for integer matrices and den > 0.
+
+        As in ``Jet.from_numerators``, the pair reduced by the gcd of den and
+        every entry becomes the jet's ``numerators``, and the Fraction
+        coefficients are built on their first read (see ``__getattr__``).
+        """
+        if trunc < 1:
+            raise DimensionMismatch("truncation order must be positive")
+        mats = _trim([tuple(map(tuple, m)) for m in mats[:trunc]], lambda m: not any(map(any, m)))
+        if any(len(m) != size or any(len(row) != size for row in m) for m in mats):
+            raise DimensionMismatch("matrix coefficient has wrong shape")
+        g = gcd(den, *chain.from_iterable(chain.from_iterable(mats)))
+        if g > 1:
+            mats = tuple([tuple([tuple([x // g for x in row]) for row in m]) for m in mats])
+            den //= g
+        jet = cls.__new__(cls)
+        # ``numerators`` fills the cached_property below, as its first read would
+        jet.__dict__.update(size=size, trunc=trunc, numerators=(mats, den))
+        return jet
+
+    def __getattr__(self, name):
+        """Build ``coeffs`` of a jet made by ``from_numerators``, once, on its first read."""
+        return linalg.deferred(self, name, ("coeffs",), "numerators", lambda pair: (
+            tuple(tuple(linalg.from_numerators(row, pair[1]) for row in m) for m in pair[0]),))
+
+    @classmethod
     def zero(cls, size, trunc):
         return cls(size, trunc, ())
 
@@ -258,7 +305,14 @@ class MatrixJet:
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        """Largest stored nonzero degree, or -1 for the zero jet."""
+        coeffs = self.__dict__.get("coeffs")
+        return len(self.numerators[0] if coeffs is None else coeffs) - 1
+
+    @cached_property
+    def numerators(self):
+        """``linalg.matrix_numerators(coeffs)``: the coefficients as (mats, den), computed once."""
+        return linalg.matrix_numerators(self.coeffs)
 
     def coeff(self, k):
         if k < len(self.coeffs):
@@ -286,7 +340,14 @@ class MatrixJet:
                          tuple(linalg.mat_scale(c, m) for m in self.coeffs))
 
     def matmul(self, other):
+        """The truncated product.  Exact operands convolve their integer
+        numerators and return a jet that keeps the product's numerators; an
+        operand holding a float (numeric input) multiplies its coefficients."""
         self._check_compatible(other)
-        return MatrixJet(self.size, self.trunc,
-                         _cauchy(self.coeffs, other.coeffs, self.trunc, linalg.mat_mul,
-                                 linalg.mat_add, linalg.zero_matrix(self.size)))
+        (p, dp), (q, dq) = self.numerators, other.numerators
+        if type(dp) is float or type(dq) is float:
+            return MatrixJet(self.size, self.trunc,
+                             _cauchy(self.coeffs, other.coeffs, self.trunc, linalg.mat_mul,
+                                     linalg.mat_add, linalg.zero_matrix(self.size)))
+        return MatrixJet.from_numerators(
+            self.size, self.trunc, matmul_numerators(p, q, self.trunc, self.size), dp * dq)

@@ -173,6 +173,17 @@ def numerators(vectors):
                   for v in vectors]), den
 
 
+def matrix_numerators(mats):
+    """``numerators`` of a sequence of matrices: (the integer matrices, den).
+
+    One common denominator serves every entry of every matrix; a sequence
+    holding a float comes back as it is over 1.0, as ``numerators`` does.
+    """
+    rows, den = numerators([row for m in mats for row in m])
+    rows = iter(rows)
+    return tuple(tuple(next(rows) for _ in m) for m in mats), den
+
+
 def rounded(rows, den, zero=0):
     """The rows rows / den rounded to floats, entry by entry.
 

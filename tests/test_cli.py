@@ -189,6 +189,17 @@ def test_oracle_with_rep_file(tmp_path, capsys):
                 "--order", "2", "--trials", "4", "--seed", "2"]) == 0
 
 
+def test_oracle_rep_above_the_size_cap_is_a_usage_error(tmp_path, capsys):
+    # 33 x 33 matrices: one above MAX_DIM, the adjoint size of the largest algebra
+    block = [["0"] * 33 for _ in range(33)]
+    (tmp_path / "big.rep").write_text(json.dumps({"X1": block, "X2": block, "X3": block}))
+    assert run(["oracle", "so3", "--rep", tmp_path / "big.rep", "--order", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("SpecFormatError: representation spec: representation "
+                            "matrices must be at most 32 x 32\n")
+
+
 def test_oracle_explicit_jets(capsys):
     assert run(["--format", "machine", "oracle", "heis3", "--order", "2",
                 "--p", "[0,0,0; 1,0,0]", "--q", "[0,0,0; 0,1,0]"]) == 0

@@ -72,6 +72,28 @@ CASES = {
                            "-2/1,-5/2,-1/3", "1/2,2/1,-3/4", "0/1,1/1,-1/2", "2/3,0/1,1/4",
                            "-1/1,1/2,5/3"][:k + 1])]
        for k in (7, 8)},
+    # the matrix oracle at the cap, on jet literals stored shorter than the
+    # truncation order, and on a representation with fractional matrices
+    "oracle-sl2-order8-cap8": ["--order-cap", "8", "oracle", "sl2", "--order", "8",
+                               "--trials", "3", "--seed", "17"],
+    "oracle-heis3-trimmed-literals": ["oracle", "heis3", "--order", "5",
+                                      "--p=[0,0,0; 1,-2,0; 0,0,0]", "--q=[0,0,0; 0,1/2,3]"],
+    "oracle-so3-rebased-rep": ["oracle", "so3", "--rep", "so3-rep-rebased.json", "--order", "4",
+                               "--trials", "3", "--seed", "8"],
+    "group-mult-so3-order2-text": [
+        "--format", "text", "group-mult", "so3", "--subalgebra", "so3-x3.json", "--order", "2",
+        "--h1=-4/5,-3/5,0/1;3/5,-4/5,0/1;0/1,0/1,1/1",
+        "--a=-1/3,1/1,3/4;3/2,-1/2,-1/1;-3/2,-5/2,-2/1",
+        "--h2=0/1,-1/1,0/1;1/1,0/1,0/1;0/1,0/1,1/1",
+        "--b=5/3,3/1,-1/2;6/1,2/1,1/2;-5/3,-1/2,-1/2"],
+    # a rotation about X1 moves X3 out of the subalgebra, and this one is not
+    # even orthogonal: the automorphism check rejects it first
+    "group-mult-so3-not-automorphism": [
+        "group-mult", "so3", "--subalgebra", "so3-x3.json", "--order", "1",
+        "--h1=1/1,0/1,0/1;0/1,1/2,0/1;0/1,0/1,1/1",
+        "--a=1/1,0/1,0/1;0/1,1/1,0/1",
+        "--h2=1/1,0/1,0/1;0/1,1/1,0/1;0/1,0/1,1/1",
+        "--b=0/1,1/1,0/1;1/1,0/1,0/1"],
 }
 
 

@@ -9,7 +9,9 @@ give the same types, values and float bits (repr tells Fraction(0, 1) from
 message.  A guard counts the Fraction-to-float coercions of the numeric mode.
 """
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from liecontract import linalg
 from liecontract.algebra import LieAlgebra, span_subalgebra, split_with_complement
 from liecontract.catalog import builtin, canonical_split_vectors, subalgebra_catalog
 from liecontract.errors import DimensionMismatch, NotASubalgebra
-from liecontract.group import FLOAT_TOL, QUARTER_TURN, ExpansionGroup, _rotation_ad
+from liecontract.group import FLOAT_TOL, QUARTER_TURN, ExpansionGroup, HElement, _rotation_ad
 
 F = Fraction
 
@@ -282,6 +284,169 @@ def test_basis_brackets_match_the_structure_route():
         floats = linalg.rounded(*linalg.numerators(rows))
         want = tuple((a, b, row, f) for (a, b), row, f in zip(pairs, rows, floats))
         assert repr(grp._basis_brackets) == repr(want)
+
+
+# ----- the exact group law on integer numerators ------------------------------
+#
+# Exact h_element checks, h_compose, h_inverse and ad_nil run on the integer
+# numerators N / delta of the adjoint matrix.  ``reference_h_element`` above is
+# the Fraction route of the checks; the references below are the Fraction
+# loops of the other three.
+
+def reference_h_compose(h1, h2):
+    return linalg.mat_mul(h1.ad, h2.ad)
+
+
+def reference_h_inverse(h):
+    return linalg.invert(h.ad)
+
+
+def reference_ad_nil(grp, h, a):
+    mids = tuple(linalg.mat_vec(h.ad, m) for m in a.mids)
+    return mids, grp.split.coset_reduce(linalg.mat_vec(h.ad, a.top))
+
+
+def cayley_x3(t):
+    """The exact rotation about X3 with tan(angle / 2) = t: it keeps span{X3}."""
+    c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    return ((c, -s, F(0)), (s, c, F(0)), (F(0), F(0), F(1)))
+
+
+def so_n_rotation_ad(n, t):
+    """The adjoint action on ``so_n(n)`` of the Cayley rotation R in the (0, 1)
+    plane: L maps to R L R^T, which keeps so(n-1)."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    r = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    r[0][0] = r[1][1] = (1 - t * t) / (1 + t * t)
+    r[1][0] = 2 * t / (1 + t * t)
+    r[0][1] = -r[1][0]
+    cols = []
+    for i, j in pairs:
+        m = [[F(0)] * n for _ in range(n)]
+        m[i][j], m[j][i] = F(1), F(-1)
+        rm = linalg.mat_mul(linalg.mat_mul(r, m), tuple(zip(*r)))
+        cols.append([rm[a][b] for a, b in pairs])
+    return tuple(zip(*cols))
+
+
+def exact_automorphism(index, t):
+    """An exact automorphism of GROUPS[index] that keeps its subalgebra, for t != 0."""
+    grp, p = GROUPS[index]
+    if p is not None:
+        return conjugate(p, cayley_x3(t))
+    if grp.algebra.basis_names == ("H", "E", "F"):  # the torus: scales E and F reciprocally
+        return ((F(1), F(0), F(0)), (F(0), t * t, F(0)), (F(0), F(0), 1 / (t * t)))
+    if grp.algebra.basis_names == ("P", "Q", "Z"):  # GL(2) on P, Q and det on the centre
+        return ((t, F(1), F(0)), (F(-1), t, F(0)), (t / 2, 1 - t, t * t + 1))
+    return so_n_rotation_ad(4, t)
+
+
+nonzero_st = st.fractions(-3, 3, max_denominator=5).filter(bool)
+
+
+@st.composite
+def exact_matrices(draw, index):
+    """Exact matrices for GROUPS[index]: automorphisms (accepted), tilts off
+    the subalgebra, zero and random matrices, some bumped at one entry, with
+    integral entries given as ints or as Fractions."""
+    grp, p = GROUPS[index]
+    n = grp.algebra.dim
+    kind = draw(st.sampled_from(["automorphism"] * 3 + ["zero", "random"]
+                                + (["tilt"] if p else [])))
+    if kind == "automorphism":
+        ad = exact_automorphism(index, draw(nonzero_st))
+    elif kind == "tilt":
+        ad = conjugate(p, cayley_x1(draw(nonzero_st)))
+    elif kind == "zero":
+        ad = linalg.zero_matrix(n)
+    else:
+        ad = tuple(draw(vectors(draw(st.sampled_from(("int", "exact"))), n, empty_support=False))
+                   for _ in range(n))
+    if draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        ad = tuple(tuple(x + F(1, 7) if (r, c) == (i, j) else x for c, x in enumerate(row))
+                   for r, row in enumerate(ad))
+    ints = draw(st.booleans())
+    return tuple(tuple(int(x) if ints and x == int(x) else x for x in row) for row in ad)
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the DimensionMismatch or ValueError it raises."""
+    try:
+        return f(*args)
+    except (DimensionMismatch, ValueError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def law_outcomes(grp, h1, h2, a):
+    """h_compose, h_inverse and ad_nil, each against its reference, as repr pairs."""
+    return [
+        (repr(outcome(lambda: grp.h_compose(h1, h2).ad)),
+         repr(outcome(reference_h_compose, h1, h2))),
+        (repr(outcome(lambda: grp.h_inverse(h1).ad)), repr(outcome(reference_h_inverse, h1))),
+        (repr(outcome(lambda: astuple(grp.ad_nil(h1, a)))), repr(reference_ad_nil(grp, h1, a))),
+    ]
+
+
+def astuple(nil):
+    return nil.mids, nil.top
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_exact_group_law_matches_the_fraction_loops(data):
+    index = data.draw(st.integers(0, len(GROUPS) - 1))
+    base, _ = GROUPS[index]
+    n = base.algebra.dim
+    grp = ExpansionGroup(base.split, data.draw(st.integers(0, 2)))
+    ad1, ad2 = data.draw(exact_matrices(index)), data.draw(exact_matrices(index))
+    for ad in (ad1, ad2):
+        assert repr(h_element_outcome(grp, ad, FLOAT_TOL)) == repr(reference_h_element(grp, ad, 0))
+    kind = data.draw(st.sampled_from(("int", "exact", "exact", "float")))
+    a = grp.nil([data.draw(vectors(kind, n)) for _ in range(grp.order)],
+                data.draw(vectors(kind, n)))
+    # elements built by the user keep no numerators; exact ones hold Fractions
+    users = [HElement(tuple(tuple(linalg.rat(x) for x in row) for row in ad)) for ad in (ad1, ad2)]
+    assert "numerators" not in users[0].__dict__
+    for got, want in law_outcomes(grp, *users, a):
+        assert got == want
+    if any(isinstance(h_element_outcome(grp, ad, FLOAT_TOL), str) for ad in (ad1, ad2)):
+        return
+    h1, h2 = grp.h_element(ad1), grp.h_element(ad2)
+    composed, inverse = grp.h_compose(h1, h2), grp.h_inverse(h1)
+    for h in (h1, h2, composed, inverse):
+        assert h.__dict__["numerators"] == linalg.numerators(h.ad)
+    for got, want in law_outcomes(grp, h1, h2, a) + law_outcomes(grp, composed, inverse, a):
+        assert got == want
+    for twin in (copy.copy(composed), pickle.loads(pickle.dumps(composed))):
+        assert twin == composed and repr(twin) == repr(composed)
+        assert twin.__dict__["numerators"] == composed.numerators
+        assert repr(grp.h_compose(twin, h2)) == repr(grp.h_compose(composed, h2))
+
+
+def test_exact_group_law_reaches_every_outcome():
+    """The exact cases above include each rejection, on rebased so3 (table
+    denominator D != 1) and on the dense so(4) split."""
+    grp, p = GROUPS[1]
+    assert grp.algebra._table[0] != 1
+    rotation = exact_automorphism(1, F(1, 2))
+    bumped = tuple(tuple(x + F(1, 7) if (r, c) == (0, 0) else x for c, x in enumerate(row))
+                   for r, row in enumerate(rotation))
+    cases = {
+        "accepted": rotation,
+        "matrix is not a bracket automorphism at pair (Y1, Y2)": bumped,
+        "matrix does not preserve the subalgebra": conjugate(p, cayley_x1(F(1, 2))),
+        "adjoint matrix is singular": linalg.zero_matrix(3),
+    }
+    for want, ad in cases.items():
+        got = h_element_outcome(grp, ad, FLOAT_TOL)
+        assert repr(got) == repr(reference_h_element(grp, ad, 0))
+        assert (got if isinstance(got, str) else "accepted") == want
+    dense, _ = GROUPS[4]
+    h = dense.h_element(exact_automorphism(4, F(2, 3)))
+    assert any(x.denominator > 1 for row in h.ad for x in row)
+    assert h_element_outcome(dense, so_n_rotation_ad(4, F(2, 3))[::-1], FLOAT_TOL) == (
+        "matrix is not a bracket automorphism at pair (L12, L13)")
 
 
 # ----- the float order-0 product ---------------------------------------------
