@@ -165,6 +165,12 @@ class ExpansionGroup:
     # ----- subgroup part -------------------------------------------------
 
     @cached_property
+    def _table_rows(self):
+        """{(a, b): the nonzero (c, numerator) of D [X_a, X_b]} for a < b, D the
+        algebra's table denominator; the pairs that bracket to zero are absent."""
+        return {(a, b): row for a, b, row in self.algebra._table[1]}
+
+    @cached_property
     def _basis_brackets(self):
         """(a, b, [X_a, X_b], the same rounded to floats) for a < b, zero rows included.
 
@@ -173,28 +179,15 @@ class ExpansionGroup:
         ``linalg.rounded`` over D.
         """
         n = self.algebra.dim
-        den, table = self.algebra._table
-        nonzero = {(a, b): row for a, b, row in table}
+        den = self.algebra._table[0]
         out = []
         for a in range(n):
             for b in range(a + 1, n):
                 v = [0] * n
-                for c, x in nonzero.get((a, b), ()):
+                for c, x in self._table_rows.get((a, b), ()):
                     v[c] = x
                 out.append((a, b, linalg.from_numerators(v, den), linalg.rounded([v], den)[0]))
         return tuple(out)
-
-    @cached_property
-    def _exact_forms(self):
-        """(brackets, h) for the exact checks of ``h_element``, built once per group.
-
-        brackets[a, b] holds the nonzero (c, numerator) of D [X_a, X_b] for
-        a < b, D the algebra's table denominator, and h the integer
-        numerators of each subalgebra basis vector.
-        """
-        _, table = self.algebra._table
-        h = [linalg.numerators([v])[0][0] for v in self.split.h_basis]
-        return {(a, b): row for a, b, row in table}, h
 
     def h_element(self, ad, defining=None, tol=FLOAT_TOL) -> HElement:
         """Validate and wrap an adjoint matrix.
@@ -252,8 +245,7 @@ class ExpansionGroup:
         """
         alg = self.algebra
         n = alg.dim
-        brackets, h_basis = self._exact_forms
-        pn = self.split._projector_forms["n"][1]
+        brackets = self._table_rows
         cols = list(zip(*rows))
         for a in range(n):
             for b in range(a + 1, n):
@@ -264,7 +256,8 @@ class ExpansionGroup:
                 if lhs != alg._numerator_bracket(cols[a], cols[b]):
                     raise DimensionMismatch(
                         _NOT_AUTOMORPHISM.format(alg.basis_names[a], alg.basis_names[b]))
-        for v in h_basis:
+        pn = self.split._projector_forms["n"][1]
+        for v in linalg.numerators(self.split.h_basis)[0]:
             if any(linalg.mat_vec(pn, linalg.mat_vec(rows, v))):
                 raise DimensionMismatch(_NOT_PRESERVED)
         if len(linalg._eliminate_numerators([list(row) for row in rows], n, den)[0]) < n:
