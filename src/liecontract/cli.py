@@ -409,6 +409,9 @@ def main(argv=None):
     if order < 0:
         print("error: order must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
+    if args.command == "oracle" and order < 1:
+        print("error: oracle order must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     if args.command in ("contract", "expand") and order > MAX_DIM:
         print(f"error: order must be at most {MAX_DIM}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,7 +6,9 @@ Each family scales its coefficient matrices once to integer numerators over
 one common denominator D, and runs on those integer polynomials from then
 on: it computes the determinant and adjugate of the numerator family once,
 by the fraction-free Gauss-Jordan elimination of linalg over Z[eps], and
-caches both.  From them it builds, once and on demand, the Taylor
+caches both.  An Inonu-Wigner family (``iw_family``) gets both in closed
+form instead, once its projectors are checked exactly to be complementary
+idempotents.  From them it builds, once and on demand, the Taylor
 coefficients G_t of eps^v times its inverse, eps^v the largest power of the
 parameter dividing the determinant: the adjugate times a fraction-free
 reciprocal of the determinant's cofactor, each G_t an integer matrix over one
@@ -18,9 +20,10 @@ side's denominator.  The elimination divides exactly and checks every
 remainder; an inexact division raises InternalInvariantViolation, so the
 cached adjugate checks itself.  The valuation at 0 of the solution is read
 off exactly: a nonzero coefficient below eps^v certifies that the limit does
-not exist and surfaces as PoleError.  A determinant that is the zero
-polynomial raises SingularFamily.  The rescaled bracket lifts its two
-arguments, vectors (the contraction) or polynomials (the general expansion),
+not exist and surfaces as PoleError; the contraction limit solves for
+coefficient 0 alone.  A determinant that is the zero polynomial raises
+SingularFamily.  The rescaled bracket lifts its two arguments, vectors (the
+contraction) or polynomials (the general expansion),
 through the integer coefficient matrices by the jets module's truncated
 Cauchy product, brackets them on numerators and hands the numerators of the
 bracket to the solve as they are, in a ``Jet.from_numerators`` whose Fraction
@@ -154,8 +157,45 @@ class _InverseSeries:
 
 
 def iw_family(split: SubalgebraSplit) -> ContractionFamily:
-    """Family fixing the subalgebra and rescaling the complement linearly."""
-    return ContractionFamily(split.algebra, (split.proj_h, split.proj_n))
+    """Family fixing the subalgebra and rescaling the complement linearly.
+
+    Its determinant and adjugate come in closed form, checked exactly, when
+    the split's projectors are complementary idempotents; otherwise the
+    family eliminates as any other does.
+    """
+    fam = ContractionFamily(split.algebra, (split.proj_h, split.proj_n))
+    (h, nmat), _, den = fam._numerators
+    closed = _iw_det_adjugate(h, nmat, den)
+    if closed is not None:
+        # fills the cached_properties, as their first reads would
+        fam.__dict__["_det"], fam.__dict__["_adjugate"] = closed
+    return fam
+
+
+def _iw_det_adjugate(h, nmat, den):
+    """(det, adj) of the numerator family h + eps nmat, or None if the check fails.
+
+    h and nmat are the integer numerators of P_h and P_n over den.  When
+    h + nmat = den I and h nmat = 0, P_h and P_n are complementary
+    idempotents, dn = tr P_n is the rank of P_n, and the family's inverse is
+    (P_h + P_n / eps) / den.  So det = den^n eps^dn and
+    adj = den^(n-2) (eps^(dn-1) nmat + eps^dn h); for n < 2 the idempotents
+    are 0 or 1 and den is 1.  Float numerators (den 1.0) are not checked.
+    """
+    n = len(h)
+    scaled_identity = tuple(tuple(den if i == j else 0 for j in range(n)) for i in range(n))
+    if (type(den) is not int or linalg.mat_add(h, nmat) != scaled_identity
+            or not linalg.is_zero_matrix(linalg.mat_mul(h, nmat))):
+        return None
+    dn = sum(nmat[i][i] for i in range(n)) // den
+    s = den ** max(n - 2, 0)
+
+    def entry(x, y):
+        head = (0,) * (dn - 1) + (s * y,) if dn else ()
+        return linalg.poly_trim(head + (s * x,))
+
+    adj = tuple(tuple(entry(x, y) for x, y in zip(hrow, nrow)) for hrow, nrow in zip(h, nmat))
+    return (0,) * dn + (den ** n,), adj
 
 
 def invert_family_apply(fam: ContractionFamily, r: Jet, order: int) -> Jet:
@@ -222,9 +262,9 @@ def _rescaled_bracket(fam: ContractionFamily, xs, ys, order: int) -> Jet:
 
 
 def eps_bracket(fam: ContractionFamily, x, y, order: int = 1) -> Jet:
-    """Jet of the rescaled bracket of two algebra vectors."""
-    if order < 1:
-        raise DimensionMismatch("order must be at least 1")
+    """Jet of the rescaled bracket of two algebra vectors; order 0 is the limit alone."""
+    if order < 0:
+        raise DimensionMismatch("order must be nonnegative")
     return _rescaled_bracket(fam, (x,), (y,), order)
 
 
@@ -240,7 +280,7 @@ def contract(fam: ContractionFamily) -> LieAlgebra:
     for a in range(n):
         for b in range(a + 1, n):
             try:
-                limit = eps_bracket(fam, alg.basis_vector(a), alg.basis_vector(b), order=1)
+                limit = eps_bracket(fam, alg.basis_vector(a), alg.basis_vector(b), order=0)
             except PoleError as err:
                 raise PoleError(
                     f"bracket of {alg.basis_names[a]}, {alg.basis_names[b]}: {err}",

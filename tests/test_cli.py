@@ -243,6 +243,14 @@ def test_oracle_order_above_cap_fails_before_drawing(monkeypatch, capsys):
     assert len(drawn) == 4
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_oracle_order_0_is_a_usage_error(fmt, capsys):
+    assert run(["--format", fmt, "oracle", "so3", "--order", "0", "--trials", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: oracle order must be at least 1\n"
+
+
 def test_example_command(capsys):
     assert run(["example", "so3", "--order", "1"]) == 0
     assert "example passed" in capsys.readouterr().out

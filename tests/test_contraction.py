@@ -6,10 +6,15 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from liecontract import contraction, linalg
-from liecontract.algebra import LieAlgebra, span_subalgebra, split_with_complement
+from liecontract.algebra import (
+    LieAlgebra,
+    SubalgebraSplit,
+    span_subalgebra,
+    split_with_complement,
+)
 from liecontract.catalog import builtin, subalgebra_catalog
 from liecontract.contraction import (
     ContractionFamily,
@@ -24,6 +29,7 @@ from liecontract.contraction import (
 from liecontract.errors import (
     DimensionMismatch,
     InternalInvariantViolation,
+    NotASubalgebra,
     PoleError,
     SingularFamily,
 )
@@ -591,7 +597,7 @@ def vectors(alg):
 
 
 @settings(max_examples=150, deadline=None)
-@given(families(), st.integers(1, 3))
+@given(families(), st.integers(0, 3))
 def test_integer_family_path_matches_fraction_reference(case, order):
     fam, x, y, r, r_order = case
     assert exact_outcome(invert_family_apply, fam, r, r_order) == \
@@ -653,16 +659,23 @@ def test_bracket_tuples_matches_fraction_reference(case, k, data):
         tuples_outcome(reference_bracket_tuples, fam, k, xs, ys)
 
 
-def test_contract_scales_and_eliminates_once_per_family(monkeypatch):
-    alg, sub = so_n(5)
-    fams = [iw_family(span_subalgebra(alg, sub)) for _ in range(3)]
-    calls = Counter()
-
+def counter_of(calls):
+    """A wrapper factory counting the calls of each wrapped function under its name."""
     def counted(name, fn):
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
         return wrapper
+    return counted
+
+
+def test_contract_scales_and_eliminates_once_per_family(monkeypatch):
+    """A family built from its matrices, as ``--family`` loads one, eliminates once."""
+    alg, sub = so_n(5)
+    split = span_subalgebra(alg, sub)
+    fams = [ContractionFamily(alg, (split.proj_h, split.proj_n)) for _ in range(3)]
+    calls = Counter()
+    counted = counter_of(calls)
 
     numerators = linalg.numerators
 
@@ -698,3 +711,178 @@ def test_contract_scales_and_eliminates_once_per_family(monkeypatch):
     for a in range(10):
         expansion.bracket_tuples((e(a), e(9 - a)), (e(9 - a), e((a + 3) % 10)))
     assert calls == {"scaling": 3, "adjugate": 3, "det": 3, "table": 3}
+
+
+def test_iw_family_contracts_without_an_elimination(monkeypatch):
+    alg, sub = so_n(5)
+    fams = [iw_family(span_subalgebra(alg, sub)) for _ in range(2)]
+    calls = Counter()
+    counted = counter_of(calls)
+    monkeypatch.setattr(linalg, "poly_adjugate", counted("adjugate", linalg.poly_adjugate))
+    monkeypatch.setattr(linalg, "poly_det", counted("det", linalg.poly_det))
+    monkeypatch.setattr(contraction, "_InverseSeries",
+                        counted("table", contraction._InverseSeries))
+    contract(fams[0])
+    for order in (0, 2, 4):
+        for a in range(alg.dim):
+            eps_bracket(fams[0], alg.basis_vector(a), alg.basis_vector(alg.dim - 1 - a),
+                        order=order)
+    e = alg.basis_vector
+    expansion = GeneralExpansion(fams[1], 2)
+    for a in range(10):
+        expansion.bracket_tuples((e(a), e(9 - a), e(a)), (e(9 - a), e((a + 3) % 10), e(0)))
+    assert calls == {"table": 2}
+
+
+def two_dim_algebra():
+    """The nonabelian 2-dimensional algebra, [X1, X2] = X2."""
+    return LieAlgebra.from_brackets(2, ("X1", "X2"), [(0, 1, 1, 1)])
+
+
+def dense_split(alg, sub, rng):
+    """The split along span(sub), on seeded dense rational bases of both parts."""
+    def draw():
+        return linalg.random_fraction(rng, max_num=5, max_den=5)
+
+    h = [tuple(sum((draw() * x for x in col), F(0)) for col in zip(*sub)) for _ in sub]
+    rest = [tuple(draw() for _ in range(alg.dim)) for _ in range(alg.dim - len(sub))]
+    return split_with_complement(alg, h, rest)
+
+
+def catalogued_splits():
+    """Every split along a catalogued or basis-spanned subalgebra, and so(n-1) in so(n)."""
+    splits = []
+    for name in ("so3", "sl2", "heis3", "iso2"):
+        alg = builtin(name)[0]
+        for vectors in [*subalgebra_catalog(name).values(), *bracket_closed_basis_subsets(alg)]:
+            splits.append(span_subalgebra(alg, vectors))
+    for n in (4, 5, 6):
+        splits.append(span_subalgebra(*so_n(n)))
+    one = LieAlgebra.from_brackets(1, ("X1",), [])
+    two = two_dim_algebra()
+    splits += [span_subalgebra(one, []), span_subalgebra(one, [(1,)]),
+               span_subalgebra(two, [(2, 3)]), span_subalgebra(two, [(0, 1)]),
+               split_with_complement(two, [(F(1, 3), 2)], [(5, F(-1, 2))])]
+    return splits
+
+
+def dense_so_splits():
+    rng = random.Random(20)
+    return [dense_split(*so_n(4), rng) for _ in range(4)] + [dense_split(*so_n(5), rng)]
+
+
+def assert_closed_form_is_the_elimination(split):
+    fam = iw_family(split)
+    assert "_det" in fam.__dict__ and "_adjugate" in fam.__dict__
+    entries = fam._numerators[1]
+    assert fam._det == linalg.poly_det(entries)
+    assert fam._adjugate == linalg.poly_adjugate(entries)[1]
+    assert {type(c) for c in fam._det} <= {int}
+    assert {type(c) for row in fam._adjugate for p in row for c in p} <= {int}
+
+
+@pytest.mark.parametrize("split", catalogued_splits() + dense_so_splits())
+def test_iw_inverse_in_closed_form_is_the_elimination(split):
+    assert_closed_form_is_the_elimination(split)
+
+
+def test_closed_form_cases_reach_every_shape():
+    """The cases above hold dh = 0, dn = 0, dimensions 1 and 2, and denominators above 1."""
+    splits = catalogued_splits() + dense_so_splits()
+    assert any(s.dim_h == 0 for s in splits) and any(s.dim_n == 0 for s in splits)
+    assert {1, 2} <= {s.algebra.dim for s in splits}
+    dens = [iw_family(s)._numerators[2] for s in dense_so_splits()]
+    assert all(d > 1 for d in dens)
+    # an algebra has dimension 1 at least; the closed form still matches on 0 x 0
+    with pytest.raises(DimensionMismatch):
+        LieAlgebra(0, (), ())
+    assert contraction._iw_det_adjugate((), (), 1) == \
+        (linalg.poly_det([]), linalg.poly_adjugate([])[1])
+
+
+@st.composite
+def dense_splits(draw):
+    """A split of so3, sl2, heis3, iso2 or the 2-dimensional algebra along a
+    basis-spanned subalgebra, on bases drawn from small rationals."""
+    alg = draw(st.sampled_from([builtin(name)[0] for name in ("so3", "sl2", "heis3", "iso2")]
+                               + [two_dim_algebra()]))
+    sub = draw(st.sampled_from(bracket_closed_basis_subsets(alg)))
+    try:
+        return dense_split(alg, sub, random.Random(draw(st.integers(0, 10 ** 6))))
+    except (DimensionMismatch, NotASubalgebra):  # the drawn vectors are dependent
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_splits())
+def test_iw_inverse_in_closed_form_matches_on_drawn_bases(split):
+    assert_closed_form_is_the_elimination(split)
+
+
+def eliminated_outcomes(fam):
+    """The limit and the order-2 rescaled basis brackets, or the error each raised."""
+    alg = fam.algebra
+    try:
+        limit = ("limit", contract(fam).structure)
+    except PoleError as err:
+        limit = ("pole", str(err), err.valuation, err.component, err.pair)
+    except SingularFamily:
+        limit = ("singular",)
+    e = alg.basis_vector
+    return limit, [exact_outcome(eps_bracket, fam, e(a), e(b), 2)
+                   for a in range(alg.dim) for b in range(alg.dim)]
+
+
+def hand_built_split(alg, proj_h, proj_n):
+    """A split made directly from two projector matrices, which nothing checks."""
+    proj_h, proj_n = (tuple(tuple(F(x) for x in row) for row in m) for m in (proj_h, proj_n))
+    return SubalgebraSplit(alg, (), (), proj_h, proj_n)
+
+
+@pytest.mark.parametrize("proj_h, proj_n", [
+    # the sum is I, but P_h P_n = diag(0, 0, -2)
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+    # the sum is I, P_h is not idempotent, and [X1, X2] = X3 has a pole
+    ([[1, 1, 0], [0, 1, 0], [0, 0, 0]], [[0, -1, 0], [0, 0, 0], [0, 0, 1]]),
+    # P_h P_n = 0, but the sum is not I; a pole
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 2]]),
+    # P_h P_n = 0, but the sum is not I; singular
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    # complementary idempotents over the denominator 2, not orthogonal: the closed form
+    ([[0, 0, 0], [0, 0, 0], [F(1, 2), 0, 1]], [[1, 0, 0], [0, 1, 0], [F(-1, 2), 0, 0]]),
+    # complementary idempotents along a plane that is no subalgebra: the closed form, a pole
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
+])
+def test_hand_built_split_falls_back_to_the_elimination(proj_h, proj_n):
+    split = hand_built_split(so3, proj_h, proj_n)
+    fam = iw_family(split)
+    complementary = (linalg.mat_add(split.proj_h, split.proj_n) == linalg.identity(3)
+                     and linalg.is_zero_matrix(linalg.mat_mul(split.proj_h, split.proj_n)))
+    assert ("_det" in fam.__dict__) == complementary
+    if complementary:
+        assert_closed_form_is_the_elimination(split)
+    eliminated = ContractionFamily(so3, (split.proj_h, split.proj_n))
+    assert eliminated_outcomes(fam) == eliminated_outcomes(eliminated)
+
+
+def limit_outcome(fam, x, y, order):
+    """Coefficient 0 of the rescaled bracket as the type and repr of each entry, or the error."""
+    try:
+        jet = eps_bracket(fam, x, y, order)
+    except PoleError as err:
+        return ("pole", str(err), err.valuation, err.component)
+    except SingularFamily:
+        return ("singular",)
+    return [(type(c), repr(c)) for c in jet.coeff(0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(families())
+def test_eps_bracket_order_0_is_the_limit(case):
+    fam, x, y, _, _ = case
+    got = limit_outcome(fam, x, y, 0)
+    assert got == limit_outcome(fam, x, y, 1) == limit_outcome(fam, x, y, 2)
+    if got[0] not in ("pole", "singular"):
+        assert eps_bracket(fam, x, y, 0).trunc == 1
+    with pytest.raises(DimensionMismatch):
+        eps_bracket(fam, x, y, -1)

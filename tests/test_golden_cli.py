@@ -34,6 +34,11 @@ CASES = {
                          ("so5.json", ["--subalgebra", "so5-so4.json", "--order", "1"]))},
     "contract-heis3-weighted-text": ["--format", "text", "contract", "heis3", "--family",
                                      "heis3-weighted.json", "--order", "2"],
+    # the span of (1, 2, 0): projectors over the denominator 2
+    "contract-so3-x1-2x2-order2": ["contract", "so3", "--subalgebra", "so3-x1-2x2.json",
+                                   "--order", "2"],
+    "contract-so3-x1-2x2-text": ["--format", "text", "contract", "so3", "--subalgebra",
+                                 "so3-x1-2x2.json", "--order", "1"],
     "contract-so3-pole": ["contract", "so3", "--family", "so3-pole.json"],
     "contract-so3-singular": ["contract", "so3", "--family", "so3-singular.json"],
     **{f"expand-{alg.removesuffix('.json')}-order{k}-constants": [
