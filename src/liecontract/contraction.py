@@ -23,11 +23,15 @@ off exactly: a nonzero coefficient below eps^v certifies that the limit does
 not exist and surfaces as PoleError; the contraction limit solves for
 coefficient 0 alone.  A determinant that is the zero polynomial raises
 SingularFamily.  The rescaled bracket lifts its two arguments, vectors (the
-contraction) or polynomials (the general expansion),
-through the integer coefficient matrices by the jets module's truncated
-Cauchy product, brackets them on numerators and hands the numerators of the
+contraction) or polynomials (the general expansion), through the integer
+coefficient matrices, kept as sparse columns, by the jets module's one
+truncated Cauchy product; each product visits only the support of its
+vector.  It brackets the lifts on numerators and hands the numerators of the
 bracket to the solve as they are, in a ``Jet.from_numerators`` whose Fraction
-coefficients are never built.
+coefficients are never built.  Lift and bracket stop at the last coefficient
+the solve reads: with G_t0 the first nonzero term of the table (t0 <= v, as a
+polynomial family has no inverse divisible by eps), coefficient v + order - t0.
+For an Inonu-Wigner limit that is eps^1, so [N x, N y] is never formed.
 """
 
 from __future__ import annotations
@@ -97,6 +101,12 @@ class ContractionFamily:
         return mats, entries, den
 
     @cached_property
+    def _columns(self):
+        """The integer coefficient matrices as sparse columns, column j holding (i, x) per x != 0."""
+        return [tuple(tuple((i, row[j]) for i, row in enumerate(m) if row[j])
+                      for j in range(self.dim)) for m in self._numerators[0]]
+
+    @cached_property
     def _det(self):
         """Determinant of the numerator family, an integer polynomial."""
         return linalg.poly_det(self._numerators[1])
@@ -110,6 +120,13 @@ class ContractionFamily:
     def _inverse(self):
         """Taylor table of eps^v times the numerator family's inverse; needs _det != 0."""
         return _InverseSeries(self._det, self._adjugate)
+
+    def _table(self, order):
+        """(v, terms): the inverse table through G_(v+order); raises SingularFamily if det = 0."""
+        if not self._det:
+            raise SingularFamily("family determinant is the zero polynomial")
+        v = self._inverse.valuation
+        return v, self._inverse.extend(v + order + 1)
 
 
 class _InverseSeries:
@@ -208,21 +225,18 @@ def invert_family_apply(fam: ContractionFamily, r: Jet, order: int) -> Jet:
 
     With D the family's denominator and R / r_den the numerators of r,
     eps^v w = D (G R) / r_den, so coefficient m of G R, a convolution of the
-    family's Taylor table with R, is coefficient m - v of w.
+    family's Taylor table with R, is coefficient m - v of w.  It starts at m =
+    t0, the first nonzero term of the table: below it every sum is empty.
     """
     if fam.dim != r.dim:
         raise DimensionMismatch("jet dimension differs from family dimension")
     if order >= r.trunc:
         raise DimensionMismatch("requested order must stay below the jet truncation")
-    if not fam._det:
-        raise SingularFamily("family determinant is the zero polynomial")
-    inverse = fam._inverse
-    v = inverse.valuation
+    v, terms = fam._table(order)
     rows, r_den = r.numerators
-    terms = inverse.extend(v + order + 1)
     scale = fam._numerators[2]
     coeffs = []
-    for m in range(v + order + 1):
+    for m in range(terms[0][0], v + order + 1):
         parts = [(mat, den, rows[m - t]) for t, mat, den in terms
                  if t <= m < t + len(rows) and any(rows[m - t])]
         common = lcm(*(den for _, den, _ in parts))
@@ -245,20 +259,33 @@ def invert_family_apply(fam: ContractionFamily, r: Jet, order: int) -> Jet:
 def _rescaled_bracket(fam: ContractionFamily, xs, ys, order: int) -> Jet:
     """Jet of the family's inverse applied to the bracket of two lifted polynomials.
 
-    xs and ys are the coefficient tuples of polynomials in the parameter.
-    Each is lifted through the family's integer coefficient matrices on
+    xs and ys are the coefficient tuples of polynomials in the parameter;
+    both are checked before the family's table is read.  Each is lifted
+    column by column through the family's integer coefficient matrices on
     numerators, the two lifts are bracketed on numerators, and the result is
-    solved back exactly, its numerators handed over as they are.
+    solved back exactly, its numerators handed over as they are.  Lift and
+    bracket are truncated after coefficient v + order - t0, the last one the
+    solve reads, or after the bracket's degree if that comes first.
     """
-    trunc = max(2 * (len(xs) - 1 + fam.degree), order) + 1
-    mats, _, den = fam._numerators
-    lifts = []  # (rows, den): the coefficients of the family applied to xs and to ys
-    for vs in (xs, ys):
-        rows, v_den = linalg.numerators([fam.algebra.vector(v) for v in vs])
-        lift = _cauchy(mats, rows, trunc, linalg.mat_vec, _vec_add, (0,) * fam.dim)
-        lifts.append((lift, den * v_den))
+    args = [linalg.numerators([fam.algebra.vector(c) for c in vs]) for vs in (xs, ys)]
+    v, terms = fam._table(order)
+    trunc = min(max(2 * (len(xs) - 1 + fam.degree), order), v + order - terms[0][0]) + 1
+    den = fam._numerators[2]
+    # (rows, den): the coefficients of the family applied to xs and to ys
+    lifts = [(_cauchy(fam._columns, rows, trunc, _column_product, _vec_add, (0,) * fam.dim),
+              den * v_den) for rows, v_den in args]
     r = Jet.from_numerators(fam.dim, trunc, *bracket_numerators(fam.algebra, *lifts, trunc))
     return invert_family_apply(fam, r, order)
+
+
+def _column_product(cols, x):
+    """The matrix with sparse columns cols applied to x, visiting the support of x only."""
+    out = [0] * len(cols)
+    for j, c in enumerate(x):
+        if c:
+            for i, a in cols[j]:
+                out[i] += a * c
+    return tuple(out)
 
 
 def eps_bracket(fam: ContractionFamily, x, y, order: int = 1) -> Jet:

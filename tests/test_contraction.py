@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 import warnings
 from collections import Counter
@@ -34,6 +35,7 @@ from liecontract.errors import (
     SingularFamily,
 )
 from liecontract.expansion import GeneralExpansion
+from liecontract.formats import load_family
 from liecontract.jets import Jet, MatrixJet, bracket_poly
 from liecontract.linalg import ZERO
 
@@ -650,7 +652,7 @@ def tuples_outcome(bracket, *args):
 
 
 @settings(max_examples=100, deadline=None)
-@given(families(), st.integers(0, 2), st.data())
+@given(families(), st.integers(0, 3), st.data())
 def test_bracket_tuples_matches_fraction_reference(case, k, data):
     fam = case[0]
     coeffs = st.lists(vectors(fam.algebra), min_size=k + 1, max_size=k + 1)
@@ -662,9 +664,9 @@ def test_bracket_tuples_matches_fraction_reference(case, k, data):
 def counter_of(calls):
     """A wrapper factory counting the calls of each wrapped function under its name."""
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
     return counted
 
@@ -886,3 +888,87 @@ def test_eps_bracket_order_0_is_the_limit(case):
         assert eps_bracket(fam, x, y, 0).trunc == 1
     with pytest.raises(DimensionMismatch):
         eps_bracket(fam, x, y, -1)
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def golden_family(name, alg=so3):
+    return load_family(os.path.join(GOLDEN, name), alg)
+
+
+MALFORMED = [(1, 0), (1, 0, 0, 0), (1.0, 0, 0), (F(1), 0.5, 0), (True, 0, 0)]
+
+
+@pytest.mark.parametrize("name", ["so3-pole.json", "so3-singular.json"])
+@pytest.mark.parametrize("bad", MALFORMED)
+def test_malformed_vectors_fail_before_the_family_is_read(name, bad):
+    """A malformed argument is refused as such, not as the pole or the singular determinant."""
+    e = so3.basis_vector
+    error = DimensionMismatch if len(bad) != 3 else TypeError
+    for order in (0, 1, 3):
+        for x, y in ((bad, e(1)), (e(0), bad)):
+            with pytest.raises(error):
+                eps_bracket(golden_family(name), x, y, order)
+    for k in (0, 1, 2):
+        expansion = SimpleNamespace(family=golden_family(name), order=k)
+        for xs, ys in (([bad] * (k + 1), [e(1)] * (k + 1)),
+                       ([e(0)] * k + [bad], [e(1)] * (k + 1))):
+            with pytest.raises(error):
+                GeneralExpansion.bracket_tuples(expansion, xs, ys)
+
+
+def tuples_jet(bracket, fam, k, xs, ys):
+    """The coefficient tuples of a bracket, read back as the jet they truncate."""
+    return Jet(fam.dim, k + 1, bracket(fam, k, xs, ys))
+
+
+# the splits at both extremes, a degree-2 family, a pole and a singular family
+EDGE_FAMILIES = {
+    "dh=0": lambda: iw_family(span_subalgebra(so3, [])),
+    "dn=0": lambda: iw_family(span_subalgebra(so3, [so3.basis_vector(a) for a in range(3)])),
+    "heis3-weighted": lambda: golden_family("heis3-weighted.json", heis3),
+    "pole": lambda: golden_family("so3-pole.json"),
+    "singular": lambda: golden_family("so3-singular.json"),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_FAMILIES))
+def test_edge_families_match_the_full_truncation_references(name):
+    """eps_bracket and bracket_tuples against the Fraction route at the full truncation."""
+    fam = EDGE_FAMILIES[name]()
+    alg = fam.algebra
+    # eps I: v = n and t0 = n - 1; the identity: v = t0 = 0
+    if name in ("dh=0", "dn=0"):
+        v, t0 = (3, 2) if name == "dh=0" else (0, 0)
+        assert (fam._inverse.valuation, fam._inverse.extend(v + 1)[0][0]) == (v, t0)
+    e = alg.basis_vector
+    vecs = [e(a) for a in range(alg.dim)] + [(F(1, 2), F(-3), F(5, 7)), (2, 0, F(-1, 3))]
+    for order in range(5):
+        for x, y in itertools.product(vecs, repeat=2):
+            assert exact_outcome(eps_bracket, fam, x, y, order) == \
+                exact_outcome(reference_eps_bracket, fam, x, y, order)
+        for shift in range(3):
+            xs = [vecs[(shift + i) % len(vecs)] for i in range(order + 1)]
+            ys = [vecs[(2 * shift + 3 * i + 1) % len(vecs)] for i in range(order + 1)]
+            assert exact_outcome(tuples_jet, general_bracket_tuples, fam, order, xs, ys) == \
+                exact_outcome(tuples_jet, reference_bracket_tuples, fam, order, xs, ys)
+    outcomes = {exact_outcome(eps_bracket, fam, x, y, 1)[0]
+                for x, y in itertools.product(vecs, repeat=2)}
+    assert outcomes == {"pole": {"pole", "jet"}, "singular": {"singular"}}.get(name, {"jet"})
+
+
+@pytest.mark.parametrize("n, products", [(4, 12), (5, 39), (6, 95)])
+def test_contract_brackets_the_eps0_and_eps1_products_only(monkeypatch, n, products):
+    """One rescaled bracket and one solve per pair; [N x, N y], at eps^2, is never formed."""
+    alg, sub = so_n(n)
+    fam = iw_family(span_subalgebra(alg, sub))
+    calls = Counter()
+    counted = counter_of(calls)
+    monkeypatch.setattr(LieAlgebra, "_numerator_bracket",
+                        counted("product", LieAlgebra._numerator_bracket))
+    for name in ("eps_bracket", "invert_family_apply"):
+        monkeypatch.setattr(contraction, name, counted(name, getattr(contraction, name)))
+    contract(fam)
+    pairs = alg.dim * (alg.dim - 1) // 2
+    assert calls == {"product": products, "eps_bracket": pairs, "invert_family_apply": pairs}

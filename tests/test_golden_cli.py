@@ -28,6 +28,11 @@ CASES = {
                             "--order", "2"],
     "contract-heis3-weighted-order3": ["contract", "heis3", "--family", "heis3-weighted.json",
                                        "--order", "3"],
+    # past the two bracket coefficients an order-0 limit reads
+    "contract-so5-order4": ["contract", "so5.json", "--subalgebra", "so5-so4.json",
+                            "--order", "4"],
+    "contract-heis3-weighted-order4": ["contract", "heis3", "--family", "heis3-weighted.json",
+                                       "--order", "4"],
     **{f"contract-{alg.removesuffix('.json')}-text": ["--format", "text", "contract", alg, *rest]
        for alg, rest in (("so3", ["--subalgebra", "so3-x3.json", "--order", "2"]),
                          ("heis3", ["--subalgebra", "heis3-z.json"]),
