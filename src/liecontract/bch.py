@@ -9,14 +9,15 @@ arguments vanish at 0, a word of length L only contributes from parameter
 degree L on, so only words up to the requested order matter.
 
 The sum runs on integers: each word's value comes as integer numerators over
-one denominator (``Jet.numerators``), every term is brought to the least
-common denominator of all words, and each output component becomes a
-Fraction once.  On exact jets every prefix value is a ``Jet.from_numerators``
-whose Fraction coefficients nobody reads, so no word value makes a Fraction;
-a value is tested for zero on its numerators.  Float jets (the numeric mode)
-come over 1 and go through the same loop, so a float result is the sum of
-(integer multiple) * value, divided once by the common denominator.  A row
-of exact zeros (the constant slot of a float jet) is skipped, not multiplied.
+one denominator (``Jet.numerators``), and every term is brought to the least
+common denominator of all words.  On exact jets every prefix value, and the
+sum, is a ``Jet.from_numerators`` whose Fraction coefficients nobody reads;
+values and constant terms are tested for zero on numerators, and the caller
+(``ExpansionGroup.star``) makes one Fraction per entry it returns.  Float
+jets (the numeric mode) come over 1 and go through the same loop, so a float
+result is the sum of (integer multiple) * value, divided once by the common
+denominator.  A row of exact zeros (the constant slot of a float jet) is
+skipped, not multiplied.
 At order 1 every coefficient is 1 and that is exactly x + y; at higher
 orders it may differ in the last bit from summing float(coefficient) * value.
 When one jet is exact and the other holds a float, the exact values are
@@ -83,9 +84,10 @@ def check_order(order, cap=None):
 
 
 def local_mult(alg, p: Jet, q: Jet, order: int, cap=None) -> Jet:
-    """Truncated BCH product of two jets through zero."""
+    """Truncated BCH product of two jets through zero; on exact jets, a lazy
+    ``Jet.from_numerators`` of the sum."""
     check_order(order, cap)
-    if not linalg.is_zero_vector(p.coeff(0)) or not linalg.is_zero_vector(q.coeff(0)):
+    if any(rows and any(rows[0]) for rows, _ in (p.numerators, q.numerators)):
         raise NonzeroConstantTerm("local multiplication needs curves through zero")
     trunc = order + 1
     values = {"x": p.truncated(trunc), "y": q.truncated(trunc)}
@@ -94,6 +96,8 @@ def local_mult(alg, p: Jet, q: Jet, order: int, cap=None) -> Jet:
         pair = _word_value(alg, word, values).numerators
         if pair[0]:
             words.append((coeff, pair))
+    # read before floats_if_mixed, which hands float values back over an int 1
+    exact = all(type(den) is int for _, (_, den) in words)
     pairs = linalg.floats_if_mixed([pair for _, pair in words])
     # (numerator rows, coefficient numerator, denominator of both)
     terms = [(rows, coeff.numerator, coeff.denominator * den)
@@ -103,8 +107,10 @@ def local_mult(alg, p: Jet, q: Jet, order: int, cap=None) -> Jet:
     for rows, num, d in terms:
         s = num * (common // d)
         for k, row in enumerate(rows):
-            if any(row) or float in map(type, row):  # a row of exact zeros adds nothing
+            if any(row) or not exact and float in map(type, row):  # exact zeros add nothing
                 acc[k] = [a + s * x for a, x in zip(acc[k], row)]
+    if exact:
+        return Jet.from_numerators(alg.dim, trunc, acc, common)
     return Jet(alg.dim, trunc, tuple(linalg.from_numerators(v, common) for v in acc))
 
 

@@ -138,13 +138,16 @@ class _InverseSeries:
     is the integer matrix N_t = sum_s adj_s beta_(t-s) d0**s over d0**(t+1).
     ``terms`` holds each nonzero G_t as (t, rows, den), reduced by the gcd of
     its entries and den, with rows its nonzero rows (i, ((j, x), ...));
-    ``extend`` grows it, so each coefficient is computed once.
+    ``extend`` grows it, so each coefficient is computed once.  G_t is zero
+    below the lowest power of eps in adj(A) (dn - 1 for an Inonu-Wigner
+    family), and ``extend`` forms no sum there.
     """
 
     def __init__(self, det, adj):
         self.valuation = linalg.poly_valuation(det)
         self._dt = det[self.valuation:]
         self._adj = adj
+        self._low = min((linalg.poly_valuation(p) for row in adj for p in row if any(p)), default=0)
         self._beta = []
         self._powers = [1]  # powers of d0
         self.terms = []
@@ -157,6 +160,8 @@ class _InverseSeries:
         for t in range(len(beta), count):
             beta.append(-sum(dt[j] * beta[t - j] * powers[j - 1]
                              for j in range(1, min(t, len(dt) - 1) + 1)) if t else 1)
+            if t < self._low:
+                continue
             # (s, beta_(t-s) d0**s) for the nonzero beta only: one pair when dt is constant
             factors = [(t - k, b * powers[t - k]) for k, b in enumerate(beta) if b]
             rows = []
@@ -303,11 +308,12 @@ def contract(fam: ContractionFamily) -> LieAlgebra:
     """
     alg = fam.algebra
     n = alg.dim
+    basis = [alg.basis_vector(a) for a in range(n)]
     entries = []
     for a in range(n):
         for b in range(a + 1, n):
             try:
-                limit = eps_bracket(fam, alg.basis_vector(a), alg.basis_vector(b), order=0)
+                limit = eps_bracket(fam, basis[a], basis[b], order=0)
             except PoleError as err:
                 raise PoleError(
                     f"bracket of {alg.basis_names[a]}, {alg.basis_names[b]}: {err}",

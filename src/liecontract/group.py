@@ -14,6 +14,8 @@ matrix as integer numerators N over one denominator delta
 integer table, the split's integer projector and one elimination of N;
 ``h_compose``, ``h_inverse`` and ``ad_nil`` multiply numerators, a product or
 an inverse keeps its own, and each output entry becomes a Fraction once.
+So does ``star`` on exact tuples, from the lifts to the product's numerators,
+the top slot reduced by the split's integer projector.
 
 In the numeric mode exact data meets floats rounded once: ``h_element``
 reads [X_a, X_b] off the structure constants, rounded once per group, and
@@ -151,16 +153,25 @@ class ExpansionGroup:
             all(abs(x) <= tol for x in slot) for slot in (*a.mids, a.top))
 
     def _lift(self, a: NilTuple) -> Jet:
+        """The polynomial through zero with coefficients a.mids, a.top; exact, on numerators."""
         n = self.algebra.dim
-        coeffs = (linalg.zero_vector(n),) + a.mids + (a.top,)
-        return Jet(n, self.order + 2, coeffs)
+        rows, den = linalg.numerators([*a.mids, a.top])
+        if type(den) is float:
+            return Jet(n, self.order + 2, (linalg.zero_vector(n),) + a.mids + (a.top,))
+        return Jet.from_numerators(n, self.order + 2, ((0,) * n, *rows), den)
 
     def star(self, a: NilTuple, b: NilTuple) -> NilTuple:
-        """Truncated-BCH product on nilpotent tuples."""
-        z = local_mult(self.algebra, self._lift(a), self._lift(b),
-                       self.order + 1, cap=self.order_cap)
-        mids = tuple(z.coeff(m) for m in range(1, self.order + 1))
-        return NilTuple(mids, self.split.coset_reduce(z.coeff(self.order + 1)))
+        """Truncated-BCH product on nilpotent tuples; on integers for exact tuples."""
+        k = self.order
+        z = local_mult(self.algebra, self._lift(a), self._lift(b), k + 1, cap=self.order_cap)
+        rows, den = z.numerators
+        if type(den) is float:
+            mids = tuple(z.coeff(m) for m in range(1, k + 1))
+            return NilTuple(mids, self.split.coset_reduce(z.coeff(k + 1)))
+        _, pn, pden, _ = self.split._projector_forms["n"]
+        rows += ((0,) * self.algebra.dim,) * (k + 2 - len(rows))
+        mids = tuple(linalg.from_numerators(v, den) for v in rows[1:k + 1])
+        return NilTuple(mids, linalg.from_numerators(linalg.mat_vec(pn, rows[k + 1]), pden * den))
 
     # ----- subgroup part -------------------------------------------------
 

@@ -20,6 +20,9 @@ and makes its Fraction coefficients only when something first reads them.
 ``bracket_poly`` on exact jets returns such a jet, so a chain of brackets
 (the BCH word prefixes, the rescaled bracket) runs on integers throughout;
 on float jets (the numeric mode) it divides each coefficient at once.
+``Jet.from_numerators`` trims, checks and converts its rows in one pass, and
+``truncated`` at a jet's own order returns the jet itself, so a lifted jet
+(``ExpansionGroup.star``) is scaled and checked once, and a lazy one stays lazy.
 
 A MatrixJet keeps numerators the same way (``MatrixJet.numerators``,
 ``MatrixJet.from_numerators``), and ``matmul`` on exact operands convolves
@@ -128,15 +131,19 @@ class Jet:
         """
         if trunc < 1:
             raise DimensionMismatch("truncation order must be positive")
-        rows = _trim([tuple(v) for v in rows[:trunc]], lambda v: not any(v))
-        if any(len(v) != dim for v in rows):
-            raise DimensionMismatch("coefficient length differs from jet dimension")
-        g = gcd(den, *chain.from_iterable(rows))
+        kept, end, g = [], 0, den  # one pass: check, convert, find the trim point and the gcd
+        for v in map(tuple, rows[:trunc]):
+            if len(v) != dim:
+                raise DimensionMismatch("coefficient length differs from jet dimension")
+            kept.append(v)
+            if any(v):
+                end, g = len(kept), g if g == 1 else gcd(g, *v)
+        rows = kept[:end]
         if g > 1:
-            rows, den = tuple([tuple([x // g for x in v]) for v in rows]), den // g
+            rows, den = [tuple([x // g for x in v]) for v in rows], den // g
         jet = cls.__new__(cls)
         # ``numerators`` fills the cached_property below, as its first read would
-        jet.__dict__.update(dim=dim, trunc=trunc, numerators=(rows, den))
+        jet.__dict__.update(dim=dim, trunc=trunc, numerators=(tuple(rows), den))
         return jet
 
     def __getattr__(self, name):
@@ -198,8 +205,8 @@ class Jet:
         return Jet(self.dim, self.trunc, padded)
 
     def truncated(self, trunc):
-        """Same jet viewed at a different truncation order."""
-        return Jet(self.dim, trunc, self.coeffs)
+        """Same jet viewed at a different truncation order; at its own order, the jet itself."""
+        return self if trunc == self.trunc else Jet(self.dim, trunc, self.coeffs)
 
     def eval_at(self, point):
         """Horner evaluation using the stored coefficients only."""

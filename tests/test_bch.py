@@ -148,6 +148,25 @@ def test_nonzero_constant_term_rejected():
         local_mult(so3, p, Jet.zero(3, 3), 2)
 
 
+def test_local_mult_returns_a_lazy_jet_on_exact_input():
+    """Exact jets, eager or lazy, multiply into a jet that keeps the sum's
+    numerators and builds its coefficients on their first read; neither
+    factor's coefficients are built.  Float input gives a built jet."""
+    rng = random.Random(15)
+    for alg in (so3, heis3):
+        p, q = (through_zero(rng, alg, 4, 5) for _ in range(2))
+        lazy = Jet.from_numerators(alg.dim, 5, *p.numerators)
+        z = local_mult(alg, lazy, q, 4)
+        assert "coeffs" not in z.__dict__ and "coeffs" not in lazy.__dict__
+        assert z.numerators == linalg.numerators(z.coeffs)
+        assert "coeffs" in z.__dict__
+        assert z == reference_local_mult(alg, p, q, 4)
+        with pytest.raises(NonzeroConstantTerm):
+            local_mult(alg, Jet.from_numerators(alg.dim, 5, [(0, 1, 0)], 3), q, 4)
+        floats = Jet(alg.dim, 5, [(0.0, 0.0, 0.0), (0.5, -0.0, 1.0)])
+        assert "coeffs" in local_mult(alg, floats, q, 4).__dict__
+
+
 def test_order_cap():
     zero = Jet.zero(3, 9)
     with pytest.raises(OrderCapExceeded):

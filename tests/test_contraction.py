@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import warnings
@@ -972,3 +973,56 @@ def test_contract_brackets_the_eps0_and_eps1_products_only(monkeypatch, n, produ
     contract(fam)
     pairs = alg.dim * (alg.dim - 1) // 2
     assert calls == {"product": products, "eps_bracket": pairs, "invert_family_apply": pairs}
+
+
+def reference_inverse_terms(det, adj, count):
+    """``_InverseSeries.extend(count)`` as it was: every degree sums every adjugate entry."""
+    dt = det[linalg.poly_valuation(det):]
+    powers = [dt[0] ** m for m in range(count + 1)]
+    beta, terms = [], []
+    for t in range(count):
+        beta.append(-sum(dt[j] * beta[t - j] * powers[j - 1]
+                         for j in range(1, min(t, len(dt) - 1) + 1)) if t else 1)
+        factors = [(t - k, b * powers[t - k]) for k, b in enumerate(beta) if b]
+        rows = []
+        for i, adj_row in enumerate(adj):
+            row = [(j, x) for j, x in enumerate(
+                sum(p[s] * f for s, f in factors if s < len(p)) for p in adj_row) if x]
+            if row:
+                rows.append((i, row))
+        if rows:
+            den = powers[t + 1]
+            g = math.gcd(den, *(x for _, row in rows for _, x in row))
+            terms.append((t, tuple((i, tuple((j, x // g) for j, x in row)) for i, row in rows),
+                          den // g))
+    return terms
+
+
+def so4_pole_families():
+    """so(4) families fixing the span of the X_(i,m) for one m, which is not
+    bracket-closed, and rescaling the rest: each limit has a pole of order one."""
+    alg, _ = so_n(4)
+    fixed = [[m in (i, j) for j in range(4) for i in range(j)] for m in range(4)]
+    return [ContractionFamily(alg, tuple(
+        tuple(tuple(F(r == c and f == keep) for c in range(alg.dim)) for r, f in enumerate(fix))
+        for keep in (True, False))) for fix in fixed]
+
+
+def test_inverse_table_skips_its_zero_degrees_and_keeps_its_terms():
+    """``extend`` starts its sums at the lowest power of eps in the adjugate and
+    gives the terms of the loop over every degree."""
+    families = [iw_family(s) for s in catalogued_splits() + dense_so_splits()]
+    families += so4_pole_families() + [forced_plane_family(), golden_family("so3-pole.json"),
+                                       golden_family("heis3-weighted.json", heis3)]
+    starts = set()
+    for fam in families:
+        inverse = contraction._InverseSeries(fam._det, fam._adjugate)
+        count = inverse.valuation + 4
+        inverse.extend(1)  # grown in two steps, as the solves grow it
+        assert inverse.extend(count) == reference_inverse_terms(fam._det, fam._adjugate, count)
+        # G_t is nonzero from the adjugate's lowest power on: adj_low / d0
+        assert inverse.terms[0][0] == inverse._low
+        starts.add(inverse._low)
+    assert {0, 1, 4} <= starts  # so(6) > so(5): degrees 0..3 skipped
+    with pytest.raises(PoleError):
+        contract(so4_pole_families()[0])

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -14,6 +17,9 @@ from liecontract.group import (
     _rotation_ad,
     so3_example,
 )
+from liecontract.jets import Jet
+from liecontract.oracle import Representation
+from test_numeric_mode import so_n, so_n_matrices, so_n_rotation_ad
 
 F = Fraction
 
@@ -337,3 +343,124 @@ def test_so3_example_order1():
 def test_so3_example_rejects_other_orders():
     with pytest.raises(DimensionMismatch):
         so3_example(2)
+
+
+# ----- the star product on integer numerators --------------------------------
+
+STAR_CASES = [(name, k) for name in ("so3", "sl2", "heis3") for k in range(6)] + [
+    ("so4", k) for k in (1, 2, 3)]
+STAR_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "star.json")
+
+
+def star_setting(name, k):
+    """(group, matrix oracle, exact automorphisms keeping the subalgebra) of a STAR_CASES entry;
+    so4 is so(4) split along its so(3)."""
+    if name == "so4":
+        alg, sub = so_n(4)
+        grp = ExpansionGroup(span_subalgebra(alg, sub), k)
+        return (grp, Representation(alg, so_n_matrices(4)),
+                [grp.identity_h(), grp.h_element(so_n_rotation_ad(4, F(1, 2)))])
+    grp = group_for(name, k)
+    return grp, builtin(name)[1], exact_h_elements(name, grp, random.Random(k))
+
+
+def oracle_star(grp, rep, a, b):
+    """The star product through exp and log of the lifted tuples in the matrix model."""
+    k, n = grp.order, grp.algebra.dim
+    p, q = (Jet(n, k + 2, (linalg.zero_vector(n), *x.mids, x.top)) for x in (a, b))
+    z = rep.local_mult(p, q, k + 1)
+    return tuple(z.coeff(m) for m in range(1, k + 1)), grp.split.coset_reduce(z.coeff(k + 1))
+
+
+def star_samples(name, k):
+    """Seeded exact star and mult outputs of a STAR_CASES entry, each beside the oracle's."""
+    grp, rep, hs = star_setting(name, k)
+    rng = random.Random(f"star/{name}/{k}")
+    out = []
+    for i in range(4):
+        a, b = random_nil(grp, rng), random_nil(grp, rng)
+        out.append((astuple(grp.star(a, b)), oracle_star(grp, rep, a, b)))
+        h1, h2 = hs[i % len(hs)], hs[-1]
+        g = grp.mult(grp.element(h1, a), grp.element(h2, b))
+        moved = grp.nil([linalg.mat_vec(h1.ad, m) for m in b.mids], linalg.mat_vec(h1.ad, b.top))
+        out.append(((g.h.ad, g.nil.mids, g.nil.top),
+                    (linalg.mat_mul(h1.ad, h2.ad), *oracle_star(grp, rep, a, moved))))
+    return out
+
+
+def numeric_star_samples(name, k):
+    """Seeded numeric-mode star outputs: float tuples with signed zeros, and
+    an exact tuple against a float one, either way round."""
+    grp = star_setting(name, k)[0]
+    n = grp.algebra.dim
+    rng = random.Random(f"numeric star/{name}/{k}")
+
+    def floats():
+        return tuple(rng.choice((0.0, -0.0, rng.uniform(-2, 2), rng.uniform(-2, 2)))
+                     for _ in range(n))
+
+    def float_nil():
+        return grp.nil([floats() for _ in range(k)], floats())
+
+    pairs = [(float_nil(), float_nil()) for _ in range(2)]
+    pairs += [(random_nil(grp, rng), float_nil()), (float_nil(), random_nil(grp, rng))]
+    return [astuple(grp.star(a, b)) for a, b in pairs]
+
+
+def astuple(nil):
+    return nil.mids, nil.top
+
+
+def digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def recorded_star_values():
+    with open(STAR_GOLDEN) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name, k", STAR_CASES)
+def test_exact_star_and_mult_match_the_oracle_and_the_recorded_values(name, k):
+    """Exact ``star`` and ``mult`` equal the matrix-oracle route, and their
+    repr is the one recorded before the product ran on numerators."""
+    samples = star_samples(name, k)
+    for got, want in samples:
+        assert got == want
+    assert digest([got for got, _ in samples]) == recorded_star_values()["exact"][f"{name}-k{k}"]
+
+
+@pytest.mark.parametrize("name, k", STAR_CASES)
+def test_numeric_star_keeps_its_bits(name, k):
+    """Numeric-mode ``star`` gives the recorded values, float bits and Fraction zeros included."""
+    got = numeric_star_samples(name, k)
+    assert repr(got) == recorded_star_values()["numeric"][f"{name}-k{k}"]
+
+
+@pytest.mark.parametrize("name, k", STAR_CASES)
+def test_exact_star_makes_one_fraction_per_output_entry(monkeypatch, name, k):
+    """An exact ``star`` builds no checked Jet and divides k + 1 vectors: the
+    k mids and the reduced top."""
+    grp = star_setting(name, k)[0]
+    rng = random.Random(f"star pin/{name}/{k}")
+    pairs = [(random_nil(grp, rng), random_nil(grp, rng)) for _ in range(3)]
+    grp.star(*pairs[0])  # warms the word table and the split's projector forms
+    want = [grp.star(a, b) for a, b in pairs]
+    calls = {"__post_init__": 0, "from_numerators": 0}
+    post_init, from_numerators = Jet.__post_init__, linalg.from_numerators
+
+    def checked(jet):
+        calls["__post_init__"] += 1
+        post_init(jet)
+
+    def divided(v, den):
+        calls["from_numerators"] += 1
+        return from_numerators(v, den)
+
+    monkeypatch.setattr(Jet, "__post_init__", checked)
+    monkeypatch.setattr(linalg, "from_numerators", divided)
+    for (a, b), w in zip(pairs, want):
+        calls.update(dict.fromkeys(calls, 0))
+        got = grp.star(a, b)
+        assert calls == {"__post_init__": 0, "from_numerators": k + 1}
+        assert got == w

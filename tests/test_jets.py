@@ -150,6 +150,15 @@ def test_lazy_jet_matches_the_eager_jet(rows, den, trunc):
         linalg.from_numerators = from_numerators
 
 
+def test_truncated_at_its_own_order_is_the_jet_itself():
+    eager = jet3([(0, 1, 0), (F(1, 2), 0, 3), (0, 0, F(-1, 3))], trunc=4)
+    assert eager.truncated(4) is eager
+    lazy = Jet.from_numerators(3, 4, [(0, 6, 0), (3, 0, 18), (0, 0, -2)], 6)
+    assert lazy.truncated(4) is lazy and "coeffs" not in lazy.__dict__
+    assert lazy.truncated(2) == eager.truncated(2) == jet3([(0, 1, 0), (F(1, 2), 0, 3)], trunc=2)
+    assert lazy.truncated(6).coeffs == eager.coeffs
+
+
 def test_jet_from_numerators_checks_its_shape():
     with pytest.raises(DimensionMismatch):
         Jet.from_numerators(3, 0, [], 1)

@@ -109,11 +109,16 @@ def mat_vec_cases(draw):
     return m, draw(vectors(draw(kinds_st), cols))
 
 
+def so_n_matrices(n):
+    """The matrices E_ij - E_ji (i < j) of so(n), ordered by j, then i."""
+    return [tuple(tuple(F((r, c) == (i, j)) - F((r, c) == (j, i)) for c in range(n))
+                  for r in range(n)) for j in range(n) for i in range(j)]
+
+
 def so_n(n):
     """so(n) on the matrices E_ij - E_ji (i < j), and the basis vectors of its so(n-1)."""
     pairs = [(i, j) for j in range(n) for i in range(j)]
-    mats = [tuple(tuple(F((r, c) == (i, j)) - F((r, c) == (j, i)) for c in range(n))
-                  for r in range(n)) for i, j in pairs]
+    mats = so_n_matrices(n)
     tensor = tuple(tuple(tuple(d[i][j] for i, j in pairs)
                          for d in (linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
                                    for b in mats))
