@@ -11,12 +11,13 @@ f[a][b] with a < b as integer numerators over one common denominator D.
 denominator, runs the pair loop on ints and builds one Fraction per output
 component; the jet convolution and the Jacobi sweep of ``validate`` read the
 same table, the sweep walking only the nonzero nested products [[X_x, X_y],
-X_z] rather than every triple.  An algebra given a dense tensor derives the
-table from it;
-``from_brackets`` fills the table straight from its sparse entries, together
-with the explicit mirror entries that break antisymmetry, and builds the
-dense tensor ``structure`` only when something first reads it.  ``validate``
-reads the table and those entries, never the dense tensor.
+X_z] rather than every triple, through the table's rows indexed by basis
+vector (``_rows_by_index``), which the expansion's emit reads too.  An
+algebra given a dense tensor derives the table from it; ``from_brackets``
+fills the table straight from its sparse entries, together with the explicit
+mirror entries that break antisymmetry, and builds the dense tensor
+``structure`` only when something first reads it.  ``validate`` reads the
+table and those entries, never the dense tensor.
 
 A subalgebra split keeps each projector as integer numerators over one
 denominator, and a copy rounded once to floats.  An exact vector is
@@ -187,6 +188,19 @@ class LieAlgebra:
         return den, rows
 
     @cached_property
+    def _rows_by_index(self):
+        """For each basis index d, the nonzero rows [X_d, X_z] as (z, ((c, n), ...)).
+
+        They are read off ``_table`` with the sign of the order, as
+        ``bracket`` sees them, over the table's denominator.
+        """
+        rows = [[] for _ in range(self.dim)]
+        for a, b, row in self._table[1]:
+            rows[a].append((b, row))
+            rows[b].append((a, tuple((c, -x) for c, x in row)))
+        return tuple(map(tuple, rows))
+
+    @cached_property
     def _antisymmetry(self):
         """The entries that break antisymmetry: (a, b, c, f[a][b][c], f[b][a][c])
         for b >= a with a nonzero sum, in (a, b, c) order.
@@ -262,17 +276,12 @@ class LieAlgebra:
         for a, b, c, x, y in self._antisymmetry:
             report.record("antisymmetry", (a + 1, b + 1, c + 1),
                           f"f[{a + 1}][{b + 1}][{c + 1}]={x} but f[{b + 1}][{a + 1}][{c + 1}]={y}")
-        # nbr[d]: (z, nonzero (e, numerator) of [X_d, X_z]) as ``bracket`` sees
-        # it, i.e. read off the upper triangle f[min][max] with the sign of the
-        # order.  The residual of a < b < c is the sum of u [X_d, X_z] over the
-        # cyclic terms [[X_x, X_y], X_z] = sum_d u X_d, over den**2; written
-        # with x < y, the term (c, a, b) is minus that of (a, c, b), so a term
+        # The residual of a < b < c is the sum of u [X_d, X_z] over the cyclic
+        # terms [[X_x, X_y], X_z] = sum_d u X_d, over den**2; written with
+        # x < y, the term (c, a, b) is minus that of (a, c, b), so a term
         # takes the sign -1 exactly when x < z < y.
         den, table = self._table
-        nbr = [[] for _ in range(n)]
-        for a, b, row in table:
-            nbr[a].append((b, row))
-            nbr[b].append((a, tuple((c, -x) for c, x in row)))
+        nbr = self._rows_by_index
         residuals = {}
         for x, y, row in table:
             for d, u in row:

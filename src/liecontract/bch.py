@@ -118,12 +118,14 @@ def _word_value(alg, word, values):
     """Left-nested bracket of ``word``'s letters, memoised by prefix in ``values``.
 
     ``values`` maps the letters "x" and "y" to their jets and collects every
-    evaluated prefix.  A module-level function, not a closure, so the cache
-    is freed as soon as the caller drops it instead of waiting for the cyclic
-    collector.
+    evaluated prefix.  A zero prefix is the value of every word it starts, so
+    it is stored as that value with no bracket.  A module-level function, not
+    a closure, so the cache is freed as soon as the caller drops it instead of
+    waiting for the cyclic collector.
     """
     cached = values.get(word)
     if cached is None:
-        cached = bracket_poly(alg, _word_value(alg, word[:-1], values), values[word[-1]])
+        prefix = _word_value(alg, word[:-1], values)
+        cached = prefix if prefix.degree < 0 else bracket_poly(alg, prefix, values[word[-1]])
         values[word] = cached
     return cached

@@ -10,12 +10,15 @@ leading slot and reduces the top slot on the integer numerators of the
 split's projector, and returns an element that keeps the reduced numerators
 and builds its Fraction slots only when something first reads them.  The
 level-tagged basis is made from numerators too, and it is graded: the bracket
-of levels l and l' lies in level l + l', so ``structure_algebra`` brackets
-only the pairs with l + l' <= k + 1, the others being truncated to zero.  The
-basis is also block-triangular, so ``coords`` solves nothing: it reads the
-outer slots through the split's integer inverse and takes the middle slots as
-they stand, one Fraction per output coordinate.  Elements holding a float (the
-numeric mode) take the same steps in floats.
+of levels l and l' lies in level l + l', dropped past k + 1.
+``structure_algebra`` emits that closed form.  Its middle levels are the
+algebra's integer table, shifted, and no element is bracketed for them; only
+the outer levels, level 0 read in h-coordinates and level k + 1 in
+n-coordinates modulo h, go through the element bracket and ``coords``, once
+per distinct pair.  The basis is also block-triangular, so ``coords`` solves
+nothing: it reads the outer slots through the split's integer inverse and
+takes the middle slots as they stand, one Fraction per output coordinate.
+Elements holding a float (the numeric mode) take the same steps in floats.
 
 The general-family case works in plain coefficient tuples: its bracket is
 the contraction's rescaled bracket on polynomials, one integer lift through
@@ -27,6 +30,7 @@ comes from a split.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd
@@ -248,19 +252,52 @@ class IWExpansion:
     def structure_algebra(self) -> LieAlgebra:
         """The expansion as a plain algebra on the level-tagged basis.
 
-        Only the pairs whose levels sum to at most k + 1 are bracketed: the
-        bracket of x@l and y@l' lies in level l + l', which the expansion
-        drops past k + 1, so every other pair brackets to zero.
+        It emits the closed form [x@i, y@j] = [x, y]@(i + j), dropped past
+        level k + 1.  The middle levels need no element bracket: [X_a@i, X_b@j]
+        with i + j <= k is the table row (a, b) at level i + j, and
+        [h@0, X_a@l] is [h, X_a] at level l, ad(h) taken once per h vector
+        over the table rows that hold its support.  The outer levels are read
+        as elements, through ``bracket`` and one ``coords`` call: [h@0, h@0],
+        [h@0, n@(k+1)], and the top level i + j = k + 1 once per nonzero
+        table row (a, b), as (X_a@1, X_b@k), whose coordinates every (i, j)
+        on that level shares.  Every other pair brackets to zero.
         """
         named = self._basis
-        m = len(named)
-        k, n, split = self.order, self.algebra.dim, self.split
-        levels = [0] * split.dim_h + [1 + i // n for i in range(k * n)] + [k + 1] * split.dim_n
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)
-                 if levels[i] + levels[j] <= k + 1]
-        sols = self.coords([self.bracket(named[i][1], named[j][1]) for i, j in pairs])
-        entries = [(i, j, c, x) for (i, j), coords in zip(pairs, sols)
-                   for c, x in enumerate(coords) if x]
+        m, k, n, dh = len(named), self.order, self.algebra.dim, self.split.dim_h
+        den, table = self.algebra._table
+
+        def at(a, level):  # the index of X_a@level, 1 <= level <= k
+            return dh + (level - 1) * n + a
+
+        entries = []  # (i, j, c, coefficient); from_brackets mirrors those with i > j
+        for a, b, row in table:
+            values = [(c, Fraction(x, den)) for c, x in row]
+            for i in range(1, k):
+                for j in range(1, k + 1 - i):
+                    entries += [(at(a, i), at(b, j), at(c, i + j), x) for c, x in values]
+        if k:
+            rows_of = self.algebra._rows_by_index
+            for r in range(dh):
+                (h, *_), hden = named[r][1].numerators
+                ad = {}  # (a, c): the numerator of [h, X_a] at c, over hden den
+                for b, x in enumerate(h):
+                    if x:
+                        for a, row in rows_of[b]:
+                            for c, f in row:
+                                ad[a, c] = ad.get((a, c), 0) + x * f
+                values = [(a, c, Fraction(x, hden * den)) for (a, c), x in ad.items() if x]
+                for level in range(1, k + 1):
+                    entries += [(r, at(a, level), at(c, level), x) for a, c, x in values]
+        outer = ([(i, j) for i in range(dh) for j in range(i + 1, dh)]
+                 + [(i, j) for i in range(dh) for j in range(dh + k * n, m)])
+        tops = [(at(a, 1), at(b, k)) for a, b, _ in table] if k else []
+        sols = self.coords([self.bracket(named[i][1], named[j][1]) for i, j in outer + tops])
+        for (i, j), sol in zip(outer, sols):
+            entries += [(i, j, c, x) for c, x in enumerate(sol) if x]
+        for (a, b, _), sol in zip(table, sols[len(outer):]):
+            values = [(c, x) for c, x in enumerate(sol) if x]
+            for i in range(1, k + 1):
+                entries += [(at(a, i), at(b, k + 1 - i), c, x) for c, x in values]
         return LieAlgebra.from_brackets(m, tuple(name for name, _ in named), entries)
 
     def random_element(self, rng) -> ExpandedElement:

@@ -167,6 +167,36 @@ def test_local_mult_returns_a_lazy_jet_on_exact_input():
         assert "coeffs" in local_mult(alg, floats, q, 4).__dict__
 
 
+def test_a_zero_prefix_is_not_bracketed(monkeypatch):
+    """Every word that starts with a zero prefix is zero: ``local_mult`` never
+    hands ``bracket_poly`` a zero left operand, on exact or on float jets, and
+    its exact sum stays that of the words bracketed one by one (the float
+    bits are pinned by the star tests)."""
+    left_degrees = []
+    bracketed = bch.bracket_poly
+
+    def checked(alg, p, q):
+        left_degrees.append(p.degree)
+        return bracketed(alg, p, q)
+
+    monkeypatch.setattr(bch, "bracket_poly", checked)
+    rng = random.Random(16)
+    for alg in (so3, heis3):
+        for order in range(1, 7):
+            p, q = (through_zero(rng, alg, order, order + 1) for _ in range(2))
+            floats = Jet(alg.dim, order + 1, [tuple(float(x) for x in c) for c in p.coeffs])
+            want = reference_local_mult(alg, p, q, order)
+            assert local_mult(alg, p, q, order) == want
+            got = local_mult(alg, floats, q, order)
+            assert all(abs(x - y) < 1e-9 for c in range(order + 1)
+                       for x, y in zip(got.coeff(c), want.coeff(c)))
+    assert left_degrees and min(left_degrees) >= 0
+    # heis3 at order 6 has words with a zero prefix, as [[x, y], x] is central
+    values = {word: term for (word, _), (_, term) in
+              zip(word_coefficients(6), reference_terms(heis3, p, q, 6))}
+    assert any(word[:-1] in values and values[word[:-1]].degree < 0 for word in values)
+
+
 def test_order_cap():
     zero = Jet.zero(3, 9)
     with pytest.raises(OrderCapExceeded):

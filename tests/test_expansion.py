@@ -13,6 +13,7 @@ from liecontract.errors import DimensionMismatch
 from liecontract.expansion import ExpandedElement, GeneralExpansion, IWExpansion
 from liecontract.formats import algebra_to_dict
 from test_algebra import reference_tensor
+from test_numeric_mode import dense_split
 
 F = Fraction
 
@@ -187,7 +188,9 @@ def test_structure_algebra_runs_no_elimination(monkeypatch):
     ea = so3_x3(2)
     m = len(ea.basis_elements())  # the basis is built, once per expansion
     ea.split._inverse  # kept by the split from its projectors
-    # levels 0, 1, 1, 1, 2, 2, 2, 3, 3: 20 of the 36 pairs have a level sum of at most 3
+    # levels 0, 1, 1, 1, 2, 2, 2, 3, 3: 20 of the 36 pairs have a level sum of
+    # at most 3; 5 of them are read as elements: [X3@0, X1@3], [X3@0, X2@3]
+    # and one top pair per bracket [X1, X2], [X1, X3], [X2, X3]
     levels = [next(l for l, s in enumerate(el.slots) if any(s)) for _, el in ea.basis_elements()]
     graded = [(i, j) for i in range(m) for j in range(i + 1, m) if levels[i] + levels[j] <= 3]
     assert len(graded) == 20 and m * (m - 1) // 2 == 36
@@ -205,8 +208,51 @@ def test_structure_algebra_runs_no_elimination(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
     monkeypatch.setattr(linalg, "from_numerators", counted_from_numerators)
     ea.structure_algebra()
-    # no elimination, and one vector of Fractions per graded pair: its coordinates
-    assert calls == {"eliminate": 0, "vectors": 20}
+    # no elimination, and one vector of Fractions per pair read as an element: its coordinates
+    assert calls == {"eliminate": 0, "vectors": 5}
+
+
+def truncation_images(split, small):
+    """The images in the order-k algebra ``small`` of the order-(k+1) basis.
+
+    h@0 and X@1..k map to themselves, X_a@(k+1) to the n-part of X_a at the
+    top, solved against the split's basis, and n@(k+2) to 0.
+    """
+    alg, dh = split.algebra, split.dim_h
+    top = small.dim - split.dim_n
+    basis = list(split.h_basis) + list(split.n_basis)
+    parts = linalg.solve_in_basis(basis, [alg.basis_vector(a) for a in range(alg.dim)])
+    return ([small.basis_vector(i) for i in range(top)]
+            + [(F(0),) * top + tuple(part[dh:]) for part in parts]
+            + [small.zero_vector()] * split.dim_n)
+
+
+def test_truncation_to_a_lower_order_is_a_homomorphism():
+    """Truncating order k + 1 to order k commutes with the emitted brackets:
+    the top level is read modulo the subalgebra, and level k + 2 drops."""
+    splits = [(f"{name} {label}", span_subalgebra(builtin(name)[0], vectors))
+              for name in ("so3", "sl2", "heis3")
+              for label, vectors in subalgebra_catalog(name).items()]
+    splits.append(("dense so(4)", dense_split(4, 0)))
+    for label, split in splits:
+        for k in range(4):
+            small = IWExpansion(split, k).structure_algebra()
+            big = IWExpansion(split, k + 1).structure_algebra()
+            images = truncation_images(split, small)
+            top = small.dim - split.dim_n
+            assert big.basis_names[:top] == small.basis_names[:top], label
+
+            def image(v):
+                out = small.zero_vector()
+                for x, w in zip(v, images):
+                    if x:
+                        out = linalg.vec_add(out, linalg.vec_scale(x, w))
+                return out
+
+            for i in range(big.dim):
+                for j in range(i + 1, big.dim):
+                    want = image(big.bracket(big.basis_vector(i), big.basis_vector(j)))
+                    assert small.bracket(images[i], images[j]) == want, (label, k, i, j)
 
 
 def test_emitted_algebra_is_validated_without_its_dense_tensor():

@@ -49,7 +49,11 @@ CASES = {
     **{f"expand-{alg.removesuffix('.json')}-order{k}-constants": [
         "expand", alg, "--subalgebra", sub, "--order", str(k), "--emit-constants"]
        for alg, sub, k in (("so3", "so3-x3.json", 2), ("sl2", "sl2-h.json", 3),
-                           ("heis3", "heis3-z.json", 4), ("so5.json", "so5-so4.json", 1))},
+                           ("sl2", "sl2-h.json", 4), ("heis3", "heis3-z.json", 4),
+                           ("so5.json", "so5-so4.json", 1))},
+    # the span of (1, 2, 0): the top level read through a split inverse over 2
+    "expand-so3-x1-2x2-order3-constants": ["expand", "so3", "--subalgebra", "so3-x1-2x2.json",
+                                           "--order", "3", "--emit-constants"],
     "verify-seed3": ["verify", "--seed", "3", "--trials", "10"],
     "verify-default-seed": ["verify"],
     **{f"example-so3-order{k}{suffix}": [*fmt, "example", "so3", "--order", str(k)]

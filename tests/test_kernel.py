@@ -85,8 +85,9 @@ def reference_coords(ea, els):
 
 
 def reference_structure_algebra(ea):
-    """``structure_algebra`` as it ran before the integer route: Fraction
-    brackets, and ``reference_coords``."""
+    """``structure_algebra`` as it ran before the integer route and the
+    closed form: every pair bracketed as Fraction elements, and
+    ``reference_coords``."""
     named = ea.basis_elements()
     m = len(named)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
@@ -332,11 +333,16 @@ def structure_cases():
         alg = builtin(name)[0]
         for label, span in subalgebra_catalog(name).items():
             cases += [(f"{name} {label}", span_subalgebra(alg, span), k) for k in range(5)]
-    for n, orders in ((4, (0, 1, 2)), (5, (0, 1))):
+    for n, orders in ((4, (0, 1, 2, 3)), (5, (0, 1)), (6, (0, 1))):
         alg, sub = so_n(n)
         cases += [(f"so({n})", span_subalgebra(alg, sub), k) for k in orders]
     cases += [(f"dense so(4) seed {seed}", dense_split(4, seed), k)
               for seed in range(3) for k in (0, 1)]
+    cases += [("dense so(4) seed 0", dense_split(4, 0), 2),
+              ("dense so(5) seed 2", dense_split(5, 2), 1)]
+    # the span of (1, 2, 0): a split whose inverse has the denominator 2
+    x1_2x2 = span_subalgebra(builtin("so3")[0], [(1, 2, 0)])
+    cases += [("so3 span[(1, 2, 0)]", x1_2x2, k) for k in range(5)]
     abelian = builtin("abelian(1)")[0]
     cases += [(f"abelian(1) span{span}", span_subalgebra(abelian, span), k)
               for span in ([], [abelian.basis_vector(0)]) for k in range(3)]
@@ -421,9 +427,10 @@ def test_coords_matches_the_solve_it_replaces(data):
 
 
 def test_structure_algebra_matches_the_fraction_route(monkeypatch):
-    """The structure algebra brackets only the pairs whose levels sum to at
-    most k + 1; every other pair brackets to zero, and the algebra equals the
-    reference, which brackets every pair."""
+    """The structure algebra brackets as elements only the outer pairs
+    [h@0, h@0] and [h@0, n@(k+1)] and one top pair per nonzero bracket of
+    basis vectors; every pair whose levels sum past k + 1 brackets to zero,
+    and the algebra equals the reference, which brackets every pair."""
     calls = []
     bracket = IWExpansion.bracket
 
@@ -443,9 +450,14 @@ def test_structure_algebra_matches_the_fraction_route(monkeypatch):
         m = len(named)
         skipped = [(i, j) for i in range(m) for j in range(i + 1, m)
                    if levels[i] + levels[j] > k + 1]
+        outer = [(i, j) for i in range(m) for j in range(i + 1, m)
+                 if levels[i] == 0 and levels[j] in (0, k + 1)]
+        alg = ea.algebra
+        tops = [(a, b) for a in range(alg.dim) for b in range(a + 1, alg.dim)
+                if k and any(alg.bracket(alg.basis_vector(a), alg.basis_vector(b)))]
         calls.clear()
         got = ea.structure_algebra()
-        assert len(calls) == m * (m - 1) // 2 - len(skipped), label
+        assert len(calls) == len(outer) + len(tops), label
         for i, j in skipped:
             assert ea.is_zero(ea.bracket(named[i][1], named[j][1])), label
         want = reference_structure_algebra(ea)
