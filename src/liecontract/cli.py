@@ -240,6 +240,9 @@ def cmd_oracle(args):
         trunc = args.order + 1
         pairs = [(Jet(alg.dim, trunc, formats.parse_jet_literal(args.p, alg.dim)),
                   Jet(alg.dim, trunc, formats.parse_jet_literal(args.q, alg.dim)))]
+        for flag, jet in zip(("--p", "--q"), pairs[0]):
+            if any(jet.coeff(0)):
+                raise SpecFormatError(f"{flag} must vanish at 0: its constant term is nonzero")
     else:
         rng = random.Random(args.seed)
         pairs = []

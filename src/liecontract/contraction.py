@@ -2,10 +2,11 @@
 
 A ContractionFamily is a matrix polynomial in the formal parameter.  Applying
 its pointwise inverse is done exactly over the field of rational functions.
-Each family scales its coefficient matrices once to integer numerators over
-one common denominator D, and runs on those integer polynomials from then
-on: it computes the determinant and adjugate of the numerator family once,
-by the fraction-free Gauss-Jordan elimination of linalg over Z[eps], and
+Its coefficient matrices are exact (``as_matrix`` refuses floats); each
+family scales them once to integer numerators over one common denominator
+D, an int, and runs on those integer polynomials from then on: it computes
+the determinant and adjugate of the numerator family once, by the
+fraction-free Gauss-Jordan elimination of linalg over Z[eps], and
 caches both.  An Inonu-Wigner family (``iw_family``) gets both in closed
 form instead, once its projectors are checked exactly to be complementary
 idempotents.  From them it builds, once and on demand, the Taylor
@@ -25,8 +26,8 @@ coefficient 0 alone.  A determinant that is the zero polynomial raises
 SingularFamily.  The rescaled bracket lifts its two arguments, vectors (the
 contraction) or polynomials (the general expansion), through the integer
 coefficient matrices, kept as sparse columns, by the jets module's one
-truncated Cauchy product; each product visits only the support of its
-vector.  It brackets the lifts on numerators and hands the numerators of the
+truncated Cauchy product; each product (``linalg.column_product``) visits
+only the support of its vector.  It brackets the lifts on numerators and hands the numerators of the
 bracket to the solve as they are, in a ``Jet.from_numerators`` whose Fraction
 coefficients are never built.  Lift and bracket stop at the last coefficient
 the solve reads: with G_t0 the first nonzero term of the table (t0 <= v, as a
@@ -202,11 +203,11 @@ def _iw_det_adjugate(h, nmat, den):
     idempotents, dn = tr P_n is the rank of P_n, and the family's inverse is
     (P_h + P_n / eps) / den.  So det = den^n eps^dn and
     adj = den^(n-2) (eps^(dn-1) nmat + eps^dn h); for n < 2 the idempotents
-    are 0 or 1 and den is 1.  Float numerators (den 1.0) are not checked.
+    are 0 or 1 and den is 1.
     """
     n = len(h)
     scaled_identity = tuple(tuple(den if i == j else 0 for j in range(n)) for i in range(n))
-    if (type(den) is not int or linalg.mat_add(h, nmat) != scaled_identity
+    if (linalg.mat_add(h, nmat) != scaled_identity
             or not linalg.is_zero_matrix(linalg.mat_mul(h, nmat))):
         return None
     dn = sum(nmat[i][i] for i in range(n)) // den
@@ -277,20 +278,10 @@ def _rescaled_bracket(fam: ContractionFamily, xs, ys, order: int) -> Jet:
     trunc = min(max(2 * (len(xs) - 1 + fam.degree), order), v + order - terms[0][0]) + 1
     den = fam._numerators[2]
     # (rows, den): the coefficients of the family applied to xs and to ys
-    lifts = [(_cauchy(fam._columns, rows, trunc, _column_product, _vec_add, (0,) * fam.dim),
+    lifts = [(_cauchy(fam._columns, rows, trunc, linalg.column_product, _vec_add, (0,) * fam.dim),
               den * v_den) for rows, v_den in args]
     r = Jet.from_numerators(fam.dim, trunc, *bracket_numerators(fam.algebra, *lifts, trunc))
     return invert_family_apply(fam, r, order)
-
-
-def _column_product(cols, x):
-    """The matrix with sparse columns cols applied to x, visiting the support of x only."""
-    out = [0] * len(cols)
-    for j, c in enumerate(x):
-        if c:
-            for i, a in cols[j]:
-                out[i] += a * c
-    return tuple(out)
 
 
 def eps_bracket(fam: ContractionFamily, x, y, order: int = 1) -> Jet:

@@ -18,7 +18,8 @@ n-coordinates modulo h, go through the element bracket and ``coords``, once
 per distinct pair.  The basis is also block-triangular, so ``coords`` solves
 nothing: it reads the outer slots through the split's integer inverse and
 takes the middle slots as they stand, one Fraction per output coordinate.
-Elements holding a float (the numeric mode) take the same steps in floats.
+Expansion elements are exact: ``ExpandedElement.numerators`` refuses a float
+slot with a TypeError, and the bracket and ``coords`` read it first.
 
 The general-family case works in plain coefficient tuples: its bracket is
 the contraction's rescaled bracket on polynomials, one integer lift through
@@ -39,7 +40,7 @@ from .algebra import LieAlgebra, SubalgebraSplit
 from .contraction import ContractionFamily, _rescaled_bracket, contract
 from .errors import DimensionMismatch, InternalInvariantViolation, PoleError
 from . import linalg
-from .jets import bracket_numerators, bracket_series
+from .jets import bracket_numerators
 
 _SLOTS = ("a0", "mids", "top")
 
@@ -56,7 +57,8 @@ class ExpandedElement:
     """Subalgebra value, k middle coefficients, canonical coset top slot.
 
     ``numerators`` holds the slots as integer numerators over one common
-    denominator, computed once however many brackets read them.
+    denominator, computed once however many brackets read them; a slot
+    holding a float is a TypeError there.
     """
 
     a0: tuple
@@ -84,8 +86,8 @@ class ExpandedElement:
 
     @cached_property
     def numerators(self):
-        """``linalg.numerators(slots)``: the slots as (rows, den), computed once."""
-        return linalg.numerators(self.slots)
+        """``linalg.numerators(slots)``: the slots as (rows, den), computed once; exact only."""
+        return linalg.exact(linalg.numerators(self.slots), "an expansion element")
 
     @property
     def slots(self):
@@ -124,22 +126,12 @@ class IWExpansion:
     def bracket(self, a: ExpandedElement, b: ExpandedElement) -> ExpandedElement:
         """Convolution bracket with the top slot reduced modulo the subalgebra.
 
-        Exact elements stay on numerators: with P / p the complement
-        projector's numerators, the leading slot must satisfy P x = 0 and the
-        top slot becomes P x, all slots over p times the bracket's
-        denominator.  An element holding a float divides the bracket at once
-        and projects the Fraction or float slots, as the numeric mode always
-        has.
+        It runs on numerators: with P / p the complement projector's
+        numerators, the leading slot must satisfy P x = 0 and the top slot
+        becomes P x, all slots over p times the bracket's denominator.
         """
         k = self.order
-        pa, pb = a.numerators, b.numerators
-        if type(pa[1]) is float or type(pb[1]) is float:
-            out = bracket_series(self.algebra, pa, pb, k + 2)
-            if not self.split.contains(out[0]):
-                raise InternalInvariantViolation("leading bracket slot escaped the subalgebra")
-            return ExpandedElement(
-                out[0], tuple(out[1: k + 1]), self.split.coset_reduce(out[k + 1]))
-        out, den = bracket_numerators(self.algebra, pa, pb, k + 2)
+        out, den = bracket_numerators(self.algebra, a.numerators, b.numerators, k + 2)
         _, proj, pden, _ = self.split._projector_forms["n"]
         # a zero slot (int zeros) projects to itself: mat_vec would scan proj to tell
         if any(out[0]) and any(linalg.mat_vec(proj, out[0])):
@@ -222,31 +214,18 @@ class IWExpansion:
         With B^-1 = inv / d the split's inverse, the leading slot's numerators
         over e give its h-coordinates through the first dh rows of inv, the
         middle slots are coordinates as they stand, and the top slot gives
-        its n-coordinates through the last dn rows: one vector over d e.  An
-        element holding a float (e is 1.0) divides the outer sums by d at once.
+        its n-coordinates through the last dn rows: one vector over d e.
         """
         columns, d = self.split._inverse
         dh = self.split.dim_h
-
-        def inverse_times(v):  # inv v, summed over the support of v
-            y = [0] * len(v)
-            for j, x in enumerate(v):
-                if x:
-                    for r, c in columns[j]:
-                        y[r] += x * c
-            return y
-
         out = []
         for el in els:
             (a0, *mids, top), e = el.numerators
-            y0, yk = inverse_times(a0), inverse_times(top)
+            y0, yk = linalg.column_product(columns, a0), linalg.column_product(columns, top)
             if any(y0[dh:]) or any(yk[:dh]):
                 raise InternalInvariantViolation("element outside the expansion basis span")
-            s = d
-            if type(e) is float:  # x d / d would round a float middle slot
-                y0, yk, s, e = [y / d for y in y0], [y / d for y in yk], 1, 1
             out.append(linalg.from_numerators(
-                y0[:dh] + [x * s for v in mids for x in v] + yk[dh:], s * e))
+                (*y0[:dh], *(x * d for v in mids for x in v), *yk[dh:]), d * e))
         return out
 
     def structure_algebra(self) -> LieAlgebra:

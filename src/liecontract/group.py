@@ -48,10 +48,6 @@ def _scalar(value):
     return value if isinstance(value, float) else linalg.rat(value)
 
 
-def _matrix_exact(m):
-    return not any(isinstance(x, float) for row in m for x in row)
-
-
 _NOT_AUTOMORPHISM = "matrix is not a bracket automorphism at pair ({}, {})"
 _NOT_PRESERVED = "matrix does not preserve the subalgebra"
 _SINGULAR = "adjoint matrix is singular"
@@ -148,9 +144,8 @@ class ExpansionGroup:
     def nil_negate(self, a: NilTuple) -> NilTuple:
         return NilTuple(tuple(linalg.vec_neg(m) for m in a.mids), linalg.vec_neg(a.top))
 
-    def nil_is_zero(self, a: NilTuple, tol=0.0):
-        return all(
-            all(abs(x) <= tol for x in slot) for slot in (*a.mids, a.top))
+    def nil_is_zero(self, a: NilTuple):
+        return all(linalg.is_zero_vector(slot) for slot in (*a.mids, a.top))
 
     def _lift(self, a: NilTuple) -> Jet:
         """The polynomial through zero with coefficients a.mids, a.top; exact, on numerators."""
@@ -207,24 +202,24 @@ class ExpansionGroup:
         subalgebra and must be invertible; the first two checks are exact for
         rational entries and use ``tol`` componentwise for float entries.
         Rational entries are checked on the integer numerators N / delta of
-        the matrix, which the element keeps.
+        the matrix; the element keeps ``linalg.numerators(ad)``, whose float
+        denominator 1.0 marks a matrix holding a float.
         """
         alg = self.algebra
         n = alg.dim
         ad = tuple(tuple(_scalar(x) for x in row) for row in ad)
         if len(ad) != n or any(len(row) != n for row in ad):
             raise DimensionMismatch("adjoint matrix must be square of the algebra dimension")
-        exact = _matrix_exact(ad)
-        if exact:
-            numerators = linalg.numerators(ad)
-            self._check_exact(*numerators)
-        else:
+        numerators = linalg.numerators(ad)
+        if type(numerators[1]) is float:
             self._check_numeric(ad, tol)
+        else:
+            self._check_exact(*numerators)
         if defining is not None:
             defining = tuple(tuple(_scalar(x) for x in row) for row in defining)
         h = HElement(ad, defining)
-        if exact:  # fills the cached_property, as its first read would
-            h.__dict__["numerators"] = numerators
+        # fills the cached_property, as its first read would
+        h.__dict__["numerators"] = numerators
         return h
 
     def _check_numeric(self, ad, tol):
@@ -398,12 +393,11 @@ def _cross(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
-def so3_example(order, seed=2024, float_samples=1000, rational_samples=100,
-                tol=FLOAT_TOL) -> ExampleReport:
+def so3_example(order, seed=2024, float_samples=1000, rational_samples=100) -> ExampleReport:
     """Check the expansion group of the rotation algebra against closed forms.
 
     Order 0 compares group multiplication with direct Euclidean-plane
-    composition: exactly at quarter turns, within ``tol`` on float samples.
+    composition: exactly at quarter turns, within ``FLOAT_TOL`` on float samples.
     Order 1 compares the star product with its cross-product closed form on
     random rational tuples.
     """
@@ -460,9 +454,9 @@ def so3_example(order, seed=2024, float_samples=1000, rational_samples=100,
                     max_dev = max(max_dev, abs(got - want))
         float_summary = {
             "samples": float_samples,
-            "tolerance": repr(tol),
+            "tolerance": repr(FLOAT_TOL),
             "max_deviation": repr(max_dev),
-            "passed": max_dev <= tol,
+            "passed": max_dev <= FLOAT_TOL,
         }
     else:
         special = [

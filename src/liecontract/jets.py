@@ -12,21 +12,24 @@ coefficient matrices acting on integer numerators): it works on plain
 coefficient sequences and skips zero coefficients.  The bracket
 convolution, ``bracket_numerators``, runs it on integers: it takes each
 coefficient sequence as integer numerators over one denominator, and the
-algebra's integer bracket table does the products; ``bracket_series``
-divides each output coefficient once.  A Jet scales its coefficients to
-numerators once, in ``Jet.numerators``, however many brackets read them; a
-Jet built by ``Jet.from_numerators`` keeps the numerators it was built from
-and makes its Fraction coefficients only when something first reads them.
-``bracket_poly`` on exact jets returns such a jet, so a chain of brackets
-(the BCH word prefixes, the rescaled bracket) runs on integers throughout;
-on float jets (the numeric mode) it divides each coefficient at once.
+algebra's integer bracket table does the products.  A Jet scales its
+coefficients to numerators once, in ``Jet.numerators``, however many
+brackets read them; a Jet built by ``Jet.from_numerators`` keeps the
+numerators it was built from and makes its Fraction coefficients only when
+something first reads them.  ``bracket_poly`` on exact jets returns such a
+jet, so a chain of brackets (the BCH word prefixes, the rescaled bracket)
+runs on integers throughout.  Vector jets also carry the group's numeric
+mode: on a jet holding a float, ``bracket_poly`` runs the same convolution
+in floats and divides each coefficient at once.
 ``Jet.from_numerators`` trims, checks and converts its rows in one pass, and
 ``truncated`` at a jet's own order returns the jet itself, so a lifted jet
 (``ExpansionGroup.star``) is scaled and checked once, and a lazy one stays lazy.
 
 A MatrixJet keeps numerators the same way (``MatrixJet.numerators``,
-``MatrixJet.from_numerators``), and ``matmul`` on exact operands convolves
-the integer matrices (``matmul_numerators``) into a jet that keeps them.
+``MatrixJet.from_numerators``), and ``matmul`` convolves the integer
+matrices (``matmul_numerators``) into a jet that keeps them.  Matrix jets
+serve the exact matrix oracle only: ``MatrixJet.numerators`` refuses a
+float coefficient with a TypeError.
 """
 
 from __future__ import annotations
@@ -83,12 +86,6 @@ def bracket_numerators(alg, p, q, trunc):
     (p, dp), (q, dq) = linalg.floats_if_mixed([p, q])
     out = _cauchy(p, q, trunc, alg._numerator_bracket, _vec_add, (0,) * alg.dim, any)
     return out, dp * dq * alg._table[0]
-
-
-def bracket_series(alg, p, q, trunc):
-    """``bracket_numerators`` with each coefficient divided out, once."""
-    out, den = bracket_numerators(alg, p, q, trunc)
-    return [linalg.from_numerators(v, den) for v in out]
 
 
 def _trim(coeffs, is_zero):
@@ -223,9 +220,10 @@ def bracket_poly(alg, p, q):
     if alg.dim != p.dim:
         raise DimensionMismatch("jet dimension differs from algebra dimension")
     trunc, p, q = p.trunc, p.numerators, q.numerators
+    out, den = bracket_numerators(alg, p, q, trunc)
     if type(p[1]) is float or type(q[1]) is float:  # the numeric mode: floats, divided now
-        return Jet(alg.dim, trunc, bracket_series(alg, p, q, trunc))
-    return Jet.from_numerators(alg.dim, trunc, *bracket_numerators(alg, p, q, trunc))
+        return Jet(alg.dim, trunc, [linalg.from_numerators(v, den) for v in out])
+    return Jet.from_numerators(alg.dim, trunc, out, den)
 
 
 def jet_through_subalgebra(split, p):
@@ -260,7 +258,7 @@ def matmul_numerators(p, q, trunc, size):
 
 @dataclass(frozen=True)
 class MatrixJet:
-    """Square-matrix-valued truncated polynomial."""
+    """Square-matrix-valued truncated polynomial with exact coefficients."""
 
     size: int
     trunc: int
@@ -318,8 +316,9 @@ class MatrixJet:
 
     @cached_property
     def numerators(self):
-        """``linalg.matrix_numerators(coeffs)``: the coefficients as (mats, den), computed once."""
-        return linalg.matrix_numerators(self.coeffs)
+        """``linalg.matrix_numerators(coeffs)``: the coefficients as (mats, den),
+        computed once; a float coefficient is a TypeError."""
+        return linalg.exact(linalg.matrix_numerators(self.coeffs), "a matrix jet")
 
     def coeff(self, k):
         if k < len(self.coeffs):
@@ -347,14 +346,9 @@ class MatrixJet:
                          tuple(linalg.mat_scale(c, m) for m in self.coeffs))
 
     def matmul(self, other):
-        """The truncated product.  Exact operands convolve their integer
-        numerators and return a jet that keeps the product's numerators; an
-        operand holding a float (numeric input) multiplies its coefficients."""
+        """The truncated product: the integer numerators convolved, in a
+        jet that keeps the product's numerators."""
         self._check_compatible(other)
         (p, dp), (q, dq) = self.numerators, other.numerators
-        if type(dp) is float or type(dq) is float:
-            return MatrixJet(self.size, self.trunc,
-                             _cauchy(self.coeffs, other.coeffs, self.trunc, linalg.mat_mul,
-                                     linalg.mat_add, linalg.zero_matrix(self.size)))
         return MatrixJet.from_numerators(
             self.size, self.trunc, matmul_numerators(p, q, self.trunc, self.size), dp * dq)

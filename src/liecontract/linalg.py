@@ -148,6 +148,20 @@ def mat_vec(m, v):
     return tuple(sum((row[j] * b for j, b in support), ZERO) for row in m)
 
 
+def column_product(cols, x):
+    """The square matrix with sparse columns cols applied to the integer vector x.
+
+    Column j holds its nonzero entries as (row, entry) pairs; the product
+    visits the support of x only.
+    """
+    out = [0] * len(cols)
+    for j, c in enumerate(x):
+        if c:
+            for i, a in cols[j]:
+                out[i] += a * c
+    return tuple(out)
+
+
 def mat_mul(a, b):
     """Matrix product; each row of the result sums over the support of a's row only."""
     if a and b and len(a[0]) != len(b):
@@ -182,6 +196,17 @@ def matrix_numerators(mats):
     rows, den = numerators([row for m in mats for row in m])
     rows = iter(rows)
     return tuple(tuple(next(rows) for _ in m) for m in mats), den
+
+
+def exact(pair, what):
+    """A ``numerators`` pair (rows, den) as it is; a TypeError if it holds a float (den 1.0).
+
+    The one exactness check of the exact-only objects (expansion elements,
+    matrix jets) and of the matrix oracle; ``what`` names the refusing side.
+    """
+    if type(pair[1]) is float:
+        raise TypeError(f"{what} takes exact (int or Fraction) input")
+    return pair
 
 
 def rounded(rows, den, zero=0):

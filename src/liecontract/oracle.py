@@ -14,7 +14,8 @@ return matrix jets that build their Fraction coefficients only when read;
 the product of the two exponentials convolves integer matrices; and
 ``decompose`` solves on a square block of the basis matrices, inverted once
 per representation, and checks the whole residual.  The oracle is exact: a
-float input is a TypeError.
+float input is a TypeError, from the check ``linalg.exact`` that matrix jets
+and expansion elements share.
 """
 
 from __future__ import annotations
@@ -35,11 +36,7 @@ from . import linalg
 from .jets import Jet, MatrixJet, matmul_numerators
 from .linalg import as_matrix
 
-
-def _exact(den):
-    """Reject the float denominator of ``linalg.numerators``: the oracle is exact."""
-    if type(den) is float:
-        raise TypeError("the matrix oracle takes exact (int or Fraction) input")
+_ORACLE = "the matrix oracle"
 
 
 def _power_sum(base, weights, trunc, size):
@@ -105,8 +102,7 @@ class Representation:
 
     def matrix_of(self, v):
         """Matrix of an algebra vector (linearity over the basis matrices)."""
-        [v], den = linalg.numerators([v])
-        _exact(den)
+        [v], den = linalg.exact(linalg.numerators([v]), _ORACLE)
         den *= self._numerators[1]
         return tuple(linalg.from_numerators(row, den) for row in self._integer_matrix(v))
 
@@ -181,8 +177,7 @@ class Representation:
         flat = tuple(x for row in matrix for x in row)
         if len(flat) != self.size ** 2:
             raise DimensionMismatch("matrix shape differs from the representation size")
-        [b], den = linalg.numerators([flat])
-        _exact(den)
+        [b], den = linalg.exact(linalg.numerators([flat]), _ORACLE)
         pivots, block, rows, inv, d = self._solver
         rhs = [b[i] for i in rows]
         y = [sum(map(operator.mul, r, rhs)) for r in inv]
@@ -201,12 +196,11 @@ class Representation:
         With A = A' / d the represented jet on integers, the sum of the
         powers A^k / k! runs over the one denominator order! d^order.
         """
-        rows, dp = p.numerators
+        rows, dp = linalg.exact(p.numerators, _ORACLE)
         if rows and any(rows[0]):
             raise NonzeroConstantTerm("exponential input must vanish at 0")
         if p.dim != self.algebra.dim:
             raise DimensionMismatch("jet dimension differs from algebra dimension")
-        _exact(dp)
         trunc = order + 1
         arg = [self._integer_matrix(v) for v in rows[:trunc]]
         d = dp * self._numerators[1]
@@ -225,7 +219,6 @@ class Representation:
         if not rows or rows[0] != tuple(tuple(e if i == j else 0 for j in range(m.size))
                                         for i in range(m.size)):
             raise ConstantTermNotIdentity("logarithm input must start at the identity")
-        _exact(e)
         trunc = order + 1
         zero = ((0,) * m.size,) * m.size
         shifted = [zero, *rows[1:trunc]]

@@ -251,6 +251,26 @@ def test_oracle_order_0_is_a_usage_error(fmt, capsys):
     assert captured.err == "error: oracle order must be at least 1\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_oracle_jet_with_a_constant_term_is_a_usage_error(fmt, monkeypatch, capsys):
+    """A --p or --q literal must vanish at 0; one that does not is refused
+    before either local multiplication runs."""
+    from liecontract.oracle import Representation
+
+    calls = []
+    monkeypatch.setattr(bch, "local_mult", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(Representation, "local_mult", lambda *args: calls.append(args))
+    for flag, p, q in (("--p", "[1,0,0;0,1,0]", "[0,0,0;1,0,0]"),
+                       ("--q", "[0,0,0;0,1,0]", "[0,0,1]")):
+        assert run(["--format", fmt, "oracle", "so3", "--order", "2",
+                    "--p", p, "--q", q]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"SpecFormatError: {flag} must vanish at 0: its constant term is nonzero\n")
+    assert calls == []
+
+
 def test_example_command(capsys):
     assert run(["example", "so3", "--order", "1"]) == 0
     assert "example passed" in capsys.readouterr().out

@@ -224,15 +224,22 @@ def test_integer_kernel_matches_fraction_reference(case, data):
                             tuple(slot(draw, n, entries) for _ in range(ea.order)),
                             slot(draw, n, entries))
             for _ in range(2))
-    try:
-        expected = reference_iw_bracket(ea, a, b)
-    except InternalInvariantViolation as err:
-        with pytest.raises(InternalInvariantViolation, match=str(err)):
+    if any(type(x) is float for el in (a, b) for x in chain.from_iterable(el.slots)):
+        # expansion elements are exact-only: a float slot is refused before any product
+        with pytest.raises(TypeError, match="an expansion element takes exact"):
             ea.bracket(a, b)
+        with pytest.raises(TypeError, match="an expansion element takes exact"):
+            ea.coords([a, b])
     else:
-        got = ea.bracket(a, b)
-        assert element_key(got) == element_key(expected)
-        assert got.numerators == linalg.numerators(got.slots)
+        try:
+            expected = reference_iw_bracket(ea, a, b)
+        except InternalInvariantViolation as err:
+            with pytest.raises(InternalInvariantViolation, match=str(err)):
+                ea.bracket(a, b)
+        else:
+            got = ea.bracket(a, b)
+            assert element_key(got) == element_key(expected)
+            assert got.numerators == linalg.numerators(got.slots)
 
     assert report_key(alg.validate()) == report_key(reference_validate(alg))
 
@@ -469,25 +476,33 @@ def test_coords_rejects_a_leading_slot_outside_the_subalgebra():
     so3 = builtin("so3")[0]
     ea = IWExpansion(span_subalgebra(so3, [so3.basis_vector(2)]), 1)
     inside = ea.basis_elements()[0][1]
-    for zero, x in (((ZERO,) * 3, (F(1, 3), ZERO, F(2))),  # the exact route
-                    ((0.0,) * 3, (0.5, 0.0, 2.0))):  # the float route
-        el = ExpandedElement(x, (zero,), zero)
+    zero, x = (ZERO,) * 3, (F(1, 3), ZERO, F(2))
+    el = ExpandedElement(x, (zero,), zero)
+    for els in ([el], [inside, el], [el, inside]):
+        with pytest.raises(InternalInvariantViolation, match="outside the expansion basis"):
+            ea.coords(els)
+    # with the leading slot in the subalgebra and the top one reduced, it is solved
+    el = ExpandedElement((ZERO, ZERO, x[2]), (x,), (x[0], x[1], ZERO))
+    assert ea.coords([el]) == [(x[2], *x, x[0], x[1])]
+    # a float element is refused, inside the span or not
+    zero, x = (0.0,) * 3, (0.5, 0.0, 2.0)
+    for el in (ExpandedElement(x, (zero,), zero),
+               ExpandedElement((0.0, 0.0, x[2]), (x,), (x[0], x[1], 0.0))):
         for els in ([el], [inside, el], [el, inside]):
-            with pytest.raises(InternalInvariantViolation, match="outside the expansion basis"):
+            with pytest.raises(TypeError, match="an expansion element takes exact"):
                 ea.coords(els)
-        # with the leading slot in the subalgebra and the top one reduced, it is solved
-        el = ExpandedElement((zero[0], zero[0], x[2]), (x,), (x[0], x[1], zero[0]))
-        assert ea.coords([el]) == [(x[2], *x, x[0], x[1])]
 
 
-def test_coords_keeps_float_middle_slots():
-    """A float element's middle slots are its coordinates bit for bit, also
-    where the split's inverse has a denominator d > 1 (x d / d would round)."""
+def test_coords_refuses_float_middle_slots():
+    """Float middle slots never reach a coordinate: expansion elements are
+    exact-only, so ``coords`` refuses them with a TypeError, also where the
+    split's inverse has a denominator d > 1, and so does ``bracket``."""
     ea = IWExpansion(dense_split(4, 0), 2)
-    n, dh = ea.algebra.dim, ea.split.dim_h
+    n = ea.algebra.dim
     assert ea.split._inverse[1] > 1
     zero = (0.0,) * n
-    mids = (FLOATS[-n:], FLOATS[:n])
-    [got] = ea.coords([ExpandedElement(zero, mids, zero)])
-    assert exact_key(got[dh:dh + 2 * n]) == exact_key(mids[0] + mids[1])
-    assert not any(got[:dh] + got[dh + 2 * n:])
+    el = ExpandedElement(zero, (FLOATS[-n:], FLOATS[:n]), zero)
+    with pytest.raises(TypeError, match="an expansion element takes exact"):
+        ea.coords([el])
+    with pytest.raises(TypeError, match="an expansion element takes exact"):
+        ea.bracket(el, ea.basis_elements()[0][1])

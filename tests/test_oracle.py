@@ -436,6 +436,14 @@ def test_float_input_is_refused_by_the_exact_oracle():
         so3_rep.exp_trunc(p, 2)
     with pytest.raises(TypeError):
         so3_rep.decompose(((0.0, 0.5, 0.0), (-0.5, 0.0, 0.0), (0.0, 0.0, 0.0)))
+    # a float matrix jet: matrix jets are exact-only, so neither the product nor the log runs
+    m = MatrixJet(3, 3, (linalg.identity(3), ((0.0, 0.5, 0.0), (-0.5, 0.0, 0.0), (0.0,) * 3)))
+    exact = MatrixJet.identity(3, 3)
+    for x, y in ((m, exact), (exact, m), (m, m)):
+        with pytest.raises(TypeError, match="a matrix jet takes exact"):
+            x.matmul(y)
+    with pytest.raises(TypeError, match="a matrix jet takes exact"):
+        so3_rep.log_trunc(m, 2)
 
 
 def test_representation_size_is_capped():
