@@ -12,12 +12,13 @@ denominator, runs the pair loop on ints and builds one Fraction per output
 component; the jet convolution and the Jacobi sweep of ``validate`` read the
 same table, the sweep walking only the nonzero nested products [[X_x, X_y],
 X_z] rather than every triple, through the table's rows indexed by basis
-vector (``_rows_by_index``), which the expansion's emit reads too.  An
-algebra given a dense tensor derives the table from it; ``from_brackets``
-fills the table straight from its sparse entries, together with the explicit
-mirror entries that break antisymmetry, and builds the dense tensor
-``structure`` only when something first reads it.  ``validate`` reads the
-table and those entries, never the dense tensor.
+vector (``_rows_by_index``), which the expansion's emit reads too.  Both
+constructors derive the table in one routine (``_sparse``), together with the
+entries that break antisymmetry: the dense one from the nonzero entries of
+its tensor, ``from_brackets`` from its sparse entries, building the dense
+tensor ``structure`` only when something first reads it.  ``validate``,
+equality and hashing read the table and those entries, never the dense
+tensor; ``structure`` is a view for the user.
 
 A subalgebra split keeps each projector as integer numerators over one
 denominator, and a copy rounded once to floats.  An exact vector is
@@ -100,19 +101,51 @@ def _dense(n, table, mirrors):
     return tuple(tuple(tuple(row) for row in plane) for plane in f)
 
 
-@dataclass(frozen=True)
+def _sparse(explicit):
+    """(``_table``, ``_antisymmetry``) of the entries {(a, b, c): f[a][b][c]}.
+
+    An entry without an explicit mirror f[b][a][c] is completed
+    antisymmetrically.  The table holds the nonzero f[a][b][c] with a < b as
+    integer numerators over the least common denominator den of the upper
+    triangle: (den, ((a, b, ((c, n), ...)), ...)), in (a, b) order, c
+    ascending, f[a][b][c] = n / den.  The entries that break antisymmetry,
+    diagonal ones included, are (a, b, c, f[a][b][c], f[b][a][c]) for b >= a
+    with a nonzero sum, in (a, b, c) order; they never enter the table.
+    """
+    upper = {}  # (a, b), a < b: {c: f[a][b][c]} over the nonzero entries
+    mirrors = []
+    for (a, b, c), x in explicit.items():
+        y = explicit.get((b, a, c))
+        if a > b:
+            if y is not None:  # the upper entry of the pair is explicit too
+                continue
+            a, b, x = b, a, -x
+        elif y is not None and x + y != 0:
+            mirrors.append((a, b, c, x, y))
+        if x and a != b:
+            upper.setdefault((a, b), {})[c] = x
+    den = lcm(*(f.denominator for row in upper.values() for f in row.values()))
+    table = tuple((a, b, tuple((c, row[c].numerator * (den // row[c].denominator))
+                               for c in sorted(row)))
+                  for (a, b), row in sorted(upper.items()))
+    return (den, table), tuple(sorted(mirrors))
+
+
+@dataclass(frozen=True, eq=False)
 class LieAlgebra:
     dim: int
     basis_names: tuple
-    structure: tuple  # structure[a][b][c], all Fractions; from_brackets builds it on first read
+    structure: tuple  # f[a][b][c]: the dense constructor's input, a view of from_brackets'
 
     def __post_init__(self):
         _check_size(self.dim, self.basis_names)
-        if len(self.structure) != self.dim or any(
-            len(plane) != self.dim or any(len(row) != self.dim for row in plane)
-            for plane in self.structure
-        ):
+        f, n = self.structure, self.dim
+        if len(f) != n or any(len(plane) != n or any(len(row) != n for row in plane)
+                              for plane in f):
             raise DimensionMismatch("structure tensor has wrong shape")
+        self.__dict__["_table"], self.__dict__["_antisymmetry"] = _sparse(
+            {(a, b, c): rat(f[a][b][c]) for a in range(n) for b in range(n) for c in range(n)
+             if f[a][b][c] or f[b][a][c]})
 
     @classmethod
     def from_brackets(cls, dim, basis_names, entries):
@@ -123,10 +156,10 @@ class LieAlgebra:
         as given, so deliberately broken tensors remain representable and are
         caught by ``validate`` instead of being rejected here.
 
-        The entries fill ``_table`` and ``_antisymmetry`` directly, with no
-        pass over the dense tensor; ``structure`` is built on its first read
+        The entries fill ``_table`` and ``_antisymmetry`` (``_sparse``), with
+        no pass over the dense tensor; ``structure`` is built on its first read
         (see ``__getattr__``), so an algebra that is only bracketed,
-        validated or written out never builds it.
+        validated, compared or written out never builds it.
         """
         explicit = {}
         for a, b, c, coeff in entries:
@@ -140,27 +173,10 @@ class LieAlgebra:
                 raise DimensionMismatch(f"conflicting entries for {key}")
             explicit[key] = coeff
         _check_size(dim, basis_names)
-        upper = {}  # (a, b), a < b: {c: f[a][b][c]} over the nonzero entries
-        mirrors = []
-        for (a, b, c), coeff in explicit.items():
-            mirror = explicit.get((b, a, c))
-            if a < b:
-                if mirror is not None and coeff + mirror != 0:
-                    mirrors.append((a, b, c, coeff, mirror))
-            elif mirror is None:
-                a, b, coeff = b, a, -coeff
-            else:  # the upper entry of the pair is explicit too
-                continue
-            if coeff:
-                upper.setdefault((a, b), {})[c] = coeff
-        den = lcm(*(f.denominator for row in upper.values() for f in row.values()))
-        table = tuple((a, b, tuple((c, row[c].numerator * (den // row[c].denominator))
-                                   for c in sorted(row)))
-                      for (a, b), row in sorted(upper.items()))
+        table, mirrors = _sparse(explicit)
         alg = cls.__new__(cls)
-        # fills the cached_properties below, as their first reads would
-        alg.__dict__.update(dim=dim, basis_names=tuple(basis_names), _table=(den, table),
-                            _antisymmetry=tuple(sorted(mirrors)))
+        alg.__dict__.update(dim=dim, basis_names=tuple(basis_names), _table=table,
+                            _antisymmetry=mirrors)
         return alg
 
     def __getattr__(self, name):
@@ -171,21 +187,30 @@ class LieAlgebra:
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, basis_names={self.basis_names!r})"
 
-    @cached_property
-    def _table(self):
-        """The nonzero rows f[a][b], a < b, as integers over one denominator.
+    def _key(self):
+        """What ``==`` and ``hash`` compare; ``_dense`` rebuilds the tensor from it."""
+        return self.dim, self.basis_names, self._table, self._antisymmetry
 
-        Returns (den, rows) with rows = ((a, b, ((c, n), ...)), ...) in (a, b)
-        order, c ascending, and f[a][b][c] = n / den, den being the least
-        common denominator of the upper triangle.  The lower triangle is never
-        read.
-        """
-        upper = [(a, b, [(c, f) for c, f in enumerate(self.structure[a][b]) if f != 0])
-                 for a in range(self.dim) for b in range(a + 1, self.dim)]
-        den = lcm(*(f.denominator for _, _, row in upper for _, f in row))
-        rows = tuple((a, b, tuple((c, f.numerator * (den // f.denominator)) for c, f in row))
-                     for a, b, row in upper if row)
-        return den, rows
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    @cached_property
+    def _rows(self):
+        """{(a, b): the nonzero (c, n) of ``_table``'s row [X_a, X_b]} for a < b;
+        the pairs that bracket to zero are absent."""
+        return {(a, b): row for a, b, row in self._table[1]}
+
+    def _row_vector(self, a, b):
+        """The numerators of [X_a, X_b], a < b, over ``_table[0]``, as a dense list."""
+        v = [0] * self.dim
+        for c, x in self._rows.get((a, b), ()):
+            v[c] = x
+        return v
 
     @cached_property
     def _rows_by_index(self):
@@ -199,21 +224,6 @@ class LieAlgebra:
             rows[a].append((b, row))
             rows[b].append((a, tuple((c, -x) for c, x in row)))
         return tuple(map(tuple, rows))
-
-    @cached_property
-    def _antisymmetry(self):
-        """The entries that break antisymmetry: (a, b, c, f[a][b][c], f[b][a][c])
-        for b >= a with a nonzero sum, in (a, b, c) order.
-
-        An algebra from a dense tensor finds them in one pass over it; one
-        from ``from_brackets`` can only break antisymmetry at explicit mirror
-        entries, and is given them at construction.
-        """
-        f = self.structure
-        n = self.dim
-        return tuple((a, b, c, f[a][b][c], f[b][a][c])
-                     for a in range(n) for b in range(a, n) for c in range(n)
-                     if (f[a][b][c] or f[b][a][c]) and f[a][b][c] + f[b][a][c] != 0)
 
     def zero_vector(self):
         return linalg.zero_vector(self.dim)

@@ -126,14 +126,11 @@ def cmd_contract(args):
         _emit(payload, args.format)
     else:
         print("contraction limit:")
-        den, rows = limit._table
-        for a, b, row in rows:
-            v = [0] * limit.dim
-            for c, x in row:
-                v[c] = x
-            print(f"  [{limit.basis_names[a]}, {limit.basis_names[b]}] = "
-                  f"{limit.format_vector(linalg.from_numerators(v, den))}")
-        if not rows:
+        den = limit._table[0]
+        for a, b in limit._rows:
+            v = linalg.from_numerators(limit._row_vector(a, b), den)
+            print(f"  [{limit.basis_names[a]}, {limit.basis_names[b]}] = {limit.format_vector(v)}")
+        if not limit._rows:
             print("  (abelian)")
         for key, jet in eps_block.items():
             print(f"  {key}_eps = {_format_jet(alg, jet)}")
@@ -238,9 +235,15 @@ def cmd_oracle(args):
     bch.check_order(args.order, args.order_cap)
     if args.p is not None:
         trunc = args.order + 1
-        pairs = [(Jet(alg.dim, trunc, formats.parse_jet_literal(args.p, alg.dim)),
-                  Jet(alg.dim, trunc, formats.parse_jet_literal(args.q, alg.dim)))]
-        for flag, jet in zip(("--p", "--q"), pairs[0]):
+        jets = []
+        for flag, text in (("--p", args.p), ("--q", args.q)):
+            coeffs = formats.parse_jet_literal(text, alg.dim)
+            if len(coeffs) > trunc:  # a Jet would drop the powers past the order
+                raise SpecFormatError(
+                    f"{flag} has {len(coeffs)} vectors; order {args.order} takes at most {trunc}")
+            jets.append(Jet(alg.dim, trunc, coeffs))
+        pairs = [tuple(jets)]
+        for flag, jet in zip(("--p", "--q"), jets):
             if any(jet.coeff(0)):
                 raise SpecFormatError(f"{flag} must vanish at 0: its constant term is nonzero")
     else:

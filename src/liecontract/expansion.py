@@ -4,13 +4,14 @@ The subalgebra-split case stores elements in the coordinates used by the
 group layer: a value in the subalgebra, k free middle coefficients, and a
 canonical coset representative on top.  Its structure constants run on
 integers from start to finish.  Each element scales its slots to integer
-numerators over one denominator once (``ExpandedElement.numerators``); the
-bracket convolves two such pairs on the algebra's integer table, tests the
-leading slot and reduces the top slot on the integer numerators of the
-split's projector, and returns an element that keeps the reduced numerators
-and builds its Fraction slots only when something first reads them.  The
-level-tagged basis is made from numerators too, and it is graded: the bracket
-of levels l and l' lies in level l + l', dropped past k + 1.
+numerators over one denominator once, at construction
+(``ExpandedElement.numerators``); the bracket convolves two such pairs on the
+algebra's integer table, tests the leading slot and reduces the top slot on
+the integer numerators of the split's projector, and returns an element that
+keeps the reduced numerators and builds its Fraction slots only when
+something first reads them.  The level-tagged basis is made from numerators
+too, and it is graded: the bracket of levels l and l' lies in level l + l',
+dropped past k + 1.
 ``structure_algebra`` emits that closed form.  Its middle levels are the
 algebra's integer table, shifted, and no element is bracketed for them; only
 the outer levels, level 0 read in h-coordinates and level k + 1 in
@@ -18,8 +19,8 @@ n-coordinates modulo h, go through the element bracket and ``coords``, once
 per distinct pair.  The basis is also block-triangular, so ``coords`` solves
 nothing: it reads the outer slots through the split's integer inverse and
 takes the middle slots as they stand, one Fraction per output coordinate.
-Expansion elements are exact: ``ExpandedElement.numerators`` refuses a float
-slot with a TypeError, and the bracket and ``coords`` read it first.
+Expansion elements are exact: the constructor refuses a float slot with a
+TypeError.
 
 The general-family case works in plain coefficient tuples: its bracket is
 the contraction's rescaled bracket on polynomials, one integer lift through
@@ -57,13 +58,17 @@ class ExpandedElement:
     """Subalgebra value, k middle coefficients, canonical coset top slot.
 
     ``numerators`` holds the slots as integer numerators over one common
-    denominator, computed once however many brackets read them; a slot
-    holding a float is a TypeError there.
+    denominator, computed at construction however many brackets read them;
+    a slot holding a float is a TypeError there.
     """
 
     a0: tuple
     mids: tuple
     top: tuple
+
+    def __post_init__(self):
+        self.__dict__["numerators"] = linalg.exact(linalg.numerators(self.slots),
+                                                   "an expansion element")
 
     @classmethod
     def _from_numerators(cls, rows, den):
@@ -76,18 +81,12 @@ class ExpandedElement:
         g = gcd(den, *chain.from_iterable(rows))
         rows = tuple([tuple([x // g for x in v]) if g > 1 else tuple(v) for v in rows])
         el = cls.__new__(cls)
-        # ``numerators`` fills the cached_property below, as its first read would
         el.__dict__["numerators"] = (rows, den // g)
         return el
 
     def __getattr__(self, name):
         """Build the slots of an element made by ``_from_numerators``, once, on a first read."""
         return linalg.deferred(self, name, _SLOTS, "numerators", _slots)
-
-    @cached_property
-    def numerators(self):
-        """``linalg.numerators(slots)``: the slots as (rows, den), computed once; exact only."""
-        return linalg.exact(linalg.numerators(self.slots), "an expansion element")
 
     @property
     def slots(self):

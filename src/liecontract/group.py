@@ -171,12 +171,6 @@ class ExpansionGroup:
     # ----- subgroup part -------------------------------------------------
 
     @cached_property
-    def _table_rows(self):
-        """{(a, b): the nonzero (c, numerator) of D [X_a, X_b]} for a < b, D the
-        algebra's table denominator; the pairs that bracket to zero are absent."""
-        return {(a, b): row for a, b, row in self.algebra._table[1]}
-
-    @cached_property
     def _basis_brackets(self):
         """(a, b, [X_a, X_b], the same rounded to floats) for a < b, zero rows included.
 
@@ -184,14 +178,12 @@ class ExpansionGroup:
         denominator D, with no read of the dense tensor; the floats are
         ``linalg.rounded`` over D.
         """
-        n = self.algebra.dim
-        den = self.algebra._table[0]
+        alg = self.algebra
+        den = alg._table[0]
         out = []
-        for a in range(n):
-            for b in range(a + 1, n):
-                v = [0] * n
-                for c, x in self._table_rows.get((a, b), ()):
-                    v[c] = x
+        for a in range(alg.dim):
+            for b in range(a + 1, alg.dim):
+                v = alg._row_vector(a, b)
                 out.append((a, b, linalg.from_numerators(v, den), linalg.rounded([v], den)[0]))
         return tuple(out)
 
@@ -251,7 +243,7 @@ class ExpansionGroup:
         """
         alg = self.algebra
         n = alg.dim
-        brackets = self._table_rows
+        brackets = alg._rows
         cols = list(zip(*rows))
         for a in range(n):
             for b in range(a + 1, n):

@@ -28,8 +28,8 @@ in floats and divides each coefficient at once.
 A MatrixJet keeps numerators the same way (``MatrixJet.numerators``,
 ``MatrixJet.from_numerators``), and ``matmul`` convolves the integer
 matrices (``matmul_numerators``) into a jet that keeps them.  Matrix jets
-serve the exact matrix oracle only: ``MatrixJet.numerators`` refuses a
-float coefficient with a TypeError.
+serve the exact matrix oracle only: the constructor refuses a float
+coefficient with a TypeError.
 """
 
 from __future__ import annotations
@@ -272,13 +272,17 @@ class MatrixJet:
             if len(c) != self.size or any(len(row) != self.size for row in c):
                 raise DimensionMismatch("matrix coefficient has wrong shape")
         object.__setattr__(self, "coeffs", _trim(coeffs, linalg.is_zero_matrix))
+        # a float coefficient is refused here; ``from_numerators`` is exact by construction
+        self.__dict__["numerators"] = linalg.exact(linalg.matrix_numerators(self.coeffs),
+                                                   "a matrix jet")
 
     @classmethod
     def from_numerators(cls, size, trunc, mats, den):
         """The jet with coefficients mats[k] / den, for integer matrices and den > 0.
 
         As in ``Jet.from_numerators``, the pair reduced by the gcd of den and
-        every entry becomes the jet's ``numerators``, and the Fraction
+        every entry becomes the jet's ``numerators`` (which the constructor
+        computes as ``linalg.matrix_numerators(coeffs)``), and the Fraction
         coefficients are built on their first read (see ``__getattr__``).
         """
         if trunc < 1:
@@ -291,7 +295,6 @@ class MatrixJet:
             mats = tuple([tuple([tuple([x // g for x in row]) for row in m]) for m in mats])
             den //= g
         jet = cls.__new__(cls)
-        # ``numerators`` fills the cached_property below, as its first read would
         jet.__dict__.update(size=size, trunc=trunc, numerators=(mats, den))
         return jet
 
@@ -311,14 +314,7 @@ class MatrixJet:
     @property
     def degree(self):
         """Largest stored nonzero degree, or -1 for the zero jet."""
-        coeffs = self.__dict__.get("coeffs")
-        return len(self.numerators[0] if coeffs is None else coeffs) - 1
-
-    @cached_property
-    def numerators(self):
-        """``linalg.matrix_numerators(coeffs)``: the coefficients as (mats, den),
-        computed once; a float coefficient is a TypeError."""
-        return linalg.exact(linalg.matrix_numerators(self.coeffs), "a matrix jet")
+        return len(self.numerators[0]) - 1
 
     def coeff(self, k):
         if k < len(self.coeffs):

@@ -133,16 +133,12 @@ class Representation:
         alg = self.algebra
         report = ValidationReport()
         mats, e = self._numerators
-        den, table = alg._table
-        brackets = {(a, b): row for a, b, row in table}
+        den = alg._table[0]
         for a in range(alg.dim):
             for b in range(a + 1, alg.dim):
                 ab, ba = linalg.mat_mul(mats[a], mats[b]), linalg.mat_mul(mats[b], mats[a])
-                v = [0] * alg.dim
-                for c, x in brackets.get((a, b), ()):
-                    v[c] = x
                 # [M_a, M_b] / e^2 against (sum_c f_abc M_c) / (D e)
-                image = self._integer_matrix(v)
+                image = self._integer_matrix(alg._row_vector(a, b))
                 report.checks += 1
                 if any(den * (x - y) != e * z for r1, r2, r3 in zip(ab, ba, image)
                        for x, y, z in zip(r1, r2, r3)):

@@ -70,7 +70,8 @@ def run_verify(seed=0, trials=25):
         split = span_subalgebra(so3, [so3.basis_vector(2)])
         limit = contract(iw_family(split))
         iso2, _ = builtin("iso2")
-        return limit.structure == iso2.structure, ""
+        # the bases are named apart, so the tables are compared
+        return (limit._table, limit._antisymmetry) == (iso2._table, iso2._antisymmetry), ""
 
     check("rotation algebra contracts to the plane-motion algebra", contraction_matches)
 
@@ -80,7 +81,7 @@ def run_verify(seed=0, trials=25):
             alg, _ = builtin(name)
             for label, vectors in subalgebra_catalog(name).items():
                 split = span_subalgebra(alg, vectors)
-                if contract(iw_family(split)).structure != iw_contract_closed_form(split).structure:
+                if contract(iw_family(split)) != iw_contract_closed_form(split):
                     bad.append(f"{name}/{label}")
         return not bad, ", ".join(bad)
 

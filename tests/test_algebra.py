@@ -2,15 +2,17 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liecontract import linalg
+from liecontract import algebra as algebra_module, linalg
 from liecontract.algebra import (
     LieAlgebra, ValidationReport, _split, span_subalgebra, split_with_complement)
 from liecontract.catalog import builtin, subalgebra_catalog
 from liecontract.errors import DimensionMismatch, NotASubalgebra, UnknownAlgebra
+from liecontract.verify import run_verify
 from test_numeric_mode import so_n
 
 F = Fraction
@@ -297,14 +299,115 @@ def report_key(report):
     return report.checks, [(v.kind, v.location, v.detail) for v in report.violations]
 
 
+def reference_table(alg):
+    """The dense scan for ``_table``: the nonzero f[a][b], a < b, as integers
+    over the least common denominator of the upper triangle."""
+    upper = [(a, b, [(c, f) for c, f in enumerate(alg.structure[a][b]) if f != 0])
+             for a in range(alg.dim) for b in range(a + 1, alg.dim)]
+    den = lcm(*(f.denominator for _, _, row in upper for _, f in row))
+    rows = tuple((a, b, tuple((c, f.numerator * (den // f.denominator)) for c, f in row))
+                 for a, b, row in upper if row)
+    return den, rows
+
+
+def reference_antisymmetry(alg):
+    """The dense scan for ``_antisymmetry``: (a, b, c, f[a][b][c], f[b][a][c])
+    for b >= a with a nonzero sum, diagonal entries included."""
+    f, n = alg.structure, alg.dim
+    return tuple((a, b, c, f[a][b][c], f[b][a][c])
+                 for a in range(n) for b in range(a, n) for c in range(n)
+                 if (f[a][b][c] or f[b][a][c]) and f[a][b][c] + f[b][a][c] != 0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(algebras())
 def test_validate_matches_bracket_reference(case):
     alg, dense = case
     assert report_key(alg.validate()) == report_key(reference_validate(dense))
     assert alg._table == dense._table  # the rows that bracket and validate read, in order
+    # both constructors derive what the dense scans find, in order and type
+    for x in (alg, dense):
+        assert repr(x._table) == repr(reference_table(dense))
+        assert repr(x._antisymmetry) == repr(reference_antisymmetry(dense))
     assert repr(alg.structure) == repr(dense.structure)
     assert alg == dense and hash(alg) == hash(dense)
+
+
+@st.composite
+def built(draw, f):
+    """The tensor f through either constructor, its integral entries as ints or as Fractions."""
+    n = len(f)
+    if draw(st.booleans()):
+        f = [[[int(x) if x.denominator == 1 else x for x in row] for row in plane]
+             for plane in f]
+    names = tuple(f"X{i + 1}" for i in range(n))
+    if draw(st.booleans()) and not any(f[a][a][c] for a in range(n) for c in range(n)):
+        return LieAlgebra.from_brackets(n, names, draw(sparse_entries(f)))
+    return LieAlgebra(n, names, tuple(tuple(tuple(row) for row in plane) for plane in f))
+
+
+@st.composite
+def algebra_pairs(draw):
+    """Two algebras whose tensors differ in at most one entry, which may be
+    set to its old value, to minus its mirror or onto the diagonal."""
+    _, dense = draw(algebras())
+    n = dense.dim
+    f = [[list(row) for row in plane] for plane in dense.structure]
+    g = copy.deepcopy(f)
+    if draw(st.booleans()):
+        a, b, c = (draw(st.integers(0, n - 1)) for _ in range(3))
+        g[a][b][c] = draw(st.sampled_from((F(0), F(1), F(-1), F(1, 2), f[a][b][c], -f[b][a][c])))
+    return draw(built(f)), draw(built(g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(algebra_pairs())
+def test_equality_and_hash_agree_with_the_dense_tensors(pair):
+    """``==`` and ``hash`` read the integer table and the entries that break
+    antisymmetry; they agree with comparing the dense tensors, broken and
+    explicit zero mirrors, diagonal entries and int entries included."""
+    p, q = pair
+    same = p.structure == q.structure
+    assert (p == q) == same and (p != q) == (not same)
+    if same:
+        assert hash(p) == hash(q)
+    assert p == p and hash(p) == hash(copy.copy(p))
+
+
+def test_equality_hash_and_verify_never_build_the_dense_tensor(monkeypatch):
+    """Comparing, hashing and the whole ``verify`` battery leave the dense
+    tensor of every ``from_brackets`` algebra unbuilt."""
+    made, from_brackets = [], LieAlgebra.from_brackets.__func__
+
+    def recording(cls, *args):
+        made.append(from_brackets(cls, *args))
+        return made[-1]
+
+    monkeypatch.setattr(LieAlgebra, "from_brackets", classmethod(recording))
+    names = ("X1", "X2", "X3")
+    p = LieAlgebra.from_brackets(3, names, [(0, 1, 2, 1), (1, 2, 0, F(1, 2))])
+    q = LieAlgebra.from_brackets(3, names, [(2, 1, 0, F(-1, 2)), (1, 0, 2, -1)])
+    r = LieAlgebra.from_brackets(3, names, [(0, 1, 2, 1), (1, 0, 2, 0)])  # a broken mirror
+    assert p == q and hash(p) == hash(q) and p != r and r != q
+    assert p != LieAlgebra.from_brackets(3, ("Y1", "Y2", "Y3"), [(0, 1, 2, 1), (1, 2, 0, F(1, 2))])
+    assert {p, q, r} == {p, r}
+    assert all(result.passed for result in run_verify(trials=2))
+    assert len(made) > 20
+    assert all("structure" not in alg.__dict__ for alg in made)
+    # the same comparison against a dense algebra builds no tensor for the sparse side
+    dense = LieAlgebra(3, names, algebra_module._dense(3, p._table, p._antisymmetry))
+    assert dense == p and hash(dense) == hash(p) and "structure" not in p.__dict__
+
+
+def test_dense_constructor_refuses_a_float_entry():
+    """A float that the table or the antisymmetry entries would read is refused
+    at construction, in the upper triangle, as a mirror or on the diagonal."""
+    for a, b, c in ((0, 1, 0), (1, 0, 1), (1, 1, 0)):
+        f = [[[F(0)] * 2 for _ in range(2)] for _ in range(2)]
+        f[0][1][1], f[1][0][1] = F(1), F(-1)
+        f[a][b][c] = 0.5
+        with pytest.raises(TypeError, match="cannot interpret 0.5"):
+            LieAlgebra(2, ("X1", "X2"), tuple(tuple(map(tuple, plane)) for plane in f))
 
 
 def test_from_brackets_defers_the_dense_tensor():

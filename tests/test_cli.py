@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -271,6 +275,31 @@ def test_oracle_jet_with_a_constant_term_is_a_usage_error(fmt, monkeypatch, caps
     assert calls == []
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_oracle_jet_literal_past_the_order_is_a_usage_error(fmt, monkeypatch, capsys):
+    """A --p or --q literal with more than order + 1 vectors is refused, not
+    cut at the order, before either local multiplication runs."""
+    from liecontract.oracle import Representation
+
+    calls = []
+    monkeypatch.setattr(bch, "local_mult", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(Representation, "local_mult", lambda *args: calls.append(args))
+    for order, p, q, err in (
+            ("1", "[0,0,0;1,0,0;0,1,0;0,0,1]", "[0,0,0;0,1,0]", "--p has 4 vectors; order 1"),
+            ("1", "[0,0,0;1,0,0]", "[0,0,0;0,1,0;0,0,0]", "--q has 3 vectors; order 1"),
+            ("2", "[0,0,0;1,0,0;0,0,0;0,0,1]", "[0,0,0]", "--p has 4 vectors; order 2")):
+        assert run(["--format", fmt, "oracle", "so3", "--order", order, "--p", p, "--q", q]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        trunc = int(order) + 1
+        assert captured.err == f"SpecFormatError: {err} takes at most {trunc}\n"
+    assert calls == []
+    # order + 1 vectors, the last one zero, are accepted
+    monkeypatch.undo()
+    assert run(["--format", fmt, "oracle", "so3", "--order", "2",
+                "--p", "[0,0,0;1,0,0;0,0,0]", "--q", "[0,0,0;0,1,0]"]) == 0
+
+
 def test_example_command(capsys):
     assert run(["example", "so3", "--order", "1"]) == 0
     assert "example passed" in capsys.readouterr().out
@@ -374,3 +403,18 @@ def test_malformed_spec_files_are_usage_errors(tmp_path, capsys, name, spec, arg
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and captured.err.startswith("SpecFormatError: ")
     assert "Traceback" not in captured.err
+
+
+def test_cli_imports_only_the_standard_library():
+    """``import liecontract.cli`` in a fresh interpreter loads no module from
+    outside the standard library and the package.  Only the modules that
+    appear with the import count: site hooks may load others before it."""
+    code = ("import sys; before = set(sys.modules); import liecontract.cli; "
+            "print('\\n'.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "liecontract.cli" in loaded
+    foreign = [name for name in loaded
+               if name.partition(".")[0] not in sys.stdlib_module_names | {"liecontract"}]
+    assert foreign == []

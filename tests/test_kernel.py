@@ -220,17 +220,15 @@ def test_integer_kernel_matches_fraction_reference(case, data):
 
     ea = IWExpansion(span_subalgebra(alg, draw(st.sampled_from(spans))), draw(st.integers(0, 3)))
     entries = FLOATS if integral and draw(st.booleans()) else ENTRIES
-    a, b = (ExpandedElement(slot(draw, n, entries),
-                            tuple(slot(draw, n, entries) for _ in range(ea.order)),
-                            slot(draw, n, entries))
-            for _ in range(2))
-    if any(type(x) is float for el in (a, b) for x in chain.from_iterable(el.slots)):
-        # expansion elements are exact-only: a float slot is refused before any product
-        with pytest.raises(TypeError, match="an expansion element takes exact"):
-            ea.bracket(a, b)
-        with pytest.raises(TypeError, match="an expansion element takes exact"):
-            ea.coords([a, b])
-    else:
+    slots = [(slot(draw, n, entries), tuple(slot(draw, n, entries) for _ in range(ea.order)),
+              slot(draw, n, entries)) for _ in range(2)]
+    floats = [any(type(x) is float for x in chain(s[0], *s[1], s[2])) for s in slots]
+    for s, has_float in zip(slots, floats):
+        if has_float:  # expansion elements are exact-only: a float slot is refused at construction
+            with pytest.raises(TypeError, match="an expansion element takes exact"):
+                ExpandedElement(*s)
+    if not any(floats):
+        a, b = (ExpandedElement(*s) for s in slots)
         try:
             expected = reference_iw_bracket(ea, a, b)
         except InternalInvariantViolation as err:
@@ -484,25 +482,21 @@ def test_coords_rejects_a_leading_slot_outside_the_subalgebra():
     # with the leading slot in the subalgebra and the top one reduced, it is solved
     el = ExpandedElement((ZERO, ZERO, x[2]), (x,), (x[0], x[1], ZERO))
     assert ea.coords([el]) == [(x[2], *x, x[0], x[1])]
-    # a float element is refused, inside the span or not
+    # a float element is refused at construction, inside the span or not
     zero, x = (0.0,) * 3, (0.5, 0.0, 2.0)
-    for el in (ExpandedElement(x, (zero,), zero),
-               ExpandedElement((0.0, 0.0, x[2]), (x,), (x[0], x[1], 0.0))):
-        for els in ([el], [inside, el], [el, inside]):
-            with pytest.raises(TypeError, match="an expansion element takes exact"):
-                ea.coords(els)
+    for slots in ((x, (zero,), zero), ((0.0, 0.0, x[2]), (x,), (x[0], x[1], 0.0))):
+        with pytest.raises(TypeError, match="an expansion element takes exact"):
+            ExpandedElement(*slots)
 
 
 def test_coords_refuses_float_middle_slots():
     """Float middle slots never reach a coordinate: expansion elements are
-    exact-only, so ``coords`` refuses them with a TypeError, also where the
-    split's inverse has a denominator d > 1, and so does ``bracket``."""
+    exact-only, so the constructor refuses them with a TypeError before
+    ``coords`` or ``bracket`` could read them, also on a split whose inverse
+    has a denominator d > 1."""
     ea = IWExpansion(dense_split(4, 0), 2)
     n = ea.algebra.dim
     assert ea.split._inverse[1] > 1
     zero = (0.0,) * n
-    el = ExpandedElement(zero, (FLOATS[-n:], FLOATS[:n]), zero)
     with pytest.raises(TypeError, match="an expansion element takes exact"):
-        ea.coords([el])
-    with pytest.raises(TypeError, match="an expansion element takes exact"):
-        ea.bracket(el, ea.basis_elements()[0][1])
+        ExpandedElement(zero, (FLOATS[-n:], FLOATS[:n]), zero)
