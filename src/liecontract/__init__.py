@@ -46,7 +46,6 @@ from .jets import (
     MatrixJet,
     bracket_poly,
     jet_in_filtration,
-    jet_through_subalgebra,
 )
 from .oracle import Representation
 
@@ -90,7 +89,6 @@ __all__ = [
     "iw_contract_closed_form",
     "iw_family",
     "jet_in_filtration",
-    "jet_through_subalgebra",
     "local_mult",
     "so3_example",
     "span_subalgebra",

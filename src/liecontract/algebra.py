@@ -15,10 +15,10 @@ X_z] rather than every triple, through the table's rows indexed by basis
 vector (``_rows_by_index``), which the expansion's emit reads too.  Both
 constructors derive the table in one routine (``_sparse``), together with the
 entries that break antisymmetry: the dense one from the nonzero entries of
-its tensor, ``from_brackets`` from its sparse entries, building the dense
-tensor ``structure`` only when something first reads it.  ``validate``,
-equality and hashing read the table and those entries, never the dense
-tensor; ``structure`` is a view for the user.
+its tensor, ``from_brackets`` from its sparse entries; neither keeps its
+input, so the dense tensor ``structure`` of Fractions is a view, built when
+something first reads it.  ``validate``, equality and hashing read the table
+and those entries, never the dense tensor.
 
 A subalgebra split keeps each projector as integer numerators over one
 denominator, and a copy rounded once to floats.  An exact vector is
@@ -135,15 +135,17 @@ def _sparse(explicit):
 class LieAlgebra:
     dim: int
     basis_names: tuple
-    structure: tuple  # f[a][b][c]: the dense constructor's input, a view of from_brackets'
+    structure: tuple  # f[a][b][c] as Fractions: a view of ``_table``, built on its first read
 
     def __post_init__(self):
         _check_size(self.dim, self.basis_names)
-        f, n = self.structure, self.dim
+        state, n = self.__dict__, self.dim
+        f = state.pop("structure")
         if len(f) != n or any(len(plane) != n or any(len(row) != n for row in plane)
                               for plane in f):
             raise DimensionMismatch("structure tensor has wrong shape")
-        self.__dict__["_table"], self.__dict__["_antisymmetry"] = _sparse(
+        state["basis_names"] = tuple(self.basis_names)
+        state["_table"], state["_antisymmetry"] = _sparse(
             {(a, b, c): rat(f[a][b][c]) for a in range(n) for b in range(n) for c in range(n)
              if f[a][b][c] or f[b][a][c]})
 
@@ -180,7 +182,7 @@ class LieAlgebra:
         return alg
 
     def __getattr__(self, name):
-        """Build ``structure`` of an algebra made by ``from_brackets``, once, on its first read."""
+        """Build ``structure``, which neither constructor keeps, once, on its first read."""
         return linalg.deferred(self, name, ("structure",), "_table",
                                lambda table: (_dense(self.dim, table, self._antisymmetry),))
 

@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import chain
 from math import gcd
 
-from .algebra import LieAlgebra, SubalgebraSplit
+from .algebra import MAX_DIM, LieAlgebra, SubalgebraSplit
 from .contraction import ContractionFamily, _rescaled_bracket, contract
 from .errors import DimensionMismatch, InternalInvariantViolation, PoleError
 from . import linalg
@@ -240,6 +240,8 @@ class IWExpansion:
         table row (a, b), as (X_a@1, X_b@k), whose coordinates every (i, j)
         on that level shares.  Every other pair brackets to zero.
         """
+        if self.dimension > MAX_DIM:  # refused before the basis is built
+            raise DimensionMismatch(f"dimension must be in 1..{MAX_DIM}")
         named = self._basis
         m, k, n, dh = len(named), self.order, self.algebra.dim, self.split.dim_h
         den, table = self.algebra._table

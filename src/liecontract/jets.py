@@ -25,11 +25,11 @@ in floats and divides each coefficient at once.
 ``truncated`` at a jet's own order returns the jet itself, so a lifted jet
 (``ExpansionGroup.star``) is scaled and checked once, and a lazy one stays lazy.
 
-A MatrixJet keeps numerators the same way (``MatrixJet.numerators``,
-``MatrixJet.from_numerators``), and ``matmul`` convolves the integer
-matrices (``matmul_numerators``) into a jet that keeps them.  Matrix jets
-serve the exact matrix oracle only: the constructor refuses a float
-coefficient with a TypeError.
+A MatrixJet holds one state, however built: ``MatrixJet.numerators``, which
+the constructor scales its coefficients to and ``MatrixJet.from_numerators``
+checks, so ``coeffs`` is always a view; ``matmul`` convolves the integer
+matrices (``matmul_numerators``) into such a jet.  Matrix jets serve the
+exact matrix oracle only: the constructor refuses a float with a TypeError.
 """
 
 from __future__ import annotations
@@ -226,11 +226,6 @@ def bracket_poly(alg, p, q):
     return Jet.from_numerators(alg.dim, trunc, out, den)
 
 
-def jet_through_subalgebra(split, p):
-    """Whether the jet's value at 0 lies in the subalgebra."""
-    return split.contains(p.coeff(0))
-
-
 def jet_in_filtration(split, p, k):
     """Whether the first k coefficients vanish and the k-th lies in the subalgebra."""
     if k >= p.trunc:
@@ -262,34 +257,29 @@ class MatrixJet:
 
     size: int
     trunc: int
-    coeffs: tuple
+    coeffs: tuple  # a view of ``numerators``, built on its first read
 
     def __post_init__(self):
-        if self.trunc < 1:
-            raise DimensionMismatch("truncation order must be positive")
-        coeffs = tuple(tuple(tuple(row) for row in c) for c in self.coeffs[: self.trunc])
-        for c in coeffs:
-            if len(c) != self.size or any(len(row) != self.size for row in c):
-                raise DimensionMismatch("matrix coefficient has wrong shape")
-        object.__setattr__(self, "coeffs", _trim(coeffs, linalg.is_zero_matrix))
-        # a float coefficient is refused here; ``from_numerators`` is exact by construction
-        self.__dict__["numerators"] = linalg.exact(linalg.matrix_numerators(self.coeffs),
-                                                   "a matrix jet")
+        # keep what ``from_numerators`` keeps, after the one check it skips: a float
+        pair = linalg.exact(linalg.matrix_numerators(self.__dict__.pop("coeffs")[: self.trunc]),
+                            "a matrix jet")
+        self.__dict__.update(vars(self.from_numerators(self.size, self.trunc, *pair)))
 
     @classmethod
     def from_numerators(cls, size, trunc, mats, den):
         """The jet with coefficients mats[k] / den, for integer matrices and den > 0.
 
         As in ``Jet.from_numerators``, the pair reduced by the gcd of den and
-        every entry becomes the jet's ``numerators`` (which the constructor
-        computes as ``linalg.matrix_numerators(coeffs)``), and the Fraction
-        coefficients are built on their first read (see ``__getattr__``).
+        every entry becomes the jet's ``numerators``, and the Fraction
+        coefficients are built on their first read (see ``__getattr__``);
+        the order and the shapes below it are checked here, for both.
         """
         if trunc < 1:
             raise DimensionMismatch("truncation order must be positive")
-        mats = _trim([tuple(map(tuple, m)) for m in mats[:trunc]], lambda m: not any(map(any, m)))
+        mats = [tuple(map(tuple, m)) for m in mats[:trunc]]
         if any(len(m) != size or any(len(row) != size for row in m) for m in mats):
             raise DimensionMismatch("matrix coefficient has wrong shape")
+        mats = _trim(mats, lambda m: not any(map(any, m)))
         g = gcd(den, *chain.from_iterable(chain.from_iterable(mats)))
         if g > 1:
             mats = tuple([tuple([tuple([x // g for x in row]) for row in m]) for m in mats])
@@ -299,7 +289,7 @@ class MatrixJet:
         return jet
 
     def __getattr__(self, name):
-        """Build ``coeffs`` of a jet made by ``from_numerators``, once, on its first read."""
+        """Build ``coeffs``, which neither constructor keeps, once, on its first read."""
         return linalg.deferred(self, name, ("coeffs",), "numerators", lambda pair: (
             tuple(tuple(linalg.from_numerators(row, pair[1]) for row in m) for m in pair[0]),))
 

@@ -335,15 +335,26 @@ def test_validate_matches_bracket_reference(case):
 
 @st.composite
 def built(draw, f):
-    """The tensor f through either constructor, its integral entries as ints or as Fractions."""
+    """The tensor f through either constructor, its basis names a tuple or a
+    list, each entry written as a Fraction, a string or, if integral, an int.
+    In some dense tensors every pair of zeros f[a][b][c], f[b][a][c] is
+    written from 0, Fraction 0 and 0.0 instead: the constructor reads neither
+    entry of such a pair, unless one is a truthy string "0"."""
     n = len(f)
-    if draw(st.booleans()):
-        f = [[[int(x) if x.denominator == 1 else x for x in row] for row in plane]
-             for plane in f]
-    names = tuple(f"X{i + 1}" for i in range(n))
+    rng = draw(st.randoms(use_true_random=False))
+    zeros = (F(0), 0, 0.0) if draw(st.booleans()) else None
+
+    def written(x, zero_pair=False):
+        if zero_pair and zeros:
+            return rng.choice(zeros)
+        return rng.choice([x, str(x)] + [int(x)] * (x.denominator == 1))
+
+    names = draw(st.sampled_from((tuple, list)))(f"X{i + 1}" for i in range(n))
     if draw(st.booleans()) and not any(f[a][a][c] for a in range(n) for c in range(n)):
-        return LieAlgebra.from_brackets(n, names, draw(sparse_entries(f)))
-    return LieAlgebra(n, names, tuple(tuple(tuple(row) for row in plane) for plane in f))
+        return LieAlgebra.from_brackets(n, names, [(a, b, c, written(x))
+                                                   for a, b, c, x in draw(sparse_entries(f))])
+    return LieAlgebra(n, names, [[[written(f[a][b][c], not (f[a][b][c] or f[b][a][c]))
+                                   for c in range(n)] for b in range(n)] for a in range(n)])
 
 
 @st.composite
@@ -365,8 +376,16 @@ def algebra_pairs(draw):
 def test_equality_and_hash_agree_with_the_dense_tensors(pair):
     """``==`` and ``hash`` read the integer table and the entries that break
     antisymmetry; they agree with comparing the dense tensors, broken and
-    explicit zero mirrors, diagonal entries and int entries included."""
+    explicit zero mirrors, diagonal entries and int entries included.
+    Neither constructor keeps its input: the basis names are a tuple, and
+    ``structure`` holds Fractions in nested tuples, whatever the entries were
+    written as."""
     p, q = pair
+    for alg in (p, q):
+        assert "structure" not in alg.__dict__ and type(alg.basis_names) is tuple
+        assert type(alg.structure) is tuple and all(
+            type(plane) is tuple and all(type(row) is tuple and all(type(x) is F for x in row)
+                                         for row in plane) for plane in alg.structure)
     same = p.structure == q.structure
     assert (p == q) == same and (p != q) == (not same)
     if same:
@@ -408,6 +427,27 @@ def test_dense_constructor_refuses_a_float_entry():
         f[a][b][c] = 0.5
         with pytest.raises(TypeError, match="cannot interpret 0.5"):
             LieAlgebra(2, ("X1", "X2"), tuple(tuple(map(tuple, plane)) for plane in f))
+
+
+def test_dense_constructor_keeps_no_copy_of_its_input():
+    """The dense constructor keeps what ``from_brackets`` keeps: mutating its
+    input afterwards changes neither ``structure`` nor ``bracket``."""
+    names = ["X1", "X2", "X3"]
+    f = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # so3
+        f[a][b][c], f[b][a][c] = 1, -1
+    alg = LieAlgebra(3, names, f)
+    twin = LieAlgebra.from_brackets(3, ("X1", "X2", "X3"),
+                                    [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1)])
+    assert list(alg.__dict__) == list(twin.__dict__) == ["dim", "basis_names", "_table",
+                                                         "_antisymmetry"]
+    want = repr(twin.structure)
+    f[0][1][2], f[2][2][2] = 5, 7
+    names[0] = "Y"
+    assert repr(alg.structure) == want and alg.basis_names == ("X1", "X2", "X3")
+    assert alg.bracket((1, 0, 0), (0, 1, 0)) == (0, 0, 1)
+    assert alg == twin and hash(alg) == hash(twin)
+    assert alg.structure is alg.structure  # built once
 
 
 def test_from_brackets_defers_the_dense_tensor():

@@ -184,6 +184,17 @@ def test_structure_algebra_names_are_level_tagged():
     assert names == ("X3@0", "X1@1", "X2@1", "X3@1", "X1@2", "X2@2")
 
 
+def test_structure_algebra_past_the_dimension_cap_fails_before_its_basis():
+    """so3 at order 10 has dimension 33: refused with the algebra's own cap
+    message before the basis (quadratic in the order) is built."""
+    for k in (10, 400):
+        ea = so3_x3(k)
+        with pytest.raises(DimensionMismatch, match=r"dimension must be in 1\.\.32"):
+            ea.structure_algebra()
+        assert "_basis" not in ea.__dict__
+    assert so3_x3(9).structure_algebra().dim == 30
+
+
 def test_structure_algebra_runs_no_elimination(monkeypatch):
     ea = so3_x3(2)
     m = len(ea.basis_elements())  # the basis is built, once per expansion

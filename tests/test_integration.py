@@ -1,5 +1,6 @@
 """Whole-pipeline runs on algebras beyond the built-in catalogue."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -146,3 +147,20 @@ def test_benchmark_trace_targets_resolve():
             assert meth in vars(getattr(module, cls_name)), f"{module_name}.{attr}"
         else:
             assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_package_exports_match_all():
+    """Every name in ``__all__`` resolves on the package, and every public name
+    that the package's ``__init__`` binds is listed in ``__all__``."""
+    import liecontract
+
+    path = pathlib.Path(liecontract.__file__)
+    bound = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.Assign):
+            bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    assert [n for n in liecontract.__all__ if not hasattr(liecontract, n)] == []
+    assert sorted(n for n in bound - set(liecontract.__all__) if not n.startswith("_")) == []
+    assert len(set(liecontract.__all__)) == len(liecontract.__all__)

@@ -16,7 +16,6 @@ from liecontract.jets import (
     MatrixJet,
     bracket_poly,
     jet_in_filtration,
-    jet_through_subalgebra,
 )
 
 F = Fraction
@@ -208,8 +207,8 @@ def test_evaluation_homomorphism(u0, u1, v0, v1, point):
 
 def test_membership_examples():
     split = span_subalgebra(so3, [so3.basis_vector(2)])
-    assert jet_through_subalgebra(split, jet3([(0, 0, 1), (1, 0, 0)]))
-    assert not jet_through_subalgebra(split, jet3([(1, 0, 0)]))
+    assert jet_in_filtration(split, jet3([(0, 0, 1), (1, 0, 0)]), 0)
+    assert not jet_in_filtration(split, jet3([(1, 0, 0)]), 0)
     # eps^2*X3 + eps^3*X1 sits at filtration level 2 (and in the larger level 1)
     p = jet3([(0, 0, 0), (0, 0, 0), (0, 0, 1), (1, 0, 0)])
     assert jet_in_filtration(split, p, 2)
@@ -243,8 +242,8 @@ def test_subalgebra_jets_closed_under_bracket():
             for _ in range(15):
                 p = random_jet_through(split, rng)
                 q = random_jet_through(split, rng)
-                assert jet_through_subalgebra(split, p)
-                assert jet_through_subalgebra(split, bracket_poly(alg, p, q))
+                assert jet_in_filtration(split, p, 0)
+                assert jet_in_filtration(split, bracket_poly(alg, p, q), 0)
 
 
 def test_filtration_is_an_ideal():
@@ -264,6 +263,42 @@ def test_matrix_jet_product_truncates():
     assert sq.coeff(0) == linalg.identity(2)
     assert sq.coeff(1) == linalg.mat_scale(F(2), linalg.identity(2))
     assert sq.degree == 1  # the quadratic term is beyond the truncation
+
+
+def test_matrix_jet_constructors_keep_one_state():
+    """``MatrixJet(...)`` keeps only the numerators that ``from_numerators``
+    keeps; ``coeffs`` is a view of Fractions for both, built on first read."""
+    half = F(1, 2)
+    coeffs = [[[1, 0], [0, 1]], ((half, 0), (0, F(-3, 2))), linalg.zero_matrix(2)]
+    eager = MatrixJet(2, 3, coeffs)
+    lazy = MatrixJet.from_numerators(2, 3, [((2, 0), (0, 2)), ((1, 0), (0, -3))], 2)
+    assert list(eager.__dict__) == list(lazy.__dict__) == ["size", "trunc", "numerators"]
+    assert eager.numerators == lazy.numerators == ((((2, 0), (0, 2)), ((1, 0), (0, -3))), 2)
+    assert repr(eager) == repr(lazy) and eager == lazy and hash(eager) == hash(lazy)
+    assert all(type(x) is F for m in eager.coeffs for row in m for x in row)
+    coeffs[1] = linalg.identity(2)  # the input is not kept
+    assert eager.coeff(1) == ((half, 0), (0, F(-3, 2))) and eager.degree == 1
+    assert eager.coeffs is eager.coeffs  # built once
+
+
+def test_matrix_jet_constructors_refuse_bad_input_alike():
+    """Both constructors check the order and the shapes in one place, with one
+    message each (a float is refused in ``test_oracle``)."""
+    identity = ((1, 0), (0, 1))
+    for size, trunc, mats, message in (
+            (2, 0, [identity], "truncation order must be positive"),
+            (2, -1, [], "truncation order must be positive"),
+            (2, 2, [identity, ((1, 0),)], "matrix coefficient has wrong shape"),
+            (2, 2, [((1, 0, 0), (0, 1, 0))], "matrix coefficient has wrong shape"),
+            # a trailing zero coefficient of the wrong shape is refused, not trimmed away
+            (2, 2, [identity, ((0, 0, 0),) * 3], "matrix coefficient has wrong shape"),
+            (3, 1, [identity], "matrix coefficient has wrong shape")):
+        with pytest.raises(DimensionMismatch, match=message):
+            MatrixJet(size, trunc, mats)
+        with pytest.raises(DimensionMismatch, match=message):
+            MatrixJet.from_numerators(size, trunc, mats, 1)
+    # coefficients from the truncation order on are dropped unread, a float among them
+    assert MatrixJet(2, 1, [identity, ((0.5, 0), (0, 0))]) == MatrixJet.identity(2, 1)
 
 
 # ----- the product loops as they were written before the shared Cauchy product
