@@ -80,9 +80,13 @@ def _format_vector(names, v):
     return " + ".join(parts) if parts else "0"
 
 
-def _check_size(dim, basis_names):
+def _check_dim(dim):
     if not 1 <= dim <= MAX_DIM:
         raise DimensionMismatch(f"dimension must be in 1..{MAX_DIM}")
+
+
+def _check_size(dim, basis_names):
+    _check_dim(dim)
     if len(basis_names) != dim:
         raise DimensionMismatch("basis name count differs from dimension")
 
@@ -145,8 +149,9 @@ class LieAlgebra:
                               for plane in f):
             raise DimensionMismatch("structure tensor has wrong shape")
         state["basis_names"] = tuple(self.basis_names)
+        f = [[[rat(x) for x in row] for row in plane] for plane in f]
         state["_table"], state["_antisymmetry"] = _sparse(
-            {(a, b, c): rat(f[a][b][c]) for a in range(n) for b in range(n) for c in range(n)
+            {(a, b, c): f[a][b][c] for a in range(n) for b in range(n) for c in range(n)
              if f[a][b][c] or f[b][a][c]})
 
     @classmethod

@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import chain
 from math import gcd
 
-from .algebra import MAX_DIM, LieAlgebra, SubalgebraSplit
+from .algebra import LieAlgebra, SubalgebraSplit, _check_dim
 from .contraction import ContractionFamily, _rescaled_bracket, contract
 from .errors import DimensionMismatch, InternalInvariantViolation, PoleError
 from . import linalg
@@ -240,8 +240,7 @@ class IWExpansion:
         table row (a, b), as (X_a@1, X_b@k), whose coordinates every (i, j)
         on that level shares.  Every other pair brackets to zero.
         """
-        if self.dimension > MAX_DIM:  # refused before the basis is built
-            raise DimensionMismatch(f"dimension must be in 1..{MAX_DIM}")
+        _check_dim(self.dimension)  # refused before the basis is built
         named = self._basis
         m, k, n, dh = len(named), self.order, self.algebra.dim, self.split.dim_h
         den, table = self.algebra._table

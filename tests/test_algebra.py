@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -141,10 +142,10 @@ def test_validator_agrees_with_brute_force_jacobi():
     assert (1, 2, 3) in got
 
 
-def reference_validate(alg):
-    """The bracket-based validator: Jacobi residuals through ``bracket``."""
+def reference_validate(alg, f):
+    """The bracket-based validator: the antisymmetry of the tensor f that alg
+    was built from, read as given, and Jacobi residuals through ``bracket``."""
     report = ValidationReport()
-    f = alg.structure
     n = alg.dim
     for a in range(n):
         for b in range(a, n):
@@ -239,8 +240,12 @@ def structure_tensors(draw):
                     f[a][b][c], f[b][a][c] = x, -x
                 elif kind == "mirrors":  # any entry, diagonal and lower triangle too
                     f[a][b][c] = x
-    return LieAlgebra(n, tuple(f"X{i + 1}" for i in range(n)),
-                      tuple(tuple(tuple(r) for r in plane) for plane in f))
+    return exact_tensor(f)
+
+
+def exact_tensor(f):
+    """The tensor f in nested tuples, each entry read through ``rat``."""
+    return tuple(tuple(tuple(map(linalg.rat, row)) for row in plane) for plane in f)
 
 
 def reference_tensor(dim, entries):
@@ -283,37 +288,42 @@ def sparse_entries(draw, f):
 
 @st.composite
 def algebras(draw):
-    """(algebra, the same tensor through the dense constructor): half of the
-    ``structure_tensors`` with a zero diagonal go through ``from_brackets``."""
-    dense = draw(structure_tensors())
-    f, n = dense.structure, dense.dim
+    """(algebra, the tensor through the dense constructor, the tensor): half
+    of the ``structure_tensors`` with a zero diagonal go through
+    ``from_brackets``.  Neither constructor keeps the tensor, so the
+    references below read it, not ``structure``, which is rebuilt from the
+    table they check."""
+    f = draw(structure_tensors())
+    n = len(f)
+    dense = LieAlgebra(n, tuple(f"X{i + 1}" for i in range(n)), f)
     if draw(st.booleans()) and not any(f[a][a][c] for a in range(n) for c in range(n)):
         entries = draw(sparse_entries(f))
         alg = LieAlgebra.from_brackets(n, dense.basis_names, entries)
         assert repr(reference_tensor(n, entries)) == repr(f)
-        return alg, dense
-    return dense, dense
+        return alg, dense, f
+    return dense, dense, f
 
 
 def report_key(report):
     return report.checks, [(v.kind, v.location, v.detail) for v in report.violations]
 
 
-def reference_table(alg):
+def reference_table(tensor):
     """The dense scan for ``_table``: the nonzero f[a][b], a < b, as integers
     over the least common denominator of the upper triangle."""
-    upper = [(a, b, [(c, f) for c, f in enumerate(alg.structure[a][b]) if f != 0])
-             for a in range(alg.dim) for b in range(a + 1, alg.dim)]
+    n = len(tensor)
+    upper = [(a, b, [(c, f) for c, f in enumerate(tensor[a][b]) if f != 0])
+             for a in range(n) for b in range(a + 1, n)]
     den = lcm(*(f.denominator for _, _, row in upper for _, f in row))
     rows = tuple((a, b, tuple((c, f.numerator * (den // f.denominator)) for c, f in row))
                  for a, b, row in upper if row)
     return den, rows
 
 
-def reference_antisymmetry(alg):
+def reference_antisymmetry(f):
     """The dense scan for ``_antisymmetry``: (a, b, c, f[a][b][c], f[b][a][c])
     for b >= a with a nonzero sum, diagonal entries included."""
-    f, n = alg.structure, alg.dim
+    n = len(f)
     return tuple((a, b, c, f[a][b][c], f[b][a][c])
                  for a in range(n) for b in range(a, n) for c in range(n)
                  if (f[a][b][c] or f[b][a][c]) and f[a][b][c] + f[b][a][c] != 0)
@@ -322,71 +332,75 @@ def reference_antisymmetry(alg):
 @settings(max_examples=300, deadline=None)
 @given(algebras())
 def test_validate_matches_bracket_reference(case):
-    alg, dense = case
-    assert report_key(alg.validate()) == report_key(reference_validate(dense))
+    alg, dense, f = case
+    assert report_key(alg.validate()) == report_key(reference_validate(dense, f))
     assert alg._table == dense._table  # the rows that bracket and validate read, in order
-    # both constructors derive what the dense scans find, in order and type
+    # both constructors derive what the dense scans of the tensor find, in
+    # order and type, and ``structure`` rebuilds the tensor from them
     for x in (alg, dense):
-        assert repr(x._table) == repr(reference_table(dense))
-        assert repr(x._antisymmetry) == repr(reference_antisymmetry(dense))
-    assert repr(alg.structure) == repr(dense.structure)
+        assert repr(x._table) == repr(reference_table(f))
+        assert repr(x._antisymmetry) == repr(reference_antisymmetry(f))
+        assert repr(x.structure) == repr(f)
     assert alg == dense and hash(alg) == hash(dense)
 
 
 @st.composite
 def built(draw, f):
-    """The tensor f through either constructor, its basis names a tuple or a
-    list, each entry written as a Fraction, a string or, if integral, an int.
-    In some dense tensors every pair of zeros f[a][b][c], f[b][a][c] is
-    written from 0, Fraction 0 and 0.0 instead: the constructor reads neither
-    entry of such a pair, unless one is a truthy string "0"."""
+    """The tensor f through either constructor, as nested lists or list
+    entries, its basis names a tuple or a list, each entry written as a
+    Fraction, a string ("0" for a zero) or, if integral, an int.  Sometimes
+    one zero entry, wherever it stands, is first written as 0.0: both
+    constructors refuse it, whatever its mirror."""
     n = len(f)
     rng = draw(st.randoms(use_true_random=False))
-    zeros = (F(0), 0, 0.0) if draw(st.booleans()) else None
-
-    def written(x, zero_pair=False):
-        if zero_pair and zeros:
-            return rng.choice(zeros)
-        return rng.choice([x, str(x)] + [int(x)] * (x.denominator == 1))
-
     names = draw(st.sampled_from((tuple, list)))(f"X{i + 1}" for i in range(n))
     if draw(st.booleans()) and not any(f[a][a][c] for a in range(n) for c in range(n)):
-        return LieAlgebra.from_brackets(n, names, [(a, b, c, written(x))
-                                                   for a, b, c, x in draw(sparse_entries(f))])
-    return LieAlgebra(n, names, [[[written(f[a][b][c], not (f[a][b][c] or f[b][a][c]))
-                                   for c in range(n)] for b in range(n)] for a in range(n)])
+        make, entries = LieAlgebra.from_brackets, [list(e) for e in draw(sparse_entries(f))]
+        slots = [(entry, 3) for entry in entries]
+    else:
+        make, entries = LieAlgebra, [[list(row) for row in plane] for plane in f]
+        slots = [(row, c) for plane in entries for row in plane for c in range(n)]
+    zeros = [(row, i) for row, i in slots if row[i] == 0]
+    for row, i in slots:
+        x = row[i]
+        row[i] = rng.choice([x, str(x)] + [int(x)] * (x.denominator == 1))
+    if zeros and draw(st.booleans()):
+        row, i = zeros[draw(st.integers(0, len(zeros) - 1))]
+        row[i], written = 0.0, row[i]
+        with pytest.raises(TypeError, match="cannot interpret 0.0 as a scalar"):
+            make(n, names, entries)
+        row[i] = written
+    return make(n, names, entries)
 
 
 @st.composite
 def algebra_pairs(draw):
     """Two algebras whose tensors differ in at most one entry, which may be
     set to its old value, to minus its mirror or onto the diagonal."""
-    _, dense = draw(algebras())
-    n = dense.dim
-    f = [[list(row) for row in plane] for plane in dense.structure]
+    *_, f = draw(algebras())
+    n = len(f)
+    f = [[list(row) for row in plane] for plane in f]
     g = copy.deepcopy(f)
     if draw(st.booleans()):
         a, b, c = (draw(st.integers(0, n - 1)) for _ in range(3))
         g[a][b][c] = draw(st.sampled_from((F(0), F(1), F(-1), F(1, 2), f[a][b][c], -f[b][a][c])))
-    return draw(built(f)), draw(built(g))
+    return f, g, draw(built(f)), draw(built(g))
 
 
 @settings(max_examples=300, deadline=None)
 @given(algebra_pairs())
-def test_equality_and_hash_agree_with_the_dense_tensors(pair):
+def test_equality_and_hash_agree_with_the_dense_tensors(case):
     """``==`` and ``hash`` read the integer table and the entries that break
-    antisymmetry; they agree with comparing the dense tensors, broken and
+    antisymmetry; they agree with comparing the input tensors, broken and
     explicit zero mirrors, diagonal entries and int entries included.
     Neither constructor keeps its input: the basis names are a tuple, and
-    ``structure`` holds Fractions in nested tuples, whatever the entries were
-    written as."""
-    p, q = pair
-    for alg in (p, q):
+    ``structure`` is the input tensor as Fractions in nested tuples, whatever
+    the entries were written as."""
+    f, g, p, q = case
+    for alg, tensor in ((p, f), (q, g)):
         assert "structure" not in alg.__dict__ and type(alg.basis_names) is tuple
-        assert type(alg.structure) is tuple and all(
-            type(plane) is tuple and all(type(row) is tuple and all(type(x) is F for x in row)
-                                         for row in plane) for plane in alg.structure)
-    same = p.structure == q.structure
+        assert repr(alg.structure) == repr(exact_tensor(tensor))
+    same = f == g
     assert (p == q) == same and (p != q) == (not same)
     if same:
         assert hash(p) == hash(q)
@@ -419,13 +433,16 @@ def test_equality_hash_and_verify_never_build_the_dense_tensor(monkeypatch):
 
 
 def test_dense_constructor_refuses_a_float_entry():
-    """A float that the table or the antisymmetry entries would read is refused
-    at construction, in the upper triangle, as a mirror or on the diagonal."""
-    for a, b, c in ((0, 1, 0), (1, 0, 1), (1, 1, 0)):
+    """A float entry is refused at construction wherever it stands, in the
+    upper triangle, as a mirror or on the diagonal, a zero one too, however
+    its mirror is written."""
+    for x, (a, b, c), mirror in product((0.5, 0.0), ((0, 1, 0), (1, 0, 1), (1, 1, 0)),
+                                        (0, "0", F(0))):
         f = [[[F(0)] * 2 for _ in range(2)] for _ in range(2)]
         f[0][1][1], f[1][0][1] = F(1), F(-1)
-        f[a][b][c] = 0.5
-        with pytest.raises(TypeError, match="cannot interpret 0.5"):
+        f[b][a][c] = f[b][a][c] or mirror
+        f[a][b][c] = x
+        with pytest.raises(TypeError, match=f"cannot interpret {x}"):
             LieAlgebra(2, ("X1", "X2"), tuple(tuple(map(tuple, plane)) for plane in f))
 
 
@@ -454,10 +471,11 @@ def test_from_brackets_defers_the_dense_tensor():
     """An algebra from ``from_brackets`` validates without its dense tensor;
     the first read builds the tensor once, and copies stay lazy until then."""
     entries = [(0, 1, 2, 1), (2, 0, 1, F(1, 2)), (1, 2, 0, 3), (2, 1, 0, 0), (0, 1, 2, 1)]
-    want = LieAlgebra(3, ("X1", "X2", "X3"), reference_tensor(3, entries))
+    tensor = reference_tensor(3, entries)
+    want = LieAlgebra(3, ("X1", "X2", "X3"), tensor)
     alg = LieAlgebra.from_brackets(3, ("X1", "X2", "X3"), entries)
     report = alg.validate()
-    assert report_key(report) == report_key(reference_validate(want))
+    assert report_key(report) == report_key(reference_validate(want, tensor))
     assert [v.detail for v in report.violations][0] == "f[2][3][1]=3 but f[3][2][1]=0"
     assert alg._table == want._table
     assert "structure" not in alg.__dict__
@@ -473,7 +491,7 @@ def test_so8_sized_dense_tensor_validates_like_the_reference():
     assert alg.dim == 28
     report = alg.validate()
     assert report.ok and report.checks == 28 * 28 * 29 // 2 + 28 * 27 * 26 // 6
-    assert report_key(report) == report_key(reference_validate(alg))
+    assert report_key(report) == report_key(reference_validate(alg, alg.structure))
     entries = [(a, b, c, x) for a in range(28) for b in range(a + 1, 28)
                for c, x in enumerate(alg.structure[a][b]) if x]
     sparse = LieAlgebra.from_brackets(28, alg.basis_names, entries)
@@ -485,7 +503,7 @@ def test_so8_sized_dense_tensor_validates_like_the_reference():
     broken = LieAlgebra(28, alg.basis_names, tuple(tuple(map(tuple, p)) for p in f))
     report = broken.validate()
     assert not report.ok
-    assert report_key(report) == report_key(reference_validate(broken))
+    assert report_key(report) == report_key(reference_validate(broken, f))
 
 
 def test_dimension_cap():

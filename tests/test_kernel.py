@@ -169,6 +169,7 @@ def algebras(draw):
         tensor = tuple(tuple(tuple(s * x for x in row) for row in plane)
                        for plane in base.structure)
         alg = LieAlgebra(3, base.basis_names, tensor)
+        assert repr(alg.structure) == repr(tensor)  # the references read the input tensor
         return alg, list(subalgebra_catalog(name).values()), s.denominator == 1
     n = draw(st.integers(1, 5))
     values = st.sampled_from(INTEGERS if kind == "integer" else CONSTANTS).map(F)
@@ -183,8 +184,9 @@ def algebras(draw):
             for b in range(a + 1):
                 for c in range(n):
                     f[a][b][c] = draw(values)
-    alg = LieAlgebra(n, tuple(f"X{i + 1}" for i in range(n)),
-                     tuple(tuple(tuple(r) for r in plane) for plane in f))
+    tensor = tuple(tuple(tuple(r) for r in plane) for plane in f)
+    alg = LieAlgebra(n, tuple(f"X{i + 1}" for i in range(n)), tensor)
+    assert repr(alg.structure) == repr(tensor)
     return alg, [[], [alg.basis_vector(a) for a in range(n)]], kind == "integer"
 
 
