@@ -2,42 +2,48 @@
 
 A ContractionFamily is a matrix polynomial in the formal parameter.  Applying
 its pointwise inverse is done exactly over the field of rational functions.
-Its coefficient matrices are exact (``as_matrix`` refuses floats); each
-family scales them once to integer numerators over one common denominator
-D, an int, and runs on those integer polynomials from then on: it computes
-the determinant and adjugate of the numerator family once, by the
-fraction-free Gauss-Jordan elimination of linalg over Z[eps], and
-caches both.  An Inonu-Wigner family (``iw_family``) gets both in closed
-form instead, once its projectors are checked exactly to be complementary
-idempotents.  From them it builds, once and on demand, the Taylor
-coefficients G_t of eps^v times its inverse, eps^v the largest power of the
-parameter dividing the determinant: the adjugate times a fraction-free
+Its coefficient matrices are exact (``as_matrix`` refuses floats); each family
+scales them once to integer numerators over one common denominator D, an int,
+and runs on those integer matrices from then on: it computes the determinant
+and adjugate of the numerator family once, by the fraction-free Gauss-Jordan
+elimination of linalg over Z[eps] on the n^2 entry polynomials, built for that
+elimination alone, and caches both.  An Inonu-Wigner family (``iw_family``)
+gets both in closed form instead, once its projectors are checked exactly to
+be complementary idempotents.  From them it builds, once and on demand, the
+Taylor coefficients G_t of eps^v times its inverse, eps^v the largest power of
+the parameter dividing the determinant: the adjugate times a fraction-free
 reciprocal of the determinant's cofactor, each G_t an integer matrix over one
 denominator, kept in sparse rows.  A caller asking for a higher order extends
-the table; nothing is rebuilt.  Every solve is then a truncated convolution
-of that table with the integer numerators of the right-hand side; each
-output coefficient becomes a Fraction once, scaled by D over the right-hand
-side's denominator.  The elimination divides exactly and checks every
-remainder; an inexact division raises InternalInvariantViolation, so the
-cached adjugate checks itself.  The valuation at 0 of the solution is read
-off exactly: a nonzero coefficient below eps^v certifies that the limit does
-not exist and surfaces as PoleError; the contraction limit solves for
-coefficient 0 alone.  A determinant that is the zero polynomial raises
-SingularFamily.  The rescaled bracket lifts its two arguments, vectors (the
-contraction) or polynomials (the general expansion), through the integer
-coefficient matrices, kept as sparse columns, by the jets module's one
-truncated Cauchy product; each product (``linalg.column_product``) visits
-only the support of its vector.  It brackets the lifts on numerators and hands the numerators of the
-bracket to the solve as they are, in a ``Jet.from_numerators`` whose Fraction
+the table; nothing is rebuilt.  Every solve is then a truncated convolution of
+that table with the integer numerators of the right-hand side, handed back as
+integer numerators over one denominator in a ``Jet.from_numerators``, whose
+Fraction coefficients are built only when something reads them.  The
+elimination divides exactly and checks every remainder; an inexact division
+raises InternalInvariantViolation, so the cached adjugate checks itself.  The
+valuation at 0 of the solution is read off exactly: a nonzero coefficient
+below eps^v certifies that the limit does not exist and surfaces as PoleError;
+the contraction limit solves for coefficient 0 alone.  A determinant that is
+the zero polynomial raises SingularFamily.  The rescaled bracket scales its
+two arguments, vectors (the contraction) or polynomials (the general
+expansion), to integer numerators in one checked pass
+(``linalg.exact_numerators``: int and Fraction entries as they are, a string
+through ``rat``), lifts them through the integer coefficient matrices, kept as
+sparse columns, by the jets module's one truncated Cauchy product; each
+product (``linalg.column_product``) visits only the support of its vector.  It
+brackets the lifts on numerators and hands the numerators of the bracket to
+the solve as they are, in a ``Jet.from_numerators`` whose Fraction
 coefficients are never built.  Lift and bracket stop at the last coefficient
 the solve reads: with G_t0 the first nonzero term of the table (t0 <= v, as a
-polynomial family has no inverse divisible by eps), coefficient v + order - t0.
-For an Inonu-Wigner limit that is eps^1, so [N x, N y] is never formed.
+polynomial family has no inverse divisible by eps), coefficient
+v + order - t0.  For an Inonu-Wigner limit that is eps^1, so [N x, N y] is
+never formed.  ``contract`` passes integer unit vectors and reads each limit's
+numerators, so it makes one Fraction per nonzero entry of the limit table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
@@ -88,18 +94,19 @@ class ContractionFamily:
 
     @cached_property
     def _numerators(self):
-        """(mats, entries, D): the family scaled to integers, once.
-
-        mats are the coefficient matrices as integer numerators over their
-        common denominator D, and entries[i][j] is D times entry (i, j) of
-        the family, an integer polynomial.
-        """
+        """(mats, D): the coefficient matrices as integer numerators over their
+        common denominator D, scaled once."""
         n = self.dim
         rows, den = linalg.numerators([row for m in self.phis for row in m])
-        mats = [rows[k:k + n] for k in range(0, len(rows), n)]
-        entries = [[linalg.poly_trim(tuple(m[i][j] for m in mats)) for j in range(n)]
-                   for i in range(n)]
-        return mats, entries, den
+        return [rows[k:k + n] for k in range(0, len(rows), n)], den
+
+    @cached_property
+    def _entries(self):
+        """entries[i][j], D times entry (i, j) of the family, an integer
+        polynomial: what an elimination reads."""
+        n, mats = self.dim, self._numerators[0]
+        return [[linalg.poly_trim(tuple(m[i][j] for m in mats)) for j in range(n)]
+                for i in range(n)]
 
     @cached_property
     def _columns(self):
@@ -110,12 +117,12 @@ class ContractionFamily:
     @cached_property
     def _det(self):
         """Determinant of the numerator family, an integer polynomial."""
-        return linalg.poly_det(self._numerators[1])
+        return linalg.poly_det(self._entries)
 
     @cached_property
     def _adjugate(self):
         """Adjugate of the numerator family, computed once; needs _det != 0."""
-        return linalg.poly_adjugate(self._numerators[1])[1]
+        return linalg.poly_adjugate(self._entries)[1]
 
     @cached_property
     def _inverse(self):
@@ -187,7 +194,7 @@ def iw_family(split: SubalgebraSplit) -> ContractionFamily:
     family eliminates as any other does.
     """
     fam = ContractionFamily(split.algebra, (split.proj_h, split.proj_n))
-    (h, nmat), _, den = fam._numerators
+    (h, nmat), den = fam._numerators
     closed = _iw_det_adjugate(h, nmat, den)
     if closed is not None:
         # fills the cached_properties, as their first reads would
@@ -233,24 +240,26 @@ def invert_family_apply(fam: ContractionFamily, r: Jet, order: int) -> Jet:
     eps^v w = D (G R) / r_den, so coefficient m of G R, a convolution of the
     family's Taylor table with R, is coefficient m - v of w.  It starts at m =
     t0, the first nonzero term of the table: below it every sum is empty.
+    The coefficients come back over one common denominator in a
+    ``Jet.from_numerators``, so no Fraction is made before a read.  The solve
+    is exact-only: a jet r holding a float is a TypeError.
     """
     if fam.dim != r.dim:
         raise DimensionMismatch("jet dimension differs from family dimension")
     if order >= r.trunc:
         raise DimensionMismatch("requested order must stay below the jet truncation")
+    rows, r_den = linalg.exact(r.numerators, "a family solve")
     v, terms = fam._table(order)
-    rows, r_den = r.numerators
-    scale = fam._numerators[2]
-    coeffs = []
+    scale = fam._numerators[1]
+    common = lcm(*(den for t, _, den in terms if t <= v + order))
+    coeffs = []  # D times the numerators of coefficient m - v, over common * r_den
     for m in range(terms[0][0], v + order + 1):
-        parts = [(mat, den, rows[m - t]) for t, mat, den in terms
-                 if t <= m < t + len(rows) and any(rows[m - t])]
-        common = lcm(*(den for _, den, _ in parts))
         acc = [0] * fam.dim
-        for mat, den, x in parts:
-            f = common // den
-            for i, row in mat:
-                acc[i] += f * sum(a * x[j] for j, a in row)
+        for t, mat, den in terms:
+            if t <= m < t + len(rows) and any(rows[m - t]):
+                f, x = common // den, rows[m - t]
+                for i, row in mat:
+                    acc[i] += f * sum(a * x[j] for j, a in row)
         if m < v:
             comp = next((i for i, c in enumerate(acc) if c), None)
             if comp is not None:
@@ -258,25 +267,26 @@ def invert_family_apply(fam: ContractionFamily, r: Jet, order: int) -> Jet:
                     f"component {fam.algebra.basis_names[comp]} has valuation {m - v} at 0",
                     valuation=m - v, component=comp)
         else:
-            coeffs.append(linalg.from_numerators([scale * c for c in acc], r_den * common))
-    return Jet(fam.dim, order + 1, tuple(coeffs))
+            coeffs.append([scale * c for c in acc])
+    return Jet.from_numerators(fam.dim, order + 1, coeffs, common * r_den)
 
 
 def _rescaled_bracket(fam: ContractionFamily, xs, ys, order: int) -> Jet:
     """Jet of the family's inverse applied to the bracket of two lifted polynomials.
 
     xs and ys are the coefficient tuples of polynomials in the parameter;
-    both are checked before the family's table is read.  Each is lifted
-    column by column through the family's integer coefficient matrices on
-    numerators, the two lifts are bracketed on numerators, and the result is
+    both are checked and scaled to integer numerators in one pass
+    (``linalg.exact_numerators``) before the family's table is read.  Each
+    is lifted column by column through the family's integer coefficient
+    matrices, the two lifts are bracketed on numerators, and the result is
     solved back exactly, its numerators handed over as they are.  Lift and
     bracket are truncated after coefficient v + order - t0, the last one the
     solve reads, or after the bracket's degree if that comes first.
     """
-    args = [linalg.numerators([fam.algebra.vector(c) for c in vs]) for vs in (xs, ys)]
+    args = [linalg.exact_numerators(vs, fam.dim) for vs in (xs, ys)]
     v, terms = fam._table(order)
     trunc = min(max(2 * (len(xs) - 1 + fam.degree), order), v + order - terms[0][0]) + 1
-    den = fam._numerators[2]
+    den = fam._numerators[1]
     # (rows, den): the coefficients of the family applied to xs and to ys
     lifts = [(_cauchy(fam._columns, rows, trunc, linalg.column_product, _vec_add, (0,) * fam.dim),
               den * v_den) for rows, v_den in args]
@@ -299,7 +309,7 @@ def contract(fam: ContractionFamily) -> LieAlgebra:
     """
     alg = fam.algebra
     n = alg.dim
-    basis = [alg.basis_vector(a) for a in range(n)]
+    basis = [tuple(int(a == b) for b in range(n)) for a in range(n)]
     entries = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -310,7 +320,9 @@ def contract(fam: ContractionFamily) -> LieAlgebra:
                     f"bracket of {alg.basis_names[a]}, {alg.basis_names[b]}: {err}",
                     valuation=err.valuation, component=err.component,
                     pair=(a, b)) from None
-            entries += [(a, b, c, v) for c, v in enumerate(limit.coeff(0)) if v]
+            rows, den = limit.numerators
+            if rows:
+                entries += [(a, b, c, Fraction(x, den)) for c, x in enumerate(rows[0]) if x]
     out = LieAlgebra.from_brackets(n, alg.basis_names, entries)
     report = out.validate()
     if not report.ok:

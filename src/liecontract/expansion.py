@@ -19,8 +19,8 @@ n-coordinates modulo h, go through the element bracket and ``coords``, once
 per distinct pair.  The basis is also block-triangular, so ``coords`` solves
 nothing: it reads the outer slots through the split's integer inverse and
 takes the middle slots as they stand, one Fraction per output coordinate.
-Expansion elements are exact: the constructor refuses a float slot with a
-TypeError.
+Expansion elements are exact: the constructor reads a string entry through
+``rat`` and refuses a bool or a float with a TypeError.
 
 The general-family case works in plain coefficient tuples: its bracket is
 the contraction's rescaled bracket on polynomials, one integer lift through
@@ -58,8 +58,10 @@ class ExpandedElement:
     """Subalgebra value, k middle coefficients, canonical coset top slot.
 
     ``numerators`` holds the slots as integer numerators over one common
-    denominator, computed at construction however many brackets read them;
-    a slot holding a float is a TypeError there.
+    denominator, computed at construction however many brackets read them.
+    Each entry is read as ``linalg.exact_numerators`` reads it: a string
+    through ``rat``, while a bool or a float is a TypeError.  The slots are
+    then rebuilt from ``numerators``, as ``_from_numerators`` builds them.
     """
 
     a0: tuple
@@ -67,8 +69,11 @@ class ExpandedElement:
     top: tuple
 
     def __post_init__(self):
-        self.__dict__["numerators"] = linalg.exact(linalg.numerators(self.slots),
-                                                   "an expansion element")
+        state = self.__dict__
+        pair = linalg.exact_numerators([state["a0"], *state["mids"], state["top"]],
+                                       what="an expansion element")
+        state["numerators"] = pair
+        state.update(zip(_SLOTS, _slots(pair)))
 
     @classmethod
     def _from_numerators(cls, rows, den):

@@ -29,7 +29,8 @@ A MatrixJet holds one state, however built: ``MatrixJet.numerators``, which
 the constructor scales its coefficients to and ``MatrixJet.from_numerators``
 checks, so ``coeffs`` is always a view; ``matmul`` convolves the integer
 matrices (``matmul_numerators``) into such a jet.  Matrix jets serve the
-exact matrix oracle only: the constructor refuses a float with a TypeError.
+exact matrix oracle only: the constructor reads each entry as ``rat`` does,
+refusing a bool or a float with a TypeError.
 """
 
 from __future__ import annotations
@@ -260,9 +261,8 @@ class MatrixJet:
     coeffs: tuple  # a view of ``numerators``, built on its first read
 
     def __post_init__(self):
-        # keep what ``from_numerators`` keeps, after the one check it skips: a float
-        pair = linalg.exact(linalg.matrix_numerators(self.__dict__.pop("coeffs")[: self.trunc]),
-                            "a matrix jet")
+        # keep what ``from_numerators`` keeps, after the check it skips: each entry exact
+        pair = linalg.matrix_numerators(self.__dict__.pop("coeffs")[: self.trunc], "a matrix jet")
         self.__dict__.update(vars(self.from_numerators(self.size, self.trunc, *pair)))
 
     @classmethod

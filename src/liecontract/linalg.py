@@ -3,9 +3,12 @@
 Vectors are tuples of Fractions, matrices are tuples of row tuples.  ``rat``
 rejects floats, so exact constructors never silently compute in floating
 point; the arithmetic helpers still accept float entries, which the numeric
-mode of the group layer passes in on purpose.  Polynomials in the formal
-parameter are coefficient tuples (lowest degree first) with trailing zeros
-trimmed; the empty tuple is zero.
+mode of the group layer passes in on purpose.  ``exact_numerators`` scales
+exact input to integer numerators in one checked pass, int and Fraction
+entries as they are and any other through ``rat``, so the rescaled bracket,
+expansion elements, matrix jets and the oracle read a scalar as ``rat``
+reads it.  Polynomials in the formal parameter are coefficient tuples
+(lowest degree first) with trailing zeros trimmed; the empty tuple is zero.
 
 Every elimination is one fraction-free Gauss-Jordan loop, ``_eliminate``,
 parameterised by the ring's multiply, subtract, exact divide and one.
@@ -38,6 +41,7 @@ from .errors import DimensionMismatch, InternalInvariantViolation
 ZERO = Fraction(0)
 ONE = Fraction(1)
 _INT = {int}
+_EXACT = {int, Fraction}
 
 
 def rat(value):
@@ -187,13 +191,40 @@ def numerators(vectors):
                   for v in vectors]), den
 
 
-def matrix_numerators(mats):
-    """``numerators`` of a sequence of matrices: (the integer matrices, den).
+def exact_numerators(vectors, dim=None, what=None):
+    """``numerators`` of exact vectors, every entry checked on the way.
 
-    One common denominator serves every entry of every matrix; a sequence
-    holding a float comes back as it is over 1.0, as ``numerators`` does.
+    int and Fraction entries are read as they are.  When any other entry is
+    there, the vectors are read through ``rat`` in turn, which reads a
+    string and refuses a bool or a float; a float is refused with
+    ``exact``'s message instead when ``what`` names the caller.  With
+    ``dim`` given, a vector of another length is a DimensionMismatch, raised
+    after its entries are read.  Integer vectors come back as they are, over 1.
     """
-    rows, den = numerators([row for m in mats for row in m])
+    vectors = [tuple(v) for v in vectors]
+    types = {type(x) for v in vectors for x in v}
+    read = not types <= _EXACT
+    if read and what is not None and float in types:
+        raise _inexact(what)
+    for i, v in enumerate(vectors):
+        if read:
+            vectors[i] = v = tuple([rat(x) for x in v])
+        if dim is not None and len(v) != dim:
+            raise DimensionMismatch("coefficient count differs from dimension")
+    if types <= _INT:
+        return tuple(vectors), 1
+    den = lcm(*{x.denominator for v in vectors for x in v})
+    return tuple([tuple([x.numerator * (den // x.denominator) for x in v])
+                  for v in vectors]), den
+
+
+def matrix_numerators(mats, what=None):
+    """``exact_numerators`` of a sequence of matrices: (the integer matrices, den).
+
+    One common denominator serves every entry of every matrix; a float entry
+    is refused, with ``what`` naming the caller as ``exact_numerators`` says.
+    """
+    rows, den = exact_numerators([row for m in mats for row in m], what=what)
     rows = iter(rows)
     return tuple(tuple(next(rows) for _ in m) for m in mats), den
 
@@ -201,12 +232,17 @@ def matrix_numerators(mats):
 def exact(pair, what):
     """A ``numerators`` pair (rows, den) as it is; a TypeError if it holds a float (den 1.0).
 
-    The one exactness check of the exact-only objects (expansion elements,
-    matrix jets) and of the matrix oracle; ``what`` names the refusing side.
+    The matrix oracle and the family solve check a jet's numerators with it;
+    ``what`` names the refusing side, and ``exact_numerators`` refuses a
+    float with the same message.
     """
     if type(pair[1]) is float:
-        raise TypeError(f"{what} takes exact (int or Fraction) input")
+        raise _inexact(what)
     return pair
+
+
+def _inexact(what):
+    return TypeError(f"{what} takes exact (int or Fraction) input")
 
 
 def rounded(rows, den, zero=0):

@@ -14,8 +14,8 @@ return matrix jets that build their Fraction coefficients only when read;
 the product of the two exponentials convolves integer matrices; and
 ``decompose`` solves on a square block of the basis matrices, inverted once
 per representation, and checks the whole residual.  The oracle is exact: a
-float input is a TypeError, from the check ``linalg.exact`` that matrix jets
-and expansion elements share.
+float input is a TypeError, from ``linalg.exact_numerators``, the check that
+matrix jets and expansion elements share, or from ``linalg.exact`` on a jet.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class Representation:
 
     def matrix_of(self, v):
         """Matrix of an algebra vector (linearity over the basis matrices)."""
-        [v], den = linalg.exact(linalg.numerators([v]), _ORACLE)
+        [v], den = linalg.exact_numerators([v], what=_ORACLE)
         den *= self._numerators[1]
         return tuple(linalg.from_numerators(row, den) for row in self._integer_matrix(v))
 
@@ -173,7 +173,7 @@ class Representation:
         flat = tuple(x for row in matrix for x in row)
         if len(flat) != self.size ** 2:
             raise DimensionMismatch("matrix shape differs from the representation size")
-        [b], den = linalg.exact(linalg.numerators([flat]), _ORACLE)
+        [b], den = linalg.exact_numerators([flat], what=_ORACLE)
         pivots, block, rows, inv, d = self._solver
         rhs = [b[i] for i in rows]
         y = [sum(map(operator.mul, r, rhs)) for r in inv]

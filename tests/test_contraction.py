@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -623,6 +624,30 @@ def test_invert_family_apply_matches_both_references(case, order, data):
     assert got == exact_outcome(cramer_invert_family_apply, fam, r, order)
 
 
+@settings(max_examples=60, deadline=None)
+@given(families())
+def test_invert_family_apply_builds_its_fractions_on_first_read(case):
+    """The solve hands back its numerators over one denominator, as
+    ``Jet.from_numerators`` keeps them, and no Fraction before a read."""
+    fam, _, _, r, order = case
+    try:
+        w = invert_family_apply(fam, r, order)
+    except (PoleError, SingularFamily):
+        return
+    assert "coeffs" not in w.__dict__
+    assert exact_outcome(lambda: w) == exact_outcome(reference_invert_family_apply, fam, r, order)
+    assert w.numerators == linalg.numerators(w.coeffs)
+
+
+def test_invert_family_apply_refuses_a_float_jet():
+    """The solve is exact-only, as the family and the rescaled bracket are."""
+    for singular in (False, True):
+        fam = golden_family("so3-singular.json") if singular else iw_family(x3_split())
+        with pytest.raises(TypeError) as info:
+            invert_family_apply(fam, Jet(3, 3, ((0, 0, 0.5), (0, 1.5, 0))), 1)
+        assert str(info.value) == "a family solve takes exact (int or Fraction) input"
+
+
 def general_bracket_tuples(fam, k, xs, ys):
     """GeneralExpansion.bracket_tuples, with a pole it wraps raised as the PoleError.
 
@@ -777,7 +802,7 @@ def dense_so_splits():
 def assert_closed_form_is_the_elimination(split):
     fam = iw_family(split)
     assert "_det" in fam.__dict__ and "_adjugate" in fam.__dict__
-    entries = fam._numerators[1]
+    entries = fam._entries
     assert fam._det == linalg.poly_det(entries)
     assert fam._adjugate == linalg.poly_adjugate(entries)[1]
     assert {type(c) for c in fam._det} <= {int}
@@ -794,7 +819,7 @@ def test_closed_form_cases_reach_every_shape():
     splits = catalogued_splits() + dense_so_splits()
     assert any(s.dim_h == 0 for s in splits) and any(s.dim_n == 0 for s in splits)
     assert {1, 2} <= {s.algebra.dim for s in splits}
-    dens = [iw_family(s)._numerators[2] for s in dense_so_splits()]
+    dens = [iw_family(s)._numerators[1] for s in dense_so_splits()]
     assert all(d > 1 for d in dens)
     # an algebra has dimension 1 at least; the closed form still matches on 0 x 0
     with pytest.raises(DimensionMismatch):
@@ -919,6 +944,62 @@ def test_malformed_vectors_fail_before_the_family_is_read(name, bad):
                 GeneralExpansion.bracket_tuples(expansion, xs, ys)
 
 
+# refused arguments, with the type and the message of what each one raises
+REFUSED = [
+    ((True, 0, 0), TypeError, "bool is not a scalar"),
+    ((1, False, 0), TypeError, "bool is not a scalar"),
+    ((True, 0), TypeError, "bool is not a scalar"),
+    ((1.0, 0, 0), TypeError, "cannot interpret 1.0 as a scalar"),
+    ((F(1), 0.5, 0), TypeError, "cannot interpret 0.5 as a scalar"),
+    ((0, 0, 0.0), TypeError, "cannot interpret 0.0 as a scalar"),
+    ((1.0, 0), TypeError, "cannot interpret 1.0 as a scalar"),
+    ((None, 0, 0), TypeError, "cannot interpret None as a scalar"),
+    (("x", 0, 0), ValueError, "Invalid literal for Fraction: 'x'"),
+    ((1, 0), DimensionMismatch, "coefficient count differs from dimension"),
+    (("1", 0), DimensionMismatch, "coefficient count differs from dimension"),
+    ((1, 0, 0, 0), DimensionMismatch, "coefficient count differs from dimension"),
+]
+# one vector written as ints, as Fractions and as strings; and one with halves
+READ_ALIKE = [((1, 2, -3), (F(1), F(2), F(-3)), ("1", "2", "-3")),
+              ((F(1, 2), 0, F(-3, 7)), (F(1, 2), F(0), F(-3, 7)), ("1/2", "0", "-3/7"))]
+INPUT_FAMILIES = {"ordinary": lambda: iw_family(x3_split()),
+                  "pole": lambda: golden_family("so3-pole.json"),
+                  "singular": lambda: golden_family("so3-singular.json")}
+
+
+def input_outcome(fn, *args):
+    """The repr of what ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return repr(fn(*args))
+    except Exception as err:  # the error is the outcome compared
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("name", list(INPUT_FAMILIES))
+def test_eps_bracket_and_bracket_tuples_read_exact_inputs_alike(name):
+    """int, Fraction and string vectors give one result; every other argument
+    is refused with the same error in either slot, whatever the family."""
+    fam = INPUT_FAMILIES[name]()
+    e = so3.basis_vector
+    for order in (0, 1, 2):
+        expansion = SimpleNamespace(family=fam, order=order)
+
+        def outcomes(v):
+            return [input_outcome(eps_bracket, fam, v, e(1), order),
+                    input_outcome(eps_bracket, fam, READ_ALIKE[1][0], v, order),
+                    input_outcome(GeneralExpansion.bracket_tuples, expansion,
+                                  [v] * (order + 1), [e(1)] * (order + 1)),
+                    input_outcome(GeneralExpansion.bracket_tuples, expansion,
+                                  [e(0)] * order + [READ_ALIKE[1][0]], [e(2)] * order + [v])]
+
+        for forms in READ_ALIKE:
+            got = outcomes(forms[1])
+            assert all(outcomes(v) == got for v in forms)
+            assert got[0] == input_outcome(reference_eps_bracket, fam, forms[1], e(1), order)
+        for bad, error, message in REFUSED:
+            assert outcomes(bad) == [(error, message)] * 4
+
+
 def tuples_jet(bracket, fam, k, xs, ys):
     """The coefficient tuples of a bracket, read back as the jet they truncate."""
     return Jet(fam.dim, k + 1, bracket(fam, k, xs, ys))
@@ -973,6 +1054,38 @@ def test_contract_brackets_the_eps0_and_eps1_products_only(monkeypatch, n, produ
     contract(fam)
     pairs = alg.dim * (alg.dim - 1) // 2
     assert calls == {"product": products, "eps_bracket": pairs, "invert_family_apply": pairs}
+
+
+@pytest.mark.parametrize("split, entries", [
+    (lambda: span_subalgebra(*so_n(5)), 24),
+    (lambda: span_subalgebra(*so_n(6)), 50),
+    (lambda: dense_so_splits()[0], None),  # a dense basis of so(4): its table's count
+], ids=["so5", "so6", "dense-so4"])
+def test_contract_reads_one_scalar_per_nonzero_limit_entry(monkeypatch, split, entries):
+    """From its unit vectors to the limit table, ``contract`` stays on integers:
+    ``rat`` reads each nonzero limit entry once, in ``from_brackets``, and an
+    Inonu-Wigner family never builds the entry polynomials of an elimination."""
+    fam = iw_family(split())
+    calls = Counter()
+    rat = linalg.rat
+    counted = counter_of(calls)("rat", rat)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "liecontract" and getattr(module, "rat", None) is rat:
+            monkeypatch.setattr(module, "rat", counted)
+    scaled = Counter()  # the types of the entries that the rescaled bracket scales
+    exact_numerators = linalg.exact_numerators
+
+    def recorded(vectors, *args):
+        scaled.update(type(x) for v in vectors for x in v)
+        return exact_numerators(vectors, *args)
+
+    monkeypatch.setattr(linalg, "exact_numerators", recorded)
+    limit = contract(fam)
+    table = sum(len(row) for _, _, row in limit._table[1])
+    assert calls["rat"] == table == (table if entries is None else entries)
+    n = fam.dim
+    assert scaled == {int: n * n * (n - 1)}  # two unit vectors per pair a < b
+    assert "_entries" not in fam.__dict__
 
 
 def reference_inverse_terms(det, adj, count):

@@ -356,3 +356,20 @@ def test_general_matches_iw_through_transport():
                 lhs = ea.tuple_to_element(gen.bracket_tuples(xs, ys))
                 rhs = ea.bracket(ea.tuple_to_element(xs), ea.tuple_to_element(ys))
                 assert lhs == rhs
+
+
+def test_elements_read_exact_scalars_as_rat_does():
+    """A string slot entry is read through rat, a bool is refused as rat
+    refuses it, and a float keeps the element's own message."""
+    half = ExpandedElement((F(1, 2), 0, 0), ((1, 0, F(-2, 3)),), (0, 0, 3))
+    written = ExpandedElement(("1/2", "0", 0), (("1", 0, "-2/3"),), (0, 0, "3"))
+    assert written == half and hash(written) == hash(half)
+    assert written.numerators == half.numerators == (((3, 0, 0), (6, 0, -4), (0, 0, 18)), 6)
+    assert written.slots == ((F(1, 2), 0, 0), (1, 0, F(-2, 3)), (0, 0, 3))
+    assert {type(x) for slot in written.slots for x in slot} == {F}
+    for a0, mids, top in [((0, 0, True), (), (0, 0, 0)), ((0, 0, 0), ((False, 0, 1),), (0, 0, 0))]:
+        with pytest.raises(TypeError, match="^bool is not a scalar$"):
+            ExpandedElement(a0, mids, top)
+    with pytest.raises(TypeError) as info:
+        ExpandedElement((0, 0, 0), (), (0.5, 0, 0))
+    assert str(info.value) == "an expansion element takes exact (int or Fraction) input"

@@ -444,6 +444,33 @@ def test_float_input_is_refused_by_the_exact_oracle():
         MatrixJet(2, 2, (((0.5, 0), (0, 0)),))
 
 
+def test_matrix_jets_and_the_oracle_read_exact_scalars_as_rat_does():
+    """A string entry is read through rat and a bool is refused as rat refuses
+    it; a float keeps the matrix jet's and the oracle's own message."""
+    written = MatrixJet(2, 2, ((("1", 0), (0, "1")), (("1/2", 0), ("-3", 0))))
+    exact = MatrixJet(2, 2, (((1, 0), (0, 1)), ((F(1, 2), 0), (-3, 0))))
+    assert written == exact and written.numerators == exact.numerators
+    for coeffs in ([((True, 0), (0, 1))], [((1, 0), (0, 1)), ((0, False), (0, 0))]):
+        with pytest.raises(TypeError, match="^bool is not a scalar$"):
+            MatrixJet(2, 2, coeffs)
+    x = so3_rep.matrix_of((1, F(1, 2), 0))
+    assert so3_rep.matrix_of(("1", "1/2", "0")) == x
+    assert so3_rep.decompose(tuple(tuple(str(c) for c in row) for row in x)) == \
+        so3_rep.decompose(x) == (1, F(1, 2), 0)
+    with pytest.raises(TypeError, match="^bool is not a scalar$"):
+        so3_rep.matrix_of((True, 0, 0))
+    with pytest.raises(TypeError, match="^bool is not a scalar$"):
+        so3_rep.decompose(((0, True, 0), (-1, 0, 0), (0, 0, 0)))
+    for bad in (lambda: so3_rep.matrix_of((0.5, 0, 0)),
+                lambda: so3_rep.decompose(((0, 0.5, 0), (-0.5, 0, 0), (0, 0, 0)))):
+        with pytest.raises(TypeError) as info:
+            bad()
+        assert str(info.value) == "the matrix oracle takes exact (int or Fraction) input"
+    with pytest.raises(TypeError) as info:
+        MatrixJet(2, 1, (((0, 0), (0, 0.5)),))
+    assert str(info.value) == "a matrix jet takes exact (int or Fraction) input"
+
+
 def test_representation_size_is_capped():
     big = tuple(linalg.zero_matrix(33) for _ in range(3))
     with pytest.raises(DimensionMismatch, match="at most 32 x 32"):
