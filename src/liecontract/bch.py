@@ -84,7 +84,7 @@ def check_order(order, cap=None):
 
 
 def local_mult(alg, p: Jet, q: Jet, order: int, cap=None) -> Jet:
-    """Truncated BCH product of two jets through zero; on exact jets, a lazy
+    """Truncated BCH product of two jets through zero; on exact jets, a
     ``Jet.from_numerators`` of the sum."""
     check_order(order, cap)
     if any(rows and any(rows[0]) for rows, _ in (p.numerators, q.numerators)):

@@ -3,13 +3,15 @@
 The subalgebra-split case stores elements in the coordinates used by the
 group layer: a value in the subalgebra, k free middle coefficients, and a
 canonical coset representative on top.  Its structure constants run on
-integers from start to finish.  Each element scales its slots to integer
-numerators over one denominator once, at construction
-(``ExpandedElement.numerators``); the bracket convolves two such pairs on the
-algebra's integer table, tests the leading slot and reduces the top slot on
-the integer numerators of the split's projector, and returns an element that
-keeps the reduced numerators and builds its Fraction slots only when
-something first reads them.  The level-tagged basis is made from numerators
+integers from start to finish.  An element holds one state, however built:
+its slots as integer numerators over one denominator
+(``ExpandedElement.numerators``), which the constructor reads its slots into
+once; the slots are views, built when something first reads them.  The
+bracket checks that both elements fit the expansion (k + 2 slots of the
+algebra's dimension), convolves their pairs on the algebra's integer table,
+tests the leading slot and reduces the top slot on the integer numerators of
+the split's projector, and returns an element that keeps the reduced
+numerators.  The level-tagged basis is made from numerators
 too, and it is graded: the bracket of levels l and l' lies in level l + l',
 dropped past k + 1.
 ``structure_algebra`` emits that closed form.  Its middle levels are the
@@ -20,7 +22,8 @@ per distinct pair.  The basis is also block-triangular, so ``coords`` solves
 nothing: it reads the outer slots through the split's integer inverse and
 takes the middle slots as they stand, one Fraction per output coordinate.
 Expansion elements are exact: the constructor reads a string entry through
-``rat`` and refuses a bool or a float with a TypeError.
+``rat``, refuses a bool or a float with a TypeError and slots of unequal
+length with a DimensionMismatch.
 
 The general-family case works in plain coefficient tuples: its bracket is
 the contraction's rescaled bracket on polynomials, one integer lift through
@@ -44,13 +47,13 @@ from . import linalg
 from .jets import bracket_numerators
 
 _SLOTS = ("a0", "mids", "top")
+_MISFIT = "an element of this expansion has {} slots of length {}"
 
 
 def _slots(pair):
     """The slots (a0, mids, top) of the numerators pair (rows, den)."""
-    rows, den = pair
-    slots = [linalg.from_numerators(v, den) for v in rows]
-    return slots[0], tuple(slots[1:-1]), slots[-1]
+    slots = linalg.vectors_of(pair)
+    return slots[0], slots[1:-1], slots[-1]
 
 
 @dataclass(frozen=True)
@@ -58,22 +61,22 @@ class ExpandedElement:
     """Subalgebra value, k middle coefficients, canonical coset top slot.
 
     ``numerators`` holds the slots as integer numerators over one common
-    denominator, computed at construction however many brackets read them.
-    Each entry is read as ``linalg.exact_numerators`` reads it: a string
-    through ``rat``, while a bool or a float is a TypeError.  The slots are
-    then rebuilt from ``numerators``, as ``_from_numerators`` builds them.
+    denominator, the one state of an element however it is built; the slots
+    are views of it, built on their first read (``__getattr__``).  The
+    constructor reads each entry as ``linalg.exact_numerators`` reads it: a
+    string through ``rat``, while a bool or a float is a TypeError, and slots
+    of unequal length are a DimensionMismatch.
     """
 
-    a0: tuple
+    a0: tuple  # the slots: views of ``numerators``, built on their first read
     mids: tuple
     top: tuple
 
     def __post_init__(self):
         state = self.__dict__
-        pair = linalg.exact_numerators([state["a0"], *state["mids"], state["top"]],
-                                       what="an expansion element")
-        state["numerators"] = pair
-        state.update(zip(_SLOTS, _slots(pair)))
+        a0, mids, top = (state.pop(slot) for slot in _SLOTS)
+        state["numerators"] = linalg.exact_numerators([a0, *mids, top], len(a0),
+                                                      what="an expansion element")
 
     @classmethod
     def _from_numerators(cls, rows, den):
@@ -90,7 +93,7 @@ class ExpandedElement:
         return el
 
     def __getattr__(self, name):
-        """Build the slots of an element made by ``_from_numerators``, once, on a first read."""
+        """Build the slots, which neither constructor keeps, once, on their first read."""
         return linalg.deferred(self, name, _SLOTS, "numerators", _slots)
 
     @property
@@ -132,10 +135,15 @@ class IWExpansion:
 
         It runs on numerators: with P / p the complement projector's
         numerators, the leading slot must satisfy P x = 0 and the top slot
-        becomes P x, all slots over p times the bracket's denominator.
+        becomes P x, all slots over p times the bracket's denominator.  An
+        element without k + 2 slots of the algebra's dimension is refused.
         """
-        k = self.order
-        out, den = bracket_numerators(self.algebra, a.numerators, b.numerators, k + 2)
+        k, n = self.order, self.algebra.dim
+        (p, dp), (q, dq) = a.numerators, b.numerators
+        # the constructor gives every slot one length, so the first slot stands for all
+        if not len(p) == len(q) == k + 2 or not len(p[0]) == len(q[0]) == n:
+            raise DimensionMismatch(_MISFIT.format(k + 2, n))
+        out, den = bracket_numerators(self.algebra, (p, dp), (q, dq), k + 2)
         _, proj, pden, _ = self.split._projector_forms["n"]
         # a zero slot (int zeros) projects to itself: mat_vec would scan proj to tell
         if any(out[0]) and any(linalg.mat_vec(proj, out[0])):
@@ -218,13 +226,16 @@ class IWExpansion:
         With B^-1 = inv / d the split's inverse, the leading slot's numerators
         over e give its h-coordinates through the first dh rows of inv, the
         middle slots are coordinates as they stand, and the top slot gives
-        its n-coordinates through the last dn rows: one vector over d e.
+        its n-coordinates through the last dn rows: one vector over d e.  An
+        element without k + 2 slots of the algebra's dimension is refused.
         """
         columns, d = self.split._inverse
-        dh = self.split.dim_h
+        dh, k, n = self.split.dim_h, self.order, self.algebra.dim
         out = []
         for el in els:
             (a0, *mids, top), e = el.numerators
+            if len(mids) != k or len(a0) != n:
+                raise DimensionMismatch(_MISFIT.format(k + 2, n))
             y0, yk = linalg.column_product(columns, a0), linalg.column_product(columns, top)
             if any(y0[dh:]) or any(yk[:dh]):
                 raise InternalInvariantViolation("element outside the expansion basis span")

@@ -8,9 +8,13 @@ truncated BCH product, and reads the first k+1 coefficients back, reducing
 the last one modulo the subalgebra.  Rational data stays exact; matrices with
 float entries are accepted and validated against a small tolerance.
 
-Exact subgroup elements run on integers: an element keeps its adjoint
-matrix as integer numerators N over one denominator delta
-(``HElement.numerators``).  ``h_element`` checks them against the algebra's
+Exact subgroup elements run on integers.  An element holds one state,
+however built: its adjoint matrix as integer numerators N over one reduced
+denominator delta (``HElement.numerators``), and ``ad`` is a view of it,
+built on its first read.  ``HElement(...)`` reads each entry as
+``linalg.scalar`` does, as ``nil`` reads the slots: a float as it is and any
+other through ``rat``; a matrix holding a float is kept as read, over the
+float 1.0.  ``h_element`` checks the numerators against the algebra's
 integer table, the split's integer projector and one elimination of N;
 ``h_compose``, ``h_inverse`` and ``ad_nil`` multiply numerators, a product or
 an inverse keeps its own, and each output entry becomes a Fraction once.
@@ -43,11 +47,6 @@ from .jets import Jet
 FLOAT_TOL = 1e-12
 
 
-def _scalar(value):
-    """Exact coercion, except that floats pass through for the numeric mode."""
-    return value if isinstance(value, float) else linalg.rat(value)
-
-
 _NOT_AUTOMORPHISM = "matrix is not a bracket automorphism at pair ({}, {})"
 _NOT_PRESERVED = "matrix does not preserve the subalgebra"
 _SINGULAR = "adjoint matrix is singular"
@@ -73,36 +72,35 @@ class NilTuple:
 
 @dataclass(frozen=True)
 class HElement:
-    """Subgroup element stored through its adjoint matrix.
+    """Subgroup element stored through its adjoint matrix."""
 
-    ``defining`` optionally carries a defining-representation matrix for
-    display; the group law only ever uses ``ad``.
-    """
+    ad: tuple  # a view of ``numerators``, built on its first read
 
-    ad: tuple
-    defining: tuple = None
-
-    @cached_property
-    def numerators(self):
-        """``linalg.numerators(ad)``: the adjoint matrix as (rows, den), computed once."""
-        return linalg.numerators(self.ad)
+    def __post_init__(self):
+        # keep ``linalg.numerators`` of the matrix, each entry read as ``linalg.scalar`` reads it
+        self.__dict__["numerators"] = linalg.numerators(
+            [tuple(map(linalg.scalar, row)) for row in self.__dict__.pop("ad")])
 
     @classmethod
-    def _from_numerators(cls, rows, den, defining=None):
+    def _from_numerators(cls, rows, den):
         """The element with adjoint matrix rows / den, for integer rows and den != 0.
 
         The pair, reduced by the gcd of den and every entry and signed so that
         den > 0, becomes the element's ``numerators``, which then equals
-        ``linalg.numerators(ad)``; ``ad`` is made from it, one Fraction per entry.
+        ``linalg.numerators(ad)``; ``ad`` is built on its first read (see
+        ``__getattr__``), one Fraction per entry.
         """
         g = gcd(den, *chain.from_iterable(rows)) * (1 if den > 0 else -1)
         if g != 1:
             rows, den = [[x // g for x in row] for row in rows], den // g
-        rows = tuple(map(tuple, rows))
-        h = cls(tuple(linalg.from_numerators(row, den) for row in rows), defining)
-        # fills the cached_property, as its first read would
-        h.__dict__["numerators"] = (rows, den)
+        h = cls.__new__(cls)
+        h.__dict__["numerators"] = (tuple(map(tuple, rows)), den)
         return h
+
+    def __getattr__(self, name):
+        """Build ``ad``, which neither constructor keeps, once, on its first read."""
+        return linalg.deferred(self, name, ("ad",), "numerators",
+                               lambda pair: (linalg.vectors_of(pair),))
 
 
 @dataclass(frozen=True)
@@ -126,14 +124,14 @@ class ExpansionGroup:
 
     def nil(self, mids, top=None) -> NilTuple:
         n = self.algebra.dim
-        mids = tuple(tuple(_scalar(x) for x in m) for m in mids)
+        mids = tuple(tuple(linalg.scalar(x) for x in m) for m in mids)
         if len(mids) != self.order:
             raise DimensionMismatch(f"expected {self.order} middle slots, got {len(mids)}")
         if any(len(m) != n for m in mids):
             raise DimensionMismatch("middle slot length differs from algebra dimension")
         if top is None:
             top = linalg.zero_vector(n)
-        top = tuple(_scalar(x) for x in top)
+        top = tuple(linalg.scalar(x) for x in top)
         if len(top) != n:
             raise DimensionMismatch("top slot length differs from algebra dimension")
         return NilTuple(mids, self.split.coset_reduce(top))
@@ -148,11 +146,9 @@ class ExpansionGroup:
         return all(linalg.is_zero_vector(slot) for slot in (*a.mids, a.top))
 
     def _lift(self, a: NilTuple) -> Jet:
-        """The polynomial through zero with coefficients a.mids, a.top; exact, on numerators."""
+        """The polynomial through zero with coefficients a.mids, a.top, on numerators."""
         n = self.algebra.dim
         rows, den = linalg.numerators([*a.mids, a.top])
-        if type(den) is float:
-            return Jet(n, self.order + 2, (linalg.zero_vector(n),) + a.mids + (a.top,))
         return Jet.from_numerators(n, self.order + 2, ((0,) * n, *rows), den)
 
     def star(self, a: NilTuple, b: NilTuple) -> NilTuple:
@@ -187,31 +183,25 @@ class ExpansionGroup:
                 out.append((a, b, linalg.from_numerators(v, den), linalg.rounded([v], den)[0]))
         return tuple(out)
 
-    def h_element(self, ad, defining=None, tol=FLOAT_TOL) -> HElement:
+    def h_element(self, ad, tol=FLOAT_TOL) -> HElement:
         """Validate and wrap an adjoint matrix.
 
         The matrix must be a bracket automorphism, must preserve the
         subalgebra and must be invertible; the first two checks are exact for
         rational entries and use ``tol`` componentwise for float entries.
-        Rational entries are checked on the integer numerators N / delta of
-        the matrix; the element keeps ``linalg.numerators(ad)``, whose float
-        denominator 1.0 marks a matrix holding a float.
+        Rational entries are checked on the integer numerators N / delta that
+        the element keeps; a matrix holding a float is kept as it is, over
+        the float denominator 1.0.
         """
-        alg = self.algebra
-        n = alg.dim
-        ad = tuple(tuple(_scalar(x) for x in row) for row in ad)
-        if len(ad) != n or any(len(row) != n for row in ad):
+        n = self.algebra.dim
+        h = HElement(ad)
+        rows, den = h.numerators
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise DimensionMismatch("adjoint matrix must be square of the algebra dimension")
-        numerators = linalg.numerators(ad)
-        if type(numerators[1]) is float:
-            self._check_numeric(ad, tol)
+        if type(den) is float:
+            self._check_numeric(rows, tol)
         else:
-            self._check_exact(*numerators)
-        if defining is not None:
-            defining = tuple(tuple(_scalar(x) for x in row) for row in defining)
-        h = HElement(ad, defining)
-        # fills the cached_property, as its first read would
-        h.__dict__["numerators"] = numerators
+            self._check_exact(rows, den)
         return h
 
     def _check_numeric(self, ad, tol):
@@ -267,20 +257,16 @@ class ExpansionGroup:
     def h_compose(self, h1: HElement, h2: HElement) -> HElement:
         """The product h1 h2: on exact elements, the product of the integer
         numerators, which the result keeps."""
-        defining = None
-        if h1.defining is not None and h2.defining is not None:
-            defining = linalg.mat_mul(h1.defining, h2.defining)
         (r1, d1), (r2, d2) = h1.numerators, h2.numerators
         if type(d1) is float or type(d2) is float:
-            return HElement(linalg.mat_mul(h1.ad, h2.ad), defining)
-        return HElement._from_numerators(linalg.mat_mul(r1, r2), d1 * d2, defining)
+            return HElement(linalg.mat_mul(h1.ad, h2.ad))
+        return HElement._from_numerators(linalg.mat_mul(r1, r2), d1 * d2)
 
     def h_inverse(self, h: HElement) -> HElement:
-        defining = None if h.defining is None else linalg.invert(h.defining)
         rows, den = h.numerators
         if type(den) is float:
-            return HElement(linalg.invert(h.ad), defining)
-        return HElement._from_numerators(*linalg.invert_numerators(rows, den), defining)
+            return HElement(linalg.invert(h.ad))
+        return HElement._from_numerators(*linalg.invert_numerators(rows, den))
 
     def ad_nil(self, h: HElement, a: NilTuple) -> NilTuple:
         """Slotwise adjoint action, reducing the top slot.

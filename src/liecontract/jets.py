@@ -12,38 +12,38 @@ coefficient matrices acting on integer numerators): it works on plain
 coefficient sequences and skips zero coefficients.  The bracket
 convolution, ``bracket_numerators``, runs it on integers: it takes each
 coefficient sequence as integer numerators over one denominator, and the
-algebra's integer bracket table does the products.  A Jet scales its
-coefficients to numerators once, in ``Jet.numerators``, however many
-brackets read them; a Jet built by ``Jet.from_numerators`` keeps the
-numerators it was built from and makes its Fraction coefficients only when
-something first reads them.  ``bracket_poly`` on exact jets returns such a
-jet, so a chain of brackets (the BCH word prefixes, the rescaled bracket)
-runs on integers throughout.  Vector jets also carry the group's numeric
-mode: on a jet holding a float, ``bracket_poly`` runs the same convolution
-in floats and divides each coefficient at once.
-``Jet.from_numerators`` trims, checks and converts its rows in one pass, and
-``truncated`` at a jet's own order returns the jet itself, so a lifted jet
-(``ExpansionGroup.star``) is scaled and checked once, and a lazy one stays lazy.
+algebra's integer bracket table does the products.
 
-A MatrixJet holds one state, however built: ``MatrixJet.numerators``, which
-the constructor scales its coefficients to and ``MatrixJet.from_numerators``
-checks, so ``coeffs`` is always a view; ``matmul`` convolves the integer
-matrices (``matmul_numerators``) into such a jet.  Matrix jets serve the
-exact matrix oracle only: the constructor reads each entry as ``rat`` does,
-refusing a bool or a float with a TypeError.
+Both jet types hold one state, however built: ``numerators``, the
+coefficients as integer rows (matrices) over one reduced denominator, which
+``from_numerators`` checks, trims and reduces, and which the public
+constructor reads its coefficients into once, keeping nothing else.  So
+``coeffs`` is always a view, built from ``numerators`` on its first read,
+and a jet that is only bracketed, multiplied or summed never makes a
+Fraction.  ``bracket_poly`` on exact jets returns such a jet, so a chain of
+brackets (the BCH word prefixes, the rescaled bracket) runs on integers
+throughout, and ``truncated`` at a jet's own order returns the jet itself.
+Vector jets also carry the group's numeric mode: ``Jet(...)`` reads each
+entry as ``linalg.scalar`` does, a float as it is and any other through
+``rat`` (a string is read, a bool refused), and a jet holding a float keeps
+its entries as read over the float 1.0, which ``from_numerators`` keeps as
+it is.  On such a jet ``bracket_poly`` runs the same convolution in floats
+and divides each coefficient at once.  Matrix jets serve the exact matrix
+oracle only: ``MatrixJet(...)`` reads each entry as ``rat`` does, refusing a
+bool or a float with a TypeError, and ``matmul`` convolves the integer
+matrices (``matmul_numerators``).
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from math import gcd
 
 from .errors import DimensionMismatch
 from . import linalg
-from .linalg import as_vector, rat
+from .linalg import rat
 
 
 def _nonzero(c):
@@ -102,19 +102,13 @@ class Jet:
 
     dim: int
     trunc: int
-    coeffs: tuple
+    coeffs: tuple  # a view of ``numerators``, built on its first read
 
     def __post_init__(self):
-        if self.trunc < 1:
-            raise DimensionMismatch("truncation order must be positive")
-        coeffs = tuple(tuple(c) for c in self.coeffs[: self.trunc])
-        if any(len(c) != self.dim for c in coeffs):
-            raise DimensionMismatch("coefficient length differs from jet dimension")
-        object.__setattr__(self, "coeffs", _trim(coeffs, linalg.is_zero_vector))
-
-    @classmethod
-    def make(cls, dim, trunc, coeffs):
-        return cls(dim, trunc, tuple(as_vector(c) for c in coeffs))
+        # keep what ``from_numerators`` keeps, each entry read as ``linalg.scalar`` reads it
+        rows = [tuple(map(linalg.scalar, c)) for c in self.__dict__.pop("coeffs")[: self.trunc]]
+        self.__dict__.update(vars(self.from_numerators(self.dim, self.trunc,
+                                                       *linalg.numerators(rows))))
 
     @classmethod
     def from_numerators(cls, dim, trunc, rows, den):
@@ -125,7 +119,9 @@ class Jet:
         coefficients, so the coefficients are never scaled back.  The
         coefficients themselves are built on their first read (see
         ``__getattr__``), so a jet that is only bracketed or summed on its
-        numerators never makes a Fraction.
+        numerators never makes a Fraction.  A pair over the float 1.0, the
+        ``linalg.numerators`` of vectors holding a float, is kept as it is:
+        its rows are the coefficients, and its gcd is never taken.
         """
         if trunc < 1:
             raise DimensionMismatch("truncation order must be positive")
@@ -140,14 +136,13 @@ class Jet:
         if g > 1:
             rows, den = [tuple([x // g for x in v]) for v in rows], den // g
         jet = cls.__new__(cls)
-        # ``numerators`` fills the cached_property below, as its first read would
         jet.__dict__.update(dim=dim, trunc=trunc, numerators=(tuple(rows), den))
         return jet
 
     def __getattr__(self, name):
-        """Build ``coeffs`` of a jet made by ``from_numerators``, once, on its first read."""
-        return linalg.deferred(self, name, ("coeffs",), "numerators", lambda pair: (
-            tuple(linalg.from_numerators(v, pair[1]) for v in pair[0]),))
+        """Build ``coeffs``, which neither constructor keeps, once, on its first read."""
+        return linalg.deferred(self, name, ("coeffs",), "numerators",
+                               lambda pair: (linalg.vectors_of(pair),))
 
     @classmethod
     def zero(cls, dim, trunc):
@@ -160,13 +155,7 @@ class Jet:
     @property
     def degree(self):
         """Largest stored nonzero degree, or -1 for the zero jet."""
-        coeffs = self.__dict__.get("coeffs")
-        return len(self.numerators[0] if coeffs is None else coeffs) - 1
-
-    @cached_property
-    def numerators(self):
-        """``linalg.numerators(coeffs)``: the coefficients as (rows, den), computed once."""
-        return linalg.numerators(self.coeffs)
+        return len(self.numerators[0]) - 1
 
     def coeff(self, k):
         if k < len(self.coeffs):
@@ -204,7 +193,9 @@ class Jet:
 
     def truncated(self, trunc):
         """Same jet viewed at a different truncation order; at its own order, the jet itself."""
-        return self if trunc == self.trunc else Jet(self.dim, trunc, self.coeffs)
+        if trunc == self.trunc:
+            return self
+        return Jet.from_numerators(self.dim, trunc, *self.numerators)
 
     def eval_at(self, point):
         """Horner evaluation using the stored coefficients only."""

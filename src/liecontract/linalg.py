@@ -3,12 +3,15 @@
 Vectors are tuples of Fractions, matrices are tuples of row tuples.  ``rat``
 rejects floats, so exact constructors never silently compute in floating
 point; the arithmetic helpers still accept float entries, which the numeric
-mode of the group layer passes in on purpose.  ``exact_numerators`` scales
-exact input to integer numerators in one checked pass, int and Fraction
-entries as they are and any other through ``rat``, so the rescaled bracket,
-expansion elements, matrix jets and the oracle read a scalar as ``rat``
-reads it.  Polynomials in the formal parameter are coefficient tuples
-(lowest degree first) with trailing zeros trimmed; the empty tuple is zero.
+mode of the group layer passes in on purpose, and ``scalar``, the reader of
+jets, subgroup elements and group slots, lets a float through as it is.
+``exact_numerators`` scales exact input to integer numerators in one checked
+pass, int and Fraction entries as they are and any other through ``rat``, so
+the rescaled bracket, expansion elements, matrix jets and the oracle read a
+scalar as ``rat`` reads it; ``vectors_of`` turns a numerators pair back into
+vectors, the views of the value types that keep only their numerators.
+Polynomials in the formal parameter are coefficient tuples (lowest degree
+first) with trailing zeros trimmed; the empty tuple is zero.
 
 Every elimination is one fraction-free Gauss-Jordan loop, ``_eliminate``,
 parameterised by the ring's multiply, subtract, exact divide and one.
@@ -55,6 +58,12 @@ def rat(value):
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a scalar")
+
+
+def scalar(value):
+    """An entry of a jet, a subgroup element or a group slot: a float as it
+    is, for the numeric mode, and any other value through ``rat``."""
+    return value if isinstance(value, float) else rat(value)
 
 
 def as_vector(values):
@@ -213,9 +222,7 @@ def exact_numerators(vectors, dim=None, what=None):
             raise DimensionMismatch("coefficient count differs from dimension")
     if types <= _INT:
         return tuple(vectors), 1
-    den = lcm(*{x.denominator for v in vectors for x in v})
-    return tuple([tuple([x.numerator * (den // x.denominator) for x in v])
-                  for v in vectors]), den
+    return numerators(vectors)
 
 
 def matrix_numerators(mats, what=None):
@@ -274,6 +281,15 @@ def floats_if_mixed(pairs):
 def from_numerators(v, den):
     """The vector v / den: Fractions for integer entries, plain division for floats."""
     return tuple((Fraction(n, den) if n else ZERO) if type(n) is int else n / den for n in v)
+
+
+def vectors_of(pair):
+    """The vectors whose ``numerators`` are ``pair``: the rows over den, or,
+    over the float 1.0, the rows as they are."""
+    rows, den = pair
+    if type(den) is float:
+        return tuple(rows)
+    return tuple(from_numerators(v, den) for v in rows)
 
 
 def deferred(obj, name, fields, source, build):

@@ -93,13 +93,13 @@ def run_verify(seed=0, trials=25):
         split = span_subalgebra(so3, [so3.basis_vector(2)])
         fam = iw_family(split)
         e = so3.basis_vector
-        want12 = Jet.make(3, 3, [(0, 0, 0), (0, 0, 0), (0, 0, 1)])
+        want12 = Jet(3, 3, [(0, 0, 0), (0, 0, 0), (0, 0, 1)])
         got12 = eps_bracket(fam, e(0), e(1), order=2)
         got23 = eps_bracket(fam, e(1), e(2), order=2)
         got31 = eps_bracket(fam, e(2), e(0), order=2)
         ok = (got12 == want12
-              and got23 == Jet.make(3, 3, [(1, 0, 0)])
-              and got31 == Jet.make(3, 3, [(0, 1, 0)]))
+              and got23 == Jet(3, 3, [(1, 0, 0)])
+              and got31 == Jet(3, 3, [(0, 1, 0)]))
         return ok, ""
 
     check("rescaled bracket relations of the rotation algebra", rescaled_relations)

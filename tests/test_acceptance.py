@@ -79,10 +79,10 @@ def test_criterion_2_rescaled_bracket_relations():
     so3 = builtin("so3")[0]
     fam = iw_family(span_subalgebra(so3, [so3.basis_vector(2)]))
     e = so3.basis_vector
-    assert eps_bracket(fam, e(0), e(1), order=2) == Jet.make(
+    assert eps_bracket(fam, e(0), e(1), order=2) == Jet(
         3, 3, [(0, 0, 0), (0, 0, 0), (0, 0, 1)])
-    assert eps_bracket(fam, e(1), e(2), order=2) == Jet.make(3, 3, [(1, 0, 0)])
-    assert eps_bracket(fam, e(2), e(0), order=2) == Jet.make(3, 3, [(0, 1, 0)])
+    assert eps_bracket(fam, e(1), e(2), order=2) == Jet(3, 3, [(1, 0, 0)])
+    assert eps_bracket(fam, e(2), e(0), order=2) == Jet(3, 3, [(0, 1, 0)])
     report(2, "rescaled bracket relations hold as exact jets")
 
 

@@ -71,8 +71,8 @@ def test_second_order_closed_form():
 
 def test_third_order_coefficients_on_so3():
     # z3 = [x,[x,y]]/12 + [y,[y,x]]/12 evaluated at x = eps*X1, y = eps*X2
-    p = Jet.make(3, 4, [(0, 0, 0), (1, 0, 0)])
-    q = Jet.make(3, 4, [(0, 0, 0), (0, 1, 0)])
+    p = Jet(3, 4, [(0, 0, 0), (1, 0, 0)])
+    q = Jet(3, 4, [(0, 0, 0), (0, 1, 0)])
     z = local_mult(so3, p, q, 3)
     assert z.coeff(1) == (F(1), F(1), F(0))
     assert z.coeff(2) == (F(0), F(0), F(1, 2))
@@ -151,7 +151,8 @@ def test_nonzero_constant_term_rejected():
 def test_local_mult_returns_a_lazy_jet_on_exact_input():
     """Exact jets, eager or lazy, multiply into a jet that keeps the sum's
     numerators and builds its coefficients on their first read; neither
-    factor's coefficients are built.  Float input gives a built jet."""
+    factor's coefficients are built.  Float input gives a jet that keeps
+    its values over the float 1.0, its coefficients a view as well."""
     rng = random.Random(15)
     for alg in (so3, heis3):
         p, q = (through_zero(rng, alg, 4, 5) for _ in range(2))
@@ -164,7 +165,8 @@ def test_local_mult_returns_a_lazy_jet_on_exact_input():
         with pytest.raises(NonzeroConstantTerm):
             local_mult(alg, Jet.from_numerators(alg.dim, 5, [(0, 1, 0)], 3), q, 4)
         floats = Jet(alg.dim, 5, [(0.0, 0.0, 0.0), (0.5, -0.0, 1.0)])
-        assert "coeffs" in local_mult(alg, floats, q, 4).__dict__
+        z = local_mult(alg, floats, q, 4)
+        assert type(z.numerators[1]) is float and "coeffs" not in z.__dict__
 
 
 def test_a_zero_prefix_is_not_bracketed(monkeypatch):

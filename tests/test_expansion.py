@@ -373,3 +373,25 @@ def test_elements_read_exact_scalars_as_rat_does():
     with pytest.raises(TypeError) as info:
         ExpandedElement((0, 0, 0), (), (0.5, 0, 0))
     assert str(info.value) == "an expansion element takes exact (int or Fraction) input"
+
+
+def test_elements_that_do_not_fit_are_refused():
+    """Slots of unequal length are refused at construction; an element whose
+    slot count or slot length does not fit the expansion is refused by
+    ``bracket`` and ``coords``, instead of being truncated or overrun."""
+    so3 = builtin("so3")[0]
+    exp = IWExpansion(span_subalgebra(so3, [(0, 0, 1)]), 0)
+    with pytest.raises(DimensionMismatch, match="coefficient count differs from dimension"):
+        ExpandedElement((0, 0, 1), (), (1, 0))
+    with pytest.raises(DimensionMismatch, match="coefficient count differs from dimension"):
+        ExpandedElement((0, 0, 1), ((1, 0, 0, 0),), (1, 0, 0))
+    good = exp.element((0, 0, 1))
+    for bad in (ExpandedElement((0, 0, 1, 5), (), (1, 0, 0, 7)),  # wider slots
+                ExpandedElement((0, 0), (), (1, 0)),  # narrower slots
+                ExpandedElement((0, 0, 1), ((1, 0, 0),), (0, 0, 0))):  # a slot too many
+        for call in (lambda: exp.bracket(good, bad), lambda: exp.bracket(bad, good),
+                     lambda: exp.coords([good, bad])):
+            with pytest.raises(DimensionMismatch,
+                               match="^an element of this expansion has 2 slots of length 3$"):
+                call()
+    assert exp.coords([good]) == [(1, 0, 0)]  # X3@0, the first basis element

@@ -271,44 +271,48 @@ def test_group_mult_matches_matrix_realization_heis3():
     Subgroup elements are unipotent matrices exp(rho(v)) for v in span{P, Z};
     their adjoint action is recovered by conjugating the basis matrices and
     decomposing, so the whole (ad, defining) pair comes from the matrix side.
+    The test keeps each defining matrix beside its element, and recovers the
+    product's adjoint from the realized product the same way, so ``h_compose``
+    is checked against the matrix side too.
     """
     from liecontract.jets import MatrixJet
 
     alg, rep = builtin("heis3")
     rng = random.Random(12)
 
+    def adjoint(defining):
+        inv = linalg.invert(defining)
+        cols = [rep.decompose(linalg.mat_mul(defining,
+                                             linalg.mat_mul(rep.mats[i], inv)))
+                for i in range(3)]
+        return tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
+
     def subgroup_element(grp, a, c):
         defining = linalg.mat_add(
             linalg.identity(3),
             linalg.mat_add(linalg.mat_scale(a, rep.mats[0]),
                            linalg.mat_scale(c, rep.mats[2])))
-        inv = linalg.invert(defining)
-        cols = [rep.decompose(linalg.mat_mul(defining,
-                                             linalg.mat_mul(rep.mats[i], inv)))
-                for i in range(3)]
-        ad = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-        return grp.h_element(ad, defining=defining)
+        return grp.h_element(adjoint(defining)), defining
 
     for k in (0, 1, 2):
         grp = ExpansionGroup(span_subalgebra(alg, [alg.basis_vector(2)]), k)
         trunc = k + 2
 
-        def realize(g):
+        def realize(g, defining):
             body = rep.exp_trunc(grp._lift(g.nil), k + 1)
-            return body.matmul(MatrixJet(3, trunc, (g.h.defining,)))
+            return body.matmul(MatrixJet(3, trunc, (defining,)))
 
         for _ in range(8):
-            g1 = grp.element(
-                subgroup_element(grp, linalg.random_fraction(rng),
-                                 linalg.random_fraction(rng)),
-                random_nil(grp, rng))
-            g2 = grp.element(
-                subgroup_element(grp, linalg.random_fraction(rng),
-                                 linalg.random_fraction(rng)),
-                random_nil(grp, rng))
-            product = realize(g1).matmul(realize(g2))
+            h1, d1 = subgroup_element(grp, linalg.random_fraction(rng),
+                                      linalg.random_fraction(rng))
+            g1 = grp.element(h1, random_nil(grp, rng))
+            h2, d2 = subgroup_element(grp, linalg.random_fraction(rng),
+                                      linalg.random_fraction(rng))
+            g2 = grp.element(h2, random_nil(grp, rng))
+            product = realize(g1, d1).matmul(realize(g2, d2))
             got = grp.mult(g1, g2)
-            assert product.coeff(0) == got.h.defining
+            assert product.coeff(0) == linalg.mat_mul(d1, d2)
+            assert got.h.ad == adjoint(product.coeff(0))
             unrotated = product.matmul(
                 MatrixJet(3, trunc, (linalg.invert(product.coeff(0)),)))
             z = rep.log_trunc(unrotated, k + 1)

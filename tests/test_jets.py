@@ -11,6 +11,7 @@ from liecontract.algebra import LieAlgebra, span_subalgebra
 from liecontract.catalog import builtin, subalgebra_catalog
 from liecontract.errors import DimensionMismatch, InternalInvariantViolation
 from liecontract.expansion import ExpandedElement, IWExpansion
+from liecontract.group import HElement
 from liecontract.jets import (
     Jet,
     MatrixJet,
@@ -28,7 +29,7 @@ vec3_st = st.tuples(fractions_st, fractions_st, fractions_st)
 
 
 def jet3(coeffs, trunc=6):
-    return Jet.make(3, trunc, coeffs)
+    return Jet(3, trunc, coeffs)
 
 
 def test_zero_canonicalization():
@@ -48,7 +49,7 @@ def test_trunc_mismatch_is_error():
 
 
 def test_truncation_discards_high_coefficients():
-    j = Jet.make(3, 2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    j = Jet(3, 2, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert j.coeff(2) == (F(0),) * 3
     assert j.degree == 1
 
@@ -118,6 +119,7 @@ def test_lazy_jet_matches_the_eager_jet(rows, den, trunc):
     """A jet from numerators builds its coefficients on their first read only,
     and then agrees with the jet built from the same coefficients."""
     eager = Jet(3, trunc, tuple(tuple(F(x, den) for x in row) for row in rows))
+    eager.coeffs  # a view as well: built before the count below
     built = []
     from_numerators = linalg.from_numerators
 
@@ -265,20 +267,100 @@ def test_matrix_jet_product_truncates():
     assert sq.degree == 1  # the quadratic term is beyond the truncation
 
 
-def test_matrix_jet_constructors_keep_one_state():
-    """``MatrixJet(...)`` keeps only the numerators that ``from_numerators``
-    keeps; ``coeffs`` is a view of Fractions for both, built on first read."""
+def one_state_cases():
+    """For each value type: (mutable input, the public constructor on it, the
+    same value from its kept state, that state's keys, the Fraction field, a
+    mutation of the input)."""
     half = F(1, 2)
-    coeffs = [[[1, 0], [0, 1]], ((half, 0), (0, F(-3, 2))), linalg.zero_matrix(2)]
-    eager = MatrixJet(2, 3, coeffs)
-    lazy = MatrixJet.from_numerators(2, 3, [((2, 0), (0, 2)), ((1, 0), (0, -3))], 2)
-    assert list(eager.__dict__) == list(lazy.__dict__) == ["size", "trunc", "numerators"]
-    assert eager.numerators == lazy.numerators == ((((2, 0), (0, 2)), ((1, 0), (0, -3))), 2)
-    assert repr(eager) == repr(lazy) and eager == lazy and hash(eager) == hash(lazy)
-    assert all(type(x) is F for m in eager.coeffs for row in m for x in row)
-    coeffs[1] = linalg.identity(2)  # the input is not kept
-    assert eager.coeff(1) == ((half, 0), (0, F(-3, 2))) and eager.degree == 1
-    assert eager.coeffs is eager.coeffs  # built once
+
+    def so3_halved():
+        f = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            f[a][b][c], f[b][a][c] = half, -half
+        return f
+
+    def change_tensor(f):
+        f[0][1][2], f[2][2][2] = 5, 7
+
+    def change_matrices(mats):
+        mats[0][0][0], mats[1] = 9, linalg.identity(2)
+
+    def change_rows(rows):
+        rows[0][1] = 7
+        rows.append([1, 1, 1])
+
+    def change_slots(slots):
+        slots[0][0], slots[1][0][1] = 9, 4
+
+    return {
+        "LieAlgebra": (
+            so3_halved(), lambda f: LieAlgebra(3, ("X1", "X2", "X3"), f),
+            LieAlgebra.from_brackets(3, ("X1", "X2", "X3"),
+                                     [(0, 1, 2, half), (1, 2, 0, half), (2, 0, 1, half)]),
+            ["dim", "basis_names", "_table", "_antisymmetry"], "structure", change_tensor),
+        "MatrixJet": (
+            [[[1, 0], [0, 1]], [[half, 0], [0, F(-3, 2)]], [[0, 0], [0, 0]]],
+            lambda mats: MatrixJet(2, 3, mats),
+            MatrixJet.from_numerators(2, 3, [((2, 0), (0, 2)), ((1, 0), (0, -3))], 2),
+            ["size", "trunc", "numerators"], "coeffs", change_matrices),
+        "Jet": (
+            [[0, half, 3], [F(-2, 3), 0, 0], [0, 0, 0]], lambda rows: Jet(3, 4, rows),
+            Jet.from_numerators(3, 4, [(0, 3, 18), (-4, 0, 0)], 6),
+            ["dim", "trunc", "numerators"], "coeffs", change_rows),
+        "HElement": (
+            [[0, -1, 0], [1, 0, 0], [0, 0, half]], HElement,
+            HElement._from_numerators([[0, -2, 0], [2, 0, 0], [0, 0, 1]], 2),
+            ["numerators"], "ad", change_rows),
+        "ExpandedElement": (
+            [[half, 0, 0], [[0, 1, 0]], [0, 0, 3]],
+            lambda slots: ExpandedElement(slots[0], slots[1], slots[2]),
+            ExpandedElement._from_numerators([(1, 0, 0), (0, 2, 0), (0, 0, 6)], 2),
+            ["numerators"], "mids", change_slots),
+    }
+
+
+def leaves(value):
+    return [x for v in value for x in leaves(v)] if isinstance(value, tuple) else [value]
+
+
+@pytest.mark.parametrize("kind", list(one_state_cases()))
+def test_constructors_keep_one_state(kind):
+    """The public constructor keeps only the state that the constructor from
+    numerators keeps, read off its input at once; the Fraction field is a view
+    of that state for both, built on its first read."""
+    data, build, twin, keys, field, change = one_state_cases()[kind]
+    value = build(data)
+    assert list(value.__dict__) == list(twin.__dict__) == keys
+    change(data)  # the input is not kept
+    assert value.__dict__ == twin.__dict__
+    assert field not in value.__dict__ and field not in twin.__dict__
+    assert repr(value) == repr(twin) and value == twin and hash(value) == hash(twin)
+    view = getattr(value, field)
+    assert view == getattr(twin, field) and getattr(value, field) is view  # built once
+    assert {type(x) for x in leaves(view)} == {F}
+
+
+def test_jets_read_exact_entries_as_rat_does():
+    """A string entry is read through rat, into the jet its Fraction twin
+    builds, and a bool is refused as rat refuses it."""
+    written, want = Jet(3, 1, (("2", 0, 0),)), Jet(3, 1, ((F(2), 0, 0),))
+    assert written == want and written.numerators == want.numerators
+    q = Jet(3, 1, ((0, 3, 0),))
+    assert bracket_poly(so3, written, q) == bracket_poly(so3, want, q) == jet3([(0, 0, 6)], 1)
+    for coeffs in [((True, 0, 0),), ((0, 0, 0), (0, False, 1))]:
+        with pytest.raises(TypeError, match="^bool is not a scalar$"):
+            Jet(3, 2, coeffs)
+
+
+def test_float_jets_keep_their_values():
+    """A jet holding a float keeps its entries as read, over the float 1.0:
+    the floats as they are (-0.0 included), any other entry through rat."""
+    coeffs = ((0.1, -0.0, F(1, 3)), (0, "1/2", 2.5), (0.0, -0.0, 0))
+    jet = Jet(3, 4, coeffs)
+    want = ((0.1, -0.0, F(1, 3)), (F(0), F(1, 2), 2.5))
+    assert jet.numerators == (want, 1.0) and type(jet.numerators[1]) is float
+    assert repr(jet.coeffs) == repr(want) and jet.degree == 1
+    assert repr(jet.truncated(2)) == repr(jet).replace("trunc=4", "trunc=2")
 
 
 def test_matrix_jet_constructors_refuse_bad_input_alike():

@@ -303,6 +303,7 @@ def test_lazy_element_matches_the_eager_element(rows, den):
     and then agrees with the element built from the same slots."""
     slots = [tuple(F(x, den) for x in row) for row in rows]
     eager = ExpandedElement(slots[0], tuple(slots[1:-1]), slots[-1])
+    eager.slots  # views as well: built before the count below
     built = []
     from_numerators = linalg.from_numerators
 

@@ -15,6 +15,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecontract import linalg
@@ -410,9 +411,9 @@ def test_exact_group_law_matches_the_fraction_loops(data):
     kind = data.draw(st.sampled_from(("int", "exact", "exact", "float")))
     a = grp.nil([data.draw(vectors(kind, n)) for _ in range(grp.order)],
                 data.draw(vectors(kind, n)))
-    # elements built by the user keep no numerators; exact ones hold Fractions
+    # elements built by the user keep only their numerators, as h_element's do
     users = [HElement(tuple(tuple(linalg.rat(x) for x in row) for row in ad)) for ad in (ad1, ad2)]
-    assert "numerators" not in users[0].__dict__
+    assert list(users[0].__dict__) == ["numerators"]
     for got, want in law_outcomes(grp, *users, a):
         assert got == want
     if any(isinstance(h_element_outcome(grp, ad, FLOAT_TOL), str) for ad in (ad1, ad2)):
@@ -452,6 +453,24 @@ def test_exact_group_law_reaches_every_outcome():
     assert any(x.denominator > 1 for row in h.ad for x in row)
     assert h_element_outcome(dense, so_n_rotation_ad(4, F(2, 3))[::-1], FLOAT_TOL) == (
         "matrix is not a bracket automorphism at pair (L12, L13)")
+
+
+def test_elements_keep_their_values_and_read_strings():
+    """``HElement(...)`` reads a string entry through rat, into the element its
+    Fraction twin builds; a float matrix keeps its entries as read, over the
+    float 1.0, the floats as they are and any other entry through rat."""
+    grp, _ = GROUPS[0]
+    written = HElement((("0", "-1", 0), ("1", 0, "0"), (0, 0, "1")))
+    assert written == HElement(QUARTER_TURN) and written.numerators == (
+        ((0, -1, 0), (1, 0, 0), (0, 0, 1)), 1)
+    assert repr(grp.h_element(written.ad)) == repr(grp.h_element(QUARTER_TURN))
+    rotation = ((0.6, -0.8, 0), (0.8, 0.6, -0.0), ("0", 0.0, 1.0))
+    want = ((0.6, -0.8, F(0)), (0.8, 0.6, -0.0), (F(0), 0.0, 1.0))
+    for h in (HElement(rotation), grp.h_element(rotation)):
+        assert h.numerators == (want, 1.0) and type(h.numerators[1]) is float
+        assert repr(h.ad) == repr(want)
+    with pytest.raises(TypeError, match="^bool is not a scalar$"):
+        HElement(((True, 0), (0, 1)))
 
 
 # ----- the float order-0 product ---------------------------------------------

@@ -57,14 +57,14 @@ def test_exp_of_zero_is_identity():
 
 def test_exp_heis3_nilpotent():
     # the matrix of P squares to zero, so the series stops after the linear term
-    p = Jet.make(3, 3, [(0, 0, 0), (1, 0, 0)])
+    p = Jet(3, 3, [(0, 0, 0), (1, 0, 0)])
     got = heis3_rep.exp_trunc(p, 2)
     want = MatrixJet(3, 3, (linalg.identity(3), heis3_rep.mats[0]))
     assert got == want
 
 
 def test_exp_so3_quadratic_term():
-    p = Jet.make(3, 3, [(0, 0, 0), (0, 0, 1)])  # eps * X3
+    p = Jet(3, 3, [(0, 0, 0), (0, 0, 1)])  # eps * X3
     got = so3_rep.exp_trunc(p, 2)
     rho3 = so3_rep.mats[2]
     assert got.coeff(0) == linalg.identity(3)
@@ -136,8 +136,8 @@ def test_oracle_abelian_is_addition():
 
 
 def test_oracle_heis3_second_order_value():
-    p = Jet.make(3, 3, [(0, 0, 0), (1, 0, 0)])  # eps * P
-    q = Jet.make(3, 3, [(0, 0, 0), (0, 1, 0)])  # eps * Q
+    p = Jet(3, 3, [(0, 0, 0), (1, 0, 0)])  # eps * P
+    q = Jet(3, 3, [(0, 0, 0), (0, 1, 0)])  # eps * Q
     z = heis3_rep.local_mult(p, q, 2)
     assert z.coeff(1) == (F(1), F(1), F(0))
     assert z.coeff(2) == (F(0), F(0), F(1, 2))  # half the bracket of P and Q
@@ -341,8 +341,8 @@ def test_oracle_matches_the_fraction_loops(data):
 def test_trimmed_jets_keep_their_truncation_order():
     # p stores 2 coefficients at trunc 2, far below order + 1 = 6: the
     # represented argument and every power still run to degree 5
-    p = Jet.make(3, 2, [(0, 0, 0), (1, 0, 0)])
-    q = Jet.make(3, 7, [(0, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 0)])
+    p = Jet(3, 2, [(0, 0, 0), (1, 0, 0)])
+    q = Jet(3, 7, [(0, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 0)])
     for rep in REPS:
         if rep.algebra is not so3:
             continue
