@@ -20,11 +20,15 @@ input, so the dense tensor ``structure`` of Fractions is a view, built when
 something first reads it.  ``validate``, equality and hashing read the table
 and those entries, never the dense tensor.
 
-A subalgebra split keeps each projector as integer numerators over one
-denominator, and a copy rounded once to floats.  An exact vector is
-projected in one integer product with one Fraction per entry; a float vector
-(the numeric mode) meets the rounded copy, with the float bits that the
-exact projector gives when it is rounded at each product.
+A subalgebra split holds one state, however built: its projectors P_h and
+P_n as integer rows over one reduced denominator (``_numerators``), of which
+``proj_h`` and ``proj_n`` are views, built on their first read.
+``span_subalgebra`` and ``split_with_complement`` read their vectors once
+into numerators, and run the pivot search, the closure brackets and the base
+change on them.  An exact vector is projected in one integer product with
+one Fraction per entry; a float vector (the numeric mode) meets a copy of
+the projector rounded once to floats, with the float bits that the exact
+projector gives when it is rounded at each product.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, NotASubalgebra
 from . import linalg
@@ -135,11 +139,14 @@ def _sparse(explicit):
     return (den, table), tuple(sorted(mirrors))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LieAlgebra:
     dim: int
     basis_names: tuple
-    structure: tuple  # f[a][b][c] as Fractions: a view of ``_table``, built on its first read
+    structure: tuple = field(compare=False)  # f[a][b][c] as Fractions: a view of ``_table``
+    # the state that ``==`` and ``hash`` compare, and that ``_dense`` reads
+    _table: tuple = field(init=False)
+    _antisymmetry: tuple = field(init=False)
 
     def __post_init__(self):
         _check_size(self.dim, self.basis_names)
@@ -180,11 +187,13 @@ class LieAlgebra:
                 raise DimensionMismatch(f"conflicting entries for {key}")
             explicit[key] = coeff
         _check_size(dim, basis_names)
-        table, mirrors = _sparse(explicit)
-        alg = cls.__new__(cls)
-        alg.__dict__.update(dim=dim, basis_names=tuple(basis_names), _table=table,
-                            _antisymmetry=mirrors)
-        return alg
+        return cls._from_table(dim, basis_names, *_sparse(explicit))
+
+    @classmethod
+    def _from_table(cls, dim, basis_names, table, antisymmetry=()):
+        """The algebra whose state is the ``table`` and ``antisymmetry`` of ``_sparse``."""
+        return linalg.with_state(cls, dim=dim, basis_names=tuple(basis_names), _table=table,
+                                 _antisymmetry=antisymmetry)
 
     def __getattr__(self, name):
         """Build ``structure``, which neither constructor keeps, once, on its first read."""
@@ -193,18 +202,6 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, basis_names={self.basis_names!r})"
-
-    def _key(self):
-        """What ``==`` and ``hash`` compare; ``_dense`` rebuilds the tensor from it."""
-        return self.dim, self.basis_names, self._table, self._antisymmetry
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @cached_property
     def _rows(self):
@@ -330,8 +327,21 @@ class SubalgebraSplit:
     algebra: LieAlgebra
     h_basis: tuple
     n_basis: tuple
-    proj_h: tuple
-    proj_n: tuple
+    proj_h: tuple = field(compare=False)  # proj_h, proj_n: views of ``_numerators``
+    proj_n: tuple = field(compare=False)
+    _numerators: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # keep what ``_split`` keeps, each entry read as ``linalg.scalar`` reads it
+        n, mats = self.algebra.dim, [self.__dict__.pop(key) for key in ("proj_h", "proj_n")]
+        if any(len(m) != n or any(len(row) != n for row in m) for m in mats):
+            raise DimensionMismatch("projectors must be square of the algebra dimension")
+        rows, den = linalg.numerators([tuple(map(linalg.scalar, row)) for m in mats for row in m])
+        self.__dict__["_numerators"] = ((rows[:n], rows[n:]), den)
+
+    def __getattr__(self, name):
+        """Build ``proj_h`` and ``proj_n``, which neither constructor keeps, on a first read."""
+        return linalg.deferred(self, name, ("proj_h", "proj_n"), "_numerators", linalg.matrices_of)
 
     @property
     def dim_h(self):
@@ -343,17 +353,16 @@ class SubalgebraSplit:
 
     @cached_property
     def _projector_forms(self):
-        """Each projector exact, as integer numerators over one denominator, and as floats.
+        """Each projector as integer numerators over one denominator, and as floats.
 
-        Maps "h" and "n" to (proj, rows, den, floats): proj is rows / den,
-        and floats is ``linalg.rounded(rows, den)`` with 0.0 for zeros, each
-        entry rounded once: a float matrix, never taken for an integer one.
+        Maps "h" and "n" to (rows, den, floats): rows / den is the projector,
+        as ``_numerators`` holds it, and floats is ``linalg.rounded(rows,
+        den)`` with 0.0 for zeros, each entry rounded once: a float matrix,
+        never taken for an integer one.
         """
-        forms = {}
-        for key, proj in (("h", self.proj_h), ("n", self.proj_n)):
-            rows, den = linalg.numerators(proj)
-            forms[key] = (proj, rows, den, linalg.rounded(rows, den, zero=0.0))
-        return forms
+        mats, den = self._numerators
+        return {key: (rows, den, linalg.rounded(rows, den, zero=0.0))
+                for key, rows in zip("hn", mats)}
 
     def _project(self, key, x):
         """The projector ``key`` times x.
@@ -363,13 +372,14 @@ class SubalgebraSplit:
         the floats are those of the exact projector, rounded at each product.
         Mixed x meets the exact projector, as a loop on Fractions does.
         """
-        proj, rows, den, floats = self._projector_forms[key]
-        if not any(x):  # the zero vector: Fraction zeros, with no numerators to form
-            return linalg.mat_vec(proj, x)
+        rows, den, floats = self._projector_forms[key]
+        if not any(x):  # Fraction zeros, as mat_vec gives them on a float matrix
+            return linalg.mat_vec(floats, x)
         [v], vden = linalg.numerators([x])
         if type(vden) is int:
             return linalg.from_numerators(linalg.mat_vec(rows, v), den * vden)
-        return linalg.mat_vec(floats if all(type(b) is float for b in x if b) else proj, x)
+        numeric = all(type(b) is float for b in x if b)
+        return linalg.mat_vec(floats if numeric else getattr(self, "proj_" + key), x)
 
     @cached_property
     def _inverse(self):
@@ -392,38 +402,52 @@ class SubalgebraSplit:
         return linalg.is_zero_vector(self.project_n(x))
 
 
-def _split(alg, h_basis, n_basis):
+def _split(alg, h_basis, n_basis, cols=None):
     """The split along h_basis with complement n_basis, and its exact projectors.
 
-    P_h = (h columns of B)(first dh rows of B^-1), B the base change, and
-    P_n = 1 - P_h come from integers: B's h-column numerators times the rows
-    of d B^-1 that the elimination leaves, over one denominator, one Fraction
-    per entry.  The float mode runs the same sums on the values, over 1.  The
-    split keeps d B^-1, column by column, and d as ``_inverse``.
+    ``cols`` is (columns, den), the numerators of h_basis and n_basis in
+    turn, when the caller has them.  P_h = (h columns of B)(first dh rows of
+    B^-1), B the base change, and P_n = 1 - P_h come from integers: B's
+    h-column numerators times the rows of d B^-1 that the elimination leaves,
+    kept over one reduced denominator.  The float mode runs the same sums on
+    the values, over 1.  The split keeps d B^-1, column by column, and d as
+    ``_inverse``.
     """
-    n = alg.dim
-    rows, den = linalg.numerators(tuple(zip(*h_basis, *n_basis)))
+    n, dh = alg.dim, len(h_basis)
+    cols, den = cols or linalg.numerators([*h_basis, *n_basis])
+    rows = tuple(zip(*cols))
     inv, d = linalg.invert_numerators(rows, den)
-    den = (1 if type(den) is float else den) * d
     ph = []
     for row in rows:
-        support = [(l, b) for l, b in enumerate(row[:len(h_basis)]) if b]
+        support = [(l, b) for l, b in enumerate(row[:dh]) if b]
         ph.append([sum((inv[l][k] * b for l, b in support), 0) for k in range(n)])
-    proj_h = tuple(linalg.from_numerators(row, den) for row in ph)
-    proj_n = tuple(linalg.from_numerators([(den if i == k else 0) - x for k, x in enumerate(row)],
-                                          den) for i, row in enumerate(ph))
-    split = SubalgebraSplit(alg, tuple(h_basis), tuple(n_basis), proj_h, proj_n)
+    if type(den) is float:  # the float mode: the same sums on the values, over 1
+        pn = [[int(i == k) - x for k, x in enumerate(row)] for i, row in enumerate(ph)]
+        split = SubalgebraSplit(alg, tuple(h_basis), tuple(n_basis), *(
+            [linalg.from_numerators(row, 1) for row in m] for m in (ph, pn)))
+    else:  # over den d less its gcd with P_h, which P_n = den d - P_h shares; den > 0
+        den *= d
+        g = gcd(den, *(x for row in ph for x in row)) * (1 if den > 0 else -1)
+        ph, den = tuple(tuple(x // g for x in row) for row in ph), den // g
+        pn = tuple(tuple((den if i == k else 0) - x for k, x in enumerate(row))
+                   for i, row in enumerate(ph))
+        split = linalg.with_state(SubalgebraSplit, algebra=alg, h_basis=tuple(h_basis),
+                                  n_basis=tuple(n_basis), _numerators=((ph, pn), den))
     # fills the cached_property, as its first read would
     split.__dict__["_inverse"] = (
         tuple(tuple((r, row[j]) for r, row in enumerate(inv) if row[j]) for j in range(n)), d)
     return split
 
 
-def _closure_check(alg, h_basis):
-    pairs = [(u, v, alg.bracket(u, v)) for i, u in enumerate(h_basis) for v in h_basis[i:]]
-    sols = linalg.solve_in_basis(h_basis, [w for _, _, w in pairs])
-    for (u, v, w), sol in zip(pairs, sols):
+def _closure_check(alg, rows, den):
+    """Refuse the span of the integer rows, over den, unless it is bracket-closed;
+    a pair u <= v brackets on numerators, to den**2 [u, v]."""
+    pairs = [(u, v, alg.bracket(u, v)) for i, u in enumerate(rows) for v in rows[i:]]
+    sols = linalg.solve_in_basis(rows, [w for _, _, w in pairs])
+    for (u, v, _), sol in zip(pairs, sols):
         if sol is None:
+            u, v = linalg.vectors_of(((u, v), den))
+            w = alg.bracket(u, v)
             raise NotASubalgebra(
                 f"bracket [{alg.format_vector(u)}, {alg.format_vector(v)}] = "
                 f"{alg.format_vector(w)} leaves the span",
@@ -437,24 +461,27 @@ def span_subalgebra(alg, vectors):
     complement is picked by greedy pivoting of the standard basis vectors in
     index order, so it always consists of standard basis vectors.
     """
-    vectors = [alg.vector(v) for v in vectors]
-    cols = vectors + [alg.basis_vector(i) for i in range(alg.dim)]
-    pivots = linalg.pivot_columns(cols, alg.dim)
-    h_basis = [cols[j] for j in pivots if j < len(vectors)]
-    n_basis = [cols[j] for j in pivots if j >= len(vectors)]
-    _closure_check(alg, h_basis)
-    return _split(alg, h_basis, n_basis)
+    rows, den = linalg.exact_numerators(vectors, alg.dim)
+    n, k = alg.dim, len(rows)
+    cols = [*rows, *(tuple(den if i == j else 0 for j in range(n)) for i in range(n))]
+    pivots = linalg.pivot_columns(cols, n)
+    h = [cols[j] for j in pivots if j < k]
+    _closure_check(alg, h, den)
+    n_basis = [alg.basis_vector(j - k) for j in pivots if j >= k]
+    return _split(alg, linalg.vectors_of((h, den)), n_basis, ([cols[j] for j in pivots], den))
 
 
 def split_with_complement(alg, h_vectors, n_vectors):
     """Like span_subalgebra but with an explicitly chosen complement."""
-    h_vectors = [alg.vector(v) for v in h_vectors]
-    n_basis = [alg.vector(v) for v in n_vectors]
-    pivots = linalg.pivot_columns(h_vectors + n_basis, alg.dim)
-    h_basis = [h_vectors[j] for j in pivots if j < len(h_vectors)]
-    _closure_check(alg, h_basis)
-    if len(pivots) - len(h_basis) != len(n_basis):
+    h_vectors = list(h_vectors)
+    rows, den = linalg.exact_numerators([*h_vectors, *n_vectors], alg.dim)
+    k = len(h_vectors)
+    pivots = linalg.pivot_columns(rows, alg.dim)
+    h = [rows[j] for j in pivots if j < k]
+    _closure_check(alg, h, den)
+    if len(pivots) - len(h) != len(rows) - k:
         raise DimensionMismatch("complement vectors are not independent of the subalgebra")
     if len(pivots) != alg.dim:
         raise DimensionMismatch("subalgebra and complement do not span the algebra")
-    return _split(alg, h_basis, n_basis)
+    return _split(alg, linalg.vectors_of((h, den)), linalg.vectors_of((rows[k:], den)),
+                  ([rows[j] for j in pivots], den))

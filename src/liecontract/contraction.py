@@ -2,48 +2,46 @@
 
 A ContractionFamily is a matrix polynomial in the formal parameter.  Applying
 its pointwise inverse is done exactly over the field of rational functions.
-Its coefficient matrices are exact (``as_matrix`` refuses floats); each family
-scales them once to integer numerators over one common denominator D, an int,
-and runs on those integer matrices from then on: it computes the determinant
-and adjugate of the numerator family once, by the fraction-free Gauss-Jordan
-elimination of linalg over Z[eps] on the n^2 entry polynomials, built for that
-elimination alone, and caches both.  An Inonu-Wigner family (``iw_family``)
-gets both in closed form instead, once its projectors are checked exactly to
-be complementary idempotents.  From them it builds, once and on demand, the
-Taylor coefficients G_t of eps^v times its inverse, eps^v the largest power of
-the parameter dividing the determinant: the adjugate times a fraction-free
-reciprocal of the determinant's cofactor, each G_t an integer matrix over one
-denominator, kept in sparse rows.  A caller asking for a higher order extends
-the table; nothing is rebuilt.  Every solve is then a truncated convolution of
-that table with the integer numerators of the right-hand side, handed back as
-integer numerators over one denominator in a ``Jet.from_numerators``, whose
-Fraction coefficients are built only when something reads them.  The
-elimination divides exactly and checks every remainder; an inexact division
-raises InternalInvariantViolation, so the cached adjugate checks itself.  The
-valuation at 0 of the solution is read off exactly: a nonzero coefficient
-below eps^v certifies that the limit does not exist and surfaces as PoleError;
-the contraction limit solves for coefficient 0 alone.  A determinant that is
-the zero polynomial raises SingularFamily.  The rescaled bracket scales its
-two arguments, vectors (the contraction) or polynomials (the general
-expansion), to integer numerators in one checked pass
-(``linalg.exact_numerators``: int and Fraction entries as they are, a string
-through ``rat``), lifts them through the integer coefficient matrices, kept as
-sparse columns, by the jets module's one truncated Cauchy product; each
-product (``linalg.column_product``) visits only the support of its vector.  It
-brackets the lifts on numerators and hands the numerators of the bracket to
-the solve as they are, in a ``Jet.from_numerators`` whose Fraction
-coefficients are never built.  Lift and bracket stop at the last coefficient
-the solve reads: with G_t0 the first nonzero term of the table (t0 <= v, as a
-polynomial family has no inverse divisible by eps), coefficient
-v + order - t0.  For an Inonu-Wigner limit that is eps^1, so [N x, N y] is
-never formed.  ``contract`` passes integer unit vectors and reads each limit's
-numerators, so it makes one Fraction per nonzero entry of the limit table.
+A family holds one state, however built: its coefficient matrices as integer
+numerators over one reduced denominator D (``_numerators``), of which
+``phis`` is a view, built on its first read.  The public constructor reads
+exact matrices once (``as_matrix`` refuses floats); ``iw_family`` takes the
+split's projector numerators as they are, checks on the integers that they
+are complementary idempotents, and writes the determinant and adjugate of
+the numerator family in closed form.  Any other family computes both once,
+by the fraction-free Gauss-Jordan elimination of linalg over Z[eps] on the
+n^2 entry polynomials, built for that elimination alone; it divides exactly
+and checks every remainder, so the cached adjugate checks itself.
+
+From them the family builds, once and on demand, the Taylor coefficients G_t
+of eps^v times its inverse, eps^v the largest power of the parameter dividing
+the determinant: the adjugate times a fraction-free reciprocal of the
+determinant's cofactor, each G_t an integer matrix over one denominator, kept
+in sparse columns.  A higher order extends the table; nothing is rebuilt.  A
+solve applies the columns of each G_t over the support of the right-hand
+side's integer numerators (``linalg.column_product``), a truncated
+convolution handed back as integer numerators over one denominator in a
+``Jet.from_numerators``.  A nonzero coefficient below eps^v certifies that
+the limit does not exist and surfaces as PoleError; a zero determinant
+raises SingularFamily.
+
+The rescaled bracket scales its two arguments, vectors (the contraction) or
+polynomials (the general expansion), to integer numerators in one checked
+pass (``linalg.exact_numerators``: int and Fraction entries as they are, a
+string through ``rat``), lifts them through the family's integer matrices,
+kept as sparse columns, by the jets module's one truncated Cauchy product,
+and brackets the lifts on numerators for the solve.  Lift and bracket stop at
+the last coefficient the solve reads: with G_t0 the first nonzero term of the
+table (t0 <= v, as a polynomial family has no inverse divisible by eps),
+coefficient v + order - t0.  For an Inonu-Wigner limit that is eps^1, so
+[N x, N y] is never formed.  ``contract`` passes integer unit vectors and
+hands the integer rows of the limit, over the lcm of their denominators, to
+``LieAlgebra._from_table``: no Fraction is made until ``structure`` is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
 
@@ -66,10 +64,11 @@ class ContractionFamily:
     """Sum of matrix coefficients phis[j] times the j-th parameter power."""
 
     algebra: LieAlgebra
-    phis: tuple
+    phis: tuple = field(compare=False)  # a view of ``_numerators``, built on its first read
+    _numerators: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        phis = tuple(as_matrix(m) for m in self.phis)
+        phis = tuple(as_matrix(m) for m in self.__dict__.pop("phis"))
         if not phis:
             raise DimensionMismatch("family needs at least one matrix coefficient")
         n = self.algebra.dim
@@ -78,7 +77,12 @@ class ContractionFamily:
                 raise DimensionMismatch("family matrices must be square of the algebra dimension")
         if len(phis) - 1 > MAX_FAMILY_DEGREE:
             raise DimensionMismatch(f"family degree capped at {MAX_FAMILY_DEGREE}")
-        object.__setattr__(self, "phis", phis)
+        self.__dict__["_numerators"] = linalg.matrix_numerators(phis)
+
+    def __getattr__(self, name):
+        """Build ``phis``, which neither constructor keeps, once, on its first read."""
+        return linalg.deferred(self, name, ("phis",), "_numerators",
+                               lambda pair: (linalg.matrices_of(pair),))
 
     @property
     def dim(self):
@@ -86,19 +90,11 @@ class ContractionFamily:
 
     @property
     def degree(self):
-        return len(self.phis) - 1
+        return len(self._numerators[0]) - 1
 
     @classmethod
     def identity(cls, algebra):
         return cls(algebra, (linalg.identity(algebra.dim),))
-
-    @cached_property
-    def _numerators(self):
-        """(mats, D): the coefficient matrices as integer numerators over their
-        common denominator D, scaled once."""
-        n = self.dim
-        rows, den = linalg.numerators([row for m in self.phis for row in m])
-        return [rows[k:k + n] for k in range(0, len(rows), n)], den
 
     @cached_property
     def _entries(self):
@@ -144,17 +140,18 @@ class _InverseSeries:
     The reciprocal of dt is fraction-free: 1/dt = sum_m beta_m eps^m / d0**(m+1)
     with beta_0 = 1 and beta_m = -sum_{j>=1} dt_j beta_(m-j) d0**(j-1), so G_t
     is the integer matrix N_t = sum_s adj_s beta_(t-s) d0**s over d0**(t+1).
-    ``terms`` holds each nonzero G_t as (t, rows, den), reduced by the gcd of
-    its entries and den, with rows its nonzero rows (i, ((j, x), ...));
-    ``extend`` grows it, so each coefficient is computed once.  G_t is zero
-    below the lowest power of eps in adj(A) (dn - 1 for an Inonu-Wigner
-    family), and ``extend`` forms no sum there.
+    ``terms`` holds each nonzero G_t as (t, cols, den), reduced by the gcd of
+    its entries and den, with cols its sparse columns ((i, x), ...), as
+    ``linalg.column_product`` reads them; ``extend`` grows it, so each
+    coefficient is computed once.  G_t is zero below the lowest power of eps
+    in adj(A) (dn - 1 for an Inonu-Wigner family), and ``extend`` forms no
+    sum there.
     """
 
     def __init__(self, det, adj):
         self.valuation = linalg.poly_valuation(det)
         self._dt = det[self.valuation:]
-        self._adj = adj
+        self._columns = [[(i, p) for i, p in enumerate(col) if p] for col in zip(*adj)]
         self._low = min((linalg.poly_valuation(p) for row in adj for p in row if any(p)), default=0)
         self._beta = []
         self._powers = [1]  # powers of d0
@@ -172,17 +169,14 @@ class _InverseSeries:
                 continue
             # (s, beta_(t-s) d0**s) for the nonzero beta only: one pair when dt is constant
             factors = [(t - k, b * powers[t - k]) for k, b in enumerate(beta) if b]
-            rows = []
-            for i, adj_row in enumerate(self._adj):
-                row = [(j, x) for j, x in enumerate(
-                    sum(p[s] * f for s, f in factors if s < len(p)) for p in adj_row) if x]
-                if row:
-                    rows.append((i, row))
-            if rows:
+            cols = [[(i, x) for i, p in column
+                     for x in [sum(p[s] * f for s, f in factors if s < len(p))] if x]
+                    for column in self._columns]
+            if any(cols):
                 den = powers[t + 1]
-                g = gcd(den, *(x for _, row in rows for _, x in row))
-                self.terms.append((t, tuple((i, tuple((j, x // g) for j, x in row))
-                                            for i, row in rows), den // g))
+                g = gcd(den, *(x for col in cols for _, x in col))
+                self.terms.append((t, tuple(tuple((i, x // g) for i, x in col) for col in cols),
+                                   den // g))
         return self.terms
 
 
@@ -191,10 +185,13 @@ def iw_family(split: SubalgebraSplit) -> ContractionFamily:
 
     Its determinant and adjugate come in closed form, checked exactly, when
     the split's projectors are complementary idempotents; otherwise the
-    family eliminates as any other does.
+    family eliminates as any other does.  The public constructor refuses a
+    split that holds floats.
     """
-    fam = ContractionFamily(split.algebra, (split.proj_h, split.proj_n))
-    (h, nmat), den = fam._numerators
+    (h, nmat), den = split._numerators
+    if type(den) is float:
+        return ContractionFamily(split.algebra, (split.proj_h, split.proj_n))
+    fam = linalg.with_state(ContractionFamily, algebra=split.algebra, _numerators=((h, nmat), den))
     closed = _iw_det_adjugate(h, nmat, den)
     if closed is not None:
         # fills the cached_properties, as their first reads would
@@ -214,8 +211,9 @@ def _iw_det_adjugate(h, nmat, den):
     """
     n = len(h)
     scaled_identity = tuple(tuple(den if i == j else 0 for j in range(n)) for i in range(n))
+    nrows = [tuple((j, y) for j, y in enumerate(row) if y) for row in nmat]  # sparse rows
     if (linalg.mat_add(h, nmat) != scaled_identity
-            or not linalg.is_zero_matrix(linalg.mat_mul(h, nmat))):
+            or any(any(linalg.column_product(nrows, row)) for row in h)):  # row i of h nmat
         return None
     dn = sum(nmat[i][i] for i in range(n)) // den
     s = den ** max(n - 2, 0)
@@ -240,6 +238,8 @@ def invert_family_apply(fam: ContractionFamily, r: Jet, order: int) -> Jet:
     eps^v w = D (G R) / r_den, so coefficient m of G R, a convolution of the
     family's Taylor table with R, is coefficient m - v of w.  It starts at m =
     t0, the first nonzero term of the table: below it every sum is empty.
+    Each term adds its columns, times D common / den, into coefficient m,
+    common the lcm of the denominators of the terms read.
     The coefficients come back over one common denominator in a
     ``Jet.from_numerators``, so no Fraction is made before a read.  The solve
     is exact-only: a jet r holding a float is a TypeError.
@@ -255,11 +255,13 @@ def invert_family_apply(fam: ContractionFamily, r: Jet, order: int) -> Jet:
     coeffs = []  # D times the numerators of coefficient m - v, over common * r_den
     for m in range(terms[0][0], v + order + 1):
         acc = [0] * fam.dim
-        for t, mat, den in terms:
-            if t <= m < t + len(rows) and any(rows[m - t]):
-                f, x = common // den, rows[m - t]
-                for i, row in mat:
-                    acc[i] += f * sum(a * x[j] for j, a in row)
+        for t, cols, den in terms:
+            if t > m:
+                break
+            if m - t < len(rows):
+                f = scale * (common // den)
+                x = rows[m - t]
+                linalg.column_product(cols, x if f == 1 else [f * c for c in x], acc)
         if m < v:
             comp = next((i for i, c in enumerate(acc) if c), None)
             if comp is not None:
@@ -267,7 +269,7 @@ def invert_family_apply(fam: ContractionFamily, r: Jet, order: int) -> Jet:
                     f"component {fam.algebra.basis_names[comp]} has valuation {m - v} at 0",
                     valuation=m - v, component=comp)
         else:
-            coeffs.append([scale * c for c in acc])
+            coeffs.append(acc)
     return Jet.from_numerators(fam.dim, order + 1, coeffs, common * r_den)
 
 
@@ -310,7 +312,7 @@ def contract(fam: ContractionFamily) -> LieAlgebra:
     alg = fam.algebra
     n = alg.dim
     basis = [tuple(int(a == b) for b in range(n)) for a in range(n)]
-    entries = []
+    limits = []  # (a, b, the numerators of the limit of [X_a, X_b], their denominator)
     for a in range(n):
         for b in range(a + 1, n):
             try:
@@ -322,8 +324,11 @@ def contract(fam: ContractionFamily) -> LieAlgebra:
                     pair=(a, b)) from None
             rows, den = limit.numerators
             if rows:
-                entries += [(a, b, c, Fraction(x, den)) for c, x in enumerate(rows[0]) if x]
-    out = LieAlgebra.from_brackets(n, alg.basis_names, entries)
+                limits.append((a, b, rows[0], den))
+    common = lcm(*(den for *_, den in limits))
+    out = LieAlgebra._from_table(n, alg.basis_names, (common, tuple(
+        (a, b, tuple((c, x * (common // den)) for c, x in enumerate(row) if x))
+        for a, b, row, den in limits)))
     report = out.validate()
     if not report.ok:
         raise InternalInvariantViolation(

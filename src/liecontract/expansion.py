@@ -88,9 +88,7 @@ class ExpandedElement:
         """
         g = gcd(den, *chain.from_iterable(rows))
         rows = tuple([tuple([x // g for x in v]) if g > 1 else tuple(v) for v in rows])
-        el = cls.__new__(cls)
-        el.__dict__["numerators"] = (rows, den // g)
-        return el
+        return linalg.with_state(cls, numerators=(rows, den // g))
 
     def __getattr__(self, name):
         """Build the slots, which neither constructor keeps, once, on their first read."""
@@ -144,7 +142,7 @@ class IWExpansion:
         if not len(p) == len(q) == k + 2 or not len(p[0]) == len(q[0]) == n:
             raise DimensionMismatch(_MISFIT.format(k + 2, n))
         out, den = bracket_numerators(self.algebra, (p, dp), (q, dq), k + 2)
-        _, proj, pden, _ = self.split._projector_forms["n"]
+        proj, pden, _ = self.split._projector_forms["n"]
         # a zero slot (int zeros) projects to itself: mat_vec would scan proj to tell
         if any(out[0]) and any(linalg.mat_vec(proj, out[0])):
             raise InternalInvariantViolation("leading bracket slot escaped the subalgebra")

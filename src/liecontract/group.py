@@ -93,9 +93,7 @@ class HElement:
         g = gcd(den, *chain.from_iterable(rows)) * (1 if den > 0 else -1)
         if g != 1:
             rows, den = [[x // g for x in row] for row in rows], den // g
-        h = cls.__new__(cls)
-        h.__dict__["numerators"] = (tuple(map(tuple, rows)), den)
-        return h
+        return linalg.with_state(cls, numerators=(tuple(map(tuple, rows)), den))
 
     def __getattr__(self, name):
         """Build ``ad``, which neither constructor keeps, once, on its first read."""
@@ -159,7 +157,7 @@ class ExpansionGroup:
         if type(den) is float:
             mids = tuple(z.coeff(m) for m in range(1, k + 1))
             return NilTuple(mids, self.split.coset_reduce(z.coeff(k + 1)))
-        _, pn, pden, _ = self.split._projector_forms["n"]
+        pn, pden, _ = self.split._projector_forms["n"]
         rows += ((0,) * self.algebra.dim,) * (k + 2 - len(rows))
         mids = tuple(linalg.from_numerators(v, den) for v in rows[1:k + 1])
         return NilTuple(mids, linalg.from_numerators(linalg.mat_vec(pn, rows[k + 1]), pden * den))
@@ -244,7 +242,7 @@ class ExpansionGroup:
                 if lhs != alg._numerator_bracket(cols[a], cols[b]):
                     raise DimensionMismatch(
                         _NOT_AUTOMORPHISM.format(alg.basis_names[a], alg.basis_names[b]))
-        pn = self.split._projector_forms["n"][1]
+        pn = self.split._projector_forms["n"][0]
         for v in linalg.numerators(self.split.h_basis)[0]:
             if any(linalg.mat_vec(pn, linalg.mat_vec(rows, v))):
                 raise DimensionMismatch(_NOT_PRESERVED)
@@ -280,7 +278,7 @@ class ExpansionGroup:
         if type(den) is float or type(sden) is float:
             mids = tuple(linalg.mat_vec(h.ad, m) for m in a.mids)
             return NilTuple(mids, self.split.coset_reduce(linalg.mat_vec(h.ad, a.top)))
-        _, pn, pden, _ = self.split._projector_forms["n"]
+        pn, pden, _ = self.split._projector_forms["n"]
         out = [linalg.mat_vec(rows, v) for v in slots]
         mids = tuple(linalg.from_numerators(v, den * sden) for v in out[:-1])
         top = linalg.mat_vec(pn, out[-1])

@@ -9,7 +9,8 @@ One truncated Cauchy product, ``_cauchy``, serves vector jets (the bracket),
 matrix jets (the matrix product of the oracle), the slot tuples of an
 expansion and the contraction family's lift of a polynomial (integer
 coefficient matrices acting on integer numerators): it works on plain
-coefficient sequences and skips zero coefficients.  The bracket
+coefficient sequences, skips zero coefficients and stores a lone product of
+a degree as it is, with no sum from zero.  The bracket
 convolution, ``bracket_numerators``, runs it on integers: it takes each
 coefficient sequence as integer numerators over one denominator, and the
 algebra's integer bracket table does the products.
@@ -59,11 +60,11 @@ def _vec_add(u, v):
 def _cauchy(p, q, trunc, mul, add, zero, nonzero=_nonzero):
     """The first ``trunc`` coefficients of the product of two coefficient sequences.
 
-    Coefficient m sums ``mul(p[i], q[m - i])`` over increasing i, starting
-    from ``zero``; pairs with a factor that ``nonzero`` rejects are skipped,
-    so a degree that no pair reaches holds ``zero`` itself.  The default test
-    reads vectors and matrices alike; a caller whose coefficients are all
-    vectors passes ``any``.
+    Coefficient m sums ``mul(p[i], q[m - i])`` over increasing i, a lone
+    product stored as it is; pairs with a factor that ``nonzero`` rejects are
+    skipped, so a degree that no pair reaches holds ``zero`` itself.  The
+    default test reads vectors and matrices alike; a caller whose
+    coefficients are all vectors passes ``any``.
     """
     out = [zero] * trunc
     q = [(j, b) for j, b in enumerate(q[:trunc]) if nonzero(b)]
@@ -73,7 +74,8 @@ def _cauchy(p, q, trunc, mul, add, zero, nonzero=_nonzero):
         for j, b in q:
             if i + j >= trunc:
                 break
-            out[i + j] = add(out[i + j], mul(a, b))
+            c = mul(a, b)
+            out[i + j] = c if out[i + j] is zero else add(out[i + j], c)
     return out
 
 
@@ -135,9 +137,7 @@ class Jet:
         rows = kept[:end]
         if g > 1:
             rows, den = [tuple([x // g for x in v]) for v in rows], den // g
-        jet = cls.__new__(cls)
-        jet.__dict__.update(dim=dim, trunc=trunc, numerators=(tuple(rows), den))
-        return jet
+        return linalg.with_state(cls, dim=dim, trunc=trunc, numerators=(tuple(rows), den))
 
     def __getattr__(self, name):
         """Build ``coeffs``, which neither constructor keeps, once, on its first read."""
@@ -275,14 +275,12 @@ class MatrixJet:
         if g > 1:
             mats = tuple([tuple([tuple([x // g for x in row]) for row in m]) for m in mats])
             den //= g
-        jet = cls.__new__(cls)
-        jet.__dict__.update(size=size, trunc=trunc, numerators=(mats, den))
-        return jet
+        return linalg.with_state(cls, size=size, trunc=trunc, numerators=(mats, den))
 
     def __getattr__(self, name):
         """Build ``coeffs``, which neither constructor keeps, once, on its first read."""
-        return linalg.deferred(self, name, ("coeffs",), "numerators", lambda pair: (
-            tuple(tuple(linalg.from_numerators(row, pair[1]) for row in m) for m in pair[0]),))
+        return linalg.deferred(self, name, ("coeffs",), "numerators",
+                               lambda pair: (linalg.matrices_of(pair),))
 
     @classmethod
     def zero(cls, size, trunc):

@@ -161,18 +161,19 @@ def mat_vec(m, v):
     return tuple(sum((row[j] * b for j, b in support), ZERO) for row in m)
 
 
-def column_product(cols, x):
+def column_product(cols, x, out=None):
     """The square matrix with sparse columns cols applied to the integer vector x.
 
     Column j holds its nonzero entries as (row, entry) pairs; the product
-    visits the support of x only.
+    visits the support of x only, and is added into the list ``out`` (zeros
+    if none is given), which is returned.
     """
-    out = [0] * len(cols)
+    out = [0] * len(cols) if out is None else out
     for j, c in enumerate(x):
         if c:
             for i, a in cols[j]:
                 out[i] += a * c
-    return tuple(out)
+    return out
 
 
 def mat_mul(a, b):
@@ -290,6 +291,18 @@ def vectors_of(pair):
     if type(den) is float:
         return tuple(rows)
     return tuple(from_numerators(v, den) for v in rows)
+
+
+def matrices_of(pair):
+    """The matrices whose numerators are ``pair``: (mats, den), one denominator for all."""
+    return tuple(vectors_of((m, pair[1])) for m in pair[0])
+
+
+def with_state(cls, **state):
+    """An object of ``cls`` whose ``__dict__`` is ``state``, made without a constructor."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update(state)
+    return obj
 
 
 def deferred(obj, name, fields, source, build):

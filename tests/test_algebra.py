@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from liecontract import algebra as algebra_module, linalg
 from liecontract.algebra import (
-    LieAlgebra, ValidationReport, _split, span_subalgebra, split_with_complement)
+    LieAlgebra, SubalgebraSplit, ValidationReport, _split, span_subalgebra,
+    split_with_complement)
 from liecontract.catalog import builtin, subalgebra_catalog
 from liecontract.errors import DimensionMismatch, NotASubalgebra, UnknownAlgebra
 from liecontract.verify import run_verify
@@ -620,6 +621,64 @@ def test_projectors_match_the_matrix_product_bit_for_bit():
                     inv[r][j] = x
             assert repr(tuple(linalg.from_numerators(row, d) for row in inv)) == \
                 repr(linalg.invert(tuple(zip(*args[1], *args[2]))))
+
+
+def fraction_projector_split(alg, h_basis, n_basis):
+    """``_split`` as it was before the split kept integer projectors: the same
+    integer sums, made into Fraction projectors (floats in the float mode),
+    and the inverse of the base change, column by column."""
+    n = alg.dim
+    rows, den = linalg.numerators(tuple(zip(*h_basis, *n_basis)))
+    inv, d = linalg.invert_numerators(rows, den)
+    den = (1 if type(den) is float else den) * d
+    ph = []
+    for row in rows:
+        support = [(l, b) for l, b in enumerate(row[:len(h_basis)]) if b]
+        ph.append([sum((inv[l][k] * b for l, b in support), 0) for k in range(n)])
+    proj_h = tuple(linalg.from_numerators(row, den) for row in ph)
+    proj_n = tuple(linalg.from_numerators([(den if i == k else 0) - x for k, x in enumerate(row)],
+                                          den) for i, row in enumerate(ph))
+    inverse = (tuple(tuple((r, row[j]) for r, row in enumerate(inv) if row[j])
+                     for j in range(n)), d)
+    return proj_h, proj_n, inverse
+
+
+SPLIT_ENTRIES = (0, 0, 1, -1, F(1, 3), F(-5, 2), F(7, 10 ** 9 + 7), 0.0, -0.0, 0.1, -2.5, 1e-300)
+
+
+@st.composite
+def drawn_bases(draw):
+    """(n, h columns, n columns) of a base change on exact, float or mixed entries."""
+    n = draw(st.integers(1, 5))
+    mode = draw(st.sampled_from(("exact", "float", "mixed")))
+    exact = st.sampled_from(SPLIT_ENTRIES[:7]).map(F)
+    floats = st.sampled_from(SPLIT_ENTRIES).map(float)
+    entry = {"exact": exact, "float": floats, "mixed": st.one_of(exact, floats)}[mode]
+    cols = [tuple(draw(entry) for _ in range(n)) for _ in range(n)]
+    dh = draw(st.integers(0, n))
+    return n, tuple(cols[:dh]), tuple(cols[dh:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_bases())
+def test_split_matches_the_fraction_projector_reference(basis):
+    """The split's projector views and inverse equal those of the Fraction
+    route by repr; its state is what the public constructor keeps from them."""
+    n, h_basis, n_basis = basis
+    alg = builtin(f"abelian({n})")[0]
+    try:
+        want = fraction_projector_split(alg, h_basis, n_basis)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _split(alg, h_basis, n_basis)
+        return
+    split = _split(alg, h_basis, n_basis)
+    assert "proj_h" not in split.__dict__ and "proj_n" not in split.__dict__
+    assert repr((split.proj_h, split.proj_n, split._inverse)) == repr(want)
+    public = SubalgebraSplit(alg, h_basis, n_basis, *want[:2])
+    assert repr(public._numerators) == repr(split._numerators)
+    if type(split._numerators[1]) is int:  # a nan among floats equals nothing
+        assert public == split and hash(public) == hash(split)
 
 
 def test_coset_reduce_examples(so3, heis3):

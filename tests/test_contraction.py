@@ -639,6 +639,54 @@ def test_invert_family_apply_builds_its_fractions_on_first_read(case):
     assert w.numerators == linalg.numerators(w.coeffs)
 
 
+def row_loop_invert_family_apply(fam, r, order):
+    """``invert_family_apply`` as it ran before the table kept sparse columns:
+    each G_t in sparse rows (``reference_inverse_terms``), a generator sum per row."""
+    rows, r_den = linalg.exact(r.numerators, "a family solve")
+    if not fam._det:
+        raise SingularFamily("family determinant is the zero polynomial")
+    v = linalg.poly_valuation(fam._det)
+    terms = reference_inverse_terms(fam._det, fam._adjugate, v + order + 1)
+    scale = fam._numerators[1]
+    common = math.lcm(*(den for t, _, den in terms if t <= v + order))
+    coeffs = []
+    for m in range(terms[0][0], v + order + 1):
+        acc = [0] * fam.dim
+        for t, mat, den in terms:
+            if t <= m < t + len(rows) and any(rows[m - t]):
+                f, x = common // den, rows[m - t]
+                for i, row in mat:
+                    acc[i] += f * sum(a * x[j] for j, a in row)
+        if m < v:
+            comp = next((i for i, c in enumerate(acc) if c), None)
+            if comp is not None:
+                raise PoleError(
+                    f"component {fam.algebra.basis_names[comp]} has valuation {m - v} at 0",
+                    valuation=m - v, component=comp)
+        else:
+            coeffs.append([scale * c for c in acc])
+    return Jet.from_numerators(fam.dim, order + 1, coeffs, common * r_den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(families(), st.integers(0, 4), st.data())
+def test_invert_family_apply_matches_the_row_loop(case, order, data):
+    """The column solve gives the row loop's jet, numerators and error, by repr."""
+    fam = case[0]
+    coeffs = st.tuples(*[st.sampled_from(FAMILY_ENTRIES)] * fam.dim)
+    trunc = data.draw(st.integers(order + 1, order + 3))
+    r = Jet(fam.dim, trunc, data.draw(st.lists(coeffs, min_size=1, max_size=trunc)))
+
+    def outcome(solve):
+        try:
+            jet = solve(fam, r, order)
+        except (PoleError, SingularFamily) as err:
+            return type(err), str(err), getattr(err, "valuation", None)
+        return repr(jet.numerators), repr(jet)
+
+    assert outcome(invert_family_apply) == outcome(row_loop_invert_family_apply)
+
+
 def test_invert_family_apply_refuses_a_float_jet():
     """The solve is exact-only, as the family and the rescaled bracket are."""
     for singular in (False, True):
@@ -698,10 +746,11 @@ def counter_of(calls):
 
 
 def test_contract_scales_and_eliminates_once_per_family(monkeypatch):
-    """A family built from its matrices, as ``--family`` loads one, eliminates once."""
+    """A family built from its matrices, as ``--family`` loads one, scales
+    them once, when it is built, and eliminates once."""
     alg, sub = so_n(5)
     split = span_subalgebra(alg, sub)
-    fams = [ContractionFamily(alg, (split.proj_h, split.proj_n)) for _ in range(3)]
+    rows = [row for m in (split.proj_h, split.proj_n) for row in m]
     calls = Counter()
     counted = counter_of(calls)
 
@@ -709,7 +758,7 @@ def test_contract_scales_and_eliminates_once_per_family(monkeypatch):
 
     def counted_numerators(vectors):
         # the family's own coefficient rows, as opposed to vectors and jets
-        calls["scaling"] += any(vectors and vectors[0] is fam.phis[0][0] for fam in fams)
+        calls["scaling"] += list(vectors) == rows
         return numerators(vectors)
 
     monkeypatch.setattr(linalg, "numerators", counted_numerators)
@@ -717,8 +766,10 @@ def test_contract_scales_and_eliminates_once_per_family(monkeypatch):
     monkeypatch.setattr(linalg, "poly_det", counted("det", linalg.poly_det))
     monkeypatch.setattr(contraction, "_InverseSeries",
                         counted("table", contraction._InverseSeries))
+    fams = [ContractionFamily(alg, (split.proj_h, split.proj_n)) for _ in range(3)]
+    assert calls == {"scaling": 3}
     contract(fams[0])
-    assert calls == {"scaling": 1, "adjugate": 1, "det": 1, "table": 1}
+    assert calls == {"scaling": 3, "adjugate": 1, "det": 1, "table": 1}
     table = fams[0]._inverse
     # higher orders extend the one table, and neither eliminate nor rebuild it
     for order in (2, 4):
@@ -727,10 +778,10 @@ def test_contract_scales_and_eliminates_once_per_family(monkeypatch):
                         order=order)
     GeneralExpansion(fams[0], 3).bracket_tuples([alg.basis_vector(0)] * 4,
                                                 [alg.basis_vector(9)] * 4)
-    assert calls == {"scaling": 1, "adjugate": 1, "det": 1, "table": 1}
+    assert calls == {"scaling": 3, "adjugate": 1, "det": 1, "table": 1}
     assert fams[0]._inverse is table
     contract(fams[1])
-    assert calls == {"scaling": 2, "adjugate": 2, "det": 2, "table": 2}
+    assert calls == {"scaling": 3, "adjugate": 2, "det": 2, "table": 2}
     # the general expansion lifts on the family's integer numerators, without a matrix jet
     monkeypatch.setattr(MatrixJet, "__post_init__",
                         counted("matrix jet", MatrixJet.__post_init__))
@@ -845,6 +896,54 @@ def dense_splits(draw):
 @given(dense_splits())
 def test_iw_inverse_in_closed_form_matches_on_drawn_bases(split):
     assert_closed_form_is_the_elimination(split)
+
+
+def degeneration_invariants(alg):
+    """(dim [g, g], dim z(g), dim Der(g)), each read off a rank over Q from
+    ``linalg.pivot_columns`` on the structure constants, whatever the basis.
+
+    z(g) is the kernel of x -> ([x, X_b])_b.  Der(g) is the solution space of
+    D [X_a, X_b] = [D X_a, X_b] + [X_a, D X_b], a < b, in the n^2 entries of D,
+    D X_j = sum_i D_ij X_i: each entry has one coefficient per condition (a, b, c).
+    """
+    f, n = alg.structure, alg.dim
+    derived = linalg.pivot_columns([f[a][b] for a in range(n) for b in range(a + 1, n)], n)
+    adjoint = [tuple(x for b in range(n) for x in f[a][b]) for a in range(n)]
+    conds = [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(n)]
+    entries = [tuple((f[a][b][j] if i == c else 0) - (f[i][b][c] if j == a else 0)
+                     - (f[a][i][c] if j == b else 0) for a, b, c in conds)
+               for i in range(n) for j in range(n)]
+    return (len(derived), n - len(linalg.pivot_columns(adjoint, n * n)),
+            n * n - len(linalg.pivot_columns(entries, len(conds))))
+
+
+def degenerates(g, g0):
+    """Whether g0 passes the necessary conditions for a contraction of g:
+    dim [g0, g0] <= dim [g, g], dim z(g0) >= dim z(g), dim Der(g0) >= dim Der(g)."""
+    (d, z, der), (d0, z0, der0) = map(degeneration_invariants, (g, g0))
+    return d0 <= d and z0 >= z and der0 >= der
+
+
+def test_sl2_is_no_contraction_of_heis3():
+    """The invariants tell the two apart, and refuse sl2 as a limit of heis3."""
+    assert degeneration_invariants(sl2) == (3, 0, 3)
+    assert degeneration_invariants(heis3) == (1, 1, 6)
+    assert not degenerates(heis3, sl2) and degenerates(sl2, heis3)
+
+
+# so(6) > so(5) and the dense so(5) are left out: their derivation systems (225 entries
+# in 1575 conditions; 100 in 450, on large rationals) take seconds each
+@pytest.mark.parametrize("split", [s for s in catalogued_splits() if s.algebra.dim <= 10]
+                         + dense_so_splits()[:4])
+def test_contraction_limits_pass_the_degeneration_invariants(split):
+    g0 = contract(iw_family(split))
+    assert degenerates(split.algebra, g0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_splits())
+def test_limits_on_drawn_bases_pass_the_degeneration_invariants(split):
+    assert degenerates(split.algebra, contract(iw_family(split)))
 
 
 def eliminated_outcomes(fam):
@@ -1061,17 +1160,22 @@ def test_contract_brackets_the_eps0_and_eps1_products_only(monkeypatch, n, produ
     (lambda: span_subalgebra(*so_n(6)), 50),
     (lambda: dense_so_splits()[0], None),  # a dense basis of so(4): its table's count
 ], ids=["so5", "so6", "dense-so4"])
-def test_contract_reads_one_scalar_per_nonzero_limit_entry(monkeypatch, split, entries):
+def test_contract_makes_no_fraction_before_its_structure_is_read(monkeypatch, split, entries):
     """From its unit vectors to the limit table, ``contract`` stays on integers:
-    ``rat`` reads each nonzero limit entry once, in ``from_brackets``, and an
-    Inonu-Wigner family never builds the entry polynomials of an elimination."""
-    fam = iw_family(split())
+    it makes no Fraction and reads no scalar through ``rat`` until the limit's
+    ``structure`` is read, and an Inonu-Wigner family never builds the entry
+    polynomials of an elimination."""
+    split = split()
+    fam = iw_family(split)
     calls = Counter()
+    counted = counter_of(calls)
     rat = linalg.rat
-    counted = counter_of(calls)("rat", rat)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "liecontract" and getattr(module, "rat", None) is rat:
-            monkeypatch.setattr(module, "rat", counted)
+            monkeypatch.setattr(module, "rat", counted("rat", rat))
+    for name in ("__new__", "_from_coprime_ints"):  # the second makes Fractions from 3.12 on
+        if name in vars(F):  # each read off the class, bound as a call through it binds it
+            monkeypatch.setattr(F, name, staticmethod(counted("fraction", getattr(F, name))))
     scaled = Counter()  # the types of the entries that the rescaled bracket scales
     exact_numerators = linalg.exact_numerators
 
@@ -1081,11 +1185,16 @@ def test_contract_reads_one_scalar_per_nonzero_limit_entry(monkeypatch, split, e
 
     monkeypatch.setattr(linalg, "exact_numerators", recorded)
     limit = contract(fam)
+    assert calls == {} and "structure" not in limit.__dict__
     table = sum(len(row) for _, _, row in limit._table[1])
-    assert calls["rat"] == table == (table if entries is None else entries)
+    assert table == (table if entries is None else entries)
     n = fam.dim
     assert scaled == {int: n * n * (n - 1)}  # two unit vectors per pair a < b
     assert "_entries" not in fam.__dict__
+    structure = limit.structure
+    assert calls["fraction"] > 0 and calls["rat"] == 0
+    want = iw_contract_closed_form(split)
+    assert limit == want and structure == want.structure
 
 
 def reference_inverse_terms(det, adj, count):
@@ -1111,6 +1220,18 @@ def reference_inverse_terms(det, adj, count):
     return terms
 
 
+def as_columns(terms, n):
+    """Terms in sparse rows, (i, ((j, x), ...)), relaid in sparse columns, ((i, x), ...)."""
+    out = []
+    for t, rows, den in terms:
+        cols = [[] for _ in range(n)]
+        for i, row in rows:
+            for j, x in row:
+                cols[j].append((i, x))
+        out.append((t, tuple(map(tuple, cols)), den))
+    return out
+
+
 def so4_pole_families():
     """so(4) families fixing the span of the X_(i,m) for one m, which is not
     bracket-closed, and rescaling the rest: each limit has a pole of order one."""
@@ -1123,7 +1244,7 @@ def so4_pole_families():
 
 def test_inverse_table_skips_its_zero_degrees_and_keeps_its_terms():
     """``extend`` starts its sums at the lowest power of eps in the adjugate and
-    gives the terms of the loop over every degree."""
+    gives the terms of the loop over every degree, in sparse columns."""
     families = [iw_family(s) for s in catalogued_splits() + dense_so_splits()]
     families += so4_pole_families() + [forced_plane_family(), golden_family("so3-pole.json"),
                                        golden_family("heis3-weighted.json", heis3)]
@@ -1132,7 +1253,8 @@ def test_inverse_table_skips_its_zero_degrees_and_keeps_its_terms():
         inverse = contraction._InverseSeries(fam._det, fam._adjugate)
         count = inverse.valuation + 4
         inverse.extend(1)  # grown in two steps, as the solves grow it
-        assert inverse.extend(count) == reference_inverse_terms(fam._det, fam._adjugate, count)
+        want = reference_inverse_terms(fam._det, fam._adjugate, count)
+        assert inverse.extend(count) == as_columns(want, fam.dim)
         # G_t is nonzero from the adjugate's lowest power on: adj_low / d0
         assert inverse.terms[0][0] == inverse._low
         starts.add(inverse._low)

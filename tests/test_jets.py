@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecontract import linalg
-from liecontract.algebra import LieAlgebra, span_subalgebra
+from liecontract.algebra import LieAlgebra, SubalgebraSplit, _split, span_subalgebra
 from liecontract.catalog import builtin, subalgebra_catalog
+from liecontract.contraction import ContractionFamily, iw_family
 from liecontract.errors import DimensionMismatch, InternalInvariantViolation
 from liecontract.expansion import ExpandedElement, IWExpansion
 from liecontract.group import HElement
@@ -292,6 +293,15 @@ def one_state_cases():
     def change_slots(slots):
         slots[0][0], slots[1][0][1] = 9, 4
 
+    def change_projectors(mats):
+        mats[0][2][0], mats[1][0] = 7, [0, 0, 0]
+
+    # X3 and its complement X1 + X3/2, X2 in so3: P_h X1 = -X3/2, over the denominator 2
+    h_basis, n_basis = ((F(0), F(0), F(1)),), ((F(1), F(0), half), (F(0), F(1), F(0)))
+
+    def projectors():
+        return [[[0, 0, 0], [0, 0, 0], [-half, 0, 1]], [[1, 0, 0], [0, 1, 0], [half, 0, 0]]]
+
     return {
         "LieAlgebra": (
             so3_halved(), lambda f: LieAlgebra(3, ("X1", "X2", "X3"), f),
@@ -316,7 +326,23 @@ def one_state_cases():
             lambda slots: ExpandedElement(slots[0], slots[1], slots[2]),
             ExpandedElement._from_numerators([(1, 0, 0), (0, 2, 0), (0, 0, 6)], 2),
             ["numerators"], "mids", change_slots),
+        "SubalgebraSplit": (
+            projectors(), lambda mats: SubalgebraSplit(so3, h_basis, n_basis, *mats),
+            without(_split(so3, h_basis, n_basis), "_inverse"),
+            ["algebra", "h_basis", "n_basis", "_numerators"], "proj_h", change_projectors),
+        "ContractionFamily": (
+            projectors(), lambda mats: ContractionFamily(so3, mats),
+            without(iw_family(_split(so3, h_basis, n_basis)), "_det", "_adjugate"),
+            ["algebra", "_numerators"], "phis", change_projectors),
     }
+
+
+def without(value, *caches):
+    """``value`` with the caches that its constructor fills dropped, as a first read
+    finds them."""
+    for name in caches:
+        del value.__dict__[name]
+    return value
 
 
 def leaves(value):
@@ -338,6 +364,32 @@ def test_constructors_keep_one_state(kind):
     view = getattr(value, field)
     assert view == getattr(twin, field) and getattr(value, field) is view  # built once
     assert {type(x) for x in leaves(view)} == {F}
+
+
+def test_splits_and_families_compare_their_integer_state():
+    """``==`` and ``hash`` read the integer state, not the Fraction views;
+    projecting the zero vector builds no view either."""
+    data, build, twin, *_ = one_state_cases()["SubalgebraSplit"]
+    split = build(data)
+    assert split == twin and hash(split) == hash(twin)
+    other = span_subalgebra(so3, [so3.basis_vector(2)])  # P_h X1 = 0: another state
+    assert split != other and split.h_basis == other.h_basis
+    assert split._numerators == ((((0, 0, 0), (0, 0, 0), (-1, 0, 2)),
+                                  ((2, 0, 0), (0, 2, 0), (1, 0, 0))), 2)
+    for zero in ((0, 0, 0), (F(0), F(0), F(0)), (0.0, -0.0, 0.0)):
+        for key in ("h", "n"):
+            got = split._project(key, zero)
+            assert got == (0, 0, 0) and {type(x) for x in got} == {F}
+    assert "proj_h" not in split.__dict__ and "proj_n" not in split.__dict__
+    with pytest.raises(DimensionMismatch):
+        split._project("n", (0, 0))
+    with pytest.raises(DimensionMismatch, match="projectors must be square"):
+        SubalgebraSplit(so3, (), (), data[0][:2], data[1])
+    fams = [ContractionFamily(so3, data), iw_family(twin)]
+    assert fams[0] == fams[1] and hash(fams[0]) == hash(fams[1])
+    assert fams[0] != ContractionFamily(so3, data[::-1])
+    assert all("phis" not in fam.__dict__ for fam in fams)
+    assert ContractionFamily(so3, data).degree == 1
 
 
 def test_jets_read_exact_entries_as_rat_does():
