@@ -24,11 +24,11 @@ A subalgebra split holds one state, however built: its projectors P_h and
 P_n as integer rows over one reduced denominator (``_numerators``), of which
 ``proj_h`` and ``proj_n`` are views, built on their first read.
 ``span_subalgebra`` and ``split_with_complement`` read their vectors once
-into numerators, and run the pivot search, the closure brackets and the base
-change on them.  An exact vector is projected in one integer product with
-one Fraction per entry; a float vector (the numeric mode) meets a copy of
-the projector rounded once to floats, with the float bits that the exact
-projector gives when it is rounded at each product.
+into numerators and run on them the closure brackets and one pivot search,
+which inverts the base change too.  An exact vector is projected in one
+integer product with one Fraction per entry; a float vector (the numeric
+mode) meets a copy of the projector rounded once to floats, with the float
+bits that the exact projector gives when it is rounded at each product.
 """
 
 from __future__ import annotations
@@ -402,21 +402,21 @@ class SubalgebraSplit:
         return linalg.is_zero_vector(self.project_n(x))
 
 
-def _split(alg, h_basis, n_basis, cols=None):
+def _split(alg, h_basis, n_basis, cols=None, inverse=None):
     """The split along h_basis with complement n_basis, and its exact projectors.
 
     ``cols`` is (columns, den), the numerators of h_basis and n_basis in
-    turn, when the caller has them.  P_h = (h columns of B)(first dh rows of
-    B^-1), B the base change, and P_n = 1 - P_h come from integers: B's
-    h-column numerators times the rows of d B^-1 that the elimination leaves,
-    kept over one reduced denominator.  The float mode runs the same sums on
-    the values, over 1.  The split keeps d B^-1, column by column, and d as
-    ``_inverse``.
+    turn, and ``inverse`` (d B^-1, d), B the base change, when the caller's
+    pivot search has them.  P_h = (h columns of B)(first dh rows of B^-1)
+    and P_n = 1 - P_h come from integers: B's h-column numerators times the
+    rows of d B^-1, kept over one reduced denominator.  The float mode runs
+    the same sums on the values, over 1.  The split keeps d B^-1, column by
+    column, and d as ``_inverse``.
     """
     n, dh = alg.dim, len(h_basis)
     cols, den = cols or linalg.numerators([*h_basis, *n_basis])
     rows = tuple(zip(*cols))
-    inv, d = linalg.invert_numerators(rows, den)
+    inv, d = inverse or linalg.invert_numerators(rows, den)
     ph = []
     for row in rows:
         support = [(l, b) for l, b in enumerate(row[:dh]) if b]
@@ -459,16 +459,18 @@ def span_subalgebra(alg, vectors):
 
     The span must be bracket-closed; linearly dependent input is pruned.  The
     complement is picked by greedy pivoting of the standard basis vectors in
-    index order, so it always consists of standard basis vectors.
+    index order, so it always consists of standard basis vectors.  The pivot
+    search inverts the base change too (``linalg.pivots_and_inverse``).
     """
     rows, den = linalg.exact_numerators(vectors, alg.dim)
     n, k = alg.dim, len(rows)
     cols = [*rows, *(tuple(den if i == j else 0 for j in range(n)) for i in range(n))]
-    pivots = linalg.pivot_columns(cols, n)
+    pivots, inverse = linalg.pivots_and_inverse(cols, den, n)
     h = [cols[j] for j in pivots if j < k]
     _closure_check(alg, h, den)
     n_basis = [alg.basis_vector(j - k) for j in pivots if j >= k]
-    return _split(alg, linalg.vectors_of((h, den)), n_basis, ([cols[j] for j in pivots], den))
+    return _split(alg, linalg.vectors_of((h, den)), n_basis, ([cols[j] for j in pivots], den),
+                  inverse)
 
 
 def split_with_complement(alg, h_vectors, n_vectors):
@@ -476,7 +478,7 @@ def split_with_complement(alg, h_vectors, n_vectors):
     h_vectors = list(h_vectors)
     rows, den = linalg.exact_numerators([*h_vectors, *n_vectors], alg.dim)
     k = len(h_vectors)
-    pivots = linalg.pivot_columns(rows, alg.dim)
+    pivots, inverse = linalg.pivots_and_inverse(rows, den, alg.dim)
     h = [rows[j] for j in pivots if j < k]
     _closure_check(alg, h, den)
     if len(pivots) - len(h) != len(rows) - k:
@@ -484,4 +486,4 @@ def split_with_complement(alg, h_vectors, n_vectors):
     if len(pivots) != alg.dim:
         raise DimensionMismatch("subalgebra and complement do not span the algebra")
     return _split(alg, linalg.vectors_of((h, den)), linalg.vectors_of((rows[k:], den)),
-                  ([rows[j] for j in pivots], den))
+                  ([rows[j] for j in pivots], den), inverse)

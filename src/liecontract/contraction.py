@@ -5,25 +5,25 @@ its pointwise inverse is done exactly over the field of rational functions.
 A family holds one state, however built: its coefficient matrices as integer
 numerators over one reduced denominator D (``_numerators``), of which
 ``phis`` is a view, built on its first read.  The public constructor reads
-exact matrices once (``as_matrix`` refuses floats); ``iw_family`` takes the
-split's projector numerators as they are, checks on the integers that they
-are complementary idempotents, and writes the determinant and adjugate of
-the numerator family in closed form.  Any other family computes both once,
-by the fraction-free Gauss-Jordan elimination of linalg over Z[eps] on the
-n^2 entry polynomials, built for that elimination alone; it divides exactly
-and checks every remainder, so the cached adjugate checks itself.
+exact matrices once (``as_matrix`` refuses floats).
 
-From them the family builds, once and on demand, the Taylor coefficients G_t
-of eps^v times its inverse, eps^v the largest power of the parameter dividing
-the determinant: the adjugate times a fraction-free reciprocal of the
-determinant's cofactor, each G_t an integer matrix over one denominator, kept
-in sparse columns.  A higher order extends the table; nothing is rebuilt.  A
-solve applies the columns of each G_t over the support of the right-hand
-side's integer numerators (``linalg.column_product``), a truncated
-convolution handed back as integer numerators over one denominator in a
-``Jet.from_numerators``.  A nonzero coefficient below eps^v certifies that
-the limit does not exist and surfaces as PoleError; a zero determinant
-raises SingularFamily.
+The inverse table holds the Taylor coefficients G_t of eps^v times the
+family's inverse, eps^v the largest power of the parameter dividing the
+determinant, each an integer matrix over one denominator in sparse columns.
+``iw_family`` checks on the integers that the split's projector numerators
+H and N over D are complementary idempotents and writes it in closed form:
+P_h + eps P_n has the inverse P_h + P_n / eps, so G_(dn-1) = N / D^2 and
+G_dn = H / D^2 are all, and the determinant is D^n eps^dn.  Any other
+family eliminates once over Z[eps] (linalg's fraction-free loop on the n^2
+entry polynomials, every remainder checked) for its determinant and
+adjugate, and extends its table on demand: the adjugate times a
+fraction-free reciprocal of the determinant's cofactor.  A solve reads the
+family's plan for its order, made once: the terms it needs, their columns
+scaled to one common denominator.  It applies them over the support of the
+right-hand side's integer numerators (``linalg.column_product``) and hands
+the truncated convolution back in a ``Jet.from_numerators``.  A nonzero
+coefficient below eps^v certifies that the limit does not exist and
+surfaces as PoleError; a zero determinant raises SingularFamily.
 
 The rescaled bracket scales its two arguments, vectors (the contraction) or
 polynomials (the general expansion), to integer numerators in one checked
@@ -126,11 +126,21 @@ class ContractionFamily:
         return _InverseSeries(self._det, self._adjugate)
 
     def _table(self, order):
-        """(v, terms): the inverse table through G_(v+order); raises SingularFamily if det = 0."""
-        if not self._det:
-            raise SingularFamily("family determinant is the zero polynomial")
-        v = self._inverse.valuation
-        return v, self._inverse.extend(v + order + 1)
+        """(v, t0, terms, common), the solve plan through G_(v+order), made once per order:
+        (t, G_t's columns times D common / den_t) for each term, t0 the first t and common
+        the lcm of the den_t.  Raises SingularFamily if det = 0."""
+        plans = self.__dict__.setdefault("_plans", {})
+        if order not in plans:
+            if not self._det:
+                raise SingularFamily("family determinant is the zero polynomial")
+            v = self._inverse.valuation
+            terms = self._inverse.extend(v + order + 1)
+            common = lcm(*(den for _, _, den in terms))
+            scale = self._numerators[1] * common
+            plans[order] = v, terms[0][0], [
+                (t, [tuple((i, scale // den * x) for i, x in col) for col in cols])
+                for t, cols, den in terms], common
+        return plans[order]
 
 
 class _InverseSeries:
@@ -141,11 +151,10 @@ class _InverseSeries:
     with beta_0 = 1 and beta_m = -sum_{j>=1} dt_j beta_(m-j) d0**(j-1), so G_t
     is the integer matrix N_t = sum_s adj_s beta_(t-s) d0**s over d0**(t+1).
     ``terms`` holds each nonzero G_t as (t, cols, den), reduced by the gcd of
-    its entries and den, with cols its sparse columns ((i, x), ...), as
-    ``linalg.column_product`` reads them; ``extend`` grows it, so each
-    coefficient is computed once.  G_t is zero below the lowest power of eps
-    in adj(A) (dn - 1 for an Inonu-Wigner family), and ``extend`` forms no
-    sum there.
+    its entries and den (``_term``), with cols its sparse columns ((i, x),
+    ...), as ``linalg.column_product`` reads them; ``extend`` grows it, so
+    each coefficient is computed once.  G_t is zero below the lowest power of
+    eps in adj(A), and ``extend`` forms no sum there.
     """
 
     def __init__(self, det, adj):
@@ -158,7 +167,7 @@ class _InverseSeries:
         self.terms = []
 
     def extend(self, count):
-        """Grow the table to G_0 .. G_(count-1); returns ``terms``."""
+        """Grow the table to G_0 .. G_(count-1); returns the terms with t < count."""
         dt, beta, powers = self._dt, self._beta, self._powers
         while len(powers) <= count:
             powers.append(powers[-1] * dt[0])
@@ -173,18 +182,32 @@ class _InverseSeries:
                      for x in [sum(p[s] * f for s, f in factors if s < len(p))] if x]
                     for column in self._columns]
             if any(cols):
-                den = powers[t + 1]
-                g = gcd(den, *(x for col in cols for _, x in col))
-                self.terms.append((t, tuple(tuple((i, x // g) for i, x in col) for col in cols),
-                                   den // g))
-        return self.terms
+                self.terms.append(_term(t, cols, powers[t + 1]))
+        return [term for term in self.terms if term[0] < count]
+
+
+@dataclass(frozen=True)
+class _ClosedSeries:
+    """The ``_InverseSeries`` of a family whose eps^v A^-1 is a polynomial: every term known."""
+
+    valuation: int
+    terms: tuple
+
+    def extend(self, count):
+        return [term for term in self.terms if term[0] < count]
+
+
+def _term(t, cols, den):
+    """The table term G_t = cols / den, reduced by the gcd of den and its entries."""
+    g = gcd(den, *(x for col in cols for _, x in col))
+    return t, tuple(tuple((i, x // g) for i, x in col) for col in cols), den // g
 
 
 def iw_family(split: SubalgebraSplit) -> ContractionFamily:
     """Family fixing the subalgebra and rescaling the complement linearly.
 
-    Its determinant and adjugate come in closed form, checked exactly, when
-    the split's projectors are complementary idempotents; otherwise the
+    Its determinant and inverse table come in closed form, checked exactly,
+    when the split's projectors are complementary idempotents; otherwise the
     family eliminates as any other does.  The public constructor refuses a
     split that holds floats.
     """
@@ -192,22 +215,21 @@ def iw_family(split: SubalgebraSplit) -> ContractionFamily:
     if type(den) is float:
         return ContractionFamily(split.algebra, (split.proj_h, split.proj_n))
     fam = linalg.with_state(ContractionFamily, algebra=split.algebra, _numerators=((h, nmat), den))
-    closed = _iw_det_adjugate(h, nmat, den)
+    closed = _iw_inverse(h, nmat, den)
     if closed is not None:
         # fills the cached_properties, as their first reads would
-        fam.__dict__["_det"], fam.__dict__["_adjugate"] = closed
+        fam.__dict__["_det"], fam.__dict__["_inverse"] = closed
     return fam
 
 
-def _iw_det_adjugate(h, nmat, den):
-    """(det, adj) of the numerator family h + eps nmat, or None if the check fails.
+def _iw_inverse(h, nmat, den):
+    """(det, inverse table) of the numerator family h + eps nmat, or None if the check fails.
 
     h and nmat are the integer numerators of P_h and P_n over den.  When
     h + nmat = den I and h nmat = 0, P_h and P_n are complementary
-    idempotents, dn = tr P_n is the rank of P_n, and the family's inverse is
-    (P_h + P_n / eps) / den.  So det = den^n eps^dn and
-    adj = den^(n-2) (eps^(dn-1) nmat + eps^dn h); for n < 2 the idempotents
-    are 0 or 1 and den is 1.
+    idempotents, dn = tr P_n is the rank of P_n, and h + eps nmat has the
+    inverse (h + nmat / eps) / den^2: det = den^n eps^dn, and the nonzero
+    ones of G_(dn-1) = nmat / den^2 and G_dn = h / den^2 are the whole table.
     """
     n = len(h)
     scaled_identity = tuple(tuple(den if i == j else 0 for j in range(n)) for i in range(n))
@@ -216,14 +238,9 @@ def _iw_det_adjugate(h, nmat, den):
             or any(any(linalg.column_product(nrows, row)) for row in h)):  # row i of h nmat
         return None
     dn = sum(nmat[i][i] for i in range(n)) // den
-    s = den ** max(n - 2, 0)
-
-    def entry(x, y):
-        head = (0,) * (dn - 1) + (s * y,) if dn else ()
-        return linalg.poly_trim(head + (s * x,))
-
-    adj = tuple(tuple(entry(x, y) for x, y in zip(hrow, nrow)) for hrow, nrow in zip(h, nmat))
-    return (0,) * dn + (den ** n,), adj
+    cols = [[tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*m)] for m in (nmat, h)]
+    return (0,) * dn + (den ** n,), _ClosedSeries(dn, tuple(
+        _term(t, c, den * den) for t, c in zip((dn - 1, dn), cols) if any(c)))
 
 
 def invert_family_apply(fam: ContractionFamily, r: Jet, order: int) -> Jet:
@@ -238,8 +255,8 @@ def invert_family_apply(fam: ContractionFamily, r: Jet, order: int) -> Jet:
     eps^v w = D (G R) / r_den, so coefficient m of G R, a convolution of the
     family's Taylor table with R, is coefficient m - v of w.  It starts at m =
     t0, the first nonzero term of the table: below it every sum is empty.
-    Each term adds its columns, times D common / den, into coefficient m,
-    common the lcm of the denominators of the terms read.
+    Each term adds its columns, which the family's plan for this order keeps
+    times D common / den (``ContractionFamily._table``), into coefficient m.
     The coefficients come back over one common denominator in a
     ``Jet.from_numerators``, so no Fraction is made before a read.  The solve
     is exact-only: a jet r holding a float is a TypeError.
@@ -249,19 +266,15 @@ def invert_family_apply(fam: ContractionFamily, r: Jet, order: int) -> Jet:
     if order >= r.trunc:
         raise DimensionMismatch("requested order must stay below the jet truncation")
     rows, r_den = linalg.exact(r.numerators, "a family solve")
-    v, terms = fam._table(order)
-    scale = fam._numerators[1]
-    common = lcm(*(den for t, _, den in terms if t <= v + order))
+    v, t0, terms, common = fam._table(order)
     coeffs = []  # D times the numerators of coefficient m - v, over common * r_den
-    for m in range(terms[0][0], v + order + 1):
+    for m in range(t0, v + order + 1):
         acc = [0] * fam.dim
-        for t, cols, den in terms:
+        for t, cols in terms:
             if t > m:
                 break
             if m - t < len(rows):
-                f = scale * (common // den)
-                x = rows[m - t]
-                linalg.column_product(cols, x if f == 1 else [f * c for c in x], acc)
+                linalg.column_product(cols, rows[m - t], acc)
         if m < v:
             comp = next((i for i, c in enumerate(acc) if c), None)
             if comp is not None:
@@ -286,12 +299,12 @@ def _rescaled_bracket(fam: ContractionFamily, xs, ys, order: int) -> Jet:
     solve reads, or after the bracket's degree if that comes first.
     """
     args = [linalg.exact_numerators(vs, fam.dim) for vs in (xs, ys)]
-    v, terms = fam._table(order)
-    trunc = min(max(2 * (len(xs) - 1 + fam.degree), order), v + order - terms[0][0]) + 1
+    v, t0, _, _ = fam._table(order)
+    trunc = min(max(2 * (len(xs) - 1 + fam.degree), order), v + order - t0) + 1
     den = fam._numerators[1]
     # (rows, den): the coefficients of the family applied to xs and to ys
-    lifts = [(_cauchy(fam._columns, rows, trunc, linalg.column_product, _vec_add, (0,) * fam.dim),
-              den * v_den) for rows, v_den in args]
+    lifts = [(_cauchy(fam._columns, rows, trunc, linalg.column_product, _vec_add,
+                      (0,) * fam.dim, any), den * v_den) for rows, v_den in args]
     r = Jet.from_numerators(fam.dim, trunc, *bracket_numerators(fam.algebra, *lifts, trunc))
     return invert_family_apply(fam, r, order)
 

@@ -17,9 +17,10 @@ Every elimination is one fraction-free Gauss-Jordan loop, ``_eliminate``,
 parameterised by the ring's multiply, subtract, exact divide and one.
 ``pivot_columns``, ``solve_in_basis`` and ``invert`` run it over Z on the
 integer numerators of their input (see ``numerators``) and divide each
-output entry once (``invert_numerators`` hands the integer inverse over
-before that division); float input runs it with unit pivots; ``poly_det``
-and ``poly_adjugate`` run it over Z[eps].
+output entry once (``pivots_and_inverse``, behind ``invert_numerators``,
+also inverts the pivot columns, handing the integer inverse over before that
+division); float input runs it with unit pivots; ``poly_det`` and
+``poly_adjugate`` run it over Z[eps].
 ``mat_vec`` and the polynomial helpers stay integral on integer input too,
 and ``poly_divexact`` checks the remainder.  On Fraction input the results
 stay Fractions, with every zero a Fraction zero.
@@ -411,20 +412,24 @@ def pivot_columns(vectors, dim):
     return _eliminate_numerators([[v[i] for v in rows] for i in range(dim)], len(rows), den)[0]
 
 
-def invert_numerators(rows, den):
-    """(inv, d) with m^-1 = inv / d, for (rows, den) = ``numerators(m)``; ValueError if singular.
+def pivots_and_inverse(cols, den, dim):
+    """(``pivot_columns`` of cols, (inv, d)), cols ``numerators`` over den, in one elimination.
 
-    Eliminates [den m | den I]: the right half ends as d m^-1, an integer
-    matrix.  The float mode (den 1.0) pairs m with the exact identity, and
-    its d is 1.
-    """
-    n = len(rows)
+    Eliminates [cols | den I] (the float mode, den 1.0, pairs cols with the
+    exact identity).  A column without a pivot makes no row operation, so
+    if the pivot columns are dim, the right half ends as d times their inverse."""
     one, zero = (ONE, ZERO) if type(den) is float else (den, 0)
-    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(rows)]
-    pivots, d = _eliminate_numerators(aug, n, den)
-    if len(pivots) < n:
+    aug = [[v[i] for v in cols] + [one if i == j else zero for j in range(dim)] for i in range(dim)]
+    pivots, d = _eliminate_numerators(aug, len(cols), den)
+    return pivots, ([row[len(cols):] for row in aug], d)
+
+
+def invert_numerators(rows, den):
+    """(inv, d) with m^-1 = inv / d, for (rows, den) = ``numerators(m)``; ValueError if singular."""
+    pivots, inverse = pivots_and_inverse(tuple(zip(*rows)), den, len(rows))
+    if len(pivots) < len(rows):
         raise ValueError("singular matrix")
-    return [row[n:] for row in aug], d
+    return inverse
 
 
 def invert(m):

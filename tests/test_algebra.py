@@ -709,3 +709,84 @@ def test_split_with_explicit_complement(so3):
     assert linalg.mat_add(alt.proj_h, alt.proj_n) == linalg.identity(3)
     with pytest.raises(DimensionMismatch):
         split_with_complement(so3, [so3.basis_vector(2)], [so3.basis_vector(2)])
+
+
+def pivot_search_split(alg, vectors, complement=None):
+    """``span_subalgebra`` (no complement) or ``split_with_complement`` as they
+    ran before one elimination served both: a pivot search, the closure
+    check, and a second elimination in ``_split`` to invert the base change."""
+    rows, den = linalg.exact_numerators([*vectors, *(complement or ())], alg.dim)
+    n, k = alg.dim, len(vectors)
+    cols = list(rows)
+    if complement is None:
+        cols += [tuple(den if i == j else 0 for j in range(n)) for i in range(n)]
+    pivots = linalg.pivot_columns(cols, n)
+    h = [cols[j] for j in pivots if j < k]
+    algebra_module._closure_check(alg, h, den)
+    if complement is None:
+        n_basis = [alg.basis_vector(j - k) for j in pivots if j >= k]
+    elif len(pivots) - len(h) != len(rows) - k:
+        raise DimensionMismatch("complement vectors are not independent of the subalgebra")
+    elif len(pivots) != n:
+        raise DimensionMismatch("subalgebra and complement do not span the algebra")
+    else:
+        n_basis = linalg.vectors_of((rows[k:], den))
+    return _split(alg, linalg.vectors_of((h, den)), n_basis, ([cols[j] for j in pivots], den))
+
+
+def split_outcome(make, *args):
+    """The split's inverse, state and projectors by repr, or the error it raised,
+    with the number of eliminations it ran."""
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return eliminate(*a, **kw)
+
+    linalg._eliminate = counted
+    try:
+        split = make(*args)
+        got = repr((split._inverse, split._numerators, split.proj_h, split.proj_n))
+    except (DimensionMismatch, NotASubalgebra) as err:
+        got = (type(err), str(err))
+    finally:
+        linalg._eliminate = eliminate
+    return got, len(calls)
+
+
+def edge_split_inputs():
+    so3 = builtin("so3")[0]
+    heis3 = builtin("heis3")[0]
+    so4, sub = so_n(4)
+    e = so3.basis_vector
+    spans = [(so3, []), (so3, [(0, 0, 0)]), (so3, [e(2), e(2)]), (so3, [e(0), e(1), e(2)]),
+             (so3, [(F(1, 2), 0, F(-1, 3))]), (so3, [e(0), e(1)]), (heis3, [(0, F(2, 3), 1), e(2)]),
+             (so4, sub)]
+    complements = [(so3, [e(2)], [e(2)]), (so3, [e(2)], [e(0)]), (so3, [e(2)], [e(0), e(0)]),
+                   (so3, [e(2)], [(1, 0, F(1, 2)), e(1)]), (so3, [e(2), e(2)], [e(0), e(1)]),
+                   (so3, [e(0), e(1)], [e(2)]), (so3, [], [e(0), e(1), e(2)])]
+    return spans, complements
+
+
+def test_a_split_inverts_its_base_change_in_its_pivot_search():
+    """One elimination finds the pivots and inverts the base change: the split,
+    its inverse and every error are those of a pivot search followed by an
+    inversion, with one elimination fewer (two per split, one when the span is
+    empty and the closure check solves nothing)."""
+    spans, complements = edge_split_inputs()
+    cases = [(span_subalgebra, alg, vectors) for alg, vectors in spans]
+    cases += [(split_with_complement, *args) for args in complements]
+    refusals = set()
+    for make, alg, *args in cases:
+        got, calls = split_outcome(make, alg, *args)
+        want, before = split_outcome(pivot_search_split, alg, *args)
+        assert got == want, args
+        if isinstance(got, str):  # a split was made
+            assert calls == before - 1 == (2 if any(map(any, args[0])) else 1), args
+        else:  # refused before the base change was inverted
+            assert calls == before, args
+            refusals.add(got[0] if got[0] is NotASubalgebra else got)
+    assert refusals == {NotASubalgebra, (
+        DimensionMismatch, "complement vectors are not independent of the subalgebra"), (
+        DimensionMismatch, "subalgebra and complement do not span the algebra")}

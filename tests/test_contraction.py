@@ -810,7 +810,21 @@ def test_iw_family_contracts_without_an_elimination(monkeypatch):
     expansion = GeneralExpansion(fams[1], 2)
     for a in range(10):
         expansion.bracket_tuples((e(a), e(9 - a), e(a)), (e(9 - a), e((a + 3) % 10), e(0)))
-    assert calls == {"table": 2}
+    assert calls == {}
+
+
+def test_a_second_contract_builds_no_new_plan(monkeypatch):
+    """``contract`` reads the family's order-0 plan, made by the first call;
+    the second takes one lcm, for the limit's table, and none per pair."""
+    for fam in (iw_family(span_subalgebra(*so_n(4))),
+                golden_family("heis3-weighted.json", heis3)):
+        limit = contract(fam)
+        plan = fam._plans[0]
+        calls = Counter()
+        monkeypatch.setattr(contraction, "lcm", counter_of(calls)("lcm", math.lcm))
+        assert contract(fam) == limit
+        assert calls == {"lcm": 1} and list(fam._plans) == [0] and fam._plans[0] is plan
+        monkeypatch.undo()
 
 
 def two_dim_algebra():
@@ -851,13 +865,19 @@ def dense_so_splits():
 
 
 def assert_closed_form_is_the_elimination(split):
+    """The Inonu-Wigner family's closed-form determinant and table are those
+    that the elimination and the recurrence give, term by term and by repr,
+    for every count up to dn + 4."""
     fam = iw_family(split)
-    assert "_det" in fam.__dict__ and "_adjugate" in fam.__dict__
+    assert "_det" in fam.__dict__ and "_inverse" in fam.__dict__
     entries = fam._entries
-    assert fam._det == linalg.poly_det(entries)
-    assert fam._adjugate == linalg.poly_adjugate(entries)[1]
-    assert {type(c) for c in fam._det} <= {int}
-    assert {type(c) for row in fam._adjugate for p in row for c in p} <= {int}
+    det, adj = linalg.poly_det(entries), linalg.poly_adjugate(entries)[1]
+    assert fam._det == det and {type(c) for c in fam._det} <= {int}
+    dn = linalg.poly_valuation(det)
+    assert fam._inverse.valuation == dn
+    for count in range(dn + 5):
+        assert repr(fam._inverse.extend(count)) == \
+            repr(contraction._InverseSeries(det, adj).extend(count))
 
 
 @pytest.mark.parametrize("split", catalogued_splits() + dense_so_splits())
@@ -875,8 +895,9 @@ def test_closed_form_cases_reach_every_shape():
     # an algebra has dimension 1 at least; the closed form still matches on 0 x 0
     with pytest.raises(DimensionMismatch):
         LieAlgebra(0, (), ())
-    assert contraction._iw_det_adjugate((), (), 1) == \
-        (linalg.poly_det([]), linalg.poly_adjugate([])[1])
+    det, table = contraction._iw_inverse((), (), 1)
+    assert det == linalg.poly_det([]) and table.valuation == 0
+    assert table.extend(4) == contraction._InverseSeries(det, linalg.poly_adjugate([])[1]).extend(4)
 
 
 @st.composite
@@ -1261,3 +1282,81 @@ def test_inverse_table_skips_its_zero_degrees_and_keeps_its_terms():
     assert {0, 1, 4} <= starts  # so(6) > so(5): degrees 0..3 skipped
     with pytest.raises(PoleError):
         contract(so4_pole_families()[0])
+
+
+def taylor_brackets(fam, order):
+    """mu[t][a][b], coefficient t of the rescaled bracket of X_a and X_b, read off ``eps_bracket``."""
+    e, n = fam.algebra.basis_vector, fam.dim
+    jets = [[eps_bracket(fam, e(a), e(b), order) for b in range(n)] for a in range(n)]
+    return [[[jets[a][b].coeff(t) for b in range(n)] for a in range(n)] for t in range(order + 1)]
+
+
+def deformation_residuals(mu):
+    """The (t, x, y, z), x < y < z, where sum_(i+j=t) mu_i(mu_j(x, y), z) + cyclic != 0.
+
+    mu_i(w, z) is read by linearity in w off the table.  The sum is alternating
+    once each mu_t is, so the triples x < y < z cover all.
+    """
+    n = len(mu[0])
+
+    def apply(i, w, z):
+        return [sum((x * mu[i][c][z][k] for c, x in enumerate(w) if x), F(0)) for k in range(n)]
+
+    out = []
+    for t, (x, y, z) in itertools.product(range(len(mu)), itertools.combinations(range(n), 3)):
+        total = [F(0)] * n
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            for i in range(t + 1):
+                total = linalg.vec_add(total, apply(i, mu[t - i][a][b], c))
+        if any(total):
+            out.append((t, x, y, z))
+    return out
+
+
+def weighted_so3_families():
+    """so3 under diag(eps, eps, eps^2), and under a dense rational conjugate of it."""
+    rng = random.Random(7)
+    while True:
+        s = tuple(tuple(linalg.random_fraction(rng, 4, 3) for _ in range(3)) for _ in range(3))
+        if linalg.poly_det([[(x,) for x in row] for row in s]):
+            break
+    s_inv = linalg.invert(s)
+    phis = [tuple(tuple(F(r == c and w[r]) for c in range(3)) for r in range(3))
+            for w in ((0, 0, 0), (1, 1, 0), (0, 0, 1))]
+    conj = [linalg.mat_mul(linalg.mat_mul(s, m), s_inv) for m in phis]
+    return [ContractionFamily(so3, tuple(phis)), ContractionFamily(so3, tuple(conj))]
+
+
+def deformation_families():
+    splits = [span_subalgebra(builtin(name)[0], vectors)
+              for name in ("so3", "sl2", "heis3") for vectors in subalgebra_catalog(name).values()]
+    return ([iw_family(s) for s in splits] + [iw_family(span_subalgebra(*so_n(4)))]
+            + [golden_family("heis3-weighted.json", heis3)] + weighted_so3_families())
+
+
+def test_rescaled_brackets_solve_the_deformation_equations():
+    """Jacobi for every eps, order by order: sum_(i+j=t) mu_i(mu_j(x, y), z) +
+    cyclic = 0 for t <= 4, mu_t read off ``eps_bracket`` alone, on the seven
+    catalogued splits, so(4) > so(3), the weighted heis3 family and so3 under
+    diag(eps, eps, eps^2) and a dense conjugate of it.  Its reference is the
+    Jacobi identity, which shares no code with the closed-form table or the
+    solve plan that ``eps_bracket`` runs on.
+
+    Blind spots: on the 3-dimensional Inonu-Wigner families a wrong order-1
+    or order-2 entry can still solve the equations (adding 1 to the X3 entry
+    of mu_2(X1, X2) on so3 > span{X3} scales mu_2, and with mu_1 = mu_3 = 0
+    the equations through order 4 are homogeneous in mu_2), while on so(4) >
+    so(3) each such entry is caught; and eps -> c eps maps solutions to
+    solutions, so a table off by c^t in its coefficient t (mu_t -> c^t mu_t)
+    passes on every family.
+    """
+    orders = set()
+    for fam in deformation_families():
+        mu = taylor_brackets(fam, 4)
+        for t, table in enumerate(mu):
+            for a, b in itertools.product(range(fam.dim), repeat=2):
+                assert table[a][b] == linalg.vec_neg(table[b][a])
+            if any(any(v) for row in table for v in row):
+                orders.add(t)
+        assert deformation_residuals(mu) == [], fam
+    assert orders == {0, 1, 2, 3, 4}

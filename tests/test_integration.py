@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import pathlib
 import random
+import time
 from fractions import Fraction
 
 from liecontract import linalg
@@ -147,6 +148,30 @@ def test_benchmark_trace_targets_resolve():
             assert meth in vars(getattr(module, cls_name)), f"{module_name}.{attr}"
         else:
             assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_benchmark_layer_pins_move_in_one_traced_batch(tmp_path, monkeypatch):
+    """The pin check of bench/selftest.py's trace test, in process: after one
+    traced set-up and one batch at its seed 11, every per-layer metric that it
+    pins as nonzero on contract-scaling, star-bch and expand-validate is
+    nonzero.  cli-session runs CLI subprocesses; only the trace test reaches it."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    selftest, spans, workloads = map(importlib.import_module, ("selftest", "spans", "workloads"))
+    import liecontract
+
+    for name in ("contract-scaling", "star-bch", "expand-validate"):
+        tracer = spans.Tracer(time.perf_counter)
+        tracer.install()
+        try:
+            workload = workloads.WORKLOADS[name]()
+            workload.setup(liecontract, 11, str(tmp_path))
+            for op in workload.ops:
+                op.run()
+        finally:
+            tracer.restore()
+        metrics = spans.layer_metrics(tracer.stats)
+        pins = selftest.SHOULD_MOVE[name] + selftest.EVERY_WORKLOAD
+        assert [pin for pin in pins if not metrics[pin] > 0] == [], name
 
 
 def test_package_exports_match_all():

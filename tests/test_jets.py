@@ -332,7 +332,7 @@ def one_state_cases():
             ["algebra", "h_basis", "n_basis", "_numerators"], "proj_h", change_projectors),
         "ContractionFamily": (
             projectors(), lambda mats: ContractionFamily(so3, mats),
-            without(iw_family(_split(so3, h_basis, n_basis)), "_det", "_adjugate"),
+            without(iw_family(_split(so3, h_basis, n_basis)), "_det", "_inverse"),
             ["algebra", "_numerators"], "phis", change_projectors),
     }
 
