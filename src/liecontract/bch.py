@@ -1,12 +1,20 @@
 """Truncated Baker-Campbell-Hausdorff products, exact rational coefficients.
 
 local_mult computes log(exp P exp Q) modulo parameter powers beyond the
-requested order via the Dynkin series: enumerate exponent blocks
-(p1, q1), ..., (pm, qm) with p_i + q_i >= 1, weight each block tuple by
-(-1)^(m-1)/m * 1/(total letters) * 1/prod(p_i! q_i!), and evaluate the word
-x^p1 y^q1 ... as a nested left bracket [[..[w1, w2], w3]..].  Since both
-arguments vanish at 0, a word of length L only contributes from parameter
-degree L on, so only words up to the requested order matter.
+requested order via the Dynkin series: every cut of a word into blocks
+x^p1 y^q1, ..., x^pm y^qm with p_i + q_i >= 1 adds
+(-1)^(m-1)/m * 1/(total letters) * 1/prod(p_i! q_i!) to its coefficient, and
+the word is evaluated as a nested left bracket [[..[w1, w2], w3]..].  Since
+both arguments vanish at 0, a word of length L only contributes from
+parameter degree L on, so only words up to the requested order matter.
+
+The word table is built per word, depth-first: for each prefix of i letters
+it keeps the integers g[i][m] = sum of i!/prod(p! q!) over the cuts of the
+prefix into m blocks.  Appending a letter adds one row, from the earlier rows
+i whose block up to the new letter (j letters in all) is x^p y^q, each
+weighted by C(j, i) C(j - i, p); the word's coefficient is
+sum_m (-1)^(m-1) g[L][m] / (m L L!).  Words whose first two letters agree
+are never walked, since their bracket vanishes.
 
 The sum runs on integers: each word's value comes as integer numerators over
 one denominator (``Jet.numerators``), and every term is brought to the least
@@ -29,17 +37,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from .errors import NonzeroConstantTerm, OrderCapExceeded
 from . import linalg
 from .jets import Jet, bracket_poly
 
 DEFAULT_ORDER_CAP = 6
-# the largest cap the CLI accepts: the word table costs about 3x more per order
-# (0.7-1.5 s at order 10, as the host's speed drifts), and
-# `star so3 --order 9 --order-cap 10` takes 0.8-1.5 s, nearly all of it that
-# table (Python 3.11, one Xeon core)
+# the largest cap the CLI accepts: the word table takes about 6 ms at order 10
+# and about twice as long per order, as its word count grows, and
+# `star so3 --order 9 --order-cap 10` takes 0.12-0.2 s, most of it interpreter
+# start-up and imports (Python 3.11, one Xeon core)
 MAX_ORDER_CAP = 10
 
 
@@ -51,27 +59,43 @@ def word_coefficients(order):
     bracket starts with [w, w] and vanishes identically.  Returned sorted by
     (length, word) for deterministic evaluation.
     """
-    table = {}
+    kept = []
+    if order >= 1:
+        _extend_words([], [[1]], order, kept)
+    return tuple(sorted(kept, key=lambda item: (len(item[0]), item[0])))
 
-    def visit(word, length, blocks, fact_prod):
-        for p in range(order - length + 1):
-            for q in range(order - length - p + 1):
-                if p + q == 0:
-                    continue
-                new_word = word + "x" * p + "y" * q
-                new_len = length + p + q
-                new_fact = fact_prod * factorial(p) * factorial(q)
-                m = blocks + 1
-                coeff = Fraction((-1) ** (m - 1), m * new_len * new_fact)
-                table[new_word] = table.get(new_word, Fraction(0)) + coeff
-                visit(new_word, new_len, m, new_fact)
 
-    visit("", 0, 0, 1)
-    kept = {
-        w: c for w, c in table.items()
-        if c != 0 and not (len(w) >= 2 and w[0] == w[1])
-    }
-    return tuple(sorted(kept.items(), key=lambda item: (len(item[0]), item[0])))
+def _extend_words(word, rows, order, kept):
+    """Append each letter to ``word`` (a list of letters), add the new word's
+    nonzero coefficient to ``kept`` and recurse up to length ``order``.
+
+    ``rows[i][m]`` is g[i][m] of the module docstring for the first i letters.
+    """
+    j = len(word) + 1
+    scale = lcm(*range(1, j + 1))
+    for letter in "xy":
+        if j == 2 and word[0] == letter:
+            continue
+        word.append(letter)
+        row = [0] * (j + 1)
+        p = 0
+        for i in range(j - 1, -1, -1):  # the last block is word[i:j] = x^p y^q
+            if word[i] == "x":
+                p += 1
+            elif p:
+                break
+            weight = comb(j, i) * comb(j - i, p)
+            for m, g in enumerate(rows[i]):
+                if g:
+                    row[m + 1] += weight * g
+        num = sum((-1) ** (m - 1) * g * (scale // m) for m, g in enumerate(row) if g)
+        if num:
+            kept.append(("".join(word), Fraction(num, scale * j * factorial(j))))
+        if j < order:
+            rows.append(row)
+            _extend_words(word, rows, order, kept)
+            rows.pop()
+        word.pop()
 
 
 def check_order(order, cap=None):

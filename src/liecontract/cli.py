@@ -5,6 +5,10 @@ subalgebra, a failed validation), 2 for usage and input errors (including a
 file that cannot be read or written), 3 for any other exception, which
 signals a bug.  Machine mode emits deterministic JSON with rationals as
 "p/q" strings.
+
+The top of this module imports only what every command needs; each handler
+imports the modules it runs, so a call loads no module its command does not
+use.
 """
 
 from __future__ import annotations
@@ -15,14 +19,8 @@ import sys
 
 from . import bch, formats
 from .algebra import MAX_DIM
-from .catalog import BUILTIN_NAMES, builtin
-from .contraction import contract, eps_bracket, iw_family
 from .errors import LieContractError, PoleError, SpecFormatError, UnknownAlgebra
-from .expansion import IWExpansion
-from .group import ExpansionGroup, so3_example
-from .jets import Jet
 from . import linalg
-from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -40,6 +38,8 @@ def _emit(payload, fmt, stream=None):
 
 def _resolve_algebra(token):
     """A catalogue name, or a path to an algebra spec file."""
+    from .catalog import BUILTIN_NAMES, builtin
+
     try:
         return builtin(token)
     except UnknownAlgebra:
@@ -100,6 +100,8 @@ def cmd_validate(args):
 
 
 def cmd_contract(args):
+    from .contraction import contract, eps_bracket, iw_family
+
     alg, _ = _resolve_algebra(args.algebra)
     if args.subalgebra:
         fam = iw_family(formats.load_split(args.subalgebra, alg))
@@ -138,6 +140,8 @@ def cmd_contract(args):
 
 
 def cmd_expand(args):
+    from .expansion import IWExpansion
+
     alg, _ = _resolve_algebra(args.algebra)
     ea = IWExpansion(formats.load_split(args.subalgebra, alg), args.order)
     if ea.dimension > MAX_DIM:
@@ -182,6 +186,8 @@ def _parse_nil(grp, text):
 
 
 def cmd_star(args):
+    from .group import ExpansionGroup
+
     alg, _ = _resolve_algebra(args.algebra)
     grp = ExpansionGroup(formats.load_split(args.subalgebra, alg), args.order,
                          order_cap=args.order_cap)
@@ -196,6 +202,8 @@ def cmd_star(args):
 
 
 def cmd_group_mult(args):
+    from .group import ExpansionGroup
+
     alg, _ = _resolve_algebra(args.algebra)
     grp = ExpansionGroup(formats.load_split(args.subalgebra, alg), args.order,
                          order_cap=args.order_cap)
@@ -223,6 +231,8 @@ def cmd_group_mult(args):
 
 def cmd_oracle(args):
     import random
+
+    from .jets import Jet
 
     alg, rep = _resolve_algebra(args.algebra)
     if args.rep:
@@ -286,6 +296,8 @@ def cmd_oracle(args):
 
 
 def cmd_example(args):
+    from .group import so3_example
+
     if args.name != "so3":
         raise UnknownAlgebra("the worked example is available for so3")
     report = so3_example(args.order, seed=args.seed)
@@ -303,6 +315,8 @@ def cmd_example(args):
 
 
 def cmd_verify(args):
+    from .verify import run_verify
+
     results = run_verify(seed=args.seed, trials=args.trials)
     if args.format == "machine":
         _emit({

@@ -20,9 +20,7 @@ import re
 from fractions import Fraction
 
 from .algebra import LieAlgebra, span_subalgebra
-from .contraction import ContractionFamily
 from .errors import DimensionMismatch, SpecFormatError
-from .oracle import Representation
 
 
 MAX_LITERAL_LENGTH = 1000
@@ -148,6 +146,8 @@ def _matrix_from(data, what):
 
 
 def load_family(path, alg):
+    from .contraction import ContractionFamily
+
     data = _load_json(path)
     if not isinstance(data, dict) or "phis" not in data:
         raise SpecFormatError("family spec must be an object with field 'phis'")
@@ -161,6 +161,8 @@ def load_family(path, alg):
 
 
 def load_representation(path, alg):
+    from .oracle import Representation
+
     data = _load_json(path)
     if not isinstance(data, dict):
         raise SpecFormatError("representation spec must map basis names to matrices")

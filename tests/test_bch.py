@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import timeit
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,31 @@ F = Fraction
 
 so3, so3_rep = builtin("so3")
 heis3, heis3_rep = builtin("heis3")
+
+
+def reference_word_coefficients(order):
+    """The Dynkin word table by enumerating block sequences: every sequence
+    x^p1 y^q1 ... x^pm y^qm (p_i + q_i >= 1) of at most ``order`` letters adds
+    (-1)^(m-1) / (m * letters * prod(p_i! q_i!)) to its word.  Dropped and
+    sorted as ``word_coefficients`` drops and sorts."""
+    table = {}
+
+    def visit(word, length, blocks, fact_prod):
+        for p in range(order - length + 1):
+            for q in range(order - length - p + 1):
+                if p + q == 0:
+                    continue
+                new_word = word + "x" * p + "y" * q
+                new_len = length + p + q
+                new_fact = fact_prod * math.factorial(p) * math.factorial(q)
+                m = blocks + 1
+                table[new_word] = (table.get(new_word, F(0))
+                                   + F((-1) ** (m - 1), m * new_len * new_fact))
+                visit(new_word, new_len, m, new_fact)
+
+    visit("", 0, 0, 1)
+    kept = {w: c for w, c in table.items() if c != 0 and not (len(w) >= 2 and w[0] == w[1])}
+    return tuple(sorted(kept.items(), key=lambda item: (len(item[0]), item[0])))
 
 
 def reference_terms(alg, p, q, order):
@@ -54,6 +80,22 @@ def test_word_table_low_orders():
     assert table["y"] == 1
     assert table["xy"] + table["yx"] == 0
     assert table["xy"] == F(1, 2) - F(1, 4)  # aggregated across block shapes
+
+
+@pytest.mark.parametrize("order", range(1, 10))
+def test_word_table_matches_block_sequences(order):
+    """The per-word build gives the block-sequence table, words, order and
+    Fractions alike (order 10 is left out: the reference takes about 1 s)."""
+    assert word_coefficients(order) == reference_word_coefficients(order)
+
+
+def test_word_table_builds_fast_at_the_largest_cap():
+    """At ``MAX_ORDER_CAP`` the uncached build takes milliseconds, far under
+    the 0.1 s bound (best of three, against a busy host)."""
+    build = word_coefficients.__wrapped__
+    best = min(timeit.timeit(lambda: build(bch.MAX_ORDER_CAP), number=1) for _ in range(3))
+    assert best < 0.1
+    assert build(bch.MAX_ORDER_CAP) == word_coefficients(bch.MAX_ORDER_CAP)
 
 
 def test_second_order_closed_form():

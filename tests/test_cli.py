@@ -406,15 +406,64 @@ def test_malformed_spec_files_are_usage_errors(tmp_path, capsys, name, spec, arg
 
 
 def test_cli_imports_only_the_standard_library():
-    """``import liecontract.cli`` in a fresh interpreter loads no module from
-    outside the standard library and the package.  Only the modules that
-    appear with the import count: site hooks may load others before it."""
-    code = ("import sys; before = set(sys.modules); import liecontract.cli; "
+    """``import liecontract.cli`` and every other submodule of the package, in a
+    fresh interpreter, loads no module from outside the standard library and
+    the package.  Only the modules that appear with the imports count: site
+    hooks may load others before them."""
+    code = ("import importlib, pkgutil, sys; before = set(sys.modules); "
+            "import liecontract.cli, liecontract; "
+            "[importlib.import_module('liecontract.' + m.name) "
+            "for m in pkgutil.iter_modules(liecontract.__path__)]; "
             "print('\\n'.join(sorted(set(sys.modules) - before)))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True).stdout.split()
     assert "liecontract.cli" in loaded
+    assert "liecontract.verify" in loaded
     foreign = [name for name in loaded
                if name.partition(".")[0] not in sys.stdlib_module_names | {"liecontract"}]
     assert foreign == []
+
+
+# the package's submodules
+LIBRARY = {"algebra", "bch", "catalog", "cli", "contraction", "errors", "expansion",
+           "formats", "group", "jets", "linalg", "oracle", "verify"}
+
+
+# command -> (its arguments on the golden spec files, modules it must not load)
+COMMAND_MODULES = {
+    "validate": (["so5.json"],
+                 {"catalog", "contraction", "expansion", "group", "oracle", "verify"}),
+    "contract": (["so3", "--subalgebra", "so3-x3.json", "--order", "1"],
+                 {"expansion", "group", "verify"}),
+    "star": (["so3", "--subalgebra", "so3-x3.json", "--order", "1",
+              "--a=1,0,0;0,0,1", "--b=0,1,0;0,0,1"],
+             {"contraction", "expansion", "verify"}),
+    "group-mult": (["so3", "--subalgebra", "so3-x3.json", "--order", "1",
+                    "--h1=1,0,0;0,1,0;0,0,1", "--a=1,0,0;0,0,1",
+                    "--h2=1,0,0;0,1,0;0,0,1", "--b=0,1,0;0,0,1"],
+                   {"contraction", "expansion", "verify"}),
+    "oracle": (["so3", "--order", "3", "--trials", "2"],
+               {"contraction", "expansion", "group", "verify"}),
+    "verify": (["--trials", "1"], set()),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_loads_only_the_modules_it_runs(command):
+    """A command run in a fresh interpreter on the golden spec files exits 0
+    and loads none of the library modules its work does not need; ``verify``,
+    which runs everything, loads every module."""
+    args, absent = COMMAND_MODULES[command]
+    code = ("import sys; from liecontract.cli import main; code = main(sys.argv[1:]); "
+            "print(' '.join(n for n in sys.modules if n.startswith('liecontract')), "
+            "file=sys.stderr); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, command, *args], env=env,
+                          capture_output=True, text=True, cwd=Path(__file__).parent / "golden")
+    assert done.returncode == 0, done.stderr
+    loaded = {name.partition(".")[2] for name in done.stderr.split()} - {""}
+    assert loaded <= LIBRARY
+    assert loaded & absent == set()
+    if command == "verify":
+        assert loaded == LIBRARY

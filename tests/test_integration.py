@@ -3,10 +3,15 @@
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+
+import pytest
 
 from liecontract import linalg
 from liecontract.algebra import LieAlgebra, span_subalgebra
@@ -175,10 +180,27 @@ def test_benchmark_layer_pins_move_in_one_traced_batch(tmp_path, monkeypatch):
 
 
 def test_package_exports_match_all():
-    """Every name in ``__all__`` resolves on the package, and every public name
-    that the package's ``__init__`` binds is listed in ``__all__``."""
+    """The package's name table lists exactly ``__all__``; each name resolves
+    to the very object its home module defines; a fresh ``import liecontract``
+    loads no submodule and its ``dir`` lists every name; an unknown name
+    raises AttributeError; and ``__init__`` binds no public name outside
+    ``__all__``."""
     import liecontract
 
+    assert set(liecontract._HOMES) == set(liecontract.__all__) - {"__version__"}
+    assert len(set(liecontract.__all__)) == len(liecontract.__all__)
+    for name, home in liecontract._HOMES.items():
+        module = importlib.import_module(f"liecontract.{home}")
+        assert getattr(liecontract, name) is getattr(module, name), name
+    code = ("import sys, liecontract; "
+            "print(sorted(set(liecontract.__all__) - set(dir(liecontract)))); "
+            "print(sorted(n for n in sys.modules if n.startswith('liecontract.')))")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(liecontract.__file__).parents[1]))
+    fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout
+    assert fresh == "[]\n[]\n"
+    with pytest.raises(AttributeError):
+        liecontract.no_such_name
     path = pathlib.Path(liecontract.__file__)
     bound = set()
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -186,6 +208,4 @@ def test_package_exports_match_all():
             bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.Assign):
             bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
-    assert [n for n in liecontract.__all__ if not hasattr(liecontract, n)] == []
     assert sorted(n for n in bound - set(liecontract.__all__) if not n.startswith("_")) == []
-    assert len(set(liecontract.__all__)) == len(liecontract.__all__)
