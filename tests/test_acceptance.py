@@ -19,8 +19,9 @@ from liecontract.catalog import builtin, canonical_split_vectors, subalgebra_cat
 from liecontract.contraction import ContractionFamily, contract, eps_bracket, iw_family
 from liecontract.errors import NotASubalgebra, PoleError
 from liecontract.expansion import GeneralExpansion, IWExpansion
-from liecontract.group import QUARTER_TURN, ExpansionGroup, so3_example
+from liecontract.group import QUARTER_TURN, so3_example
 from liecontract.jets import Jet
+from references import canonical_group, random_nil
 
 F = Fraction
 
@@ -31,17 +32,10 @@ def report(number, description):
     print(f"ACCEPTANCE {number}: PASS - {description}")
 
 
-def canonical_group(name, k):
-    alg = builtin(name)[0]
-    return ExpansionGroup(span_subalgebra(alg, canonical_split_vectors(name)), k)
-
-
-def random_nil(grp, rng):
-    return grp.nil([linalg.random_vector(rng, grp.algebra.dim) for _ in range(grp.order)],
-                   linalg.random_vector(rng, grp.algebra.dim))
-
-
-def exact_h_elements(name, grp, rng):
+def h_elements_lambda_to_4(name, grp, rng):
+    """Exact automorphisms keeping the canonical subalgebra: so3's quarter
+    turns, sl2's torus element at lambda = a/b (a, b drawn from 1..4) and a
+    unipotent one of heis3."""
     if name == "so3":
         turn = grp.h_element(QUARTER_TURN)
         return [grp.identity_h(), turn, grp.h_compose(turn, turn)]
@@ -174,7 +168,7 @@ def test_criterion_8_group_axioms():
         done = 0
         for k in orders:
             grp = canonical_group(name, k)
-            hs = exact_h_elements(name, grp, rng)
+            hs = h_elements_lambda_to_4(name, grp, rng)
             zero = grp.zero_nil()
             for _ in range(triples_per_algebra // len(orders)):
                 a, b, c = (random_nil(grp, rng) for _ in range(3))

@@ -3,19 +3,25 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecontract import algebra as algebra_module, linalg
 from liecontract.algebra import (
-    LieAlgebra, SubalgebraSplit, ValidationReport, _split, span_subalgebra,
-    split_with_complement)
+    LieAlgebra, SubalgebraSplit, _split, span_subalgebra, split_with_complement)
 from liecontract.catalog import builtin, subalgebra_catalog
 from liecontract.errors import DimensionMismatch, NotASubalgebra, UnknownAlgebra
 from liecontract.verify import run_verify
-from test_numeric_mode import so_n
+from references import (
+    reference_antisymmetry,
+    reference_projectors,
+    reference_table,
+    reference_tensor,
+    reference_validate_through_bracket,
+    report_key,
+    so_n,
+)
 
 F = Fraction
 
@@ -143,39 +149,6 @@ def test_validator_agrees_with_brute_force_jacobi():
     assert (1, 2, 3) in got
 
 
-def reference_validate(alg, f):
-    """The bracket-based validator: the antisymmetry of the tensor f that alg
-    was built from, read as given, and Jacobi residuals through ``bracket``."""
-    report = ValidationReport()
-    n = alg.dim
-    for a in range(n):
-        for b in range(a, n):
-            for c in range(n):
-                report.checks += 1
-                if f[a][b][c] + f[b][a][c] != 0:
-                    report.record(
-                        "antisymmetry", (a + 1, b + 1, c + 1),
-                        f"f[{a + 1}][{b + 1}][{c + 1}]={f[a][b][c]} but "
-                        f"f[{b + 1}][{a + 1}][{c + 1}]={f[b][a][c]}")
-    for a in range(n):
-        ea = alg.basis_vector(a)
-        for b in range(a + 1, n):
-            eb = alg.basis_vector(b)
-            ab = alg.bracket(ea, eb)
-            for c in range(b + 1, n):
-                ec = alg.basis_vector(c)
-                residual = linalg.vec_add(
-                    linalg.vec_add(alg.bracket(ab, ec),
-                                   alg.bracket(alg.bracket(eb, ec), ea)),
-                    alg.bracket(alg.bracket(ec, ea), eb))
-                report.checks += 1
-                if not linalg.is_zero_vector(residual):
-                    report.record(
-                        "jacobi", (a + 1, b + 1, c + 1),
-                        f"residual {alg.format_vector(residual)}")
-    return report
-
-
 coeff_st = st.sampled_from((1, -1, 2, F(1, 2), F(-3, 2)))
 
 
@@ -249,19 +222,6 @@ def exact_tensor(f):
     return tuple(tuple(tuple(map(linalg.rat, row)) for row in plane) for plane in f)
 
 
-def reference_tensor(dim, entries):
-    """The dense tensor of ``from_brackets`` entries: each explicit entry as
-    given, the mirror of every other one completed antisymmetrically."""
-    explicit = {(a, b, c): F(x) for a, b, c, x in entries}
-    f = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for (a, b, c), x in explicit.items():
-        f[a][b][c] = x
-    for (a, b, c), x in explicit.items():
-        if (b, a, c) not in explicit:
-            f[b][a][c] = -x
-    return tuple(tuple(tuple(row) for row in plane) for plane in f)
-
-
 @st.composite
 def sparse_entries(draw, f):
     """``from_brackets`` entries of a tensor with a zero diagonal, in a drawn order.
@@ -288,11 +248,11 @@ def sparse_entries(draw, f):
 
 
 @st.composite
-def algebras(draw):
+def algebras_with_tensors(draw):
     """(algebra, the tensor through the dense constructor, the tensor): half
     of the ``structure_tensors`` with a zero diagonal go through
     ``from_brackets``.  Neither constructor keeps the tensor, so the
-    references below read it, not ``structure``, which is rebuilt from the
+    references read it, not ``structure``, which is rebuilt from the
     table they check."""
     f = draw(structure_tensors())
     n = len(f)
@@ -305,36 +265,11 @@ def algebras(draw):
     return dense, dense, f
 
 
-def report_key(report):
-    return report.checks, [(v.kind, v.location, v.detail) for v in report.violations]
-
-
-def reference_table(tensor):
-    """The dense scan for ``_table``: the nonzero f[a][b], a < b, as integers
-    over the least common denominator of the upper triangle."""
-    n = len(tensor)
-    upper = [(a, b, [(c, f) for c, f in enumerate(tensor[a][b]) if f != 0])
-             for a in range(n) for b in range(a + 1, n)]
-    den = lcm(*(f.denominator for _, _, row in upper for _, f in row))
-    rows = tuple((a, b, tuple((c, f.numerator * (den // f.denominator)) for c, f in row))
-                 for a, b, row in upper if row)
-    return den, rows
-
-
-def reference_antisymmetry(f):
-    """The dense scan for ``_antisymmetry``: (a, b, c, f[a][b][c], f[b][a][c])
-    for b >= a with a nonzero sum, diagonal entries included."""
-    n = len(f)
-    return tuple((a, b, c, f[a][b][c], f[b][a][c])
-                 for a in range(n) for b in range(a, n) for c in range(n)
-                 if (f[a][b][c] or f[b][a][c]) and f[a][b][c] + f[b][a][c] != 0)
-
-
 @settings(max_examples=300, deadline=None)
-@given(algebras())
+@given(algebras_with_tensors())
 def test_validate_matches_bracket_reference(case):
     alg, dense, f = case
-    assert report_key(alg.validate()) == report_key(reference_validate(dense, f))
+    assert report_key(alg.validate()) == report_key(reference_validate_through_bracket(dense, f))
     assert alg._table == dense._table  # the rows that bracket and validate read, in order
     # both constructors derive what the dense scans of the tensor find, in
     # order and type, and ``structure`` rebuilds the tensor from them
@@ -378,7 +313,7 @@ def built(draw, f):
 def algebra_pairs(draw):
     """Two algebras whose tensors differ in at most one entry, which may be
     set to its old value, to minus its mirror or onto the diagonal."""
-    *_, f = draw(algebras())
+    *_, f = draw(algebras_with_tensors())
     n = len(f)
     f = [[list(row) for row in plane] for plane in f]
     g = copy.deepcopy(f)
@@ -476,7 +411,7 @@ def test_from_brackets_defers_the_dense_tensor():
     want = LieAlgebra(3, ("X1", "X2", "X3"), tensor)
     alg = LieAlgebra.from_brackets(3, ("X1", "X2", "X3"), entries)
     report = alg.validate()
-    assert report_key(report) == report_key(reference_validate(want, tensor))
+    assert report_key(report) == report_key(reference_validate_through_bracket(want, tensor))
     assert [v.detail for v in report.violations][0] == "f[2][3][1]=3 but f[3][2][1]=0"
     assert alg._table == want._table
     assert "structure" not in alg.__dict__
@@ -492,7 +427,7 @@ def test_so8_sized_dense_tensor_validates_like_the_reference():
     assert alg.dim == 28
     report = alg.validate()
     assert report.ok and report.checks == 28 * 28 * 29 // 2 + 28 * 27 * 26 // 6
-    assert report_key(report) == report_key(reference_validate(alg, alg.structure))
+    assert report_key(report) == report_key(reference_validate_through_bracket(alg, alg.structure))
     entries = [(a, b, c, x) for a in range(28) for b in range(a + 1, 28)
                for c, x in enumerate(alg.structure[a][b]) if x]
     sparse = LieAlgebra.from_brackets(28, alg.basis_names, entries)
@@ -504,7 +439,7 @@ def test_so8_sized_dense_tensor_validates_like_the_reference():
     broken = LieAlgebra(28, alg.basis_names, tuple(tuple(map(tuple, p)) for p in f))
     report = broken.validate()
     assert not report.ok
-    assert report_key(report) == report_key(reference_validate(broken, f))
+    assert report_key(report) == report_key(reference_validate_through_bracket(broken, f))
 
 
 def test_dimension_cap():
@@ -548,17 +483,6 @@ def test_span_subalgebra_prunes_dependent_input(so3):
     split = span_subalgebra(so3, [so3.basis_vector(2),
                                   linalg.vec_scale(F(5), so3.basis_vector(2))])
     assert split.dim_h == 1
-
-
-def reference_projectors(split):
-    """P_h = B S B^-1 with S selecting the subalgebra coordinates, B the base change."""
-    n = split.algebra.dim
-    cols = split.h_basis + split.n_basis
-    base_change = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    dh = split.dim_h
-    sel_h = tuple(tuple(F(int(i == j and i < dh)) for j in range(n)) for i in range(n))
-    proj_h = linalg.mat_mul(linalg.mat_mul(base_change, sel_h), linalg.invert(base_change))
-    return proj_h, linalg.mat_sub(linalg.identity(n), proj_h)
 
 
 def test_projector_identities():

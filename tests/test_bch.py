@@ -12,66 +12,18 @@ from liecontract.algebra import LieAlgebra
 from liecontract.bch import DEFAULT_ORDER_CAP, local_mult, word_coefficients
 from liecontract.catalog import builtin
 from liecontract.errors import NonzeroConstantTerm, OrderCapExceeded
-from liecontract.jets import Jet, bracket_poly
+from liecontract.jets import Jet
+from references import (
+    reference_dynkin_local_mult,
+    reference_terms,
+    reference_word_coefficients,
+    through_zero,
+)
 
 F = Fraction
 
 so3, so3_rep = builtin("so3")
 heis3, heis3_rep = builtin("heis3")
-
-
-def reference_word_coefficients(order):
-    """The Dynkin word table by enumerating block sequences: every sequence
-    x^p1 y^q1 ... x^pm y^qm (p_i + q_i >= 1) of at most ``order`` letters adds
-    (-1)^(m-1) / (m * letters * prod(p_i! q_i!)) to its word.  Dropped and
-    sorted as ``word_coefficients`` drops and sorts."""
-    table = {}
-
-    def visit(word, length, blocks, fact_prod):
-        for p in range(order - length + 1):
-            for q in range(order - length - p + 1):
-                if p + q == 0:
-                    continue
-                new_word = word + "x" * p + "y" * q
-                new_len = length + p + q
-                new_fact = fact_prod * math.factorial(p) * math.factorial(q)
-                m = blocks + 1
-                table[new_word] = (table.get(new_word, F(0))
-                                   + F((-1) ** (m - 1), m * new_len * new_fact))
-                visit(new_word, new_len, m, new_fact)
-
-    visit("", 0, 0, 1)
-    kept = {w: c for w, c in table.items() if c != 0 and not (len(w) >= 2 and w[0] == w[1])}
-    return tuple(sorted(kept.items(), key=lambda item: (len(item[0]), item[0])))
-
-
-def reference_terms(alg, p, q, order):
-    """(coefficient, value) of every Dynkin word through ``order``, prefixes memoised."""
-    trunc = order + 1
-    values = {"x": p.truncated(trunc), "y": q.truncated(trunc)}
-
-    def value(word):
-        if word not in values:
-            values[word] = bracket_poly(alg, value(word[:-1]), values[word[-1]])
-        return values[word]
-
-    return [(coeff, value(word)) for word, coeff in word_coefficients(order)]
-
-
-def reference_local_mult(alg, p, q, order):
-    """The Dynkin sum accumulated on Fraction jets, as ``local_mult`` did before
-    it summed on integer numerators."""
-    acc = Jet.zero(alg.dim, order + 1)
-    for coeff, term in reference_terms(alg, p, q, order):
-        if term.degree >= 0:
-            acc = acc + term.scale(coeff)
-    return acc
-
-
-def through_zero(rng, alg, depth, trunc):
-    return Jet(alg.dim, trunc,
-               (linalg.zero_vector(alg.dim),)
-               + tuple(linalg.random_vector(rng, alg.dim) for _ in range(depth)))
 
 
 def test_word_table_low_orders():
@@ -203,7 +155,7 @@ def test_local_mult_returns_a_lazy_jet_on_exact_input():
         assert "coeffs" not in z.__dict__ and "coeffs" not in lazy.__dict__
         assert z.numerators == linalg.numerators(z.coeffs)
         assert "coeffs" in z.__dict__
-        assert z == reference_local_mult(alg, p, q, 4)
+        assert z == reference_dynkin_local_mult(alg, p, q, 4)
         with pytest.raises(NonzeroConstantTerm):
             local_mult(alg, Jet.from_numerators(alg.dim, 5, [(0, 1, 0)], 3), q, 4)
         floats = Jet(alg.dim, 5, [(0.0, 0.0, 0.0), (0.5, -0.0, 1.0)])
@@ -229,7 +181,7 @@ def test_a_zero_prefix_is_not_bracketed(monkeypatch):
         for order in range(1, 7):
             p, q = (through_zero(rng, alg, order, order + 1) for _ in range(2))
             floats = Jet(alg.dim, order + 1, [tuple(float(x) for x in c) for c in p.coeffs])
-            want = reference_local_mult(alg, p, q, order)
+            want = reference_dynkin_local_mult(alg, p, q, order)
             assert local_mult(alg, p, q, order) == want
             got = local_mult(alg, floats, q, order)
             assert all(abs(x - y) < 1e-9 for c in range(order + 1)
@@ -310,7 +262,7 @@ def test_exact_meets_float_in_floats():
     p = Jet(3, 4, [(0, 0, 0), (F(1, 3 ** 700), F(1, 3), 2), (0, F(-2, 7), 0)])
     q = Jet(3, 4, [(0, 0, 0), (0.5, -1.25, 3.0), (0.0, 0.75, 0.0)])
     got = local_mult(so3, p, q, 3)
-    want = reference_local_mult(so3, p, q, 3)
+    want = reference_dynkin_local_mult(so3, p, q, 3)
     for k in range(4):
         for a, b in zip(got.coeff(k), want.coeff(k)):
             assert type(a) is type(b) and math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
@@ -369,7 +321,7 @@ def test_integer_sum_matches_fraction_reference(case, order, data):
     trunc = order + 1
     p, q = (bch_jet(data.draw, n, trunc, ENTRIES) for _ in range(2))
     got = local_mult(alg, p, q, order)
-    want = reference_local_mult(alg, p, q, order)
+    want = reference_dynkin_local_mult(alg, p, q, order)
     assert got == want
     assert component_key(got) == component_key(want)
     if not integral:
@@ -377,7 +329,7 @@ def test_integer_sum_matches_fraction_reference(case, order, data):
     # the numeric mode: floats over 1 through the same integer sum
     u, v = (bch_jet(data.draw, n, trunc, FLOATS) for _ in range(2))
     got = local_mult(alg, u, v, order)
-    want = reference_local_mult(alg, u, v, order)
+    want = reference_dynkin_local_mult(alg, u, v, order)
     assert component_key(got) == component_key(want)
     if order == 1:  # every coefficient is 1: the same sums, bit for bit
         assert repr(got) == repr(want)

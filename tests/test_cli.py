@@ -15,8 +15,6 @@ from liecontract.expansion import IWExpansion
 
 SO3 = {"dim": 3, "basis": ["X1", "X2", "X3"],
        "brackets": [[1, 2, 3, "1"], [2, 3, 1, "1"], [3, 1, 2, "1"]]}
-BROKEN = {"dim": 3, "basis": ["X1", "X2", "X3"],
-          "brackets": [[1, 2, 3, "1"], [2, 3, 1, "1"], [3, 1, 2, "1"]]}
 
 
 @pytest.fixture()
@@ -342,6 +340,11 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
     ["verify", "--trials", str(MAX_TRIALS + 1)],
     ["--order-cap", "0", "oracle", "so3", "--order", "1", "--trials", "1"],
     ["--order-cap", str(bch.MAX_ORDER_CAP + 1), "oracle", "so3", "--order", "1", "--trials", "1"],
+    # below the range: a negative order, no trials
+    ["contract", "so3", "--subalgebra", "x3.sub", "--order", "-1"],
+    ["expand", "so3", "--subalgebra", "x3.sub", "--order", "-2"],
+    ["verify", "--trials", "0"],
+    ["oracle", "so3", "--order", "2", "--trials", "0"],
 ])
 def test_oversized_order_and_trials_are_usage_errors(workdir, capsys, args):
     args = [workdir / a if a.endswith((".sub", ".alg")) else a for a in args]

@@ -38,8 +38,20 @@ from liecontract.errors import (
 )
 from liecontract.expansion import GeneralExpansion
 from liecontract.formats import load_family
-from liecontract.jets import Jet, MatrixJet, bracket_poly
+from liecontract.jets import Jet, MatrixJet
 from liecontract.linalg import ZERO
+from references import (
+    cramer_invert_family_apply,
+    dense_split_along,
+    poly_series_div,
+    reference_bracket_tuples,
+    reference_eps_bracket,
+    reference_family_apply,
+    reference_inverse_terms,
+    reference_invert_family_apply,
+    row_loop_invert_family_apply,
+    so_n,
+)
 
 F = Fraction
 
@@ -78,16 +90,6 @@ def test_iw_family_degenerate_splits():
     fam = iw_family(zero)
     assert linalg.is_zero_matrix(fam.phis[0])
     assert fam.phis[1] == linalg.identity(3)
-
-
-def reference_family_apply(fam, p):
-    """The family applied to a jet on Fractions: the polynomial product, truncated."""
-    coeffs = [linalg.zero_vector(p.dim) for _ in range(p.trunc)]
-    for i, m in enumerate(fam.phis):
-        for j, v in enumerate(p.coeffs):
-            if i + j < p.trunc:
-                coeffs[i + j] = linalg.vec_add(coeffs[i + j], linalg.mat_vec(m, v))
-    return Jet(p.dim, p.trunc, tuple(coeffs))
 
 
 def test_apply_family_rescales_complement():
@@ -294,54 +296,6 @@ def test_complement_independence_via_transport():
                 assert lhs == rhs
 
 
-def entry_polys(fam):
-    """The family's matrix of entry polynomials, on Fractions."""
-    n = fam.dim
-    return [[linalg.poly_trim(tuple(m[i][j] for m in fam.phis)) for j in range(n)]
-            for i in range(n)]
-
-
-def component_polys(r):
-    """Per-coordinate coefficient tuples of a jet, trailing zeros trimmed."""
-    return tuple(linalg.poly_trim(tuple(c[i] for c in r.coeffs)) for i in range(r.dim))
-
-
-def poly_series_div(num, den, order):
-    """Taylor coefficients 0..order of num/den, which must be regular at 0.
-
-    The caller guarantees valuation(num) >= valuation(den) (or num == 0).
-    The recurrence is fraction-free: with d0 the lowest coefficient of den,
-    c_m = d0**(m+1) times coefficient m satisfies
-    c_m = d0**m num_m - sum_{j<m} c_j d0**(m-1-j) den_(m-j), so integer input
-    stays integral and each coefficient is divided once, at the end, by
-    ``from_numerators`` (a Fraction for integers).
-    """
-    den = linalg.poly_trim(den)
-    v = linalg.poly_valuation(den)
-    if v is None:
-        raise ZeroDivisionError("series division by zero")
-    num = linalg.poly_trim(num)
-    if not num:
-        return (ZERO,) * (order + 1)
-    if linalg.poly_valuation(num) < v:
-        raise ValueError("quotient is not regular at 0")
-    ns = num[v:]
-    ds = den[v:]
-    powers = [1]  # powers of d0
-    for _ in range(order + 1):
-        powers.append(powers[-1] * ds[0])
-    c = []
-    for m in range(order + 1):
-        acc = ns[m] * powers[m] if m < len(ns) else 0
-        for j in range(m):
-            step = m - j
-            if step < len(ds) and ds[step] and c[j]:
-                acc -= c[j] * powers[step - 1] * ds[step]
-        c.append(acc)
-    return linalg.from_numerators([x * powers[order - m] for m, x in enumerate(c)],
-                                  powers[order + 1])
-
-
 def test_poly_series_div_against_multiplication():
     rng = random.Random(3)
     for _ in range(25):
@@ -366,44 +320,6 @@ def test_poly_series_div_against_multiplication():
 def test_poly_series_div_requires_regularity():
     with pytest.raises(ValueError):
         poly_series_div((F(1),), (F(0), F(1)), 3)
-
-
-def pole_error(fam, valuation, component):
-    """The PoleError invert_family_apply raises for this valuation and component."""
-    return PoleError(f"component {fam.algebra.basis_names[component]} has valuation "
-                     f"{valuation} at 0", valuation=valuation, component=component)
-
-
-def cramer_invert_family_apply(fam, r, order):
-    """Reference for invert_family_apply: one determinant per component.
-
-    Component i of the solution is det(family with column i replaced by r)
-    over det(family), both computed by poly_det.
-    """
-    entries = entry_polys(fam)
-    den = linalg.poly_det(entries)
-    if not den:
-        raise SingularFamily("family determinant is the zero polynomial")
-    rhs = component_polys(r)
-    den_val = linalg.poly_valuation(den)
-    numerators = []
-    worst = None
-    for i in range(fam.dim):
-        swapped = [row[:i] + [rhs[k]] + row[i + 1:] for k, row in enumerate(entries)]
-        num = linalg.poly_det(swapped)
-        numerators.append(num)
-        if num:
-            val = linalg.poly_valuation(num) - den_val
-            if val < 0 and (worst is None or val < worst[0]):
-                worst = (val, i)
-    if worst is not None:
-        raise pole_error(fam, *worst)
-    series = [
-        poly_series_div(num, den, order) if num else (ZERO,) * (order + 1)
-        for num in numerators
-    ]
-    coeffs = tuple(tuple(series[i][m] for i in range(fam.dim)) for m in range(order + 1))
-    return Jet(fam.dim, order + 1, coeffs)
 
 
 def solve_outcome(solver, fam, r, order):
@@ -452,87 +368,11 @@ def test_invert_family_apply_matches_cramer(case):
         solve_outcome(cramer_invert_family_apply, fam, r, order)
 
 
-def so_n(n):
-    """so(n) on the matrices E_ij - E_ji (i < j), and the basis of so(n-1) in it."""
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    mats = [tuple(tuple(F((r, c) == (i, j)) - F((r, c) == (j, i)) for c in range(n))
-                  for r in range(n)) for i, j in pairs]
-
-    def coords(m):  # an antisymmetric matrix in the E_ij - E_ji basis
-        return tuple(m[i][j] for i, j in pairs)
-
-    tensor = tuple(
-        tuple(coords(linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a)))
-              for b in mats)
-        for a in mats)
-    alg = LieAlgebra(len(pairs), tuple(f"L{i + 1}{j + 1}" for i, j in pairs), tensor)
-    return alg, [alg.basis_vector(a) for a, (_, j) in enumerate(pairs) if j < n - 1]
-
-
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_contract_so_n_matches_closed_form(n):
     alg, sub = so_n(n)
     split = span_subalgebra(alg, sub)
     assert contract(iw_family(split)).structure == iw_contract_closed_form(split).structure
-
-
-def reference_series_div(num, den, order):
-    """Taylor coefficients of num/den by the Fraction recurrence, one division per step."""
-    den, num = linalg.poly_trim(den), linalg.poly_trim(num)
-    if not num:
-        return (ZERO,) * (order + 1)
-    v = linalg.poly_valuation(den)
-    ns, ds = num[v:], den[v:]
-    out = []
-    for m in range(order + 1):
-        acc = ns[m] if m < len(ns) else ZERO
-        for j in range(m):
-            step = m - j
-            if step < len(ds) and ds[step]:
-                acc -= out[j] * ds[step]
-        out.append(acc / ds[0])
-    return tuple(out)
-
-
-def reference_invert_family_apply(fam, r, order):
-    """invert_family_apply on Fractions, as it ran before the family scaled to integers.
-
-    The adjugate of the Fraction entry polynomials, the right-hand side's
-    Fraction component polynomials and a Fraction series division.
-    """
-    den, adj = linalg.poly_adjugate(entry_polys(fam))
-    if not den:
-        raise SingularFamily("family determinant is the zero polynomial")
-    rhs = component_polys(r)
-    den_val = linalg.poly_valuation(den)
-    numerators = []
-    worst = None
-    for i, adj_row in enumerate(adj):
-        num = ()
-        for a, b in zip(adj_row, rhs):
-            if a and b:
-                num = linalg.poly_add(num, linalg.poly_mul(a, b))
-        numerators.append(num)
-        if num:
-            val = linalg.poly_valuation(num) - den_val
-            if val < 0 and (worst is None or val < worst[0]):
-                worst = (val, i)
-    if worst is not None:
-        raise pole_error(fam, *worst)
-    series = [reference_series_div(num, den, order) for num in numerators]
-    coeffs = tuple(tuple(series[i][m] for i in range(fam.dim)) for m in range(order + 1))
-    return Jet(fam.dim, order + 1, coeffs)
-
-
-def reference_rescaled_bracket(fam, xs, ys, order):
-    """The rescaled bracket of two polynomials through the Fraction lift and bracket_poly."""
-    trunc = max(2 * (len(xs) - 1 + fam.degree), order) + 1
-    jx, jy = (reference_family_apply(fam, Jet(fam.dim, trunc, vs)) for vs in (xs, ys))
-    return reference_invert_family_apply(fam, bracket_poly(fam.algebra, jx, jy), order)
-
-
-def reference_eps_bracket(fam, x, y, order):
-    return reference_rescaled_bracket(fam, (x,), (y,), order)
 
 
 def exact_outcome(solve, *args):
@@ -591,10 +431,11 @@ def families(draw):
     fam = ContractionFamily(alg, tuple(mats))
     trunc = draw(st.integers(1, 4))
     r = Jet(n, trunc, [draw(st.tuples(*[value] * n)) for _ in range(trunc)])
-    return fam, draw(vectors(alg)), draw(vectors(alg)), r, draw(st.integers(0, trunc - 1))
+    x, y = draw(family_vectors(alg)), draw(family_vectors(alg))
+    return fam, x, y, r, draw(st.integers(0, trunc - 1))
 
 
-def vectors(alg):
+def family_vectors(alg):
     """A basis vector, or a vector of family entries."""
     return st.one_of(st.sampled_from([alg.basis_vector(a) for a in range(alg.dim)]),
                      st.tuples(*[st.sampled_from(FAMILY_ENTRIES)] * alg.dim))
@@ -639,35 +480,6 @@ def test_invert_family_apply_builds_its_fractions_on_first_read(case):
     assert w.numerators == linalg.numerators(w.coeffs)
 
 
-def row_loop_invert_family_apply(fam, r, order):
-    """``invert_family_apply`` as it ran before the table kept sparse columns:
-    each G_t in sparse rows (``reference_inverse_terms``), a generator sum per row."""
-    rows, r_den = linalg.exact(r.numerators, "a family solve")
-    if not fam._det:
-        raise SingularFamily("family determinant is the zero polynomial")
-    v = linalg.poly_valuation(fam._det)
-    terms = reference_inverse_terms(fam._det, fam._adjugate, v + order + 1)
-    scale = fam._numerators[1]
-    common = math.lcm(*(den for t, _, den in terms if t <= v + order))
-    coeffs = []
-    for m in range(terms[0][0], v + order + 1):
-        acc = [0] * fam.dim
-        for t, mat, den in terms:
-            if t <= m < t + len(rows) and any(rows[m - t]):
-                f, x = common // den, rows[m - t]
-                for i, row in mat:
-                    acc[i] += f * sum(a * x[j] for j, a in row)
-        if m < v:
-            comp = next((i for i, c in enumerate(acc) if c), None)
-            if comp is not None:
-                raise PoleError(
-                    f"component {fam.algebra.basis_names[comp]} has valuation {m - v} at 0",
-                    valuation=m - v, component=comp)
-        else:
-            coeffs.append([scale * c for c in acc])
-    return Jet.from_numerators(fam.dim, order + 1, coeffs, common * r_den)
-
-
 @settings(max_examples=60, deadline=None)
 @given(families(), st.integers(0, 4), st.data())
 def test_invert_family_apply_matches_the_row_loop(case, order, data):
@@ -709,11 +521,6 @@ def general_bracket_tuples(fam, k, xs, ys):
         raise err.__cause__ from None
 
 
-def reference_bracket_tuples(fam, k, xs, ys):
-    w = reference_rescaled_bracket(fam, xs, ys, k)
-    return tuple(w.coeff(m) for m in range(k + 1))
-
-
 def tuples_outcome(bracket, *args):
     """Coefficient tuples as the type and repr of every component, or the error raised."""
     try:
@@ -729,7 +536,7 @@ def tuples_outcome(bracket, *args):
 @given(families(), st.integers(0, 3), st.data())
 def test_bracket_tuples_matches_fraction_reference(case, k, data):
     fam = case[0]
-    coeffs = st.lists(vectors(fam.algebra), min_size=k + 1, max_size=k + 1)
+    coeffs = st.lists(family_vectors(fam.algebra), min_size=k + 1, max_size=k + 1)
     xs, ys = data.draw(coeffs), data.draw(coeffs)
     assert tuples_outcome(general_bracket_tuples, fam, k, xs, ys) == \
         tuples_outcome(reference_bracket_tuples, fam, k, xs, ys)
@@ -832,17 +639,7 @@ def two_dim_algebra():
     return LieAlgebra.from_brackets(2, ("X1", "X2"), [(0, 1, 1, 1)])
 
 
-def dense_split(alg, sub, rng):
-    """The split along span(sub), on seeded dense rational bases of both parts."""
-    def draw():
-        return linalg.random_fraction(rng, max_num=5, max_den=5)
-
-    h = [tuple(sum((draw() * x for x in col), F(0)) for col in zip(*sub)) for _ in sub]
-    rest = [tuple(draw() for _ in range(alg.dim)) for _ in range(alg.dim - len(sub))]
-    return split_with_complement(alg, h, rest)
-
-
-def catalogued_splits():
+def catalogued_and_basis_splits():
     """Every split along a catalogued or basis-spanned subalgebra, and so(n-1) in so(n)."""
     splits = []
     for name in ("so3", "sl2", "heis3", "iso2"):
@@ -861,7 +658,7 @@ def catalogued_splits():
 
 def dense_so_splits():
     rng = random.Random(20)
-    return [dense_split(*so_n(4), rng) for _ in range(4)] + [dense_split(*so_n(5), rng)]
+    return [dense_split_along(*so_n(4), rng) for _ in range(4)] + [dense_split_along(*so_n(5), rng)]
 
 
 def assert_closed_form_is_the_elimination(split):
@@ -880,14 +677,14 @@ def assert_closed_form_is_the_elimination(split):
             repr(contraction._InverseSeries(det, adj).extend(count))
 
 
-@pytest.mark.parametrize("split", catalogued_splits() + dense_so_splits())
+@pytest.mark.parametrize("split", catalogued_and_basis_splits() + dense_so_splits())
 def test_iw_inverse_in_closed_form_is_the_elimination(split):
     assert_closed_form_is_the_elimination(split)
 
 
 def test_closed_form_cases_reach_every_shape():
     """The cases above hold dh = 0, dn = 0, dimensions 1 and 2, and denominators above 1."""
-    splits = catalogued_splits() + dense_so_splits()
+    splits = catalogued_and_basis_splits() + dense_so_splits()
     assert any(s.dim_h == 0 for s in splits) and any(s.dim_n == 0 for s in splits)
     assert {1, 2} <= {s.algebra.dim for s in splits}
     dens = [iw_family(s)._numerators[1] for s in dense_so_splits()]
@@ -908,7 +705,7 @@ def dense_splits(draw):
                                + [two_dim_algebra()]))
     sub = draw(st.sampled_from(bracket_closed_basis_subsets(alg)))
     try:
-        return dense_split(alg, sub, random.Random(draw(st.integers(0, 10 ** 6))))
+        return dense_split_along(alg, sub, random.Random(draw(st.integers(0, 10 ** 6))))
     except (DimensionMismatch, NotASubalgebra):  # the drawn vectors are dependent
         assume(False)
 
@@ -954,7 +751,7 @@ def test_sl2_is_no_contraction_of_heis3():
 
 # so(6) > so(5) and the dense so(5) are left out: their derivation systems (225 entries
 # in 1575 conditions; 100 in 450, on large rationals) take seconds each
-@pytest.mark.parametrize("split", [s for s in catalogued_splits() if s.algebra.dim <= 10]
+@pytest.mark.parametrize("split", [s for s in catalogued_and_basis_splits() if s.algebra.dim <= 10]
                          + dense_so_splits()[:4])
 def test_contraction_limits_pass_the_degeneration_invariants(split):
     g0 = contract(iw_family(split))
@@ -1218,29 +1015,6 @@ def test_contract_makes_no_fraction_before_its_structure_is_read(monkeypatch, sp
     assert limit == want and structure == want.structure
 
 
-def reference_inverse_terms(det, adj, count):
-    """``_InverseSeries.extend(count)`` as it was: every degree sums every adjugate entry."""
-    dt = det[linalg.poly_valuation(det):]
-    powers = [dt[0] ** m for m in range(count + 1)]
-    beta, terms = [], []
-    for t in range(count):
-        beta.append(-sum(dt[j] * beta[t - j] * powers[j - 1]
-                         for j in range(1, min(t, len(dt) - 1) + 1)) if t else 1)
-        factors = [(t - k, b * powers[t - k]) for k, b in enumerate(beta) if b]
-        rows = []
-        for i, adj_row in enumerate(adj):
-            row = [(j, x) for j, x in enumerate(
-                sum(p[s] * f for s, f in factors if s < len(p)) for p in adj_row) if x]
-            if row:
-                rows.append((i, row))
-        if rows:
-            den = powers[t + 1]
-            g = math.gcd(den, *(x for _, row in rows for _, x in row))
-            terms.append((t, tuple((i, tuple((j, x // g) for j, x in row)) for i, row in rows),
-                          den // g))
-    return terms
-
-
 def as_columns(terms, n):
     """Terms in sparse rows, (i, ((j, x), ...)), relaid in sparse columns, ((i, x), ...)."""
     out = []
@@ -1266,7 +1040,7 @@ def so4_pole_families():
 def test_inverse_table_skips_its_zero_degrees_and_keeps_its_terms():
     """``extend`` starts its sums at the lowest power of eps in the adjugate and
     gives the terms of the loop over every degree, in sparse columns."""
-    families = [iw_family(s) for s in catalogued_splits() + dense_so_splits()]
+    families = [iw_family(s) for s in catalogued_and_basis_splits() + dense_so_splits()]
     families += so4_pole_families() + [forced_plane_family(), golden_family("so3-pole.json"),
                                        golden_family("heis3-weighted.json", heis3)]
     starts = set()

@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 
 from liecontract import linalg
-from liecontract.algebra import LieAlgebra, span_subalgebra
+from liecontract.algebra import LieAlgebra, SubalgebraSplit, span_subalgebra
 from liecontract.catalog import builtin, canonical_split_vectors, subalgebra_catalog
 from liecontract.contraction import ContractionFamily, contract, iw_family
 from liecontract.errors import DimensionMismatch
 from liecontract.expansion import ExpandedElement, GeneralExpansion, IWExpansion
 from liecontract.formats import algebra_to_dict
-from test_algebra import reference_tensor
-from test_numeric_mode import dense_split
+from references import dense_so_split, reference_tensor
 
 F = Fraction
 
@@ -244,7 +243,7 @@ def test_truncation_to_a_lower_order_is_a_homomorphism():
     splits = [(f"{name} {label}", span_subalgebra(builtin(name)[0], vectors))
               for name in ("so3", "sl2", "heis3")
               for label, vectors in subalgebra_catalog(name).items()]
-    splits.append(("dense so(4)", dense_split(4, 0)))
+    splits.append(("dense so(4)", dense_so_split(4, 0)))
     for label, split in splits:
         for k in range(4):
             small = IWExpansion(split, k).structure_algebra()
@@ -298,6 +297,23 @@ def element_to_tuple(ea, el):
     """Inverse of ``tuple_to_element``: X_m = P_h(slot m) + P_n(slot m+1)."""
     ph, pn = ea.split.project_h, ea.split.project_n
     return tuple(linalg.vec_add(ph(el.slots[m]), pn(el.slots[m + 1])) for m in range(ea.order + 1))
+
+
+def test_a_split_from_the_public_constructor_emits_the_same_algebra():
+    """A split given to ``SubalgebraSplit`` with its projectors rebuilds the
+    inverse of its base change on first use, and its expansions emit the
+    algebras of the ``span_subalgebra`` split."""
+    so3 = builtin("so3")[0]
+    for split in (span_subalgebra(so3, [so3.basis_vector(2)]), dense_so_split(4, 0)):
+        public = SubalgebraSplit(split.algebra, split.h_basis, split.n_basis,
+                                 split.proj_h, split.proj_n)
+        assert "_inverse" not in public.__dict__
+        for k in range(3):
+            got = IWExpansion(public, k).structure_algebra()
+            want = IWExpansion(split, k).structure_algebra()
+            assert got == want and got.basis_names == want.basis_names
+            assert repr(got.structure) == repr(want.structure)
+        assert repr(public._inverse) == repr(split._inverse)
 
 
 def test_tuple_transport_round_trip():

@@ -54,6 +54,10 @@ CASES = {
     # the span of (1, 2, 0): the top level read through a split inverse over 2
     "expand-so3-x1-2x2-order3-constants": ["expand", "so3", "--subalgebra", "so3-x1-2x2.json",
                                            "--order", "3", "--emit-constants"],
+    # the machine payloads of validate and of expand without --emit-constants
+    "validate-so5": ["validate", "so5.json"],
+    "validate-broken-jacobi": ["validate", "broken-jacobi.json"],
+    "expand-so3-order2": ["expand", "so3", "--subalgebra", "so3-x3.json", "--order", "2"],
     "verify-seed3": ["verify", "--seed", "3", "--trials", "10"],
     "verify-default-seed": ["verify"],
     **{f"example-so3-order{k}{suffix}": [*fmt, "example", "so3", "--order", str(k)]

@@ -9,7 +9,7 @@ import pytest
 
 from liecontract import linalg
 from liecontract.algebra import span_subalgebra
-from liecontract.catalog import builtin, canonical_split_vectors
+from liecontract.catalog import builtin
 from liecontract.errors import DimensionMismatch
 from liecontract.group import (
     QUARTER_TURN,
@@ -19,7 +19,7 @@ from liecontract.group import (
 )
 from liecontract.jets import Jet
 from liecontract.oracle import Representation
-from test_numeric_mode import so_n, so_n_matrices, so_n_rotation_ad
+from references import astuple, canonical_group, random_nil, so_n, so_n_matrices, so_n_rotation_ad
 
 F = Fraction
 
@@ -28,18 +28,10 @@ sl2 = builtin("sl2")[0]
 heis3 = builtin("heis3")[0]
 
 
-def group_for(name, k):
-    alg = builtin(name)[0]
-    return ExpansionGroup(span_subalgebra(alg, canonical_split_vectors(name)), k)
-
-
-def random_nil(grp, rng):
-    return grp.nil([linalg.random_vector(rng, grp.algebra.dim) for _ in range(grp.order)],
-                   linalg.random_vector(rng, grp.algebra.dim))
-
-
-def exact_h_elements(name, grp, rng):
-    """A few exact automorphisms preserving the canonical subalgebra."""
+def h_elements_lambda_to_5(name, grp, rng):
+    """Exact automorphisms keeping the canonical subalgebra: so3's quarter
+    turns, sl2's torus element at lambda = a/b (a, b drawn from 1..5) and a
+    unipotent one of heis3."""
     if name == "so3":
         turn = grp.h_element(QUARTER_TURN)
         return [grp.identity_h(), turn, grp.h_compose(turn, turn)]
@@ -59,7 +51,7 @@ def exact_h_elements(name, grp, rng):
 
 
 def test_star_k1_closed_form_specific():
-    grp = group_for("so3", 1)
+    grp = canonical_group("so3", 1)
     c1, c2 = (F(1), F(0), F(0)), (F(0), F(1), F(0))
     d1, d2 = (F(0), F(1), F(0)), (F(1), F(0), F(0))
     got = grp.star(grp.nil([c1], c2), grp.nil([d1], d2))
@@ -71,7 +63,7 @@ def test_star_k1_closed_form_specific():
 def test_star_k1_closed_form_random():
     rng = random.Random(1)
     for name in ("so3", "sl2", "heis3"):
-        grp = group_for(name, 1)
+        grp = canonical_group(name, 1)
         alg = grp.algebra
         for _ in range(30):
             a = random_nil(grp, rng)
@@ -86,7 +78,7 @@ def test_star_k1_closed_form_random():
 
 def test_star_k0_is_coset_addition():
     rng = random.Random(2)
-    grp = group_for("so3", 0)
+    grp = canonical_group("so3", 0)
     for _ in range(20):
         a, b = random_nil(grp, rng), random_nil(grp, rng)
         assert grp.star(a, b).top == linalg.vec_add(a.top, b.top)
@@ -96,7 +88,7 @@ def test_star_identity_and_inverse():
     rng = random.Random(3)
     for name in ("so3", "sl2", "heis3"):
         for k in (0, 1, 2, 3):
-            grp = group_for(name, k)
+            grp = canonical_group(name, k)
             zero = grp.zero_nil()
             for _ in range(5):
                 a = random_nil(grp, rng)
@@ -110,14 +102,14 @@ def test_star_associativity():
     rng = random.Random(4)
     for name in ("so3", "sl2", "heis3"):
         for k in (0, 1, 2, 3, 4):
-            grp = group_for(name, k)
+            grp = canonical_group(name, k)
             for _ in range(3):
                 a, b, c = (random_nil(grp, rng) for _ in range(3))
                 assert grp.star(grp.star(a, b), c) == grp.star(a, grp.star(b, c))
 
 
 def test_h_element_validation():
-    grp = group_for("so3", 1)
+    grp = canonical_group("so3", 1)
     with pytest.raises(DimensionMismatch):
         # reflection through a plane flips orientation: not a bracket automorphism
         grp.h_element(((F(-1), F(0), F(0)),
@@ -137,8 +129,8 @@ def test_h_element_validation():
 def test_ad_action_is_homomorphism_on_slots():
     rng = random.Random(5)
     for name in ("so3", "sl2", "heis3"):
-        grp = group_for(name, 2)
-        hs = exact_h_elements(name, grp, rng)
+        grp = canonical_group(name, 2)
+        hs = h_elements_lambda_to_5(name, grp, rng)
         for h1 in hs:
             for h2 in hs:
                 composed = grp.h_compose(h1, h2)
@@ -152,8 +144,8 @@ def test_ad_equivariance_of_star():
     rng = random.Random(6)
     for name in ("so3", "sl2", "heis3"):
         for k in (0, 1, 2):
-            grp = group_for(name, k)
-            for h in exact_h_elements(name, grp, rng):
+            grp = canonical_group(name, k)
+            for h in h_elements_lambda_to_5(name, grp, rng):
                 for _ in range(5):
                     a, b = random_nil(grp, rng), random_nil(grp, rng)
                     assert grp.ad_nil(h, grp.star(a, b)) == \
@@ -161,14 +153,14 @@ def test_ad_equivariance_of_star():
 
 
 def test_group_identities():
-    grp = group_for("so3", 1)
+    grp = canonical_group("so3", 1)
     e = grp.identity()
     assert grp.mult(e, e).nil == e.nil and grp.mult(e, e).h.ad == e.h.ad
 
 
 def test_pure_h_times_pure_nil():
     rng = random.Random(7)
-    grp = group_for("so3", 1)
+    grp = canonical_group("so3", 1)
     h = grp.h_element(QUARTER_TURN)
     b = random_nil(grp, rng)
     got = grp.mult(grp.element(h, grp.zero_nil()),
@@ -178,7 +170,7 @@ def test_pure_h_times_pure_nil():
 
 
 def test_quarter_turn_rotates_coset():
-    grp = group_for("so3", 0)
+    grp = canonical_group("so3", 0)
     h = grp.h_element(QUARTER_TURN)
     b = grp.nil([], so3.basis_vector(0))
     got = grp.mult(grp.element(h, grp.zero_nil()),
@@ -188,7 +180,7 @@ def test_quarter_turn_rotates_coset():
 
 def test_group_inverse_forms():
     rng = random.Random(8)
-    grp = group_for("so3", 2)
+    grp = canonical_group("so3", 2)
     a = random_nil(grp, rng)
     inv = grp.inverse(grp.element(grp.identity_h(), a))
     assert inv.nil == grp.nil_negate(a)
@@ -202,8 +194,8 @@ def test_group_inverse_two_sided():
     rng = random.Random(9)
     for name in ("so3", "sl2", "heis3"):
         for k in (0, 1, 2, 3):
-            grp = group_for(name, k)
-            hs = exact_h_elements(name, grp, rng)
+            grp = canonical_group(name, k)
+            hs = h_elements_lambda_to_5(name, grp, rng)
             for _ in range(5):
                 g = grp.element(hs[rng.randrange(len(hs))], random_nil(grp, rng))
                 gi = grp.inverse(g)
@@ -217,8 +209,8 @@ def test_semidirect_associativity():
     rng = random.Random(10)
     for name in ("so3", "sl2", "heis3"):
         for k in (0, 1, 2, 3):
-            grp = group_for(name, k)
-            hs = exact_h_elements(name, grp, rng)
+            grp = canonical_group(name, k)
+            hs = h_elements_lambda_to_5(name, grp, rng)
             for _ in range(3):
                 gs = [grp.element(hs[rng.randrange(len(hs))], random_nil(grp, rng))
                       for _ in range(3)]
@@ -322,7 +314,7 @@ def test_group_mult_matches_matrix_realization_heis3():
 
 
 def test_float_mode_rotation_matches_exact_at_quarter_turn():
-    grp = group_for("so3", 0)
+    grp = canonical_group("so3", 0)
     h_float = grp.h_element(_rotation_ad(math.pi / 2), tol=1e-9)
     h_exact = grp.h_element(QUARTER_TURN)
     t = (0.25, -1.5, 0.0)
@@ -364,8 +356,8 @@ def star_setting(name, k):
         grp = ExpansionGroup(span_subalgebra(alg, sub), k)
         return (grp, Representation(alg, so_n_matrices(4)),
                 [grp.identity_h(), grp.h_element(so_n_rotation_ad(4, F(1, 2)))])
-    grp = group_for(name, k)
-    return grp, builtin(name)[1], exact_h_elements(name, grp, random.Random(k))
+    grp = canonical_group(name, k)
+    return grp, builtin(name)[1], h_elements_lambda_to_5(name, grp, random.Random(k))
 
 
 def oracle_star(grp, rep, a, b):
@@ -409,10 +401,6 @@ def numeric_star_samples(name, k):
     pairs = [(float_nil(), float_nil()) for _ in range(2)]
     pairs += [(random_nil(grp, rng), float_nil()), (float_nil(), random_nil(grp, rng))]
     return [astuple(grp.star(a, b)) for a, b in pairs]
-
-
-def astuple(nil):
-    return nil.mids, nil.top
 
 
 def digest(value):

@@ -16,9 +16,19 @@ import pytest
 from liecontract import linalg
 from liecontract.algebra import LieAlgebra, span_subalgebra
 from liecontract.catalog import builtin
-from liecontract.contraction import contract, iw_contract_closed_form, iw_family
+from liecontract.contraction import (
+    ContractionFamily,
+    contract,
+    invert_family_apply,
+    iw_contract_closed_form,
+    iw_family,
+)
+from liecontract.errors import DimensionMismatch
 from liecontract.expansion import GeneralExpansion, IWExpansion
 from liecontract.group import ExpansionGroup
+from liecontract.jets import Jet
+from liecontract.oracle import Representation
+from references import random_nil
 
 F = Fraction
 
@@ -39,11 +49,6 @@ def rotations_plus_heisenberg():
         (0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
         (3, 4, 5, 1),
     ])
-
-
-def random_nil(grp, rng):
-    return grp.nil([linalg.random_vector(rng, grp.algebra.dim) for _ in range(grp.order)],
-                   linalg.random_vector(rng, grp.algebra.dim))
 
 
 def test_oscillator_is_valid():
@@ -133,6 +138,45 @@ def test_degenerate_splits_full_and_zero():
             assert grp.star(grp.star(a, b), c) == grp.star(a, grp.star(b, c))
 
 
+def so3_x3_split():
+    so3 = builtin("so3")[0]
+    return span_subalgebra(so3, [so3.basis_vector(2)])
+
+
+REFUSALS = {  # the call, and the message of the DimensionMismatch it raises
+    "group-order": (lambda: ExpansionGroup(so3_x3_split(), -1),
+                    "group order must be nonnegative"),
+    "iw-expansion-order": (lambda: IWExpansion(so3_x3_split(), -1),
+                           "expansion order must be nonnegative"),
+    "general-expansion-order": (
+        lambda: GeneralExpansion(ContractionFamily.identity(builtin("so3")[0]), -1),
+        "expansion order must be nonnegative"),
+    "nil-middle-count": (lambda: ExpansionGroup(so3_x3_split(), 2).nil([(0, 0, 0)], (1, 0, 0)),
+                         "expected 2 middle slots, got 1"),
+    "nil-middle-length": (lambda: ExpansionGroup(so3_x3_split(), 1).nil([(0, 0)], (1, 0, 0)),
+                          "middle slot length differs from algebra dimension"),
+    "nil-top-length": (lambda: ExpansionGroup(so3_x3_split(), 1).nil([(0, 0, 0)], (1, 0)),
+                       "top slot length differs from algebra dimension"),
+    "h-element-not-square": (
+        lambda: ExpansionGroup(so3_x3_split(), 0).h_element(((1, 0, 0), (0, 1, 0))),
+        "adjoint matrix must be square of the algebra dimension"),
+    "family-solve-dimension": (
+        lambda: invert_family_apply(iw_family(so3_x3_split()), Jet(2, 3, [(0, 1)]), 1),
+        "jet dimension differs from family dimension"),
+    "representation-count": (
+        lambda: Representation(builtin("so3")[0], builtin("so3")[1].mats[:2]),
+        "need one matrix per basis vector"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_constructors_refuse_arguments_that_do_not_fit(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(DimensionMismatch) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_readme_quickstart_runs(capsys):
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     block = readme.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
@@ -177,6 +221,33 @@ def test_benchmark_layer_pins_move_in_one_traced_batch(tmp_path, monkeypatch):
         metrics = spans.layer_metrics(tracer.stats)
         pins = selftest.SHOULD_MOVE[name] + selftest.EVERY_WORKLOAD
         assert [pin for pin in pins if not metrics[pin] > 0] == [], name
+
+
+def test_test_modules_share_helpers_through_references_only():
+    """A test module imports no other test module, only ``references``;
+    ``references`` holds no test; and no helper function or class is defined
+    in two modules of the test directory."""
+    tests = pathlib.Path(__file__).parent
+    local = {path.stem for path in tests.glob("*.py")}
+    homes = {}
+    for path in sorted(tests.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[0]] if not node.level else ["."]
+            else:
+                continue
+            for name in names:
+                assert name not in local - {"references"} and name != ".", (path.name, name)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if path.stem == "references":
+                    assert not node.name.startswith("test"), node.name
+                if not node.name.startswith("test_"):
+                    homes.setdefault(node.name, []).append(path.name)
+    assert {name: files for name, files in homes.items() if len(files) > 1} == {}
 
 
 def test_package_exports_match_all():

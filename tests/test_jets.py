@@ -1,5 +1,3 @@
-import copy
-import pickle
 import random
 from fractions import Fraction
 
@@ -19,6 +17,7 @@ from liecontract.jets import (
     bracket_poly,
     jet_in_filtration,
 )
+from references import copies, reference_bracket_poly, reference_iw_bracket, reference_matmul
 
 F = Fraction
 
@@ -108,10 +107,6 @@ def test_jet_from_numerators_keeps_the_reduced_numerators(rows, den, trunc):
     assert all(type(x) is F for c in jet.coeffs for x in c)
     assert jet.numerators == linalg.numerators(jet.coeffs)
     assert all(type(x) is int for row in jet.numerators[0] for x in row)
-
-
-def copies(jet):
-    return [jet, copy.copy(jet), pickle.loads(pickle.dumps(jet))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -435,61 +430,14 @@ def test_matrix_jet_constructors_refuse_bad_input_alike():
     assert MatrixJet(2, 1, [identity, ((0.5, 0), (0, 0))]) == MatrixJet.identity(2, 1)
 
 
-# ----- the product loops as they were written before the shared Cauchy product
-
-
-def reference_bracket_poly(alg, p, q):
-    p._check_compatible(q)
-    if alg.dim != p.dim:
-        raise DimensionMismatch("jet dimension differs from algebra dimension")
-    top = min(p.trunc - 1, p.degree + q.degree)
-    coeffs = []
-    for m in range(top + 1):
-        acc = linalg.zero_vector(alg.dim)
-        for i in range(max(0, m - q.degree), min(m, p.degree) + 1):
-            acc = linalg.vec_add(acc, alg.bracket(p.coeffs[i], q.coeffs[m - i]))
-        coeffs.append(acc)
-    return Jet(alg.dim, p.trunc, tuple(coeffs))
-
-
-def reference_matmul(x, y):
-    x._check_compatible(y)
-    top = min(x.trunc - 1, x.degree + y.degree)
-    if x.degree < 0 or y.degree < 0:
-        return MatrixJet.zero(x.size, x.trunc)
-    coeffs = []
-    for m in range(top + 1):
-        acc = linalg.zero_matrix(x.size)
-        for i in range(max(0, m - y.degree), min(m, x.degree) + 1):
-            acc = linalg.mat_add(acc, linalg.mat_mul(x.coeffs[i], y.coeffs[m - i]))
-        coeffs.append(acc)
-    return MatrixJet(x.size, x.trunc, tuple(coeffs))
-
-
-def reference_iw_bracket(ea, a, b):
-    alg = ea.algebra
-    k = ea.order
-    sa, sb = a.slots, b.slots
-    out = [linalg.zero_vector(alg.dim) for _ in range(k + 2)]
-    for i, u in enumerate(sa):
-        if linalg.is_zero_vector(u):
-            continue
-        for j in range(k + 2 - i):
-            v = sb[j]
-            if not linalg.is_zero_vector(v):
-                out[i + j] = linalg.vec_add(out[i + j], alg.bracket(u, v))
-    if not ea.split.contains(out[0]):
-        raise InternalInvariantViolation("leading bracket slot escaped the subalgebra")
-    return ExpandedElement(
-        out[0], tuple(out[1: k + 1]), ea.split.coset_reduce(out[k + 1]))
-
+# ----- the shared Cauchy product against the references' own product loops
 
 entry_st = st.sampled_from((0, 0, 0, 1, -1, 2, F(1, 2), F(-3, 4)))
 ONE_IN_THREE = st.sampled_from((True, False, False))
 ONE_IN_EIGHT = st.sampled_from((True,) + (False,) * 7)
 
 
-def vectors(n):
+def fraction_vectors(n):
     return st.tuples(*[entry_st.map(F)] * n)
 
 
@@ -497,10 +445,10 @@ def matrices(n, entries):
     return st.tuples(*[st.tuples(*[entries] * n)] * n)
 
 
-def slot(draw, n):
+def fraction_slot(draw, n):
     """A vector coefficient, the zero vector one time in three."""
     zero = linalg.zero_vector(n)
-    return zero if draw(ONE_IN_THREE) else draw(vectors(n))
+    return zero if draw(ONE_IN_THREE) else draw(fraction_vectors(n))
 
 
 def sequence(draw, items, zero, most):
@@ -538,8 +486,8 @@ def test_cauchy_product_matches_reference_loops(alg_split, data):
     # vector jets, often truncated below their degree sum
     trunc = draw(st.integers(1, 6))
     zero = linalg.zero_vector(n)
-    p = Jet(n, trunc, sequence(draw, vectors(n), zero, trunc + 1))
-    q = Jet(n, trunc, sequence(draw, vectors(n), zero, trunc + 1))
+    p = Jet(n, trunc, sequence(draw, fraction_vectors(n), zero, trunc + 1))
+    q = Jet(n, trunc, sequence(draw, fraction_vectors(n), zero, trunc + 1))
     assert bracket_poly(alg, p, q) == reference_bracket_poly(alg, p, q)
 
     # matrix jets
@@ -550,8 +498,9 @@ def test_cauchy_product_matches_reference_loops(alg_split, data):
 
     # expansion slots, with a leading slot that may leave the subalgebra
     ea = IWExpansion(split, draw(st.integers(0, 3)))
-    a, b = (ExpandedElement(slot(draw, n), tuple(slot(draw, n) for _ in range(ea.order)),
-                            slot(draw, n)) for _ in range(2))
+    a, b = (ExpandedElement(fraction_slot(draw, n),
+                            tuple(fraction_slot(draw, n) for _ in range(ea.order)),
+                            fraction_slot(draw, n)) for _ in range(2))
     try:
         expected = reference_iw_bracket(ea, a, b)
     except InternalInvariantViolation as err:

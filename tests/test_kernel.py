@@ -2,8 +2,9 @@
 
 ``bracket``, ``bracket_poly``, ``IWExpansion.bracket``, ``structure_algebra``
 and the Jacobi sweep of ``validate`` run on integer numerators over one
-common denominator.  The references below are the same loops on the Fraction
-tensor, as they read before the integer table; they must give the same
+common denominator.  The references (``references.py``) are the same loops on
+the Fraction tensor, as they read before the integer table, with a truncated
+product of their own in place of ``jets._cauchy``; they must give the same
 values, component types included, and on integer tensors the same floats bit
 for bit.  ``coords`` reads coordinates off the split's inverse;
 ``reference_coords`` is the general solve against the flattened basis that it
@@ -12,123 +13,34 @@ replaced.
 
 import random
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecontract import linalg
-from liecontract.algebra import LieAlgebra, ValidationReport, span_subalgebra, split_with_complement
+from liecontract.algebra import LieAlgebra, span_subalgebra, split_with_complement
 from liecontract.catalog import builtin, subalgebra_catalog
 from liecontract.errors import DimensionMismatch, InternalInvariantViolation
 from liecontract.expansion import ExpandedElement, IWExpansion
-from liecontract.jets import Jet, _cauchy, bracket_poly
-from test_jets import copies
-from test_numeric_mode import dense_split, so_n
+from liecontract.jets import Jet, bracket_poly
+from references import (
+    copies,
+    dense_so_split,
+    reference_bracket,
+    reference_bracket_poly,
+    reference_coords,
+    reference_iw_bracket,
+    reference_names,
+    reference_structure_algebra,
+    reference_validate_on_rows,
+    report_key,
+    so_n,
+)
 
 F = Fraction
 ZERO = F(0)
-
-
-def fraction_rows(alg):
-    """Nonzero rows f[a][b], a < b, of the Fraction tensor: (a, b, ((c, coeff), ...))."""
-    out = []
-    for a in range(alg.dim):
-        for b in range(a + 1, alg.dim):
-            row = [(c, f) for c, f in enumerate(alg.structure[a][b]) if f != 0]
-            if row:
-                out.append((a, b, tuple(row)))
-    return out
-
-
-def reference_bracket(alg, x, y):
-    if len(x) != alg.dim or len(y) != alg.dim:
-        raise DimensionMismatch("vector length differs from algebra dimension")
-    acc = [ZERO] * alg.dim
-    for a, b, row in fraction_rows(alg):
-        t = x[a] * y[b] - x[b] * y[a]
-        if t:
-            for c, f in row:
-                acc[c] += t * f
-    return tuple(acc)
-
-
-def reference_bracket_poly(alg, p, q):
-    p._check_compatible(q)
-    if alg.dim != p.dim:
-        raise DimensionMismatch("jet dimension differs from algebra dimension")
-    return Jet(alg.dim, p.trunc, _cauchy(p.coeffs, q.coeffs, p.trunc,
-                                         partial(reference_bracket, alg),
-                                         linalg.vec_add, linalg.zero_vector(alg.dim)))
-
-
-def reference_iw_bracket(ea, a, b):
-    alg = ea.algebra
-    k = ea.order
-    out = _cauchy(a.slots, b.slots, k + 2, partial(reference_bracket, alg), linalg.vec_add,
-                  linalg.zero_vector(alg.dim))
-    if not ea.split.contains(out[0]):
-        raise InternalInvariantViolation("leading bracket slot escaped the subalgebra")
-    return ExpandedElement(
-        out[0], tuple(out[1: k + 1]), ea.split.coset_reduce(out[k + 1]))
-
-
-def reference_coords(ea, els):
-    """``coords`` as it ran before the split's inverse: one ``solve_in_basis``
-    of the flattened slots against the flattened basis elements."""
-    columns = [tuple(chain.from_iterable(el.slots)) for _, el in ea.basis_elements()]
-    sols = linalg.solve_in_basis(columns, [tuple(chain.from_iterable(el.slots)) for el in els])
-    if None in sols:
-        raise InternalInvariantViolation("element outside the expansion basis span")
-    return sols
-
-
-def reference_structure_algebra(ea):
-    """``structure_algebra`` as it ran before the integer route and the
-    closed form: every pair bracketed as Fraction elements, and
-    ``reference_coords``."""
-    named = ea.basis_elements()
-    m = len(named)
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    sols = reference_coords(ea, [reference_iw_bracket(ea, named[i][1], named[j][1])
-                                 for i, j in pairs])
-    entries = [(i, j, c, x) for (i, j), sol in zip(pairs, sols) for c, x in enumerate(sol) if x]
-    return LieAlgebra.from_brackets(m, tuple(name for name, _ in named), entries)
-
-
-def reference_validate(alg):
-    report = ValidationReport()
-    f = alg.structure
-    n = alg.dim
-    for a in range(n):
-        for b in range(a, n):
-            for c in range(n):
-                report.checks += 1
-                if (f[a][b][c] or f[b][a][c]) and f[a][b][c] + f[b][a][c] != 0:
-                    report.record(
-                        "antisymmetry", (a + 1, b + 1, c + 1),
-                        f"f[{a + 1}][{b + 1}][{c + 1}]={f[a][b][c]} but "
-                        f"f[{b + 1}][{a + 1}][{c + 1}]={f[b][a][c]}")
-    rows = [[()] * n for _ in range(n)]
-    for a, b, row in fraction_rows(alg):
-        rows[a][b] = row
-        rows[b][a] = tuple((c, -x) for c, x in row)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                residual = {}
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    for d, u in rows[x][y]:
-                        for e, v in rows[d][z]:
-                            residual[e] = residual.get(e, ZERO) + u * v
-                report.checks += 1
-                if any(residual.values()):
-                    vec = tuple(residual.get(e, ZERO) for e in range(n))
-                    report.record(
-                        "jacobi", (a + 1, b + 1, c + 1),
-                        f"residual {alg.format_vector(vec)}")
-    return report
 
 
 def exact_key(v):
@@ -144,10 +56,6 @@ def element_key(el):
     return [exact_key(s) for s in el.slots]
 
 
-def report_key(report):
-    return report.checks, [(v.kind, v.location, v.detail) for v in report.violations]
-
-
 # non-integer constants with mixed and large denominators
 CONSTANTS = (0, 0, 0, 1, -1, 2, F(1, 2), F(-2, 3), F(5, 6), F(7, 10 ** 9 + 7),
              F(-10 ** 20, 3 ** 13))
@@ -159,7 +67,7 @@ FLOATS = (0.0, -0.0, 1.0, -1.5, 0.1, 3.25, -1e-3, 2.5e-8, 123456.789)
 
 
 @st.composite
-def algebras(draw):
+def algebras_with_spans(draw):
     """(algebra, candidate subalgebra spans, whether the tensor is integral)."""
     kind = draw(st.sampled_from(("lie", "antisymmetric", "raw", "integer")))
     if kind == "lie":  # a catalogued algebra with its bracket scaled by a rational
@@ -190,40 +98,41 @@ def algebras(draw):
     return alg, [[], [alg.basis_vector(a) for a in range(n)]], kind == "integer"
 
 
-def vectors(n, entries=ENTRIES):
+def entry_vectors(n, entries=ENTRIES):
     return st.tuples(*[st.sampled_from(entries)] * n)
 
 
-def slot(draw, n, entries=ENTRIES):
+def entry_slot(draw, n, entries=ENTRIES):
     """A vector, one time in three a zero one (of ints or of Fractions)."""
     if draw(st.sampled_from((True, False, False))):
         return draw(st.sampled_from(((0,) * n, linalg.zero_vector(n))))
-    return draw(vectors(n, entries))
+    return draw(entry_vectors(n, entries))
 
 
 @settings(max_examples=200, deadline=None)
-@given(algebras(), st.data())
+@given(algebras_with_spans(), st.data())
 def test_integer_kernel_matches_fraction_reference(case, data):
     alg, spans, integral = case
     n = alg.dim
     draw = data.draw
 
-    x, y = draw(vectors(n)), draw(vectors(n))
+    x, y = draw(entry_vectors(n)), draw(entry_vectors(n))
     assert exact_key(alg.bracket(x, y)) == exact_key(reference_bracket(alg, x, y))
     if integral:  # the numeric mode: floats through the integer table, bit for bit
-        u, v = draw(vectors(n, FLOATS)), draw(vectors(n, FLOATS))
+        u, v = draw(entry_vectors(n, FLOATS)), draw(entry_vectors(n, FLOATS))
         assert exact_key(alg.bracket(u, v)) == exact_key(reference_bracket(alg, u, v))
 
     trunc = draw(st.integers(1, 5))
     entries = FLOATS if integral and draw(st.booleans()) else ENTRIES
-    p, q = (Jet(n, trunc, [slot(draw, n, entries) for _ in range(draw(st.integers(0, 6)))])
-            for _ in range(2))
+    p, q = (Jet(n, trunc, [entry_slot(draw, n, entries)
+                           for _ in range(draw(st.integers(0, 6)))]) for _ in range(2))
     assert jet_key(bracket_poly(alg, p, q)) == jet_key(reference_bracket_poly(alg, p, q))
 
     ea = IWExpansion(span_subalgebra(alg, draw(st.sampled_from(spans))), draw(st.integers(0, 3)))
     entries = FLOATS if integral and draw(st.booleans()) else ENTRIES
-    slots = [(slot(draw, n, entries), tuple(slot(draw, n, entries) for _ in range(ea.order)),
-              slot(draw, n, entries)) for _ in range(2)]
+    slots = [(entry_slot(draw, n, entries),
+              tuple(entry_slot(draw, n, entries) for _ in range(ea.order)),
+              entry_slot(draw, n, entries)) for _ in range(2)]
     floats = [any(type(x) is float for x in chain(s[0], *s[1], s[2])) for s in slots]
     for s, has_float in zip(slots, floats):
         if has_float:  # expansion elements are exact-only: a float slot is refused at construction
@@ -241,7 +150,7 @@ def test_integer_kernel_matches_fraction_reference(case, data):
             assert element_key(got) == element_key(expected)
             assert got.numerators == linalg.numerators(got.slots)
 
-    assert report_key(alg.validate()) == report_key(reference_validate(alg))
+    assert report_key(alg.validate()) == report_key(reference_validate_on_rows(alg))
 
 
 def test_sparse_jacobi_sweep_matches_the_per_triple_sweep():
@@ -258,7 +167,7 @@ def test_sparse_jacobi_sweep_matches_the_per_triple_sweep():
     for x, y, z, d in ((1, 2, 0, 3), (0, 2, 1, 3), (0, 1, 2, 3), (1, 3, 2, 0)):
         # [X_x, X_y] = 2 X_d and [X_d, X_z] = X_d: one nonzero product, one violation
         alg = LieAlgebra.from_brackets(4, names, [(x, y, d, 2), (d, z, d, 1)])
-        [violation] = reference_validate(alg).violations
+        [violation] = reference_validate_on_rows(alg).violations
         assert violation.location == tuple(sorted((x + 1, y + 1, z + 1)))
         cases.append(alg)
     cases += [builtin(name)[0] for name in ("so3", "sl2", "heis3", "abelian(4)")]
@@ -269,7 +178,7 @@ def test_sparse_jacobi_sweep_matches_the_per_triple_sweep():
         (3, 4, 0, 1), (0, 1, 1, F(2, 3)), (0, 2, 4, -1), (1, 2, 3, 5), (2, 4, 2, 1),
         (0, 4, 3, F(1, 7)), (1, 3, 0, 2)]))
     for alg in cases:
-        want = reference_validate(alg)
+        want = reference_validate_on_rows(alg)
         assert report_key(alg.validate()) == report_key(want), alg.structure
     assert [v.location for v in want.violations] == sorted(v.location for v in want.violations)
     assert len(want.violations) == 9
@@ -344,10 +253,10 @@ def structure_cases():
     for n, orders in ((4, (0, 1, 2, 3)), (5, (0, 1)), (6, (0, 1))):
         alg, sub = so_n(n)
         cases += [(f"so({n})", span_subalgebra(alg, sub), k) for k in orders]
-    cases += [(f"dense so(4) seed {seed}", dense_split(4, seed), k)
+    cases += [(f"dense so(4) seed {seed}", dense_so_split(4, seed), k)
               for seed in range(3) for k in (0, 1)]
-    cases += [("dense so(4) seed 0", dense_split(4, 0), 2),
-              ("dense so(5) seed 2", dense_split(5, 2), 1)]
+    cases += [("dense so(4) seed 0", dense_so_split(4, 0), 2),
+              ("dense so(5) seed 2", dense_so_split(5, 2), 1)]
     # the span of (1, 2, 0): a split whose inverse has the denominator 2
     x1_2x2 = span_subalgebra(builtin("so3")[0], [(1, 2, 0)])
     cases += [("so3 span[(1, 2, 0)]", x1_2x2, k) for k in range(5)]
@@ -359,21 +268,6 @@ def structure_cases():
         cases += [(f"{name} span{span}", span_subalgebra(builtin(name)[0], span), k)
                   for k in range(3)]
     return cases
-
-
-def reference_names(ea):
-    """The level-tagged names, an h or n vector named after the basis vector it equals."""
-    alg, k = ea.algebra, ea.order
-
-    def tag(vector, level, fallback, index):
-        for a in range(alg.dim):
-            if vector == alg.basis_vector(a):
-                return f"{alg.basis_names[a]}@{level}"
-        return f"{fallback}{index + 1}@{level}"
-
-    return ([tag(v, 0, "h", i) for i, v in enumerate(ea.split.h_basis)]
-            + [f"{name}@{level}" for level in range(1, k + 1) for name in alg.basis_names]
-            + [tag(v, k + 1, "n", i) for i, v in enumerate(ea.split.n_basis)])
 
 
 @cache
@@ -420,11 +314,11 @@ def test_coords_matches_the_solve_it_replaces(data):
     for _ in range(draw(st.integers(1, 3))):
         a0 = combination(draw, split.h_basis, n)
         if draw(escape):
-            a0 = linalg.vec_add(a0, draw(vectors(n)))
+            a0 = linalg.vec_add(a0, draw(entry_vectors(n)))
         top = combination(draw, split.n_basis, n)
         if draw(escape):
             top = linalg.vec_add(top, combination(draw, split.h_basis, n))
-        els.append(ExpandedElement(a0, tuple(slot(draw, n) for _ in range(k)), top))
+        els.append(ExpandedElement(a0, tuple(entry_slot(draw, n) for _ in range(k)), top))
     try:
         expected = reference_coords(ea, els)
     except InternalInvariantViolation as err:
@@ -497,7 +391,7 @@ def test_coords_refuses_float_middle_slots():
     exact-only, so the constructor refuses them with a TypeError before
     ``coords`` or ``bracket`` could read them, also on a split whose inverse
     has a denominator d > 1."""
-    ea = IWExpansion(dense_split(4, 0), 2)
+    ea = IWExpansion(dense_so_split(4, 0), 2)
     n = ea.algebra.dim
     assert ea.split._inverse[1] > 1
     zero = (0.0,) * n

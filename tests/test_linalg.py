@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from liecontract import linalg
 from liecontract.errors import DimensionMismatch, InternalInvariantViolation
+from references import reference_solve_in_basis
 
 F = Fraction
 
@@ -111,7 +112,7 @@ def test_solve_in_basis():
 
 
 # ----- references: the elimination loops that pivot_columns and -------------
-# ----- solve_in_basis replaced, kept to check the shared routine ------------
+# ----- solve_in_basis replaced (the latter's in references.py) --------------
 
 class EchelonBasis:
     """Incremental reduced row echelon form; add returns True when independent."""
@@ -143,35 +144,6 @@ class EchelonBasis:
                     row[j] -= c * red[j]
         self.rows.append((piv, red))
         return True
-
-
-def reference_solve_in_basis(columns, rhs):
-    """Single right-hand-side Gauss-Jordan solve; None if inconsistent."""
-    m = len(rhs)
-    n = len(columns)
-    aug = [[columns[j][i] for j in range(n)] + [rhs[i]] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [F(0)] * n
-    for idx, c in enumerate(pivots):
-        x[c] = aug[idx][n]
-    return tuple(x)
 
 
 @st.composite

@@ -3,7 +3,7 @@
 ``mat_vec``, the split projections and the checks of
 ``ExpansionGroup.h_element`` used to multiply exact values by floats one
 product at a time, with every sum but the integer one started at the
-Fraction zero.  The references below are those loops.  The current code must
+Fraction zero.  The references (``references.py``) are those loops.  The current code must
 give the same types, values and float bits (repr tells Fraction(0, 1) from
 0.0, and -0.0 from 0.0) and, for ``h_element``, the same outcome and
 message.  A guard counts the Fraction-to-float coercions of the numeric mode.
@@ -19,52 +19,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecontract import linalg
-from liecontract.algebra import LieAlgebra, span_subalgebra, split_with_complement
-from liecontract.catalog import builtin, canonical_split_vectors, subalgebra_catalog
-from liecontract.errors import DimensionMismatch, NotASubalgebra
+from liecontract.algebra import LieAlgebra, span_subalgebra
+from liecontract.catalog import builtin, subalgebra_catalog
+from liecontract.errors import DimensionMismatch
 from liecontract.group import FLOAT_TOL, QUARTER_TURN, ExpansionGroup, HElement, _rotation_ad
+from references import (
+    astuple,
+    canonical_group,
+    dense_so_split,
+    reference_ad_nil,
+    reference_h_compose,
+    reference_h_element,
+    reference_h_inverse,
+    reference_mat_vec,
+    reference_mult,
+    so_n_rotation_ad,
+)
 
 F = Fraction
-
-
-def reference_mat_vec(m, v):
-    """mat_vec as it was: every sum but the integer one starts at the Fraction zero.
-
-    The sum is integral when v and every entry of m that it reads (all of m
-    for an empty support) are ints.
-    """
-    if m and len(m[0]) != len(v):
-        raise DimensionMismatch("matrix and vector shapes differ")
-    support = [(j, b) for j, b in enumerate(v) if b]
-    read = [row[j] for row in m for j, _ in support] if support else [x for row in m for x in row]
-    zero = 0 if m and v and all(type(x) is int for x in (*v, *read)) else F(0)
-    return tuple(sum((row[j] * b for j, b in support), zero) for row in m)
-
-
-def reference_h_element(grp, ad, tol):
-    """h_element's checks as they were: the validated matrix, or the rejection message."""
-    alg = grp.algebra
-    n = alg.dim
-    ad = tuple(tuple(x if isinstance(x, float) else linalg.rat(x) for x in row) for row in ad)
-    check_tol = tol if any(isinstance(x, float) for row in ad for x in row) else 0
-
-    def close(u, v):
-        return all(abs(a - b) <= check_tol for a, b in zip(u, v))
-
-    cols = list(zip(*ad))
-    for a in range(n):
-        for b in range(a + 1, n):
-            lhs = reference_mat_vec(ad, alg.bracket(alg.basis_vector(a), alg.basis_vector(b)))
-            if not close(lhs, alg.bracket(cols[a], cols[b])):
-                return (f"matrix is not a bracket automorphism at pair "
-                        f"({alg.basis_names[a]}, {alg.basis_names[b]})")
-    for v in grp.split.h_basis:
-        image = reference_mat_vec(grp.split.proj_n, reference_mat_vec(ad, v))
-        if not close(image, linalg.zero_vector(n)):
-            return "matrix does not preserve the subalgebra"
-    if len(linalg.pivot_columns(cols, n)) < n:
-        return "adjoint matrix is singular"
-    return ad
 
 
 def h_element_outcome(grp, ad, tol):
@@ -91,7 +63,7 @@ ENTRIES = {  # kind: (zeros, nonzero values)
 }
 
 
-def vectors(kind, size, empty_support=True):
+def kind_vectors(kind, size, empty_support=True):
     """Vectors of one kind; one in five has empty support, when asked for."""
     zeros, values = ENTRIES[kind]
     general = st.tuples(*[st.one_of(zeros, values)] * size)
@@ -106,51 +78,19 @@ kinds_st = st.sampled_from(sorted(ENTRIES))
 @st.composite
 def mat_vec_cases(draw):
     rows, cols = draw(st.integers(0, 5)), draw(st.integers(1, 6))
-    m = tuple(draw(vectors(draw(kinds_st), cols, empty_support=False)) for _ in range(rows))
-    return m, draw(vectors(draw(kinds_st), cols))
+    m = tuple(draw(kind_vectors(draw(kinds_st), cols, empty_support=False)) for _ in range(rows))
+    return m, draw(kind_vectors(draw(kinds_st), cols))
 
 
-def so_n_matrices(n):
-    """The matrices E_ij - E_ji (i < j) of so(n), ordered by j, then i."""
-    return [tuple(tuple(F((r, c) == (i, j)) - F((r, c) == (j, i)) for c in range(n))
-                  for r in range(n)) for j in range(n) for i in range(j)]
-
-
-def so_n(n):
-    """so(n) on the matrices E_ij - E_ji (i < j), and the basis vectors of its so(n-1)."""
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    mats = so_n_matrices(n)
-    tensor = tuple(tuple(tuple(d[i][j] for i, j in pairs)
-                         for d in (linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
-                                   for b in mats))
-                   for a in mats)
-    alg = LieAlgebra(len(pairs), tuple(f"L{i + 1}{j + 1}" for i, j in pairs), tensor)
-    return alg, [alg.basis_vector(a) for a, (_, j) in enumerate(pairs) if j < n - 1]
-
-
-def dense_split(n, seed):
-    """so(n-1) in so(n), spanned by dense combinations and given a dense complement."""
-    alg, sub = so_n(n)
-    rng = random.Random(seed)
-    while True:
-        h = [tuple(sum((linalg.random_fraction(rng) * v[i] for v in sub), F(0))
-                   for i in range(alg.dim)) for _ in sub]
-        comp = [linalg.random_vector(rng, alg.dim) for _ in range(alg.dim - len(sub))]
-        try:
-            return split_with_complement(alg, h, comp)
-        except (DimensionMismatch, NotASubalgebra):
-            continue
-
-
-def catalogued_splits():
+def catalogued_and_trivial_splits():
     for name in ("so3", "sl2", "heis3"):
         alg = builtin(name)[0]
         whole = [alg.basis_vector(a) for a in range(alg.dim)]
-        for vectors_ in ([], whole, *subalgebra_catalog(name).values()):
-            yield span_subalgebra(alg, vectors_)
+        for span in ([], whole, *subalgebra_catalog(name).values()):
+            yield span_subalgebra(alg, span)
 
 
-SPLITS = [*catalogued_splits(), dense_split(4, 1), dense_split(5, 2)]
+SPLITS = [*catalogued_and_trivial_splits(), dense_so_split(4, 1), dense_so_split(5, 2)]
 
 
 # ----- mat_vec and the projections ------------------------------------------
@@ -166,7 +106,7 @@ def test_mat_vec_matches_the_reference_by_repr(case):
 @given(st.data())
 def test_projections_match_the_reference_by_repr(data):
     split = data.draw(st.sampled_from(SPLITS))
-    x = data.draw(vectors(data.draw(kinds_st), split.algebra.dim))
+    x = data.draw(kind_vectors(data.draw(kinds_st), split.algebra.dim))
     want_h = reference_mat_vec(split.proj_h, x)
     want_n = reference_mat_vec(split.proj_n, x)
     assert repr(split.project_h(x)) == repr(want_h)
@@ -201,14 +141,10 @@ def rebased_so3():
     return ExpansionGroup(split, 0), p
 
 
-def group_for(name):
-    return ExpansionGroup(span_subalgebra(builtin(name)[0], canonical_split_vectors(name)), 0)
-
-
 I3 = linalg.identity(3)
 # (group, P): P takes so3 matrices into the group's basis; None off so3
-GROUPS = [(group_for("so3"), I3), rebased_so3(), (group_for("sl2"), None),
-          (group_for("heis3"), None), (ExpansionGroup(dense_split(4, 3), 0), None)]
+GROUPS = [(canonical_group("so3", 0), I3), rebased_so3(), (canonical_group("sl2", 0), None),
+          (canonical_group("heis3", 0), None), (ExpansionGroup(dense_so_split(4, 3), 0), None)]
 
 
 def cayley_x1(t):
@@ -236,7 +172,7 @@ def h_cases(draw):
     elif kind == "zero":
         ad = linalg.zero_matrix(n)
     elif kind == "random":
-        ad = tuple(draw(vectors(draw(kinds_st), n, empty_support=False)) for _ in range(n))
+        ad = tuple(draw(kind_vectors(draw(kinds_st), n, empty_support=False)) for _ in range(n))
     elif kind == "rotation":
         ad = conjugate(p, _rotation_ad(draw(st.floats(0, 2 * math.pi))))
     elif kind == "quarter":
@@ -295,44 +231,14 @@ def test_basis_brackets_match_the_structure_route():
 # ----- the exact group law on integer numerators ------------------------------
 #
 # Exact h_element checks, h_compose, h_inverse and ad_nil run on the integer
-# numerators N / delta of the adjoint matrix.  ``reference_h_element`` above is
-# the Fraction route of the checks; the references below are the Fraction
-# loops of the other three.
-
-def reference_h_compose(h1, h2):
-    return linalg.mat_mul(h1.ad, h2.ad)
-
-
-def reference_h_inverse(h):
-    return linalg.invert(h.ad)
-
-
-def reference_ad_nil(grp, h, a):
-    mids = tuple(linalg.mat_vec(h.ad, m) for m in a.mids)
-    return mids, grp.split.coset_reduce(linalg.mat_vec(h.ad, a.top))
-
+# numerators N / delta of the adjoint matrix.  ``reference_h_element`` is the
+# Fraction route of the checks; ``reference_h_compose``, ``reference_h_inverse``
+# and ``reference_ad_nil`` are the Fraction loops of the other three.
 
 def cayley_x3(t):
     """The exact rotation about X3 with tan(angle / 2) = t: it keeps span{X3}."""
     c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
     return ((c, -s, F(0)), (s, c, F(0)), (F(0), F(0), F(1)))
-
-
-def so_n_rotation_ad(n, t):
-    """The adjoint action on ``so_n(n)`` of the Cayley rotation R in the (0, 1)
-    plane: L maps to R L R^T, which keeps so(n-1)."""
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    r = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-    r[0][0] = r[1][1] = (1 - t * t) / (1 + t * t)
-    r[1][0] = 2 * t / (1 + t * t)
-    r[0][1] = -r[1][0]
-    cols = []
-    for i, j in pairs:
-        m = [[F(0)] * n for _ in range(n)]
-        m[i][j], m[j][i] = F(1), F(-1)
-        rm = linalg.mat_mul(linalg.mat_mul(r, m), tuple(zip(*r)))
-        cols.append([rm[a][b] for a, b in pairs])
-    return tuple(zip(*cols))
 
 
 def exact_automorphism(index, t):
@@ -366,8 +272,8 @@ def exact_matrices(draw, index):
     elif kind == "zero":
         ad = linalg.zero_matrix(n)
     else:
-        ad = tuple(draw(vectors(draw(st.sampled_from(("int", "exact"))), n, empty_support=False))
-                   for _ in range(n))
+        ad = tuple(draw(kind_vectors(draw(st.sampled_from(("int", "exact"))), n,
+                                     empty_support=False)) for _ in range(n))
     if draw(st.integers(0, 3)) == 0:
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         ad = tuple(tuple(x + F(1, 7) if (r, c) == (i, j) else x for c, x in enumerate(row))
@@ -394,10 +300,6 @@ def law_outcomes(grp, h1, h2, a):
     ]
 
 
-def astuple(nil):
-    return nil.mids, nil.top
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_exact_group_law_matches_the_fraction_loops(data):
@@ -409,8 +311,8 @@ def test_exact_group_law_matches_the_fraction_loops(data):
     for ad in (ad1, ad2):
         assert repr(h_element_outcome(grp, ad, FLOAT_TOL)) == repr(reference_h_element(grp, ad, 0))
     kind = data.draw(st.sampled_from(("int", "exact", "exact", "float")))
-    a = grp.nil([data.draw(vectors(kind, n)) for _ in range(grp.order)],
-                data.draw(vectors(kind, n)))
+    a = grp.nil([data.draw(kind_vectors(kind, n)) for _ in range(grp.order)],
+                data.draw(kind_vectors(kind, n)))
     # elements built by the user keep only their numerators, as h_element's do
     users = [HElement(tuple(tuple(linalg.rat(x) for x in row) for row in ad)) for ad in (ad1, ad2)]
     assert list(users[0].__dict__) == ["numerators"]
@@ -473,17 +375,29 @@ def test_elements_keep_their_values_and_read_strings():
         HElement(((True, 0), (0, 1)))
 
 
+def test_float_h_inverse_and_group_inverse():
+    """A float element is inverted by ``linalg.invert`` of its matrix, bit for
+    bit, and an element times its inverse is the identity within FLOAT_TOL,
+    at orders 0 and 1."""
+    so3 = builtin("so3")[0]
+    identity = linalg.identity(3)
+    rng = random.Random(31)
+    for k in (0, 1):
+        grp = ExpansionGroup(span_subalgebra(so3, [so3.basis_vector(2)]), k)
+        for _ in range(20):
+            h = grp.h_element(_rotation_ad(rng.uniform(0, 2 * math.pi)), tol=1e-9)
+            assert type(h.numerators[1]) is float
+            assert repr(grp.h_inverse(h).ad) == repr(linalg.invert(h.ad))
+            nil = grp.nil([tuple(rng.uniform(-2, 2) for _ in range(3)) for _ in range(k)],
+                          (rng.uniform(-2, 2), rng.uniform(-2, 2), 0.0))
+            g = grp.element(h, nil)
+            e = grp.mult(g, grp.inverse(g))
+            assert all(abs(x - y) <= FLOAT_TOL
+                       for row, want in zip(e.h.ad, identity) for x, y in zip(row, want))
+            assert all(abs(x) <= FLOAT_TOL for slot in (*e.nil.mids, e.nil.top) for x in slot)
+
+
 # ----- the float order-0 product ---------------------------------------------
-
-def reference_mult(grp, g1, g2):
-    """``mult`` at order 0 as it was: the adjoint product and the moved, reduced
-    tops by ``reference_mat_vec``, the tops summed from the Fraction zero."""
-    h1, h2 = g1.h.ad, g2.h.ad
-    ad = tuple(reference_mat_vec(tuple(zip(*h2)), row) for row in h1)
-    proj = grp.split.proj_n
-    moved = reference_mat_vec(proj, reference_mat_vec(h1, g2.nil.top))
-    return ad, reference_mat_vec(proj, tuple(F(0) + x + y for x, y in zip(g1.nil.top, moved)))
-
 
 def test_float_order_0_mult_runs_no_fraction_product(monkeypatch):
     """The exact zero constant slot of the lifted tuples is skipped, not

@@ -15,19 +15,23 @@ from liecontract.errors import (
     DimensionMismatch,
     NonzeroConstantTerm,
 )
-from liecontract.jets import Jet, MatrixJet, _cauchy
+from liecontract.jets import Jet, MatrixJet
 from liecontract.oracle import Representation
+from references import (
+    reference_decompose,
+    reference_exp,
+    reference_exp_log_local_mult,
+    reference_homomorphism_failures,
+    reference_log,
+    reference_matmul,
+    reference_matrix_of,
+    through_zero,
+)
 
 F = Fraction
 
 so3, so3_rep = builtin("so3")
 heis3, heis3_rep = builtin("heis3")
-
-
-def through_zero(rng, alg, depth, trunc):
-    return Jet(alg.dim, trunc,
-               (linalg.zero_vector(alg.dim),)
-               + tuple(linalg.random_vector(rng, alg.dim) for _ in range(depth)))
 
 
 def test_check_catalogued_representations():
@@ -221,77 +225,9 @@ def test_numeric_sampling_accepts_a_float_point():
 # ----- the integer route against the Fraction loops it replaced ---------------
 #
 # ``exp_trunc``, ``log_trunc``, ``decompose`` and ``check`` used to multiply
-# and sum Fraction matrices.  The references below are those loops, with the
-# Fraction matrix product of the jets spelled out, so that nothing in them
-# runs on integer numerators.
-
-def reference_matrix_of(rep, v):
-    acc = linalg.zero_matrix(rep.size)
-    for c, m in zip(v, rep.mats):
-        if c:
-            acc = linalg.mat_add(acc, linalg.mat_scale(c, m))
-    return acc
-
-
-def reference_matmul(a, b):
-    return MatrixJet(a.size, a.trunc, _cauchy(a.coeffs, b.coeffs, a.trunc, linalg.mat_mul,
-                                              linalg.mat_add, linalg.zero_matrix(a.size)))
-
-
-def reference_exp(rep, p, order):
-    if not linalg.is_zero_vector(p.coeff(0)):
-        raise NonzeroConstantTerm("exponential input must vanish at 0")
-    trunc = order + 1
-    arg = MatrixJet(rep.size, trunc, tuple(reference_matrix_of(rep, p.coeff(m))
-                                           for m in range(min(p.trunc, trunc))))
-    acc = power = MatrixJet.identity(rep.size, trunc)
-    fact = 1
-    for m in range(1, order + 1):
-        power = reference_matmul(power, arg)
-        if power.degree < 0:
-            break
-        fact *= m
-        acc = acc + power.scale(F(1, fact))
-    return acc
-
-
-def reference_log(m, order):
-    if m.coeff(0) != linalg.identity(m.size):
-        raise ConstantTermNotIdentity("logarithm input must start at the identity")
-    trunc = order + 1
-    shifted = MatrixJet(m.size, trunc, m.coeffs[:trunc]) - MatrixJet.identity(m.size, trunc)
-    acc = MatrixJet.zero(m.size, trunc)
-    power = MatrixJet.identity(m.size, trunc)
-    for k in range(1, order + 1):
-        power = reference_matmul(power, shifted)
-        if power.degree < 0:
-            break
-        acc = acc + power.scale(F((-1) ** (k + 1), k))
-    return acc
-
-
-def reference_decompose(rep, matrix):
-    columns = [tuple(x for row in m for x in row) for m in rep.mats]
-    [sol] = linalg.solve_in_basis(columns, [tuple(x for row in matrix for x in row)])
-    if sol is None:
-        raise DecompositionFailed("matrix lies outside the representation span")
-    return sol
-
-
-def reference_local_mult(rep, p, q, order):
-    z = reference_log(reference_matmul(reference_exp(rep, p, order),
-                                       reference_exp(rep, q, order)), order)
-    return Jet(rep.algebra.dim, order + 1,
-               tuple(reference_decompose(rep, z.coeff(m)) for m in range(order + 1)))
-
-
-def reference_homomorphism_failures(rep):
-    alg = rep.algebra
-    return [(a, b) for a in range(alg.dim) for b in range(a + 1, alg.dim)
-            if linalg.mat_sub(linalg.mat_mul(rep.mats[a], rep.mats[b]),
-                              linalg.mat_mul(rep.mats[b], rep.mats[a]))
-            != reference_matrix_of(rep, alg.bracket(alg.basis_vector(a), alg.basis_vector(b)))]
-
+# and sum Fraction matrices.  The references (``references.py``) are those
+# loops, with the Fraction matrix product of the jets spelled out, so that
+# nothing in them runs on integer numerators.
 
 def rebased_so3_rep():
     """so3's matrices conjugated by a rational P: fractional entries, still a representation."""
@@ -333,7 +269,7 @@ def test_oracle_matches_the_fraction_loops(data):
     assert prod == want_prod and repr(prod.coeffs) == repr(want_prod.coeffs)
     z, want_z = rep.log_trunc(prod, order), reference_log(want_prod, order)
     assert z == want_z and repr(z.coeffs) == repr(want_z.coeffs)
-    got, want = rep.local_mult(p, q, order), reference_local_mult(rep, p, q, order)
+    got, want = rep.local_mult(p, q, order), reference_exp_log_local_mult(rep, p, q, order)
     assert got == want and repr(got.coeffs) == repr(want.coeffs)
     assert got == local_mult(rep.algebra, p, q, order, cap=8)
 
@@ -350,7 +286,7 @@ def test_trimmed_jets_keep_their_truncation_order():
         assert got.trunc == 6 and got == reference_exp(rep, q, 5)
         assert got.degree == reference_exp(rep, q, 5).degree == 5  # X2 is not nilpotent
         assert rep.exp_trunc(p, 5) == reference_exp(rep, p, 5)
-        assert rep.local_mult(p, q, 5) == reference_local_mult(rep, p, q, 5)
+        assert rep.local_mult(p, q, 5) == reference_exp_log_local_mult(rep, p, q, 5)
 
 
 @settings(max_examples=100, deadline=None)
