@@ -1,8 +1,8 @@
 """Exact-arithmetic Lie algebra contractions, expansions, and expansion groups.
 
-The public names in ``__all__`` resolve on first use: reading one imports
-its home module (``_HOMES``) and keeps the value on the package, so
-``import liecontract`` alone loads no submodule.  The command line
+The public names, the keys of ``_HOMES`` and so of ``__all__``, resolve on
+first use: reading one imports its home module and keeps the value on the
+package, so ``import liecontract`` alone loads no submodule.  The command line
 (``liecontract.cli``) likewise imports, per command, only the modules that
 command runs.
 """
@@ -11,55 +11,7 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConstantTermNotIdentity",
-    "ContractionFamily",
-    "DecompositionFailed",
-    "DEFAULT_ORDER_CAP",
-    "DimensionMismatch",
-    "ExpandedElement",
-    "ExpansionGroup",
-    "GeneralExpansion",
-    "GroupElement",
-    "HElement",
-    "InternalInvariantViolation",
-    "IWExpansion",
-    "Jet",
-    "LieAlgebra",
-    "LieContractError",
-    "MatrixJet",
-    "NilTuple",
-    "NonzeroConstantTerm",
-    "NotASubalgebra",
-    "OrderCapExceeded",
-    "PoleError",
-    "Representation",
-    "SingularFamily",
-    "SpecFormatError",
-    "SubalgebraSplit",
-    "UnknownAlgebra",
-    "ValidationReport",
-    "Violation",
-    "bracket_poly",
-    "builtin",
-    "canonical_split_vectors",
-    "contract",
-    "eps_bracket",
-    "invert_family_apply",
-    "iw_contract_closed_form",
-    "iw_family",
-    "jet_in_filtration",
-    "local_mult",
-    "so3_example",
-    "span_subalgebra",
-    "split_with_complement",
-    "subalgebra_catalog",
-    "transport_map",
-    "word_coefficients",
-]
-
-
-# every public name -> the submodule that defines it
+# every public name -> the submodule that defines it; ``__all__`` lists its keys
 _HOMES = {name: module for module, names in (
     ("algebra", ("LieAlgebra", "SubalgebraSplit", "ValidationReport", "Violation",
                  "span_subalgebra", "split_with_complement")),
@@ -76,6 +28,7 @@ _HOMES = {name: module for module, names in (
     ("jets", ("Jet", "MatrixJet", "bracket_poly", "jet_in_filtration")),
     ("oracle", ("Representation",)),
 ) for name in names}
+__all__ = list(_HOMES)
 
 
 def __getattr__(name):

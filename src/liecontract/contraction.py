@@ -208,12 +208,11 @@ def iw_family(split: SubalgebraSplit) -> ContractionFamily:
 
     Its determinant and inverse table come in closed form, checked exactly,
     when the split's projectors are complementary idempotents; otherwise the
-    family eliminates as any other does.  The public constructor refuses a
-    split that holds floats.
+    family eliminates as any other does.  A split that holds floats is
+    refused with a TypeError (``linalg.exact``), as a family solve refuses a
+    float right-hand side.
     """
-    (h, nmat), den = split._numerators
-    if type(den) is float:
-        return ContractionFamily(split.algebra, (split.proj_h, split.proj_n))
+    (h, nmat), den = linalg.exact(split._numerators, "a rescaling family")
     fam = linalg.with_state(ContractionFamily, algebra=split.algebra, _numerators=((h, nmat), den))
     closed = _iw_inverse(h, nmat, den)
     if closed is not None:

@@ -186,7 +186,8 @@ class ExpansionGroup:
 
         The matrix must be a bracket automorphism, must preserve the
         subalgebra and must be invertible; the first two checks are exact for
-        rational entries and use ``tol`` componentwise for float entries.
+        rational entries and use ``tol`` componentwise for float entries, and
+        the third is one ``linalg.pivot_columns`` rank test for either kind.
         Rational entries are checked on the integer numerators N / delta that
         the element keeps; a matrix holding a float is kept as it is, over
         the float denominator 1.0.
@@ -200,12 +201,13 @@ class ExpansionGroup:
             self._check_numeric(rows, tol)
         else:
             self._check_exact(rows, den)
+        if len(linalg.pivot_columns(list(zip(*rows)), n)) < n:
+            raise DimensionMismatch(_SINGULAR)
         return h
 
     def _check_numeric(self, ad, tol):
-        """``h_element``'s three checks on a matrix holding a float, within ``tol``."""
+        """``h_element``'s first two checks on a matrix holding a float, within ``tol``."""
         alg = self.algebra
-        n = alg.dim
         floats = all(type(x) is float for row in ad for x in row)
         cols = list(zip(*ad))
         for a, b, row, rounded in self._basis_brackets:
@@ -218,16 +220,14 @@ class ExpansionGroup:
             image = self.split.project_n(linalg.mat_vec(ad, v))
             if not all(abs(x) <= tol for x in image):
                 raise DimensionMismatch(_NOT_PRESERVED)
-        if len(linalg.pivot_columns(cols, n)) < n:
-            raise DimensionMismatch(_SINGULAR)
 
     def _check_exact(self, rows, den):
-        """``h_element``'s three checks on ad = rows / den, in integers.
+        """``h_element``'s first two checks on ad = rows / den, in integers.
 
         [ad X_a, ad X_b] = ad [X_a, X_b] is delta (N f_ab) = [N e_a, N e_b]
         on numerators (both sides times delta^2 D); the subalgebra is kept
         when the complement projector kills N v for each of its basis
-        vectors v; and N must have full rank.
+        vectors v.
         """
         alg = self.algebra
         n = alg.dim
@@ -246,8 +246,6 @@ class ExpansionGroup:
         for v in linalg.numerators(self.split.h_basis)[0]:
             if any(linalg.mat_vec(pn, linalg.mat_vec(rows, v))):
                 raise DimensionMismatch(_NOT_PRESERVED)
-        if len(linalg._eliminate_numerators([list(row) for row in rows], n, den)[0]) < n:
-            raise DimensionMismatch(_SINGULAR)
 
     def identity_h(self) -> HElement:
         return HElement(linalg.identity(self.algebra.dim))

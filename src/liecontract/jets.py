@@ -47,24 +47,19 @@ from . import linalg
 from .linalg import rat
 
 
-def _nonzero(c):
-    """Whether a vector or a matrix coefficient is nonzero."""
-    return any(map(any, c) if c and isinstance(c[0], tuple) else c)
-
-
 def _vec_add(u, v):
     """u + v for two vectors of one length, which the vector convolutions guarantee."""
     return tuple(map(operator.add, u, v))
 
 
-def _cauchy(p, q, trunc, mul, add, zero, nonzero=_nonzero):
+def _cauchy(p, q, trunc, mul, add, zero, nonzero):
     """The first ``trunc`` coefficients of the product of two coefficient sequences.
 
     Coefficient m sums ``mul(p[i], q[m - i])`` over increasing i, a lone
     product stored as it is; pairs with a factor that ``nonzero`` rejects are
-    skipped, so a degree that no pair reaches holds ``zero`` itself.  The
-    default test reads vectors and matrices alike; a caller whose
-    coefficients are all vectors passes ``any``.
+    skipped, so a degree that no pair reaches holds ``zero`` itself.  Each
+    caller knows the shape of its coefficients and passes the zero test that
+    fits it: ``any`` for vectors, a test on every row for matrices.
     """
     out = [zero] * trunc
     q = [(j, b) for j, b in enumerate(q[:trunc]) if nonzero(b)]
@@ -240,7 +235,8 @@ def _mat_add(a, b):
 
 def matmul_numerators(p, q, trunc, size):
     """The first ``trunc`` coefficients of the product of two integer matrix sequences."""
-    return _cauchy(p, q, trunc, _int_mat_mul, _mat_add, ((0,) * size,) * size)
+    return _cauchy(p, q, trunc, _int_mat_mul, _mat_add, ((0,) * size,) * size,
+                   lambda m: any(map(any, m)))
 
 
 @dataclass(frozen=True)

@@ -90,9 +90,8 @@ def identity(n):
     return tuple(basis_vector(n, i) for i in range(n))
 
 
-def zero_matrix(rows, cols=None):
-    cols = rows if cols is None else cols
-    return tuple((ZERO,) * cols for _ in range(rows))
+def zero_matrix(n):
+    return tuple((ZERO,) * n for _ in range(n))
 
 
 def is_zero_vector(v):

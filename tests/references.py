@@ -50,8 +50,8 @@ Truncated BCH and the matrix oracle (``test_bch``, ``test_oracle``):
 - ``bch.word_coefficients``: ``reference_word_coefficients``, the block
   sequences enumerated; no ``src`` name.
 - ``bch.local_mult``: ``reference_dynkin_local_mult``, the Dynkin sum on
-  ``Fraction`` jets (``reference_terms``); ``bch.word_coefficients``,
-  ``Jet.truncated``, ``+`` and ``scale``.  Its brackets are
+  ``Fraction`` coefficients, degree by degree (``reference_terms``);
+  ``bch.word_coefficients``, ``Jet.truncated``.  Its brackets are
   ``reference_bracket_poly``.
 - ``Representation.exp_trunc``, ``log_trunc``, ``decompose``,
   ``local_mult``, ``check``: ``reference_exp``, ``reference_log``,
@@ -505,13 +505,20 @@ def reference_terms(alg, p, q, order):
 
 
 def reference_dynkin_local_mult(alg, p, q, order):
-    """The Dynkin sum accumulated on Fraction jets, as ``local_mult`` did before
-    it summed on integer numerators."""
-    acc = Jet.zero(alg.dim, order + 1)
+    """The Dynkin sum on Fraction coefficients, degree by degree, in word order.
+
+    Every degree holds its running sum until the last word, so a float
+    component that some term reaches stays a float, 0.0 where the terms
+    cancel, as ``LieAlgebra.bracket`` leaves it.  A running sum of jets would
+    lose it: ``Jet`` keeps no zero top coefficient, so a top degree that
+    cancels to floats 0.0 becomes Fraction zeros when a later word reaches
+    past it.
+    """
+    acc = [linalg.zero_vector(alg.dim)] * (order + 1)
     for coeff, term in reference_terms(alg, p, q, order):
-        if term.degree >= 0:
-            acc = acc + term.scale(coeff)
-    return acc
+        for k, c in enumerate(term.coeffs):
+            acc[k] = linalg.vec_add(acc[k], linalg.vec_scale(coeff, c))
+    return Jet(alg.dim, order + 1, acc)
 
 
 def reference_matrix_of(rep, v):

@@ -5,7 +5,7 @@ import timeit
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liecontract import bch, linalg
 from liecontract.algebra import LieAlgebra
@@ -309,25 +309,46 @@ def bch_jet(draw, n, trunc, entries):
     return Jet(n, trunc, coeffs)
 
 
+@st.composite
+def bch_cases(draw):
+    """(algebra, order, two exact jets, two float jets or None): float jets
+    only on an algebra whose tensor is integral."""
+    alg, integral = draw(bch_algebras())
+    order = draw(st.integers(1, 6))
+    n, trunc = alg.dim, order + 1
+    exact = tuple(bch_jet(draw, n, trunc, ENTRIES) for _ in range(2))
+    floats = tuple(bch_jet(draw, n, trunc, FLOATS) for _ in range(2)) if integral else None
+    return alg, order, exact, floats
+
+
 def component_key(p):
     return [[type(x) for x in c] for c in p.coeffs]
 
 
+# [X3, X4] = X3 at order 6: the float terms of coefficient 5 cancel at X3, so it is 0.0
+Z4 = (0,) * 4
+CANCELLING_FLOATS = (
+    LieAlgebra.from_brackets(4, ("X1", "X2", "X3", "X4"), [(2, 3, 2, 1)]), 6,
+    (Jet(4, 7, (Z4, Z4, (0, 0, 1, 1))), Jet(4, 7, (Z4, (0, 0, 0, 1), (0, 0, 1, 1)))),
+    (Jet(4, 7, (Z4, Z4, (0.0, 0.0, 1.0, 1.0))),
+     Jet(4, 7, (Z4, (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 1.0, 1.0)))))
+
+
 @settings(max_examples=120, deadline=None)
-@given(bch_algebras(), st.integers(1, 6), st.data())
-def test_integer_sum_matches_fraction_reference(case, order, data):
-    alg, integral = case
+@example(CANCELLING_FLOATS)
+@given(bch_cases())
+def test_integer_sum_matches_fraction_reference(case):
+    alg, order, (p, q), floats = case
     n = alg.dim
     trunc = order + 1
-    p, q = (bch_jet(data.draw, n, trunc, ENTRIES) for _ in range(2))
     got = local_mult(alg, p, q, order)
     want = reference_dynkin_local_mult(alg, p, q, order)
     assert got == want
     assert component_key(got) == component_key(want)
-    if not integral:
+    if floats is None:
         return
     # the numeric mode: floats over 1 through the same integer sum
-    u, v = (bch_jet(data.draw, n, trunc, FLOATS) for _ in range(2))
+    u, v = floats
     got = local_mult(alg, u, v, order)
     want = reference_dynkin_local_mult(alg, u, v, order)
     assert component_key(got) == component_key(want)

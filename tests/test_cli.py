@@ -7,11 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from liecontract import bch, cli, formats, linalg
+from liecontract import bch, cli, formats, linalg, verify
+from liecontract.algebra import LieAlgebra, ValidationReport, Violation
 from liecontract.catalog import builtin
 from liecontract.cli import MAX_TRIALS, main
-from liecontract.errors import InternalInvariantViolation
-from liecontract.expansion import IWExpansion
+from liecontract.errors import InternalInvariantViolation, PoleError
+from liecontract.expansion import GeneralExpansion, IWExpansion
+from liecontract.group import ExpansionGroup
+from liecontract.oracle import Representation
 
 SO3 = {"dim": 3, "basis": ["X1", "X2", "X3"],
        "brackets": [[1, 2, 3, "1"], [2, 3, 1, "1"], [3, 1, 2, "1"]]}
@@ -308,6 +311,115 @@ def test_verify_command(capsys):
     assert run(["verify", "--seed", "5", "--trials", "4"]) == 0
     out = capsys.readouterr().out
     assert "11/11 checks passed" in out
+
+
+def within(check, original, broken):
+    """``original``, except that a call made directly from ``run_verify``'s
+    inner function ``check`` returns ``broken(original, *args)``."""
+    def patched(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == check:
+            return broken(original, *args, **kwargs)
+        return original(*args, **kwargs)
+    return patched
+
+
+def failed_report(original, *args):
+    return ValidationReport(1, [Violation("jacobi", (0, 1, 2), "1")])
+
+
+def raise_pole(original, *args):
+    raise PoleError("pole", -2, 0)
+
+
+# [X1, X2] = X3, [X1, X3] = X1 breaks the Jacobi identity, so it is no limit either
+NOT_LIE = LieAlgebra.from_brackets(3, ("X1", "X2", "X3"), [(0, 1, 2, 1), (0, 2, 0, 1)])
+
+# the check's reported name, its inner function, the (owner, name) patched
+# within it, what the patched call returns, and the detail the check reports
+VERIFY_BREAKS = {
+    "validate": (
+        "catalogued algebras and representations are valid", "algebras_valid",
+        (LieAlgebra, "validate"), failed_report,
+        "so3, sl2, heis3, iso2, abelian(4)"),
+    "representation": (
+        "catalogued algebras and representations are valid", "algebras_valid",
+        (Representation, "check"), failed_report,
+        "so3 (representation), sl2 (representation), heis3 (representation), "
+        "iso2 (representation), abelian(4) (representation)"),
+    "contraction": (
+        "rotation algebra contracts to the plane-motion algebra", "contraction_matches",
+        (verify, "contract"), lambda original, fam: fam.algebra, ""),
+    "closed-form": (
+        "limit tensor agrees with the closed form on every catalogued split",
+        "closed_form_agrees", (verify, "iw_contract_closed_form"),
+        lambda original, split: NOT_LIE,
+        "so3/span{X3}, sl2/span{H}, sl2/span{E}, sl2/span{H,E}, "
+        "heis3/span{Z}, heis3/span{P}, heis3/span{P,Z}"),
+    "rescaled": (
+        "rescaled bracket relations of the rotation algebra", "rescaled_relations",
+        (verify, "eps_bracket"), lambda original, fam, x, y, order: original(fam, y, x, order),
+        ""),
+    "order-zero": (
+        "order-0 expansion is isomorphic to the contraction", "order_zero_isomorphism",
+        (IWExpansion, "from_contraction"),
+        lambda original, ea, x: original(ea, linalg.vec_scale(2, x)), "so3, sl2, heis3"),
+    "jacobi": (
+        "expanded algebras satisfy the Jacobi identity (orders 0..2)", "expanded_jacobi",
+        (IWExpansion, "structure_algebra"), lambda original, ea: NOT_LIE,
+        ", ".join(f"{alg}/{label}/k={k}" for alg, labels in (
+            ("so3", ["span{X3}"]), ("sl2", ["span{H}", "span{E}", "span{H,E}"]),
+            ("heis3", ["span{Z}", "span{P}", "span{P,Z}"]))
+            for label in labels for k in range(3))),
+    "star": (
+        "order-1 star product matches its closed form", "star_closed_form",
+        (ExpansionGroup, "star"), lambda original, grp, a, b: original(grp, a, a),
+        "so3, sl2, heis3"),
+    "associativity": (
+        "star product is associative with inverses (orders 0..2)", "group_axioms",
+        (ExpansionGroup, "star"),
+        lambda original, grp, a, b: original(grp, a, original(grp, b, b)),
+        ", ".join(f"{alg}/k={k}/associativity"
+                  for alg in ("so3", "sl2", "heis3") for k in range(3))),
+    "inverse": (
+        "star product is associative with inverses (orders 0..2)", "group_axioms",
+        (ExpansionGroup, "nil_negate"), lambda original, grp, a: a,
+        ", ".join(f"{alg}/k={k}/inverse" for alg in ("so3", "sl2", "heis3") for k in range(3))),
+    "oracle": (
+        "BCH product equals the matrix-model oracle", "oracle_equality",
+        (verify, "local_mult"), lambda original, alg, p, q, order: original(alg, q, p, order),
+        "so3/order=2, so3/order=3, heis3/order=2, heis3/order=3"),
+    "non-subalgebra": (
+        "non-subalgebra split is rejected and poles are detected", "pole_detection",
+        (verify, "span_subalgebra"), lambda original, alg, vectors: None,
+        "split construction accepted a non-subalgebra"),
+    "no-pole": (
+        "non-subalgebra split is rejected and poles are detected", "pole_detection",
+        (verify, "contract"), lambda original, fam: fam.algebra, "no pole raised"),
+    "valuation": (
+        "non-subalgebra split is rejected and poles are detected", "pole_detection",
+        (verify, "contract"), raise_pole, "valuation -2"),
+    "cross": (
+        "general-family bracket transports onto the split-coordinate bracket",
+        "cross_construction", (GeneralExpansion, "bracket_tuples"),
+        lambda original, gen, xs, ys: tuple(xs),
+        ", ".join(f"{alg}/k={k}" for alg in ("so3", "sl2", "heis3") for k in range(3))),
+    "raises": (
+        "rescaled bracket relations of the rotation algebra", "rescaled_relations",
+        (verify, "eps_bracket"), lambda original, fam, x, y, order: 1 // 0,
+        "raised ZeroDivisionError: integer division or modulo by zero"),
+}
+
+
+@pytest.mark.parametrize("case", list(VERIFY_BREAKS))
+def test_verify_reports_a_broken_identity(monkeypatch, case):
+    """With one library call broken inside one check, that check alone fails
+    with its detail; a check that raises reports the error and the battery
+    runs on."""
+    name, check, (owner, attr), broken, detail = VERIFY_BREAKS[case]
+    monkeypatch.setattr(owner, attr, within(check, getattr(owner, attr), broken))
+    results = verify.run_verify(seed=5, trials=4)
+    assert len(results) == 11
+    assert [(r.name, r.detail) for r in results if not r.passed] == [(name, detail)]
 
 
 def test_unknown_algebra_is_usage_error(capsys):

@@ -508,6 +508,18 @@ def test_invert_family_apply_refuses_a_float_jet():
         assert str(info.value) == "a family solve takes exact (int or Fraction) input"
 
 
+def test_iw_family_refuses_a_split_holding_floats():
+    """A split built from a float projector keeps floats; its family is refused
+    as a float right-hand side of the solve is."""
+    split = SubalgebraSplit(so3, ((0, 0, 1),), ((1, 0, 0), (0, 1, 0)),
+                            ((0, 0, 0), (0, 0, 0), (0, 0, 1.0)),
+                            ((1, 0, 0), (0, 1, 0), (0, 0, 0)))
+    assert type(split._numerators[1]) is float
+    with pytest.raises(TypeError) as info:
+        iw_family(split)
+    assert str(info.value) == "a rescaling family takes exact (int or Fraction) input"
+
+
 def general_bracket_tuples(fam, k, xs, ys):
     """GeneralExpansion.bracket_tuples, with a pole it wraps raised as the PoleError.
 

@@ -11,10 +11,11 @@ import contextlib
 import io
 import json
 import os
+import sys
 
 import pytest
 
-from liecontract.cli import main
+from liecontract.cli import entrypoint, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -142,6 +143,19 @@ def test_cli_output_matches_the_recording(name):
 
 def test_every_recording_has_a_case():
     assert sorted(recorded()) == sorted(CASES)
+
+
+def test_console_script_prints_what_main_prints(monkeypatch, capsys):
+    """``entrypoint``, the installed ``liecontract`` script, reads ``sys.argv``
+    and exits with ``main``'s code, after the stdout ``main`` gives."""
+    args = ["--format", "machine", *CASES["validate-so5"]]
+    want = run_case(args)
+    monkeypatch.setattr(sys, "argv", ["liecontract", *args])
+    monkeypatch.chdir(GOLDEN)
+    with pytest.raises(SystemExit) as info:
+        entrypoint()
+    assert info.value.code == want["exit"] == 0
+    assert capsys.readouterr().out == want["stdout"]
 
 
 if __name__ == "__main__":

@@ -24,9 +24,9 @@ from liecontract.contraction import (
     iw_family,
 )
 from liecontract.errors import DimensionMismatch
-from liecontract.expansion import GeneralExpansion, IWExpansion
+from liecontract.expansion import ExpandedElement, GeneralExpansion, IWExpansion
 from liecontract.group import ExpansionGroup
-from liecontract.jets import Jet
+from liecontract.jets import Jet, MatrixJet, bracket_poly
 from liecontract.oracle import Representation
 from references import random_nil
 
@@ -166,6 +166,40 @@ REFUSALS = {  # the call, and the message of the DimensionMismatch it raises
     "representation-count": (
         lambda: Representation(builtin("so3")[0], builtin("so3")[1].mats[:2]),
         "need one matrix per basis vector"),
+    "jet-dimensions": (lambda: Jet(2, 3, [(0, 1)]) + Jet(3, 3, [(0, 0, 1)]),
+                       "jet dimensions differ"),
+    "jet-shift": (lambda: Jet(2, 3, [(0, 1)]).shift(-1),
+                  "shift must be by a nonnegative power"),
+    "bracket-poly-dimension": (
+        lambda: bracket_poly(builtin("so3")[0], Jet(2, 3, [(0, 1)]), Jet(2, 3, [(1, 0)])),
+        "jet dimension differs from algebra dimension"),
+    "matrix-jet-sizes": (lambda: MatrixJet.identity(2, 3) + MatrixJet.identity(3, 3),
+                         "matrix jet sizes differ"),
+    "matrix-jet-orders": (lambda: MatrixJet.identity(2, 3).matmul(MatrixJet.identity(2, 4)),
+                          "jet truncation orders differ"),
+    "decompose-shape": (lambda: builtin("so3")[1].decompose(((1, 0), (0, 1))),
+                        "matrix shape differs from the representation size"),
+    "exp-trunc-dimension": (lambda: builtin("so3")[1].exp_trunc(Jet(2, 3, [(0, 0), (1, 0)]), 2),
+                            "jet dimension differs from algebra dimension"),
+    "to-contraction-order": (
+        lambda: IWExpansion(so3_x3_split(), 1).to_contraction(
+            ExpandedElement((0, 0, 1), ((0, 0, 0),), (0, 0, 0))),
+        "contraction identification needs order 0"),
+    "tuple-to-element-count": (
+        lambda: IWExpansion(so3_x3_split(), 1).tuple_to_element([(1, 0, 0)]),
+        "expected 2 coefficients, got 1"),
+    "bracket-tuples-count": (
+        lambda: GeneralExpansion(iw_family(so3_x3_split()), 1).bracket_tuples(
+            [(1, 0, 0)], [(0, 1, 0), (0, 0, 1)]),
+        "expected 2 coefficients, got 1"),
+    "structure-tensor-shape": (lambda: LieAlgebra(2, ("A", "B"), (((0, 0), (0, 0)),)),
+                               "structure tensor has wrong shape"),
+    "bracket-entry-range": (lambda: LieAlgebra.from_brackets(2, ("A", "B"), [(0, 1, 2, 1)]),
+                            "bracket entry (0,1,2) out of range"),
+    "vector-length": (lambda: builtin("so3")[0].vector((1, 0)),
+                      "coefficient count differs from dimension"),
+    "vec-sub-lengths": (lambda: linalg.vec_sub((1,), (1, 2)), "vector lengths differ"),
+    "mat-mul-shapes": (lambda: linalg.mat_mul(((1, 2),), ((1, 2),)), "matrix shapes differ"),
 }
 
 
