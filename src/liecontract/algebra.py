@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 from .errors import DimensionMismatch, NotASubalgebra
 from . import linalg
@@ -426,9 +426,7 @@ def _split(alg, h_basis, n_basis, cols=None, inverse=None):
         split = SubalgebraSplit(alg, tuple(h_basis), tuple(n_basis), *(
             [linalg.from_numerators(row, 1) for row in m] for m in (ph, pn)))
     else:  # over den d less its gcd with P_h, which P_n = den d - P_h shares; den > 0
-        den *= d
-        g = gcd(den, *(x for row in ph for x in row)) * (1 if den > 0 else -1)
-        ph, den = tuple(tuple(x // g for x in row) for row in ph), den // g
+        ph, den = linalg.lowest_terms(ph, den * d)
         pn = tuple(tuple((den if i == k else 0) - x for k, x in enumerate(row))
                    for i, row in enumerate(ph))
         split = linalg.with_state(SubalgebraSplit, algebra=alg, h_basis=tuple(h_basis),

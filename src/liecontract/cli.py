@@ -30,10 +30,8 @@ EXIT_INTERNAL = 3
 MAX_TRIALS = 1000
 
 
-def _emit(payload, fmt, stream=None):
-    if fmt == "machine":
-        stream = sys.stdout if stream is None else stream
-        stream.write(formats.machine_dumps(payload) + "\n")
+def _emit(payload):
+    sys.stdout.write(formats.machine_dumps(payload) + "\n")
 
 
 def _resolve_algebra(token):
@@ -93,7 +91,7 @@ def cmd_validate(args):
                     for v in report.violations
                 ],
             },
-        }, args.format)
+        })
     else:
         print(report.summary())
     return EXIT_OK if report.ok else EXIT_DOMAIN
@@ -125,7 +123,7 @@ def cmd_contract(args):
             payload["report"]["eps_brackets"] = {
                 key: _jet_payload(jet) for key, jet in eps_block.items()
             }
-        _emit(payload, args.format)
+        _emit(payload)
     else:
         print("contraction limit:")
         den = limit._table[0]
@@ -168,7 +166,7 @@ def cmd_expand(args):
                 "basis": list(expanded.basis_names),
                 "jacobi_ok": report.ok,
             },
-        }, args.format)
+        })
     else:
         print(f"expansion of order {args.order}: dimension {ea.dimension}")
         print("  basis: " + ", ".join(expanded.basis_names))
@@ -185,28 +183,33 @@ def _parse_nil(grp, text):
     return grp.nil(vectors[:-1], vectors[-1])
 
 
-def cmd_star(args):
+def _group(args):
+    """The algebra and the expansion group that ``star`` and ``group-mult`` run in."""
     from .group import ExpansionGroup
 
     alg, _ = _resolve_algebra(args.algebra)
-    grp = ExpansionGroup(formats.load_split(args.subalgebra, alg), args.order,
-                         order_cap=args.order_cap)
+    return alg, ExpansionGroup(formats.load_split(args.subalgebra, alg), args.order,
+                               order_cap=args.order_cap)
+
+
+def _print_nil(alg, nil):
+    for i, m in enumerate(nil.mids, start=1):
+        print(f"coefficient {i}: {alg.format_vector(m)}")
+    print(f"coset representative: {alg.format_vector(nil.top)}")
+
+
+def cmd_star(args):
+    alg, grp = _group(args)
     result = grp.star(_parse_nil(grp, args.a), _parse_nil(grp, args.b))
     if args.format == "machine":
-        _emit({"command": "star", "report": {"result": _nil_payload(result)}}, args.format)
+        _emit({"command": "star", "report": {"result": _nil_payload(result)}})
     else:
-        for i, m in enumerate(result.mids, start=1):
-            print(f"coefficient {i}: {alg.format_vector(m)}")
-        print(f"coset representative: {alg.format_vector(result.top)}")
+        _print_nil(alg, result)
     return EXIT_OK
 
 
 def cmd_group_mult(args):
-    from .group import ExpansionGroup
-
-    alg, _ = _resolve_algebra(args.algebra)
-    grp = ExpansionGroup(formats.load_split(args.subalgebra, alg), args.order,
-                         order_cap=args.order_cap)
+    alg, grp = _group(args)
     h1 = grp.h_element(formats.parse_matrix_literal(args.h1, alg.dim))
     h2 = grp.h_element(formats.parse_matrix_literal(args.h2, alg.dim))
     g = grp.mult(grp.element(h1, _parse_nil(grp, args.a)),
@@ -218,14 +221,12 @@ def cmd_group_mult(args):
                 "h": [formats.vector_to_strings(row) for row in g.h.ad],
                 "nil": _nil_payload(g.nil),
             },
-        }, args.format)
+        })
     else:
         print("subgroup part (adjoint matrix):")
         for row in g.h.ad:
             print("  " + "  ".join(str(x) for x in row))
-        for i, m in enumerate(g.nil.mids, start=1):
-            print(f"coefficient {i}: {alg.format_vector(m)}")
-        print(f"coset representative: {alg.format_vector(g.nil.top)}")
+        _print_nil(alg, g.nil)
     return EXIT_OK
 
 
@@ -258,14 +259,12 @@ def cmd_oracle(args):
                 raise SpecFormatError(f"{flag} must vanish at 0: its constant term is nonzero")
     else:
         rng = random.Random(args.seed)
-        pairs = []
-        for _ in range(args.trials):
-            coeffs = (linalg.zero_vector(alg.dim),) + tuple(
-                linalg.random_vector(rng, alg.dim) for _ in range(args.order))
-            p = Jet(alg.dim, args.order + 1, coeffs)
-            coeffs = (linalg.zero_vector(alg.dim),) + tuple(
-                linalg.random_vector(rng, alg.dim) for _ in range(args.order))
-            pairs.append((p, Jet(alg.dim, args.order + 1, coeffs)))
+
+        def draw():
+            return Jet(alg.dim, args.order + 1, (linalg.zero_vector(alg.dim),) + tuple(
+                linalg.random_vector(rng, alg.dim) for _ in range(args.order)))
+
+        pairs = [(draw(), draw()) for _ in range(args.trials)]  # p, then q, per trial
     mismatches = 0
     last = None
     for p, q in pairs:
@@ -286,7 +285,7 @@ def cmd_oracle(args):
         }
         if args.p is not None:
             payload["report"]["product"] = _jet_payload(last)
-        _emit(payload, args.format)
+        _emit(payload)
     else:
         if args.p is not None:
             print(f"product: {_format_jet(alg, last)}")
@@ -302,7 +301,7 @@ def cmd_example(args):
         raise UnknownAlgebra("the worked example is available for so3")
     report = so3_example(args.order, seed=args.seed)
     if args.format == "machine":
-        _emit({"command": "example", "report": report.as_dict()}, args.format)
+        _emit({"command": "example", "report": report.as_dict()})
     else:
         for chk in report.checks:
             print(("PASS " if chk.passed else "FAIL ") + chk.description)
@@ -330,7 +329,7 @@ def cmd_verify(args):
                 ],
                 "ok": all(r.passed for r in results),
             },
-        }, args.format)
+        })
     else:
         for r in results:
             line = ("PASS " if r.passed else "FAIL ") + r.name
@@ -455,7 +454,7 @@ def main(argv=None):
             if isinstance(err, PoleError):
                 block["valuation"] = err.valuation
                 block["component"] = err.component
-            _emit({"command": args.command, "error": block}, args.format)
+            _emit({"command": args.command, "error": block})
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_DOMAIN
     except Exception as err:

@@ -5,7 +5,8 @@ its pointwise inverse is done exactly over the field of rational functions.
 A family holds one state, however built: its coefficient matrices as integer
 numerators over one reduced denominator D (``_numerators``), of which
 ``phis`` is a view, built on its first read.  The public constructor reads
-exact matrices once (``as_matrix`` refuses floats).
+its matrices once (``linalg.matrix_numerators``, which refuses a float with
+a TypeError).
 
 The inverse table holds the Taylor coefficients G_t of eps^v times the
 family's inverse, eps^v the largest power of the parameter dividing the
@@ -54,9 +55,9 @@ from .errors import (
 )
 from . import linalg
 from .jets import Jet, _cauchy, _vec_add, bracket_numerators
-from .linalg import as_matrix
 
 MAX_FAMILY_DEGREE = 8
+_FAMILY = "a rescaling family"
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class ContractionFamily:
     _numerators: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        phis = tuple(as_matrix(m) for m in self.__dict__.pop("phis"))
+        phis = tuple(self.__dict__.pop("phis"))
         if not phis:
             raise DimensionMismatch("family needs at least one matrix coefficient")
         n = self.algebra.dim
@@ -77,7 +78,7 @@ class ContractionFamily:
                 raise DimensionMismatch("family matrices must be square of the algebra dimension")
         if len(phis) - 1 > MAX_FAMILY_DEGREE:
             raise DimensionMismatch(f"family degree capped at {MAX_FAMILY_DEGREE}")
-        self.__dict__["_numerators"] = linalg.matrix_numerators(phis)
+        self.__dict__["_numerators"] = linalg.matrix_numerators(phis, _FAMILY)
 
     def __getattr__(self, name):
         """Build ``phis``, which neither constructor keeps, once, on its first read."""
@@ -212,7 +213,7 @@ def iw_family(split: SubalgebraSplit) -> ContractionFamily:
     refused with a TypeError (``linalg.exact``), as a family solve refuses a
     float right-hand side.
     """
-    (h, nmat), den = linalg.exact(split._numerators, "a rescaling family")
+    (h, nmat), den = linalg.exact(split._numerators, _FAMILY)
     fam = linalg.with_state(ContractionFamily, algebra=split.algebra, _numerators=((h, nmat), den))
     closed = _iw_inverse(h, nmat, den)
     if closed is not None:

@@ -37,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from math import gcd
 
 from .algebra import LieAlgebra, SubalgebraSplit, _check_dim
 from .contraction import ContractionFamily, _rescaled_bracket, contract
@@ -86,9 +84,7 @@ class ExpandedElement:
         element's ``numerators`` as it is, as ``Jet.from_numerators`` keeps
         its pair; the slots are built on their first read (``__getattr__``).
         """
-        g = gcd(den, *chain.from_iterable(rows))
-        rows = tuple([tuple([x // g for x in v]) if g > 1 else tuple(v) for v in rows])
-        return linalg.with_state(cls, numerators=(rows, den // g))
+        return linalg.with_state(cls, numerators=linalg.lowest_terms(rows, den))
 
     def __getattr__(self, name):
         """Build the slots, which neither constructor keeps, once, on their first read."""

@@ -8,45 +8,33 @@ lists of rational coefficient vectors, family files carry ``{"phis":
 A file whose shapes do not fit the algebra is a SpecFormatError.
 Machine-readable output always serializes rationals as "p/q" strings and is
 byte-stable for fixed inputs.  A rational literal, in a file or on the
-command line, is at most ``MAX_LITERAL_LENGTH`` characters long and its
-decimal exponent is at most ``MAX_EXPONENT`` in absolute value, because
-parsing "1e10000000" alone takes seconds.
+command line, is read by ``linalg.rat``, which caps its length at
+``MAX_LITERAL_LENGTH`` characters and its decimal exponent at ``MAX_EXPONENT``
+in absolute value, because parsing "1e10000000" alone takes seconds.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 
-from .algebra import LieAlgebra, span_subalgebra
+from .algebra import MAX_DIM, LieAlgebra, span_subalgebra
 from .errors import DimensionMismatch, SpecFormatError
-
-
-MAX_LITERAL_LENGTH = 1000
-MAX_EXPONENT = 1000
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+from .linalg import MAX_LITERAL_LENGTH, rat
 
 
 def parse_rational(value):
+    """An int, or a string literal read by ``linalg.rat``; anything else is a SpecFormatError."""
     if isinstance(value, bool):
         raise SpecFormatError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if len(value) > MAX_LITERAL_LENGTH:
-            raise SpecFormatError(
-                f"rational literal of {len(value)} characters is longer than {MAX_LITERAL_LENGTH}")
-        text = value.strip()
-        exponent = _EXPONENT.search(text)
-        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
-            raise SpecFormatError(f"bad rational literal {value!r}: "
-                                  f"exponent outside -{MAX_EXPONENT}..{MAX_EXPONENT}")
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as err:
-            raise SpecFormatError(f"bad rational literal {value!r}: {err}") from None
-    raise SpecFormatError(f"not a rational: {value!r} (floats are not accepted)")
+    if not isinstance(value, (int, str)):
+        raise SpecFormatError(f"not a rational: {value!r} (floats are not accepted)")
+    try:
+        return rat(value)
+    except (ValueError, ZeroDivisionError) as err:
+        if len(value) > MAX_LITERAL_LENGTH:  # too long to quote
+            raise SpecFormatError(str(err)) from None
+        raise SpecFormatError(f"bad rational literal {value!r}: {err}") from None
 
 
 def format_rational(value):
@@ -77,8 +65,8 @@ def algebra_from_dict(data):
         brackets = data["brackets"]
     except KeyError as err:
         raise SpecFormatError(f"algebra spec missing field {err}") from None
-    if not isinstance(dim, int) or dim < 1:
-        raise SpecFormatError("field 'dim' must be a positive integer")
+    if type(dim) is not int or not 1 <= dim <= MAX_DIM:
+        raise SpecFormatError(f"field 'dim' must be an integer in 1..{MAX_DIM}")
     if (not isinstance(basis, list) or len(basis) != dim
             or not all(isinstance(b, str) for b in basis)):
         raise SpecFormatError("field 'basis' must list one name per dimension")
@@ -92,13 +80,13 @@ def algebra_from_dict(data):
             raise SpecFormatError(f"brackets[{idx}] must be [a, b, c, coeff]")
         a, b, c, coeff = entry
         for label, value in (("a", a), ("b", b), ("c", c)):
-            if not isinstance(value, int) or not 1 <= value <= dim:
+            if type(value) is not int or not 1 <= value <= dim:
                 raise SpecFormatError(
                     f"brackets[{idx}]: index {label}={value!r} out of 1..{dim}")
         entries.append((a - 1, b - 1, c - 1, parse_rational(coeff)))
     try:
         return LieAlgebra.from_brackets(dim, tuple(basis), entries)
-    except Exception as err:
+    except DimensionMismatch as err:
         raise SpecFormatError(f"inconsistent bracket entries: {err}") from None
 
 

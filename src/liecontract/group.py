@@ -35,8 +35,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from math import gcd
 
 from .algebra import SubalgebraSplit
 from .bch import local_mult
@@ -90,10 +88,7 @@ class HElement:
         ``linalg.numerators(ad)``; ``ad`` is built on its first read (see
         ``__getattr__``), one Fraction per entry.
         """
-        g = gcd(den, *chain.from_iterable(rows)) * (1 if den > 0 else -1)
-        if g != 1:
-            rows, den = [[x // g for x in row] for row in rows], den // g
-        return linalg.with_state(cls, numerators=(tuple(map(tuple, rows)), den))
+        return linalg.with_state(cls, numerators=linalg.lowest_terms(rows, den))
 
     def __getattr__(self, name):
         """Build ``ad``, which neither constructor keeps, once, on its first read."""
@@ -157,10 +152,15 @@ class ExpansionGroup:
         if type(den) is float:
             mids = tuple(z.coeff(m) for m in range(1, k + 1))
             return NilTuple(mids, self.split.coset_reduce(z.coeff(k + 1)))
-        pn, pden, _ = self.split._projector_forms["n"]
         rows += ((0,) * self.algebra.dim,) * (k + 2 - len(rows))
-        mids = tuple(linalg.from_numerators(v, den) for v in rows[1:k + 1])
-        return NilTuple(mids, linalg.from_numerators(linalg.mat_vec(pn, rows[k + 1]), pden * den))
+        return self._reduced(rows[1:k + 1], rows[k + 1], den)
+
+    def _reduced(self, mids, top, den):
+        """The NilTuple of the integer slots mids / den and top / den, the top
+        reduced through the complement projector: one Fraction per entry."""
+        pn, pden, _ = self.split._projector_forms["n"]
+        return NilTuple(tuple(linalg.from_numerators(v, den) for v in mids),
+                        linalg.from_numerators(linalg.mat_vec(pn, top), pden * den))
 
     # ----- subgroup part -------------------------------------------------
 
@@ -276,11 +276,8 @@ class ExpansionGroup:
         if type(den) is float or type(sden) is float:
             mids = tuple(linalg.mat_vec(h.ad, m) for m in a.mids)
             return NilTuple(mids, self.split.coset_reduce(linalg.mat_vec(h.ad, a.top)))
-        pn, pden, _ = self.split._projector_forms["n"]
         out = [linalg.mat_vec(rows, v) for v in slots]
-        mids = tuple(linalg.from_numerators(v, den * sden) for v in out[:-1])
-        top = linalg.mat_vec(pn, out[-1])
-        return NilTuple(mids, linalg.from_numerators(top, pden * den * sden))
+        return self._reduced(out[:-1], out[-1], den * sden)
 
     # ----- full group law --------------------------------------------------
 

@@ -3,7 +3,14 @@
 A Jet stores algebra-valued coefficients, index = power of the parameter,
 discarded silently from degree ``trunc`` on; a MatrixJet does the same with
 square matrix coefficients.  Truncation mismatches between operands are
-errors, because the truncation order is part of the value.
+errors, because the truncation order is part of the value.  Both are one
+truncated series, ``_Series``, which writes the members they share once:
+the ``coeffs`` view, ``zero``, ``degree``, ``coeff``, the compatibility
+check, ``+``, ``-`` and ``scale``.  Each subclass names its shape field, its
+coefficient operations (``linalg``'s ``vec_*`` or ``mat_*``) and its
+shape-mismatch message as class attributes, and keeps its own constructors;
+``Jet`` adds ``constant``, negation, ``shift``, ``truncated`` and
+``eval_at``, and ``MatrixJet`` adds ``identity`` and ``matmul``.
 
 One truncated Cauchy product, ``_cauchy``, serves vector jets (the bracket),
 matrix jets (the matrix product of the oracle), the slot tuples of an
@@ -93,13 +100,67 @@ def _trim(coeffs, is_zero):
     return tuple(coeffs[:end])
 
 
+class _Series:
+    """What both jet types share: a truncated series of coefficients of one shape.
+
+    A subclass is a frozen dataclass (shape field, ``trunc``, ``coeffs``) that
+    keeps ``numerators`` and names, as class attributes, its shape field
+    (``_shape``), its coefficient operations (``_add``, ``_scale``, ``_zero``
+    of the shape, ``_view`` of a numerators pair) and its shape-mismatch
+    message (``_mismatch``).
+    """
+
+    def __getattr__(self, name):
+        """Build ``coeffs``, which neither constructor keeps, once, on its first read."""
+        return linalg.deferred(self, name, ("coeffs",), "numerators",
+                               lambda pair: (self._view(pair),))
+
+    @classmethod
+    def zero(cls, shape, trunc):
+        return cls(shape, trunc, ())
+
+    @property
+    def degree(self):
+        """Largest stored nonzero degree, or -1 for the zero jet."""
+        return len(self.numerators[0]) - 1
+
+    def coeff(self, k):
+        if k < len(self.coeffs):
+            return self.coeffs[k]
+        return self._zero(getattr(self, self._shape))
+
+    def _check_compatible(self, other):
+        if getattr(self, self._shape) != getattr(other, self._shape):
+            raise DimensionMismatch(self._mismatch)
+        if self.trunc != other.trunc:
+            raise DimensionMismatch("jet truncation orders differ")
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return type(self)(getattr(self, self._shape), self.trunc,
+                          tuple(self._add(self.coeff(k), other.coeff(k)) for k in range(n)))
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = rat(c)
+        return type(self)(getattr(self, self._shape), self.trunc,
+                          tuple(self._scale(c, v) for v in self.coeffs))
+
+
 @dataclass(frozen=True)
-class Jet:
+class Jet(_Series):
     """Vector-valued truncated polynomial; zero is the empty coefficient tuple."""
 
     dim: int
     trunc: int
     coeffs: tuple  # a view of ``numerators``, built on its first read
+
+    _shape, _mismatch = "dim", "jet dimensions differ"
+    _add, _scale = staticmethod(linalg.vec_add), staticmethod(linalg.vec_scale)
+    _zero, _view = staticmethod(linalg.zero_vector), staticmethod(linalg.vectors_of)
 
     def __post_init__(self):
         # keep what ``from_numerators`` keeps, each entry read as ``linalg.scalar`` reads it
@@ -134,50 +195,12 @@ class Jet:
             rows, den = [tuple([x // g for x in v]) for v in rows], den // g
         return linalg.with_state(cls, dim=dim, trunc=trunc, numerators=(tuple(rows), den))
 
-    def __getattr__(self, name):
-        """Build ``coeffs``, which neither constructor keeps, once, on its first read."""
-        return linalg.deferred(self, name, ("coeffs",), "numerators",
-                               lambda pair: (linalg.vectors_of(pair),))
-
-    @classmethod
-    def zero(cls, dim, trunc):
-        return cls(dim, trunc, ())
-
     @classmethod
     def constant(cls, vector, trunc):
         return cls(len(vector), trunc, (tuple(vector),))
 
-    @property
-    def degree(self):
-        """Largest stored nonzero degree, or -1 for the zero jet."""
-        return len(self.numerators[0]) - 1
-
-    def coeff(self, k):
-        if k < len(self.coeffs):
-            return self.coeffs[k]
-        return linalg.zero_vector(self.dim)
-
-    def _check_compatible(self, other):
-        if self.dim != other.dim:
-            raise DimensionMismatch("jet dimensions differ")
-        if self.trunc != other.trunc:
-            raise DimensionMismatch("jet truncation orders differ")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Jet(self.dim, self.trunc,
-                   tuple(linalg.vec_add(self.coeff(k), other.coeff(k)) for k in range(n)))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __neg__(self):
-        return Jet(self.dim, self.trunc, tuple(linalg.vec_neg(c) for c in self.coeffs))
-
-    def scale(self, c):
-        c = rat(c)
-        return Jet(self.dim, self.trunc, tuple(linalg.vec_scale(c, v) for v in self.coeffs))
+        return self.scale(-1)
 
     def shift(self, k):
         """Multiply by the k-th power of the parameter, truncating silently."""
@@ -240,12 +263,16 @@ def matmul_numerators(p, q, trunc, size):
 
 
 @dataclass(frozen=True)
-class MatrixJet:
+class MatrixJet(_Series):
     """Square-matrix-valued truncated polynomial with exact coefficients."""
 
     size: int
     trunc: int
     coeffs: tuple  # a view of ``numerators``, built on its first read
+
+    _shape, _mismatch = "size", "matrix jet sizes differ"
+    _add, _scale = staticmethod(linalg.mat_add), staticmethod(linalg.mat_scale)
+    _zero, _view = staticmethod(linalg.zero_matrix), staticmethod(linalg.matrices_of)
 
     def __post_init__(self):
         # keep what ``from_numerators`` keeps, after the check it skips: each entry exact
@@ -273,48 +300,9 @@ class MatrixJet:
             den //= g
         return linalg.with_state(cls, size=size, trunc=trunc, numerators=(mats, den))
 
-    def __getattr__(self, name):
-        """Build ``coeffs``, which neither constructor keeps, once, on its first read."""
-        return linalg.deferred(self, name, ("coeffs",), "numerators",
-                               lambda pair: (linalg.matrices_of(pair),))
-
-    @classmethod
-    def zero(cls, size, trunc):
-        return cls(size, trunc, ())
-
     @classmethod
     def identity(cls, size, trunc):
         return cls(size, trunc, (linalg.identity(size),))
-
-    @property
-    def degree(self):
-        """Largest stored nonzero degree, or -1 for the zero jet."""
-        return len(self.numerators[0]) - 1
-
-    def coeff(self, k):
-        if k < len(self.coeffs):
-            return self.coeffs[k]
-        return linalg.zero_matrix(self.size)
-
-    def _check_compatible(self, other):
-        if self.size != other.size:
-            raise DimensionMismatch("matrix jet sizes differ")
-        if self.trunc != other.trunc:
-            raise DimensionMismatch("jet truncation orders differ")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return MatrixJet(self.size, self.trunc,
-                         tuple(linalg.mat_add(self.coeff(k), other.coeff(k)) for k in range(n)))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = rat(c)
-        return MatrixJet(self.size, self.trunc,
-                         tuple(linalg.mat_scale(c, m) for m in self.coeffs))
 
     def matmul(self, other):
         """The truncated product: the integer numerators convolved, in a

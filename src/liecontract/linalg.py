@@ -2,14 +2,17 @@
 
 Vectors are tuples of Fractions, matrices are tuples of row tuples.  ``rat``
 rejects floats, so exact constructors never silently compute in floating
-point; the arithmetic helpers still accept float entries, which the numeric
-mode of the group layer passes in on purpose, and ``scalar``, the reader of
-jets, subgroup elements and group slots, lets a float through as it is.
+point, and caps the size of a string literal before parsing it; the
+arithmetic helpers still accept float entries, which the numeric mode of the
+group layer passes in on purpose, and ``scalar``, the reader of jets,
+subgroup elements and group slots, lets a float through as it is.
 ``exact_numerators`` scales exact input to integer numerators in one checked
 pass, int and Fraction entries as they are and any other through ``rat``, so
-the rescaled bracket, expansion elements, matrix jets and the oracle read a
-scalar as ``rat`` reads it; ``vectors_of`` turns a numerators pair back into
-vectors, the views of the value types that keep only their numerators.
+the rescaled bracket, expansion elements, matrix jets, rescaling families
+and the oracle read a scalar as ``rat`` reads it; ``vectors_of`` turns a
+numerators pair back into vectors, the views of the value types that keep
+only their numerators, and ``lowest_terms`` reduces a pair that a product or
+an inverse made.
 Polynomials in the formal parameter are coefficient tuples (lowest degree
 first) with trailing zeros trimmed; the empty tuple is zero.
 
@@ -37,8 +40,10 @@ entry, it is a Fraction zero, in the numeric mode too.
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, InternalInvariantViolation
 
@@ -47,9 +52,19 @@ ONE = Fraction(1)
 _INT = {int}
 _EXACT = {int, Fraction}
 
+# caps on a string literal, because parsing "1e10000000" alone takes seconds
+MAX_LITERAL_LENGTH = 1000
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+
 
 def rat(value):
-    """Coerce ints, strings and Fractions to Fraction; floats are rejected."""
+    """Coerce ints, strings and Fractions to Fraction; floats are rejected.
+
+    A string longer than ``MAX_LITERAL_LENGTH`` characters, or with a decimal
+    exponent above ``MAX_EXPONENT`` in absolute value, is a ValueError, raised
+    before it is parsed.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -57,7 +72,14 @@ def rat(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        if len(value) > MAX_LITERAL_LENGTH:
+            raise ValueError(f"rational literal of {len(value)} characters "
+                             f"is longer than {MAX_LITERAL_LENGTH}")
+        text = value.strip()
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+            raise ValueError(f"exponent outside -{MAX_EXPONENT}..{MAX_EXPONENT}")
+        return Fraction(text)
     raise TypeError(f"cannot interpret {value!r} as a scalar")
 
 
@@ -69,13 +91,6 @@ def scalar(value):
 
 def as_vector(values):
     return tuple(rat(v) for v in values)
-
-
-def as_matrix(rows):
-    mat = tuple(as_vector(row) for row in rows)
-    if mat and any(len(row) != len(mat[0]) for row in mat):
-        raise DimensionMismatch("ragged matrix")
-    return mat
 
 
 def zero_vector(n):
@@ -235,6 +250,20 @@ def matrix_numerators(mats, what=None):
     rows, den = exact_numerators([row for m in mats for row in m], what=what)
     rows = iter(rows)
     return tuple(tuple(next(rows) for _ in m) for m in mats), den
+
+
+def lowest_terms(rows, den):
+    """The pair rows / den, integer rows over den != 0, in lowest terms with den > 0.
+
+    Both are divided by the gcd of den and every entry, taken with the sign
+    of den.
+    """
+    g = gcd(den, *chain.from_iterable(rows))
+    if den < 0:
+        g = -g
+    if g != 1:
+        return tuple([tuple([x // g for x in row]) for row in rows]), den // g
+    return tuple(map(tuple, rows)), den
 
 
 def exact(pair, what):

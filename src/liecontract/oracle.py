@@ -7,21 +7,24 @@ maps are exact finite sums.  Decomposing the logarithm of a product back into
 the representation basis yields a second, bracket-free route to the local
 multiplication, used to cross-check the BCH evaluation.
 
-The route runs on integers.  A representation scales its basis matrices to
-integer matrices over one denominator once; the exponential and the
+The route runs on integers.  A representation holds one state: its basis
+matrices read once (``linalg.matrix_numerators``) as integer matrices over
+one denominator, ``_numerators``, which ``==`` and ``hash`` compare; ``mats``
+is a view of it, built on its first read.  The exponential and the
 logarithm sum their integer matrix powers over one common denominator and
 return matrix jets that build their Fraction coefficients only when read;
 the product of the two exponentials convolves integer matrices; and
 ``decompose`` solves on a square block of the basis matrices, inverted once
 per representation, and checks the whole residual.  The oracle is exact: a
-float input is a TypeError, from ``linalg.exact_numerators``, the check that
-matrix jets and expansion elements share, or from ``linalg.exact`` on a jet.
+float input, a basis matrix included, is a TypeError, from
+``linalg.exact_numerators``, the check that matrix jets and expansion
+elements share, or from ``linalg.exact`` on a jet.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial, lcm
 
@@ -34,7 +37,6 @@ from .errors import (
 )
 from . import linalg
 from .jets import Jet, MatrixJet, matmul_numerators
-from .linalg import as_matrix
 
 _ORACLE = "the matrix oracle"
 
@@ -68,10 +70,11 @@ class Representation:
     """Faithful matrix model: one square matrix per basis vector, of size at most ``MAX_DIM``."""
 
     algebra: LieAlgebra
-    mats: tuple
+    mats: tuple = field(compare=False)  # a view of ``_numerators``, built on its first read
+    _numerators: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        mats = tuple(as_matrix(m) for m in self.mats)
+        mats = tuple(self.__dict__.pop("mats"))
         if len(mats) != self.algebra.dim:
             raise DimensionMismatch("need one matrix per basis vector")
         size = len(mats[0])
@@ -83,16 +86,16 @@ class Representation:
         for m in mats:
             if len(m) != size or any(len(row) != size for row in m):
                 raise DimensionMismatch("representation matrices must share a square shape")
-        object.__setattr__(self, "mats", mats)
+        self.__dict__["_numerators"] = linalg.matrix_numerators(mats, _ORACLE)
+
+    def __getattr__(self, name):
+        """Build ``mats``, which the constructor does not keep, once, on its first read."""
+        return linalg.deferred(self, name, ("mats",), "_numerators",
+                               lambda pair: (linalg.matrices_of(pair),))
 
     @property
     def size(self):
-        return len(self.mats[0])
-
-    @cached_property
-    def _numerators(self):
-        """The basis matrices as (integer matrices, e), one common denominator e."""
-        return linalg.matrix_numerators(self.mats)
+        return len(self._numerators[0][0])
 
     def _integer_matrix(self, v):
         """sum_a v[a] M_a over the integer basis matrices M_a, for a numerator vector v."""

@@ -23,7 +23,8 @@ Brackets and validation (``test_kernel``, ``test_jets``, ``test_algebra``):
   ``truncated_bracket``, a degree-by-degree loop of its own over
   ``reference_bracket``; no ``src`` routine.
 - ``bracket_poly``: ``reference_bracket_poly``, ``truncated_bracket`` on the
-  coefficients; ``Jet._check_compatible``.
+  coefficients; ``Jet._check_compatible``, which ``jets._Series`` writes once
+  for both jet types.
 - ``IWExpansion.bracket``: ``reference_iw_bracket``, the same product on the
   slots; ``SubalgebraSplit.contains`` and ``coset_reduce``.
 - ``IWExpansion.coords``: ``reference_coords``, one general solve;
@@ -57,11 +58,13 @@ Truncated BCH and the matrix oracle (``test_bch``, ``test_oracle``):
   ``local_mult``, ``check``: ``reference_exp``, ``reference_log``,
   ``reference_decompose``, ``reference_exp_log_local_mult``,
   ``reference_homomorphism_failures``, on ``Fraction`` matrices through
-  ``reference_matrix_of``; ``MatrixJet`` ``+``, ``-``, ``scale``,
-  ``identity`` and ``zero``, ``linalg.solve_in_basis``, and for the failures
-  ``LieAlgebra.bracket``.
+  ``reference_matrix_of``; ``Representation.mats``, the view of the integer
+  state that the routes read (``linalg.matrices_of``), ``MatrixJet``
+  ``identity`` and the ``jets._Series`` members that ``Jet`` shares, ``+``,
+  ``-``, ``scale`` and ``zero``, ``linalg.solve_in_basis``, and for the
+  failures ``LieAlgebra.bracket``.
 - ``MatrixJet.matmul``: ``reference_matmul``, a degree-by-degree loop;
-  ``MatrixJet._check_compatible``.
+  ``MatrixJet._check_compatible`` (a ``jets._Series`` member).
 
 Contraction families (``test_contraction``):
 
@@ -81,7 +84,7 @@ Contraction families (``test_contraction``):
 - ``eps_bracket`` and ``GeneralExpansion.bracket_tuples``:
   ``reference_eps_bracket`` and ``reference_bracket_tuples``, through
   ``reference_rescaled_bracket`` (the lift, ``reference_bracket_poly`` and the
-  ``Fraction`` solve); ``Jet.coeff``.
+  ``Fraction`` solve); ``Jet.coeff`` (a ``jets._Series`` member).
 
 The group's numeric and exact modes (``test_numeric_mode``):
 

@@ -205,7 +205,8 @@ def test_oracle_rep_above_the_size_cap_is_a_usage_error(tmp_path, capsys):
                             "matrices must be at most 32 x 32\n")
 
 
-def test_oracle_explicit_jets(capsys):
+def test_oracle_explicit_jets(monkeypatch, capsys):
+    original = bch.local_mult
     assert run(["--format", "machine", "oracle", "heis3", "--order", "2",
                 "--p", "[0,0,0; 1,0,0]", "--q", "[0,0,0; 0,1,0]"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -214,6 +215,13 @@ def test_oracle_explicit_jets(capsys):
     assert payload["report"]["product"] == [
         ["0/1", "0/1", "0/1"], ["1/1", "1/1", "0/1"], ["0/1", "0/1", "1/2"]]
     assert run(["oracle", "heis3", "--order", "2", "--p", "[0,0,0; 1,0,0]"]) == 2
+    # a BCH route that swaps its factors gives -Z/2 at eps^2: one mismatch
+    monkeypatch.setattr(bch, "local_mult", lambda alg, p, q, order, cap: original(alg, q, p, order))
+    capsys.readouterr()
+    assert run(["oracle", "heis3", "--order", "2",
+                "--p", "[0,0,0; 1,0,0]", "--q", "[0,0,0; 0,1,0]"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "1 trials at order 2: 0 exact agreements, 1 mismatches")
 
 
 def test_order_cap_flag(tmp_path, capsys):
@@ -348,7 +356,7 @@ VERIFY_BREAKS = {
         "iso2 (representation), abelian(4) (representation)"),
     "contraction": (
         "rotation algebra contracts to the plane-motion algebra", "contraction_matches",
-        (verify, "contract"), lambda original, fam: fam.algebra, ""),
+        (verify, "contract"), lambda original, fam: fam.algebra, "[X1, X2]"),
     "closed-form": (
         "limit tensor agrees with the closed form on every catalogued split",
         "closed_form_agrees", (verify, "iw_contract_closed_form"),
@@ -358,7 +366,7 @@ VERIFY_BREAKS = {
     "rescaled": (
         "rescaled bracket relations of the rotation algebra", "rescaled_relations",
         (verify, "eps_bracket"), lambda original, fam, x, y, order: original(fam, y, x, order),
-        ""),
+        "[X1, X2], [X2, X3], [X3, X1]"),
     "order-zero": (
         "order-0 expansion is isomorphic to the contraction", "order_zero_isomorphism",
         (IWExpansion, "from_contraction"),
@@ -411,15 +419,18 @@ VERIFY_BREAKS = {
 
 
 @pytest.mark.parametrize("case", list(VERIFY_BREAKS))
-def test_verify_reports_a_broken_identity(monkeypatch, case):
+def test_verify_reports_a_broken_identity(monkeypatch, capsys, case):
     """With one library call broken inside one check, that check alone fails
     with its detail; a check that raises reports the error and the battery
-    runs on."""
+    runs on.  The text report shows the detail after the failed check's name."""
     name, check, (owner, attr), broken, detail = VERIFY_BREAKS[case]
     monkeypatch.setattr(owner, attr, within(check, getattr(owner, attr), broken))
     results = verify.run_verify(seed=5, trials=4)
     assert len(results) == 11
     assert [(r.name, r.detail) for r in results if not r.passed] == [(name, detail)]
+    assert run(["verify", "--seed", "5", "--trials", "4"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert failed == [f"FAIL {name} ({detail})"]
 
 
 def test_unknown_algebra_is_usage_error(capsys):

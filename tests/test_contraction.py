@@ -238,7 +238,7 @@ def test_contract_agrees_with_closed_form_everywhere():
 
 
 def test_limit_is_lie_and_complement_becomes_abelian_ideal():
-    for name in ("so3", "sl2", "heis3"):
+    for name in ("so3", "sl2", "heis3", "abelian(3)"):
         alg = builtin(name)[0]
         for vectors in subalgebra_catalog(name).values():
             split = span_subalgebra(alg, vectors)

@@ -366,6 +366,7 @@ def test_general_matches_iw_through_transport():
         for k in range(4):
             ea = IWExpansion(split, k)
             gen = GeneralExpansion(iw_family(split), k)
+            assert gen.dimension == ea.dimension == (k + 1) * alg.dim
             for _ in range(10):
                 xs = [linalg.random_vector(rng, alg.dim) for _ in range(k + 1)]
                 ys = [linalg.random_vector(rng, alg.dim) for _ in range(k + 1)]

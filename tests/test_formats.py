@@ -4,10 +4,53 @@ from fractions import Fraction
 import pytest
 
 from liecontract import formats
+from liecontract.algebra import LieAlgebra
 from liecontract.catalog import builtin
+from liecontract.cli import main
 from liecontract.errors import SpecFormatError
 
 F = Fraction
+SO3 = {"dim": 3, "basis": ["X1", "X2", "X3"],
+       "brackets": [[1, 2, 3, "1"], [2, 3, 1, "1"], [3, 1, 2, "1"]]}
+
+
+def with_bracket(entry):
+    """A two-dimensional algebra spec whose one bracket entry is ``entry``."""
+    return {"dim": 2, "basis": ["a", "b"], "brackets": [entry]}
+
+
+# a spec file, the command run with the file's path last, and its SpecFormatError message
+SPEC_REFUSALS = {
+    "algebra-not-object": ([1, 2], ["validate"], "algebra spec must be a JSON object"),
+    "dim-bool": ({"dim": True, "basis": ["a"], "brackets": []}, ["validate"],
+                 "field 'dim' must be an integer in 1..32"),
+    "dim-above-cap": ({"dim": 33, "basis": [f"a{i}" for i in range(33)], "brackets": []},
+                      ["validate"], "field 'dim' must be an integer in 1..32"),
+    "bracket-entry-shape": (with_bracket([1, 2, 2]), ["validate"],
+                            "brackets[0] must be [a, b, c, coeff]"),
+    "bracket-index-bool": (with_bracket([True, 2, 2, "1"]), ["validate"],
+                           "brackets[0]: index a=True out of 1..2"),
+    "bracket-diagonal": (with_bracket([1, 1, 2, "1"]), ["validate"],
+                         "inconsistent bracket entries: diagonal bracket entry (0,0,1)"),
+    "literal-exponent": (with_bracket([1, 2, 2, "1e10000000"]), ["validate"],
+                         "bad rational literal '1e10000000': exponent outside -1000..1000"),
+    "literal-length": (with_bracket([1, 2, 2, "1" * 1001]), ["validate"],
+                       "rational literal of 1001 characters is longer than 1000"),
+    "literal-invalid": (with_bracket([1, 2, 2, " x"]), ["validate"],
+                        "bad rational literal ' x': Invalid literal for Fraction: 'x'"),
+    "subalgebra-not-list": ({"v": [0, 0, 1]}, ["contract", "so3", "--subalgebra"],
+                            "subalgebra spec must be a JSON list of coefficient vectors"),
+    "subalgebra-row": ([5], ["contract", "so3", "--subalgebra"],
+                       "subalgebra spec[0] must be a list of rationals"),
+    "family-ragged": ({"phis": [[["1", "0", "0"], ["0"], ["0", "0", "1"]]]},
+                      ["contract", "so3", "--family"], "phis[0] is ragged"),
+    "family-not-object": ([1], ["contract", "so3", "--family"],
+                          "family spec must be an object with field 'phis'"),
+    "representation-not-object": ([1], ["oracle", "so3", "--order", "1", "--rep"],
+                                  "representation spec must map basis names to matrices"),
+    "oracle-without-rep": (SO3, ["oracle", "--order", "1"],
+                           "no representation available; pass --rep"),
+}
 
 
 def test_parse_rational():
@@ -55,6 +98,28 @@ def test_algebra_spec_diagnostics():
     with pytest.raises(SpecFormatError, match="one name per dimension"):
         formats.algebra_from_dict(
             {"dim": 3, "basis": ["a", "b"], "brackets": []})
+
+
+@pytest.mark.parametrize("name", list(SPEC_REFUSALS))
+def test_spec_files_are_refused_with_their_message(tmp_path, capsys, name):
+    spec, args, message = SPEC_REFUSALS[name]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main([*args, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"SpecFormatError: {message}\n")
+
+
+def test_a_library_fault_in_an_algebra_file_exits_3(tmp_path, monkeypatch, capsys):
+    """Only a DimensionMismatch of the bracket entries is a spec error."""
+    def broken(*args):
+        raise ZeroDivisionError("broken")
+
+    monkeypatch.setattr(LieAlgebra, "from_brackets", broken)
+    path = tmp_path / "so3.alg"
+    path.write_text(json.dumps(SO3))
+    assert main(["validate", str(path)]) == 3
+    assert capsys.readouterr().err == "ZeroDivisionError: broken\n"
 
 
 def test_invalid_json_reports_location(tmp_path):

@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 from liecontract import linalg
-from liecontract.algebra import LieAlgebra, span_subalgebra
-from liecontract.catalog import builtin
+from liecontract.algebra import LieAlgebra, ValidationReport, Violation, span_subalgebra
+from liecontract.catalog import builtin, canonical_split_vectors
 from liecontract.contraction import (
     ContractionFamily,
     contract,
@@ -23,7 +23,7 @@ from liecontract.contraction import (
     iw_contract_closed_form,
     iw_family,
 )
-from liecontract.errors import DimensionMismatch
+from liecontract.errors import DimensionMismatch, InternalInvariantViolation, UnknownAlgebra
 from liecontract.expansion import ExpandedElement, GeneralExpansion, IWExpansion
 from liecontract.group import ExpansionGroup
 from liecontract.jets import Jet, MatrixJet, bracket_poly
@@ -143,7 +143,18 @@ def so3_x3_split():
     return span_subalgebra(so3, [so3.basis_vector(2)])
 
 
-REFUSALS = {  # the call, and the message of the DimensionMismatch it raises
+def contract_with_failing_validation():
+    """``contract`` on so3 along X3, with every validation of an algebra failing."""
+    report = ValidationReport(1, [Violation("jacobi", (0, 1, 2), "1")])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LieAlgebra, "validate", lambda alg: report)
+        contract(iw_family(so3_x3_split()))
+
+
+SO3_FLOAT_MATRICES = [((0, 0, 0), (0, 0, -1.0), (0, 1, 0))] * 3
+
+# the call, the message of what it raises, and its type when that is not DimensionMismatch
+REFUSALS = {
     "group-order": (lambda: ExpansionGroup(so3_x3_split(), -1),
                     "group order must be nonnegative"),
     "iw-expansion-order": (lambda: IWExpansion(so3_x3_split(), -1),
@@ -200,15 +211,41 @@ REFUSALS = {  # the call, and the message of the DimensionMismatch it raises
                       "coefficient count differs from dimension"),
     "vec-sub-lengths": (lambda: linalg.vec_sub((1,), (1, 2)), "vector lengths differ"),
     "mat-mul-shapes": (lambda: linalg.mat_mul(((1, 2),), ((1, 2),)), "matrix shapes differ"),
+    # a string literal is capped before it is parsed, which would take seconds
+    "jet-literal-exponent": (lambda: Jet(1, 1, [("1e10000000",)]),
+                             "exponent outside -1000..1000", ValueError),
+    "bracket-literal-exponent": (
+        lambda: LieAlgebra.from_brackets(2, ("a", "b"), [(0, 1, 1, "1e10000000")]),
+        "exponent outside -1000..1000", ValueError),
+    "jet-literal-length": (lambda: Jet(1, 1, [("1" * 1001,)]),
+                           "rational literal of 1001 characters is longer than 1000", ValueError),
+    "family-float": (lambda: ContractionFamily(builtin("so3")[0], SO3_FLOAT_MATRICES[:1]),
+                     "a rescaling family takes exact (int or Fraction) input", TypeError),
+    "representation-float": (
+        lambda: Representation(builtin("so3")[0], SO3_FLOAT_MATRICES),
+        "the matrix oracle takes exact (int or Fraction) input", TypeError),
+    "abelian-dimension": (lambda: builtin("abelian(33)"), "abelian dimension 33 out of range",
+                          UnknownAlgebra),
+    "canonical-split": (lambda: canonical_split_vectors("iso2"), "no canonical split for 'iso2'",
+                        UnknownAlgebra),
+    "poly-divexact-zero": (lambda: linalg.poly_divexact((1,), (0,)),
+                           "polynomial division by zero", ZeroDivisionError),
+    "poly-divexact-degree": (lambda: linalg.poly_divexact((1,), (0, 1)),
+                             "inexact polynomial division", InternalInvariantViolation),
+    "contract-validation": (contract_with_failing_validation,
+                            "contraction limit failed validation: 1 violation(s) in 1 checks:\n"
+                            "  jacobi at (0, 1, 2): 1", InternalInvariantViolation),
 }
 
 
 @pytest.mark.parametrize("name", list(REFUSALS))
 def test_constructors_refuse_arguments_that_do_not_fit(name):
-    call, message = REFUSALS[name]
-    with pytest.raises(DimensionMismatch) as info:
+    call, message, error = (*REFUSALS[name], DimensionMismatch)[:3]
+    start = time.perf_counter()
+    with pytest.raises(error) as info:
         call()
-    assert str(info.value) == message
+    assert time.perf_counter() - start < 1.0
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_readme_quickstart_runs(capsys):

@@ -17,6 +17,7 @@ from liecontract.jets import (
     bracket_poly,
     jet_in_filtration,
 )
+from liecontract.oracle import Representation
 from references import copies, reference_bracket_poly, reference_iw_bracket, reference_matmul
 
 F = Fraction
@@ -294,6 +295,8 @@ def one_state_cases():
     # X3 and its complement X1 + X3/2, X2 in so3: P_h X1 = -X3/2, over the denominator 2
     h_basis, n_basis = ((F(0), F(0), F(1)),), ((F(1), F(0), half), (F(0), F(1), F(0)))
 
+    plane = LieAlgebra.from_brackets(2, ("A", "B"), [])
+
     def projectors():
         return [[[0, 0, 0], [0, 0, 0], [-half, 0, 1]], [[1, 0, 0], [0, 1, 0], [half, 0, 0]]]
 
@@ -329,6 +332,11 @@ def one_state_cases():
             projectors(), lambda mats: ContractionFamily(so3, mats),
             without(iw_family(_split(so3, h_basis, n_basis)), "_det", "_inverse"),
             ["algebra", "_numerators"], "phis", change_projectors),
+        "Representation": (
+            [[[1, 0], [0, 1]], [[half, 0], [0, F(-3, 2)]]], lambda mats: Representation(plane, mats),
+            linalg.with_state(Representation, algebra=plane,
+                              _numerators=((((2, 0), (0, 2)), ((1, 0), (0, -3))), 2)),
+            ["algebra", "_numerators"], "mats", change_matrices),
     }
 
 
