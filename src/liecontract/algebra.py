@@ -25,7 +25,11 @@ P_n as integer rows over one reduced denominator (``_numerators``), of which
 ``proj_h`` and ``proj_n`` are views, built on their first read.
 ``span_subalgebra`` and ``split_with_complement`` read their vectors once
 into numerators and run on them the closure brackets and one pivot search,
-which inverts the base change too.  An exact vector is projected in one
+which inverts the base change too; both refuse floats, so only the public
+constructor makes a split holding a float, and it inverts its base change
+when ``_inverse`` is first read.  ``_reduce_top`` reduces the top slot of
+a tuple of slots on integers, for the expansion bracket and the group law
+alike.  An exact vector is projected in one
 integer product with one Fraction per entry; a float vector (the numeric
 mode) meets a copy of the projector rounded once to floats, with the float
 bits that the exact projector gives when it is rounded at each product.
@@ -384,8 +388,24 @@ class SubalgebraSplit:
     @cached_property
     def _inverse(self):
         """(columns, d): B^-1 = inv / d for B = [h_basis | n_basis], column j of
-        inv as its nonzero (row, entry) pairs; rows below dim_h are h-coordinates."""
-        return _split(self.algebra, self.h_basis, self.n_basis)._inverse
+        inv as its nonzero (row, entry) pairs; rows below dim_h are h-coordinates.
+        ``_split`` fills it from its pivot search; any other split inverts B here."""
+        cols, den = linalg.numerators([*self.h_basis, *self.n_basis])
+        return _columns(*linalg.invert_numerators(tuple(zip(*cols)), den), self.algebra.dim)
+
+    def _reduce_top(self, rows, den):
+        """The slots rows / den with the last one reduced modulo the subalgebra, on integers.
+
+        With P / p the complement projector's numerators, every slot but the
+        last is multiplied by p and the last becomes P x (a zero slot stays as
+        it is, with no scan of P); the pair comes back over den p, in lowest
+        terms.  The expansion bracket and the group law both reduce with it.
+        """
+        pn, p, _ = self._projector_forms["n"]
+        *rest, top = rows
+        out = [[x * p for x in v] for v in rest]
+        out.append(linalg.mat_vec(pn, top) if any(top) else top)
+        return linalg.lowest_terms(out, den * p)
 
     def project_h(self, x):
         return self._project("h", x)
@@ -402,39 +422,35 @@ class SubalgebraSplit:
         return linalg.is_zero_vector(self.project_n(x))
 
 
-def _split(alg, h_basis, n_basis, cols=None, inverse=None):
+def _columns(inv, d, n):
+    """``_inverse`` of inv / d: each of its n columns as its nonzero (row, entry) pairs."""
+    return tuple(tuple((r, row[j]) for r, row in enumerate(inv) if row[j])
+                 for j in range(n)), d
+
+
+def _split(alg, h_basis, n_basis, cols, inverse):
     """The split along h_basis with complement n_basis, and its exact projectors.
 
     ``cols`` is (columns, den), the numerators of h_basis and n_basis in
-    turn, and ``inverse`` (d B^-1, d), B the base change, when the caller's
-    pivot search has them.  P_h = (h columns of B)(first dh rows of B^-1)
+    turn, and ``inverse`` (d B^-1, d), B the base change, both from the
+    caller's pivot search.  P_h = (h columns of B)(first dh rows of B^-1)
     and P_n = 1 - P_h come from integers: B's h-column numerators times the
-    rows of d B^-1, kept over one reduced denominator.  The float mode runs
-    the same sums on the values, over 1.  The split keeps d B^-1, column by
-    column, and d as ``_inverse``.
+    rows of d B^-1, kept over one reduced denominator.  The split keeps
+    d B^-1, column by column, and d as ``_inverse``.
     """
     n, dh = alg.dim, len(h_basis)
-    cols, den = cols or linalg.numerators([*h_basis, *n_basis])
-    rows = tuple(zip(*cols))
-    inv, d = inverse or linalg.invert_numerators(rows, den)
+    (cols, den), (inv, d) = cols, inverse
     ph = []
-    for row in rows:
+    for row in zip(*cols):
         support = [(l, b) for l, b in enumerate(row[:dh]) if b]
         ph.append([sum((inv[l][k] * b for l, b in support), 0) for k in range(n)])
-    if type(den) is float:  # the float mode: the same sums on the values, over 1
-        pn = [[int(i == k) - x for k, x in enumerate(row)] for i, row in enumerate(ph)]
-        split = SubalgebraSplit(alg, tuple(h_basis), tuple(n_basis), *(
-            [linalg.from_numerators(row, 1) for row in m] for m in (ph, pn)))
-    else:  # over den d less its gcd with P_h, which P_n = den d - P_h shares; den > 0
-        ph, den = linalg.lowest_terms(ph, den * d)
-        pn = tuple(tuple((den if i == k else 0) - x for k, x in enumerate(row))
-                   for i, row in enumerate(ph))
-        split = linalg.with_state(SubalgebraSplit, algebra=alg, h_basis=tuple(h_basis),
-                                  n_basis=tuple(n_basis), _numerators=((ph, pn), den))
-    # fills the cached_property, as its first read would
-    split.__dict__["_inverse"] = (
-        tuple(tuple((r, row[j]) for r, row in enumerate(inv) if row[j]) for j in range(n)), d)
-    return split
+    # over den d less its gcd with P_h, which P_n = den d - P_h shares; den > 0
+    ph, den = linalg.lowest_terms(ph, den * d)
+    pn = tuple(tuple((den if i == k else 0) - x for k, x in enumerate(row))
+               for i, row in enumerate(ph))
+    return linalg.with_state(SubalgebraSplit, algebra=alg, h_basis=tuple(h_basis),
+                             n_basis=tuple(n_basis), _numerators=((ph, pn), den),
+                             _inverse=_columns(inv, d, n))
 
 
 def _closure_check(alg, rows, den):

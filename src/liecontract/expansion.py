@@ -6,14 +6,15 @@ canonical coset representative on top.  Its structure constants run on
 integers from start to finish.  An element holds one state, however built:
 its slots as integer numerators over one denominator
 (``ExpandedElement.numerators``), which the constructor reads its slots into
-once; the slots are views, built when something first reads them.  The
-bracket checks that both elements fit the expansion (k + 2 slots of the
-algebra's dimension), convolves their pairs on the algebra's integer table,
-tests the leading slot and reduces the top slot on the integer numerators of
-the split's projector, and returns an element that keeps the reduced
-numerators.  The level-tagged basis is made from numerators
-too, and it is graded: the bracket of levels l and l' lies in level l + l',
-dropped past k + 1.
+once; the slots are views, built when something first reads them, as the
+group's tuples keep theirs (``linalg._Slots``).  The bracket checks that
+both elements fit the expansion (k + 2 slots of the algebra's dimension),
+convolves their pairs on the algebra's integer table, tests the leading slot
+on the split's integer projector, and reduces the top slot with
+``SubalgebraSplit._reduce_top``, the reduction of the group law; the element
+it returns keeps the reduced numerators.  The level-tagged basis is made
+from numerators too, and it is graded: the bracket of levels l and l' lies
+in level l + l', dropped past k + 1.
 ``structure_algebra`` emits that closed form.  Its middle levels are the
 algebra's integer table, shifted, and no element is bracketed for them; only
 the outer levels, level 0 read in h-coordinates and level k + 1 in
@@ -44,23 +45,16 @@ from .errors import DimensionMismatch, InternalInvariantViolation, PoleError
 from . import linalg
 from .jets import bracket_numerators
 
-_SLOTS = ("a0", "mids", "top")
 _MISFIT = "an element of this expansion has {} slots of length {}"
 
 
-def _slots(pair):
-    """The slots (a0, mids, top) of the numerators pair (rows, den)."""
-    slots = linalg.vectors_of(pair)
-    return slots[0], slots[1:-1], slots[-1]
-
-
 @dataclass(frozen=True)
-class ExpandedElement:
+class ExpandedElement(linalg._Slots):
     """Subalgebra value, k middle coefficients, canonical coset top slot.
 
     ``numerators`` holds the slots as integer numerators over one common
     denominator, the one state of an element however it is built; the slots
-    are views of it, built on their first read (``__getattr__``).  The
+    are views of it, built on their first read (``linalg._Slots``).  The
     constructor reads each entry as ``linalg.exact_numerators`` reads it: a
     string through ``rat``, while a bool or a float is a TypeError, and slots
     of unequal length are a DimensionMismatch.
@@ -70,25 +64,12 @@ class ExpandedElement:
     mids: tuple
     top: tuple
 
+    _fields, _cut = ("a0", "mids", "top"), staticmethod(lambda v: (v[0], v[1:-1], v[-1]))
+
     def __post_init__(self):
-        state = self.__dict__
-        a0, mids, top = (state.pop(slot) for slot in _SLOTS)
-        state["numerators"] = linalg.exact_numerators([a0, *mids, top], len(a0),
-                                                      what="an expansion element")
-
-    @classmethod
-    def _from_numerators(cls, rows, den):
-        """The element with slots rows[i] / den, for integer rows and den > 0.
-
-        The pair, reduced by the gcd of den and every entry, becomes the
-        element's ``numerators`` as it is, as ``Jet.from_numerators`` keeps
-        its pair; the slots are built on their first read (``__getattr__``).
-        """
-        return linalg.with_state(cls, numerators=linalg.lowest_terms(rows, den))
-
-    def __getattr__(self, name):
-        """Build the slots, which neither constructor keeps, once, on their first read."""
-        return linalg.deferred(self, name, _SLOTS, "numerators", _slots)
+        a0, mids, top = map(self.__dict__.pop, self._fields)
+        self.__dict__["numerators"] = linalg.exact_numerators(
+            [a0, *mids, top], len(a0), what="an expansion element")
 
     @property
     def slots(self):
@@ -127,10 +108,10 @@ class IWExpansion:
     def bracket(self, a: ExpandedElement, b: ExpandedElement) -> ExpandedElement:
         """Convolution bracket with the top slot reduced modulo the subalgebra.
 
-        It runs on numerators: with P / p the complement projector's
-        numerators, the leading slot must satisfy P x = 0 and the top slot
-        becomes P x, all slots over p times the bracket's denominator.  An
-        element without k + 2 slots of the algebra's dimension is refused.
+        It runs on numerators: with P the complement projector's numerators,
+        the leading slot must satisfy P x = 0, and the split reduces the top
+        slot (``SubalgebraSplit._reduce_top``).  An element without k + 2
+        slots of the algebra's dimension is refused.
         """
         k, n = self.order, self.algebra.dim
         (p, dp), (q, dq) = a.numerators, b.numerators
@@ -138,13 +119,10 @@ class IWExpansion:
         if not len(p) == len(q) == k + 2 or not len(p[0]) == len(q[0]) == n:
             raise DimensionMismatch(_MISFIT.format(k + 2, n))
         out, den = bracket_numerators(self.algebra, (p, dp), (q, dq), k + 2)
-        proj, pden, _ = self.split._projector_forms["n"]
-        # a zero slot (int zeros) projects to itself: mat_vec would scan proj to tell
-        if any(out[0]) and any(linalg.mat_vec(proj, out[0])):
+        # a zero slot (int zeros) projects to itself: mat_vec would scan P to tell
+        if any(out[0]) and any(linalg.mat_vec(self.split._projector_forms["n"][0], out[0])):
             raise InternalInvariantViolation("leading bracket slot escaped the subalgebra")
-        rows = [[x * pden for x in v] for v in out[:k + 1]]
-        rows.append(linalg.mat_vec(proj, out[k + 1]) if any(out[k + 1]) else out[k + 1])
-        return ExpandedElement._from_numerators(rows, den * pden)
+        return linalg.with_state(ExpandedElement, numerators=self.split._reduce_top(out, den))
 
     # ----- order-0 identification with the contraction -----------------
 

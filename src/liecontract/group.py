@@ -8,18 +8,22 @@ truncated BCH product, and reads the first k+1 coefficients back, reducing
 the last one modulo the subalgebra.  Rational data stays exact; matrices with
 float entries are accepted and validated against a small tolerance.
 
-Exact subgroup elements run on integers.  An element holds one state,
-however built: its adjoint matrix as integer numerators N over one reduced
-denominator delta (``HElement.numerators``), and ``ad`` is a view of it,
-built on its first read.  ``HElement(...)`` reads each entry as
-``linalg.scalar`` does, as ``nil`` reads the slots: a float as it is and any
-other through ``rat``; a matrix holding a float is kept as read, over the
-float 1.0.  ``h_element`` checks the numerators against the algebra's
-integer table, the split's integer projector and one elimination of N;
-``h_compose``, ``h_inverse`` and ``ad_nil`` multiply numerators, a product or
-an inverse keeps its own, and each output entry becomes a Fraction once.
-So does ``star`` on exact tuples, from the lifts to the product's numerators,
-the top slot reduced by the split's integer projector.
+The group law runs on integers.  A subgroup element and a nilpotent tuple
+each hold one state, however built (``linalg._Slots``): the adjoint matrix,
+or the slots mids then top, as integer numerators N over one reduced
+denominator delta (``numerators``); ``ad``, ``mids`` and ``top`` are views
+of it, built on their first read, and ``==`` compares those views.
+``HElement(...)`` and ``NilTuple(...)`` read each entry as ``linalg.scalar``
+does, as ``nil`` does: a float as it is and any other through ``rat``; a
+value holding a float is kept as read, over the float 1.0.  ``h_element``
+checks the numerators against the algebra's integer table, the split's
+integer projector and one elimination of N.  ``h_compose``, ``h_inverse``,
+``ad_nil``, ``star`` and ``nil_negate`` take numerators and return a value
+that keeps its own, so an exact ``mult`` or ``inverse`` makes no Fraction
+until a slot or a matrix is read, and then one per nonzero entry.  The top
+slot of a product or a moved tuple is reduced on the split's integer
+projector by ``SubalgebraSplit._reduce_top``, the reduction that the
+expansion bracket makes.
 
 In the numeric mode exact data meets floats rounded once: ``h_element``
 reads [X_a, X_b] off the structure constants, rounded once per group, and
@@ -60,40 +64,45 @@ def _close(u, v, tol):
     return all(abs(a - b if a and b else a or b or 0) <= tol for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
-class NilTuple:
-    """k middle coefficients plus a canonical coset representative."""
+def _read(vectors):
+    """``linalg.numerators`` of the vectors, each entry read as ``linalg.scalar`` reads it."""
+    return linalg.numerators([tuple(map(linalg.scalar, v)) for v in vectors])
 
-    mids: tuple
+
+@dataclass(frozen=True)
+class NilTuple(linalg._Slots):
+    """k middle coefficients plus a canonical coset representative.
+
+    It keeps ``_read`` of its slots, mids then top, and nothing else; the
+    slots are views (``linalg._Slots``), so ``==`` and ``hash`` compare
+    values, and an exact tuple equals a float tuple of the same value.
+    """
+
+    mids: tuple  # the slots: views of ``numerators``, built on their first read
     top: tuple
 
+    _fields, _cut = ("mids", "top"), staticmethod(lambda v: (v[:-1], v[-1]))
+
+    def __post_init__(self):
+        mids, top = map(self.__dict__.pop, self._fields)
+        self.__dict__["numerators"] = _read([*mids, top])
+
 
 @dataclass(frozen=True)
-class HElement:
-    """Subgroup element stored through its adjoint matrix."""
+class HElement(linalg._Slots):
+    """Subgroup element stored through its adjoint matrix.
+
+    It keeps ``_read`` of the matrix's rows; ``ad`` is their view
+    (``linalg._Slots``), one Fraction per entry, and ``_from_numerators``
+    keeps a pair that equals ``linalg.numerators(ad)``.
+    """
 
     ad: tuple  # a view of ``numerators``, built on its first read
 
+    _fields, _cut = ("ad",), staticmethod(lambda v: (v,))
+
     def __post_init__(self):
-        # keep ``linalg.numerators`` of the matrix, each entry read as ``linalg.scalar`` reads it
-        self.__dict__["numerators"] = linalg.numerators(
-            [tuple(map(linalg.scalar, row)) for row in self.__dict__.pop("ad")])
-
-    @classmethod
-    def _from_numerators(cls, rows, den):
-        """The element with adjoint matrix rows / den, for integer rows and den != 0.
-
-        The pair, reduced by the gcd of den and every entry and signed so that
-        den > 0, becomes the element's ``numerators``, which then equals
-        ``linalg.numerators(ad)``; ``ad`` is built on its first read (see
-        ``__getattr__``), one Fraction per entry.
-        """
-        return linalg.with_state(cls, numerators=linalg.lowest_terms(rows, den))
-
-    def __getattr__(self, name):
-        """Build ``ad``, which neither constructor keeps, once, on its first read."""
-        return linalg.deferred(self, name, ("ad",), "numerators",
-                               lambda pair: (linalg.vectors_of(pair),))
+        self.__dict__["numerators"] = _read(self.__dict__.pop("ad"))
 
 
 @dataclass(frozen=True)
@@ -127,21 +136,34 @@ class ExpansionGroup:
         top = tuple(linalg.scalar(x) for x in top)
         if len(top) != n:
             raise DimensionMismatch("top slot length differs from algebra dimension")
-        return NilTuple(mids, self.split.coset_reduce(top))
+        return self._tuple_of([*mids, top], 1.0)
+
+    def _tuple_of(self, rows, den):
+        """The NilTuple of the slots rows / den, the top slot reduced modulo
+        the subalgebra: on integers for integer rows
+        (``SubalgebraSplit._reduce_top``).  Over the float 1.0 the rows are
+        the slots' values, as ``nil`` and the numeric mode hand them over:
+        the top goes through ``coset_reduce``, and the tuple keeps
+        ``linalg.numerators`` of the result, exact when it holds no float."""
+        if type(den) is float:
+            slots = [*rows[:-1], self.split.coset_reduce(rows[-1])]
+            return linalg.with_state(NilTuple, numerators=linalg.numerators(slots))
+        return linalg.with_state(NilTuple, numerators=self.split._reduce_top(rows, den))
 
     def zero_nil(self) -> NilTuple:
         return self.nil([linalg.zero_vector(self.algebra.dim)] * self.order)
 
     def nil_negate(self, a: NilTuple) -> NilTuple:
-        return NilTuple(tuple(linalg.vec_neg(m) for m in a.mids), linalg.vec_neg(a.top))
+        rows, den = a.numerators
+        return linalg.with_state(NilTuple, numerators=(tuple(map(linalg.vec_neg, rows)), den))
 
     def nil_is_zero(self, a: NilTuple):
-        return all(linalg.is_zero_vector(slot) for slot in (*a.mids, a.top))
+        return not any(map(any, a.numerators[0]))
 
     def _lift(self, a: NilTuple) -> Jet:
-        """The polynomial through zero with coefficients a.mids, a.top, on numerators."""
+        """The polynomial through zero with coefficients a.mids, a.top: the tuple's numerators."""
         n = self.algebra.dim
-        rows, den = linalg.numerators([*a.mids, a.top])
+        rows, den = a.numerators
         return Jet.from_numerators(n, self.order + 2, ((0,) * n, *rows), den)
 
     def star(self, a: NilTuple, b: NilTuple) -> NilTuple:
@@ -150,17 +172,9 @@ class ExpansionGroup:
         z = local_mult(self.algebra, self._lift(a), self._lift(b), k + 1, cap=self.order_cap)
         rows, den = z.numerators
         if type(den) is float:
-            mids = tuple(z.coeff(m) for m in range(1, k + 1))
-            return NilTuple(mids, self.split.coset_reduce(z.coeff(k + 1)))
+            return self._tuple_of([z.coeff(m) for m in range(1, k + 2)], den)
         rows += ((0,) * self.algebra.dim,) * (k + 2 - len(rows))
-        return self._reduced(rows[1:k + 1], rows[k + 1], den)
-
-    def _reduced(self, mids, top, den):
-        """The NilTuple of the integer slots mids / den and top / den, the top
-        reduced through the complement projector: one Fraction per entry."""
-        pn, pden, _ = self.split._projector_forms["n"]
-        return NilTuple(tuple(linalg.from_numerators(v, den) for v in mids),
-                        linalg.from_numerators(linalg.mat_vec(pn, top), pden * den))
+        return self._tuple_of(rows[1:], den)
 
     # ----- subgroup part -------------------------------------------------
 
@@ -268,16 +282,15 @@ class ExpansionGroup:
         """Slotwise adjoint action, reducing the top slot.
 
         Exact h and a run on integers: N times the numerators of every slot,
-        and the top slot through the complement projector, with one Fraction
-        per output entry.
+        reduced as ``_tuple_of`` reduces them, and the tuple it returns keeps
+        the numerators.
         """
         rows, den = h.numerators
-        slots, sden = linalg.numerators([*a.mids, a.top])
+        slots, sden = a.numerators
         if type(den) is float or type(sden) is float:
-            mids = tuple(linalg.mat_vec(h.ad, m) for m in a.mids)
-            return NilTuple(mids, self.split.coset_reduce(linalg.mat_vec(h.ad, a.top)))
-        out = [linalg.mat_vec(rows, v) for v in slots]
-        return self._reduced(out[:-1], out[-1], den * sden)
+            moved = [linalg.mat_vec(h.ad, v) for v in linalg.vectors_of((slots, sden))]
+            return self._tuple_of(moved, 1.0)
+        return self._tuple_of([linalg.mat_vec(rows, v) for v in slots], den * sden)
 
     # ----- full group law --------------------------------------------------
 
@@ -328,12 +341,7 @@ class ExampleReport:
                        for c in self.checks],
         }
         if self.float_summary is not None:
-            out["float_mode"] = {
-                "samples": self.float_summary["samples"],
-                "tolerance": self.float_summary["tolerance"],
-                "max_deviation": self.float_summary["max_deviation"],
-                "passed": self.float_summary["passed"],
-            }
+            out["float_mode"] = dict(self.float_summary)
         return out
 
 

@@ -12,7 +12,9 @@ the rescaled bracket, expansion elements, matrix jets, rescaling families
 and the oracle read a scalar as ``rat`` reads it; ``vectors_of`` turns a
 numerators pair back into vectors, the views of the value types that keep
 only their numerators, and ``lowest_terms`` reduces a pair that a product or
-an inverse made.
+an inverse made.  ``_Slots`` is the one state of the values made of vectors
+(subgroup elements, group tuples, expansion elements): the pair, with the
+fields built from it on their first read.
 Polynomials in the formal parameter are coefficient tuples (lowest degree
 first) with trailing zeros trimmed; the empty tuple is zero.
 
@@ -348,6 +350,27 @@ def deferred(obj, name, fields, source, build):
         raise AttributeError(name)
     state.update(zip(fields, build(state[source])))
     return state[name]
+
+
+class _Slots:
+    """A value made of vectors, kept as one ``numerators`` pair and viewed on first read.
+
+    A subclass is a frozen dataclass whose fields (``_fields``) are views of
+    ``numerators``, the one state it keeps: its vectors in a fixed order, as
+    integer rows over one reduced denominator, or, holding a float, as read
+    over the float 1.0.  ``_cut`` turns those vectors into the field values.
+    """
+
+    @classmethod
+    def _from_numerators(cls, rows, den):
+        """The value with vectors rows[i] / den, for integer rows and den != 0:
+        the pair in lowest terms (``lowest_terms``) is its ``numerators``."""
+        return with_state(cls, numerators=lowest_terms(rows, den))
+
+    def __getattr__(self, name):
+        """Build the fields, which no constructor keeps, once, on their first read."""
+        return deferred(self, name, self._fields, "numerators",
+                        lambda pair: self._cut(vectors_of(pair)))
 
 
 def mat_add(a, b):

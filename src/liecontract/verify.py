@@ -180,17 +180,16 @@ def run_verify(seed=0, trials=25):
     check("star product is associative with inverses (orders 0..2)", group_axioms)
 
     def oracle_equality():
+        def draw(dim, order):  # a random jet through zero
+            return Jet(dim, order + 1, (linalg.zero_vector(dim),) + tuple(
+                linalg.random_vector(rng, dim) for _ in range(order)))
+
         bad = []
         for name in ("so3", "heis3"):
             alg, rep = builtin(name)
             for order in (2, 3):
                 for _ in range(max(3, trials // 5)):
-                    p = Jet(alg.dim, order + 1,
-                            (linalg.zero_vector(alg.dim),)
-                            + tuple(linalg.random_vector(rng, alg.dim) for _ in range(order)))
-                    q = Jet(alg.dim, order + 1,
-                            (linalg.zero_vector(alg.dim),)
-                            + tuple(linalg.random_vector(rng, alg.dim) for _ in range(order)))
+                    p, q = draw(alg.dim, order), draw(alg.dim, order)
                     if local_mult(alg, p, q, order) != rep.local_mult(p, q, order):
                         bad.append(f"{name}/order={order}")
                         break

@@ -518,8 +518,9 @@ def product_projectors(n, h_basis, n_basis):
 
 
 def test_projectors_match_the_matrix_product_bit_for_bit():
-    """Exact, float and mixed bases give the product's projectors, by repr;
-    exact bases also the inverse of the base change that the split keeps."""
+    """Exact bases give the product's projectors, by repr, and the inverse of
+    the base change that the split keeps; float and mixed bases are refused,
+    as every split constructor but the public one refuses them."""
     rng = random.Random(12)
     entries = (0, 0, 1, -1, F(1, 3), F(-5, 2), F(7, 10 ** 9 + 7), 0.0, -0.0, 0.1, -2.5, 1e-300)
     for trial in range(600):
@@ -529,22 +530,26 @@ def test_projectors_match_the_matrix_product_bit_for_bit():
                  else float(rng.choice(entries)) for _ in range(n)] for _ in range(n)]
         dh = rng.randint(0, n)
         args = (n, tuple(map(tuple, cols[:dh])), tuple(map(tuple, cols[dh:])))
+        alg = builtin(f"abelian({n})")[0]
+        if any(type(x) is float for col in cols for x in col):
+            with pytest.raises(TypeError, match="as a scalar"):
+                split_with_complement(alg, *args[1:])
+            continue
         try:
             want = product_projectors(*args)
         except ValueError:
-            with pytest.raises(ValueError):
-                _split(builtin(f"abelian({n})")[0], *args[1:])
+            with pytest.raises(DimensionMismatch):
+                split_with_complement(alg, *args[1:])
             continue
-        split = _split(builtin(f"abelian({n})")[0], *args[1:])
+        split = split_with_complement(alg, *args[1:])
         assert repr((split.proj_h, split.proj_n)) == repr(want)
-        if mode == 0:  # the exact inverse kept for the split, column by column
-            inv = [[0] * n for _ in range(n)]
-            columns, d = split._inverse
-            for j, column in enumerate(columns):
-                for r, x in column:
-                    inv[r][j] = x
-            assert repr(tuple(linalg.from_numerators(row, d) for row in inv)) == \
-                repr(linalg.invert(tuple(zip(*args[1], *args[2]))))
+        inv = [[0] * n for _ in range(n)]  # the exact inverse kept for the split, column by column
+        columns, d = split._inverse
+        for j, column in enumerate(columns):
+            for r, x in column:
+                inv[r][j] = x
+        assert repr(tuple(linalg.from_numerators(row, d) for row in inv)) == \
+            repr(linalg.invert(tuple(zip(*args[1], *args[2]))))
 
 
 def fraction_projector_split(alg, h_basis, n_basis):
@@ -586,23 +591,29 @@ def drawn_bases(draw):
 @settings(max_examples=150, deadline=None)
 @given(drawn_bases())
 def test_split_matches_the_fraction_projector_reference(basis):
-    """The split's projector views and inverse equal those of the Fraction
-    route by repr; its state is what the public constructor keeps from them."""
+    """An exact split's projector views and inverse equal those of the Fraction
+    route by repr; its state is what the public constructor keeps from them.
+    The public constructor, the one that takes a float basis, inverts its
+    base change to the Fraction route's inverse, floats included."""
     n, h_basis, n_basis = basis
     alg = builtin(f"abelian({n})")[0]
+    exact = not any(type(x) is float for v in (*h_basis, *n_basis) for x in v)
     try:
         want = fraction_projector_split(alg, h_basis, n_basis)
     except ValueError:
-        with pytest.raises(ValueError):
-            _split(alg, h_basis, n_basis)
+        if exact:
+            with pytest.raises(DimensionMismatch):
+                split_with_complement(alg, h_basis, n_basis)
         return
-    split = _split(alg, h_basis, n_basis)
+    public = SubalgebraSplit(alg, h_basis, n_basis, *want[:2])
+    assert repr(public._inverse) == repr(want[2])
+    if not exact:
+        return
+    split = split_with_complement(alg, h_basis, n_basis)
     assert "proj_h" not in split.__dict__ and "proj_n" not in split.__dict__
     assert repr((split.proj_h, split.proj_n, split._inverse)) == repr(want)
-    public = SubalgebraSplit(alg, h_basis, n_basis, *want[:2])
     assert repr(public._numerators) == repr(split._numerators)
-    if type(split._numerators[1]) is int:  # a nan among floats equals nothing
-        assert public == split and hash(public) == hash(split)
+    assert public == split and hash(public) == hash(split)
 
 
 def test_coset_reduce_examples(so3, heis3):
@@ -638,7 +649,7 @@ def test_split_with_explicit_complement(so3):
 def pivot_search_split(alg, vectors, complement=None):
     """``span_subalgebra`` (no complement) or ``split_with_complement`` as they
     ran before one elimination served both: a pivot search, the closure
-    check, and a second elimination in ``_split`` to invert the base change."""
+    check, and a second elimination to invert the base change."""
     rows, den = linalg.exact_numerators([*vectors, *(complement or ())], alg.dim)
     n, k = alg.dim, len(vectors)
     cols = list(rows)
@@ -655,7 +666,9 @@ def pivot_search_split(alg, vectors, complement=None):
         raise DimensionMismatch("subalgebra and complement do not span the algebra")
     else:
         n_basis = linalg.vectors_of((rows[k:], den))
-    return _split(alg, linalg.vectors_of((h, den)), n_basis, ([cols[j] for j in pivots], den))
+    basis = [cols[j] for j in pivots]
+    return _split(alg, linalg.vectors_of((h, den)), n_basis, (basis, den),
+                  linalg.invert_numerators(tuple(zip(*basis)), den))
 
 
 def split_outcome(make, *args):

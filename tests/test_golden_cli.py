@@ -105,6 +105,19 @@ CASES = {
         "--a=-1/3,1/1,3/4;3/2,-1/2,-1/1;-3/2,-5/2,-2/1",
         "--h2=0/1,-1/1,0/1;1/1,0/1,0/1;0/1,0/1,1/1",
         "--b=5/3,3/1,-1/2;6/1,2/1,1/2;-5/3,-1/2,-1/2"],
+    # the span of (1, 2, 0) in so3, whose complement projector has the denominator
+    # 2: star and the group law reduce the top slot over 2 times their denominator;
+    # h1 turns about (1, 2, 0) by arccos(2/3), h2 by a half turn
+    "star-so3-x1-2x2-order2": [
+        "star", "so3", "--subalgebra", "so3-x1-2x2.json", "--order", "2",
+        "--a=1/2,-1/3,2/1;3/4,0/1,-5/2;-1/6,2/5,1/1",
+        "--b=-2/3,1/1,1/4;1/5,-3/2,2/1;3/1,-1/4,1/3"],
+    "group-mult-so3-x1-2x2-order2": [
+        "group-mult", "so3", "--subalgebra", "so3-x1-2x2.json", "--order", "2",
+        "--h1=11/15,2/15,2/3;2/15,14/15,-1/3;-2/3,1/3,2/3",
+        "--a=1/2,-1/3,2/1;3/4,0/1,-5/2;-1/6,2/5,1/1",
+        "--h2=-3/5,4/5,0/1;4/5,3/5,0/1;0/1,0/1,-1/1",
+        "--b=-2/3,1/1,1/4;1/5,-3/2,2/1;3/1,-1/4,1/3"],
     # a rotation about X1 moves X3 out of the subalgebra, and this one is not
     # even orthogonal: the automorphism check rejects it first
     "group-mult-so3-not-automorphism": [

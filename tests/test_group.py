@@ -431,8 +431,10 @@ def test_numeric_star_keeps_its_bits(name, k):
 
 @pytest.mark.parametrize("name, k", STAR_CASES)
 def test_exact_star_makes_one_fraction_per_output_entry(monkeypatch, name, k):
-    """An exact ``star`` builds no checked Jet and divides k + 1 vectors: the
-    k mids and the reduced top."""
+    """An exact ``star`` builds no checked Jet and divides nothing: its tuple
+    keeps the product's numerators.  The first read of ``mids`` or ``top``
+    divides k + 1 vectors, the k mids and the reduced top, and the other
+    slot is then read with no division."""
     grp = star_setting(name, k)[0]
     rng = random.Random(f"star pin/{name}/{k}")
     pairs = [(random_nil(grp, rng), random_nil(grp, rng)) for _ in range(3)]
@@ -451,8 +453,47 @@ def test_exact_star_makes_one_fraction_per_output_entry(monkeypatch, name, k):
 
     monkeypatch.setattr(Jet, "__post_init__", checked)
     monkeypatch.setattr(linalg, "from_numerators", divided)
-    for (a, b), w in zip(pairs, want):
+    for i, ((a, b), w) in enumerate(zip(pairs, want)):
         calls.update(dict.fromkeys(calls, 0))
         got = grp.star(a, b)
+        assert calls == {"__post_init__": 0, "from_numerators": 0}
+        assert list(got.__dict__) == ["numerators"]
+        first, second = ("mids", "top") if i % 2 == 0 else ("top", "mids")
+        getattr(got, first)
+        assert calls == {"__post_init__": 0, "from_numerators": k + 1}
+        getattr(got, second)
         assert calls == {"__post_init__": 0, "from_numerators": k + 1}
         assert got == w
+
+
+@pytest.mark.parametrize("name, k", STAR_CASES)
+def test_exact_mult_chain_makes_fractions_only_for_the_entries_read(monkeypatch, name, k):
+    """``mult(mult(g1, g2), g3)`` on exact elements makes no Fraction: each
+    step hands numerators on, and the inner product's matrix and slots are
+    never built.  Reading the outer product's tuple then makes one Fraction
+    per nonzero entry of its k + 1 slots, and reading its matrix one per
+    nonzero entry of the matrix."""
+    grp, _, hs = star_setting(name, k)
+    rng = random.Random(f"mult chain/{name}/{k}")
+    g1, g2, g3 = (grp.element(hs[i % len(hs)], random_nil(grp, rng)) for i in (1, 0, 1))
+    want = grp.mult(grp.mult(g1, g2), g3)  # warms the word table and the projector forms
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    inner = grp.mult(g1, g2)
+    got = grp.mult(inner, g3)
+    assert made == []
+    assert [list(vars(x)) for x in (inner.h, inner.nil, got.h, got.nil)] == [["numerators"]] * 4
+    slots = (*got.nil.mids, got.nil.top)
+    assert len(made) == sum(1 for v in slots for x in v if x)
+    made.clear()
+    ad = got.h.ad
+    assert len(made) == sum(1 for row in ad for x in row if x)
+    assert [list(vars(x)) for x in (inner.h, inner.nil)] == [["numerators"]] * 2
+    monkeypatch.undo()
+    assert got == want

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecontract import linalg
-from liecontract.algebra import LieAlgebra, SubalgebraSplit, _split, span_subalgebra
+from liecontract.algebra import (
+    LieAlgebra, SubalgebraSplit, span_subalgebra, split_with_complement)
 from liecontract.catalog import builtin, subalgebra_catalog
 from liecontract.contraction import ContractionFamily, iw_family
 from liecontract.errors import DimensionMismatch, InternalInvariantViolation
 from liecontract.expansion import ExpandedElement, IWExpansion
-from liecontract.group import HElement
+from liecontract.group import HElement, NilTuple
 from liecontract.jets import (
     Jet,
     MatrixJet,
@@ -289,6 +290,9 @@ def one_state_cases():
     def change_slots(slots):
         slots[0][0], slots[1][0][1] = 9, 4
 
+    def change_nil(slots):
+        slots[0][0][1], slots[1][2] = 4, 9
+
     def change_projectors(mats):
         mats[0][2][0], mats[1][0] = 7, [0, 0, 0]
 
@@ -324,13 +328,17 @@ def one_state_cases():
             lambda slots: ExpandedElement(slots[0], slots[1], slots[2]),
             ExpandedElement._from_numerators([(1, 0, 0), (0, 2, 0), (0, 0, 6)], 2),
             ["numerators"], "mids", change_slots),
+        "NilTuple": (
+            [[[half, 0, 0]], [0, 0, 3]], lambda slots: NilTuple(slots[0], slots[1]),
+            NilTuple._from_numerators([(1, 0, 0), (0, 0, 6)], 2),
+            ["numerators"], "top", change_nil),
         "SubalgebraSplit": (
             projectors(), lambda mats: SubalgebraSplit(so3, h_basis, n_basis, *mats),
-            without(_split(so3, h_basis, n_basis), "_inverse"),
+            without(split_with_complement(so3, h_basis, n_basis), "_inverse"),
             ["algebra", "h_basis", "n_basis", "_numerators"], "proj_h", change_projectors),
         "ContractionFamily": (
             projectors(), lambda mats: ContractionFamily(so3, mats),
-            without(iw_family(_split(so3, h_basis, n_basis)), "_det", "_inverse"),
+            without(iw_family(split_with_complement(so3, h_basis, n_basis)), "_det", "_inverse"),
             ["algebra", "_numerators"], "phis", change_projectors),
         "Representation": (
             [[[1, 0], [0, 1]], [[half, 0], [0, F(-3, 2)]]], lambda mats: Representation(plane, mats),
